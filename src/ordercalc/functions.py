@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
+from ._interval import IsolationError, isolate
 from ._tape import Program, compile_expr
 from .backend import kernels as _backend
 from .lattice import Band, Element, OrderInterval, _check_same_dim
@@ -28,9 +29,12 @@ __all__ = [
     "continuity_modulus",
 ]
 
-# Root isolation for kernel derivatives: sign grid then bisection.
-_SIGN_GRID = 1024
+# Root isolation for kernel derivatives: brackets are narrowed to
+# _BISECT_TOL (relative to the interval's scale), and pieces no interval
+# test resolves are kept once narrower than _FLOOR_REL of the interval,
+# far below the finest cell a refinement schedule builds.
 _BISECT_TOL = 1e-12
+_FLOOR_REL = 2.0**-40
 
 # Grid caps for sampled extrema refinement.
 _EXTREMA_GRID_START = 129
@@ -50,9 +54,11 @@ class ScalarKernel:
     """A scalar section t -> k(t): an expression AST or a raw callable.
 
     ``monotone`` may declare "increasing" or "decreasing", which makes
-    interval extrema exact via endpoint evaluation.  Polynomial expression
-    kernels get exact extrema through derivative root isolation; everything
-    else is sampled.
+    interval extrema exact via endpoint evaluation.  Every differentiable
+    expression kernel (all but those holding abs, min or max) gets exact
+    extrema from critical points isolated by interval evaluation of its
+    derivatives, unless its derivative vanishes on too many pieces to
+    isolate; those, callables and abs/min/max expressions are sampled.
     """
 
     __slots__ = ("expr", "func", "monotone", "label", "_program", "_derivative")
@@ -130,10 +136,16 @@ class ScalarKernel:
 
     @property
     def strategy(self) -> str:
-        """Per-cell extrema strategy: 'monotone', 'critical', or 'sampled'."""
+        """Per-cell extrema strategy: 'monotone', 'critical', or 'sampled'.
+
+        'monotone' for a declared direction; 'critical' for every expression
+        with a symbolic derivative, whose extrema come from certified
+        critical points; 'sampled' for callables and for expressions holding
+        abs, min or max.
+        """
         if self.monotone is not None:
             return "monotone"
-        if self.expr is not None and ex.is_polynomial(self.expr):
+        if self.derivative() is not None:
             return "critical"
         return "sampled"
 
@@ -148,42 +160,26 @@ class ScalarKernel:
                 self._derivative = False
         return self._derivative or None
 
-    def critical_points(self, lo: float, hi: float) -> np.ndarray:
-        """Zeros of the derivative in [lo, hi] via sign grid and bisection."""
-        if hi <= lo:
-            return np.empty(0)
-        d = self.derivative()
-        if d is None:
-            return np.empty(0)
-        ts = np.linspace(lo, hi, _SIGN_GRID + 1)
-        vals = d.eval_many(ts)
+    def critical_points(self, lo: float, hi: float, enclose: bool = False):
+        """Zeros of the derivative in [lo, hi], isolated with interval enclosures.
+
+        Every zero of f' at which f may have a local extremum lies within
+        ``_BISECT_TOL * max(1, |lo|, |hi|)`` of a returned point, unless
+        EvalDomainError is raised because f itself is unbounded near one, or
+        IsolationError because f' vanishes (to the evaluator's resolution) on
+        too many pieces to isolate.  With ``enclose=True`` returns ``(ts,
+        vals)`` instead: (t, value) entries that, folded into the cells
+        holding them, make cell endpoints and entries bound f on every cell.
+        """
+        d1 = self.derivative()
+        if hi <= lo or d1 is None:
+            return (np.empty(0), np.empty(0)) if enclose else np.empty(0)
         tol = _BISECT_TOL * max(1.0, abs(lo), abs(hi))
-        roots: list[float] = []
-        for j in range(_SIGN_GRID):
-            fa, fb = vals[j], vals[j + 1]
-            if fa == 0.0:
-                roots.append(float(ts[j]))
-            if fa * fb < 0.0:
-                a, b = float(ts[j]), float(ts[j + 1])
-                va = float(fa)
-                while b - a > tol:
-                    mid = 0.5 * (a + b)
-                    vm = d.eval(mid)
-                    if vm == 0.0:
-                        a = b = mid
-                        break
-                    if va * vm < 0.0:
-                        b = mid
-                    else:
-                        a, va = mid, vm
-                roots.append(0.5 * (a + b))
-        if vals[-1] == 0.0:
-            roots.append(float(ts[-1]))
-        if not roots:
-            return np.empty(0)
-        roots_arr = np.array(sorted(roots))
-        keep = np.concatenate(([True], np.diff(roots_arr) > tol))
-        return roots_arr[keep]
+        floor = min(tol, (hi - lo) * _FLOOR_REL)
+        roots, ts, vals = isolate(
+            self.program, d1.program, d1.derivative().program, d1.eval, lo, hi, tol, floor
+        )
+        return (ts, vals) if enclose else roots
 
     def scalar_extrema(self, lo: float, hi: float, tol: float = 0.0):
         """(min, max, method, achieved) of the kernel over [lo, hi]."""
@@ -197,9 +193,13 @@ class ScalarKernel:
             a, b = self.eval(lo), self.eval(hi)
             return (min(a, b), max(a, b), "exact", 0.0)
         if strat == "critical":
-            crit = self.critical_points(lo, hi)
-            vals = [self.eval(lo), self.eval(hi)] + [self.eval(c) for c in crit]
-            return min(vals), max(vals), "exact", 0.0
+            try:
+                _, crit_vals = self.critical_points(lo, hi, enclose=True)
+            except IsolationError:
+                pass
+            else:
+                vals = [self.eval(lo), self.eval(hi), *crit_vals.tolist()]
+                return min(vals), max(vals), "exact", 0.0
         g = _EXTREMA_GRID_START
         vals = self.eval_many(np.linspace(lo, hi, g))
         m, big = float(vals.min()), float(vals.max())
@@ -426,8 +426,11 @@ class ExtremaPair:
 def extrema(f: LatticeFunction, interval: OrderInterval, tol: float = 0.0) -> ExtremaPair:
     """Per-atom inf/sup of a coordinatewise function over the interval.
 
-    Exact for monotone-hinted and polynomial kernels; otherwise sampled on
-    a refining grid until successive estimates move at most ``tol``.
+    Exact for monotone-hinted kernels and for every differentiable
+    expression kernel (from its certified critical points).  Callables,
+    abs/min/max expressions, and kernels whose derivative vanishes on too
+    many pieces to isolate are sampled on a refining grid until successive
+    estimates move at most ``tol``.
     """
     if not f.is_coordinatewise:
         raise ValueError("extrema requires a coordinatewise function")

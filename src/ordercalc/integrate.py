@@ -2,10 +2,16 @@
 
 The integral iterates uniform dyadic partitions (a cofinal chain for the
 refinement preorder) and stops when the per-atom bracket is small relative
-to the value.  Kernels with exact extrema produce true Darboux brackets;
-sampled kernels widen the bracket by a measured two-resolution difference,
-and the result records that provenance.  Non-integrable demo maps report
-``converged=False`` with a stalling gap instead of raising.
+to the value.  Kernels with exact extrema produce true Darboux brackets:
+monotone-hinted kernels, and every differentiable expression kernel, whose
+cell extrema are the cell endpoints folded with certified critical-point
+entries (see ``ScalarKernel.critical_points``).  Sampled kernels (callables,
+expressions holding abs, min or max, and kernels whose critical points
+cannot be isolated) widen the bracket by a measured two-resolution
+difference, and the result records that provenance.  A kernel unbounded
+near a point of its interval raises ``KernelEvalError`` naming the atom and
+the point.  Non-integrable demo maps report ``converged=False`` with a
+stalling gap instead of raising.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels_fallback as _generic
+from ._interval import IsolationError
 from .backend import kernels as _backend
 from .expr import EvalDomainError
 from .functions import KernelEvalError, LatticeFunction, ScalarKernel
@@ -95,7 +102,12 @@ class IntegralResult:
 
 
 class _AtomTask:
-    """One atom's summation pipeline over a scalar interval."""
+    """One atom's summation pipeline over a scalar interval.
+
+    A 'critical' atom holds (t, value) entries from the certified isolation
+    of its kernel's critical points; the sums fold them into the cells that
+    hold them.  When isolation gives up, the atom is summed as 'sampled'.
+    """
 
     def __init__(self, atom: int, kernel: ScalarKernel, lo: float, hi: float):
         self.atom = atom
@@ -107,11 +119,12 @@ class _AtomTask:
         self.crit_ts = np.empty(0)
         self.crit_vals = np.empty(0)
         if self.strategy == "critical":
-            self.crit_ts = kernel.critical_points(lo, hi)
-            if len(self.crit_ts):
-                self.crit_vals = kernel.eval_many(self.crit_ts)
-        if self.prog is None and self.strategy == "critical":
-            self.strategy = "sampled"
+            try:
+                self.crit_ts, self.crit_vals = kernel.critical_points(lo, hi, enclose=True)
+            except IsolationError:
+                self.strategy = "sampled"
+            except EvalDomainError as err:
+                self._wrap(err)
 
     @property
     def sampled(self) -> bool:
@@ -131,7 +144,7 @@ class _AtomTask:
                 return lo, up, 0.0, 0.0
             if self.strategy == "sampled":
                 return _backend.darboux_sampled(self.prog, xs, _SAMPLE_BASE)
-            if self.strategy == "critical" and len(self.crit_ts):
+            if len(self.crit_ts):
                 lo, up = _backend.darboux_critical(self.prog, xs, self.crit_ts, self.crit_vals)
             else:
                 lo, up = _backend.darboux_endpoint(self.prog, xs)
@@ -150,7 +163,7 @@ class _AtomTask:
                 return pl, pu, 0.0, 0.0
             if self.strategy == "sampled":
                 return _backend.prefix_sampled(self.prog, xs, _SAMPLE_BASE)
-            if self.strategy == "critical" and len(self.crit_ts):
+            if len(self.crit_ts):
                 pl, pu = _backend.prefix_critical(self.prog, xs, self.crit_ts, self.crit_vals)
             else:
                 pl, pu = _backend.prefix_endpoint(self.prog, xs)
@@ -166,10 +179,10 @@ class _AtomTask:
                 return v, v
             va, vb = self.kernel.eval(a), self.kernel.eval(b)
             m, big = min(va, vb), max(va, vb)
-            if self.strategy == "critical" and len(self.crit_ts):
-                inside = self.crit_ts[(self.crit_ts >= a) & (self.crit_ts <= b)]
-                for c, v in zip(inside, self.kernel.eval_many(inside)):
-                    m, big = min(m, v), max(big, v)
+            if len(self.crit_ts):
+                inside = self.crit_vals[(self.crit_ts >= a) & (self.crit_ts <= b)]
+                if len(inside):
+                    m, big = min(m, float(inside.min())), max(big, float(inside.max()))
             elif self.strategy == "sampled":
                 vals = self.kernel.eval_many(np.linspace(a, b, 2 * _SAMPLE_BASE + 1))
                 m, big = min(m, vals.min()), max(big, vals.max())

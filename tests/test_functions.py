@@ -154,13 +154,13 @@ def test_extrema_rejects_general_maps():
         extrema(LatticeFunction.swap(), UNIT2)
 
 
-def test_extrema_sampled_for_transcendental():
+def test_extrema_exact_for_transcendental():
     f = LatticeFunction.coordinatewise("sin(t)", dim=1)
     pair = extrema(f, interval((0,), (4,)), tol=1e-9)
-    assert pair.method == "sampled"
-    assert pair.m[0] == pytest.approx(np.sin(4.0), abs=pair.tolerance + 1e-12)
-    assert pair.M[0] == pytest.approx(1.0, abs=pair.tolerance + 1e-12)
-    assert pair.M[0] <= 1.0  # sampling never overshoots a true supremum
+    assert pair.method == "exact" and pair.tolerance == 0.0
+    assert pair.m[0] == pytest.approx(np.sin(4.0), abs=1e-12)
+    assert pair.M[0] == pytest.approx(1.0, abs=1e-12)
+    assert pair.M[0] <= 1.0  # the peak is bracketed, never overshot
 
 
 def test_extrema_nested_interval_projection_lemma():
@@ -240,7 +240,8 @@ def test_kernel_constructors():
     assert ScalarKernel.identity().strategy == "monotone"
     assert ScalarKernel.power(4).strategy == "critical"
     assert ScalarKernel.constant(2.0).strategy == "critical"
-    assert ScalarKernel.from_string("sin(t)").strategy == "sampled"
+    assert ScalarKernel.from_string("sin(t)").strategy == "critical"
+    assert ScalarKernel.from_string("abs(t)").strategy == "sampled"
     assert ScalarKernel.from_string("exp(t)", monotone="increasing").strategy == "monotone"
     k = ScalarKernel.from_callable(lambda t: t * 2.0, monotone="increasing")
     assert k.strategy == "monotone" and k.eval(3.0) == 6.0
@@ -258,6 +259,45 @@ def test_kernel_critical_points_cubic():
 
 def test_kernel_critical_points_none_for_line():
     assert len(ScalarKernel.from_string("2*t + 1").critical_points(0.0, 1.0)) == 0
+
+
+# Two critical points 2e-4 apart: a fixed sign grid over [-1, 1] misses both.
+CLOSE_PAIR = "(t-0.3)^3 - 3e-8*(t-0.3)"
+
+
+def test_kernel_critical_points_close_pair():
+    crit = ScalarKernel.from_string(CLOSE_PAIR).critical_points(-1.0, 1.0)
+    assert len(crit) == 2
+    assert abs(crit[0] - (0.3 - 1e-4)) <= 1e-9
+    assert abs(crit[1] - (0.3 + 1e-4)) <= 1e-9
+
+
+def test_darboux_upper_sum_holds_close_pair_maximum():
+    from fractions import Fraction
+
+    from ordercalc.integrate import darboux_sums
+    from ordercalc.partitions import Partition
+
+    # The middle cell holds 0.3; its supremum is the local maximum at
+    # 0.3 - 1e-4, above both of its endpoint values.
+    points = (-1.0, 0.2998, 0.30005, 1.0)
+    p = Partition(tuple(E(x) for x in points), interval((-1.0,), (1.0,)))
+    f = LatticeFunction.coordinatewise(CLOSE_PAIR, dim=1)
+    sums = darboux_sums(f, p)
+
+    def k(t):  # exact rational value of the kernel at t
+        u = Fraction(t) - Fraction(3, 10)
+        return u**3 - Fraction(3, 10**8) * u
+
+    peak = Fraction(3, 10) - Fraction(1, 10**4)
+    # f increases up to the maximum, decreases to the minimum at 0.3 + 1e-4,
+    # then increases to 1.
+    sups = [k(points[1]), k(peak), max(k(points[2]), k(points[3]))]
+    true_upper = sum(s * (Fraction(b) - Fraction(a)) for s, a, b in zip(sups, points, points[1:]))
+    assert k(peak) > max(k(points[1]), k(points[2]))
+    slack = 4 * np.finfo(float).eps * float(sum(abs(s) * (Fraction(b) - Fraction(a))
+                                                for s, a, b in zip(sups, points, points[1:])))
+    assert sums.upper[0] >= float(true_upper) - slack
 
 
 def test_compose_and_product():
