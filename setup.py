@@ -1,32 +1,3 @@
-import os
-
 from setuptools import setup
 
-ext_modules = []
-if not os.environ.get("ORDERCALC_NO_EXT"):
-    try:
-        import numpy
-        from Cython.Build import cythonize
-        from setuptools import Extension
-
-        ext = Extension(
-            "ordercalc._kernels",
-            sources=["src/ordercalc/_kernels.pyx"],
-            include_dirs=[numpy.get_include()],
-            define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-        )
-        ext_modules = cythonize(
-            [ext],
-            language_level="3",
-            compiler_directives={
-                "boundscheck": False,
-                "wraparound": False,
-                "cdivision": True,
-            },
-        )
-    except ImportError:
-        # No Cython toolchain: install pure-Python; the numpy fallback
-        # backend is selected automatically at import time.
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup()

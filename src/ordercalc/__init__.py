@@ -5,7 +5,7 @@ and every claim of the classical integral calculus is either computed
 exactly or verified numerically with declared tolerances.
 """
 
-from .backend import BACKEND_NAME
+from ._kernels_fallback import NAME as BACKEND_NAME
 from .lattice import (
     Band,
     BandDecomposition,

@@ -11,7 +11,8 @@ produce one only exactly, up to underflow.  A divisor that contains 0, or a
 log or sqrt argument wholly outside the domain, gives the unbounded
 enclosure ``(-inf, inf)``; an argument partly outside it is clipped to it.
 
-``isolate`` subdivides an interval breadth-first, every piece in one array,
+``isolate`` subdivides the intervals of many rows (the atoms of a band)
+breadth-first, every piece in one array beside the row that owns it,
 until each piece either has a derivative enclosure that does not cross 0
 (the kernel is monotone there), or brackets the one sign change of a
 monotone derivative, which safeguarded regula falsi then narrows to
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels_fallback import _run
+from ._kernels_fallback import RowError, _run
 from ._tape import (
     OP_ABS,
     OP_ADD,
@@ -53,10 +54,13 @@ _LIB_REL = 4.0 * _EPS
 _PHASE_SLOP = 1e-9
 
 # Isolation: an unresolved piece is split into _SPLIT equal parts, and a
-# level with more live pieces than the cap gives up.
+# row that would hold more live pieces than the cap in a level gives up.
+# Rows are isolated _ROW_BLOCK at a time, so no level holds more than
+# _ROW_BLOCK * _MAX_PIECES pieces.
 _SPLIT = 8
 _CUTS = np.arange(_SPLIT + 1) / _SPLIT
 _MAX_PIECES = 4096
+_ROW_BLOCK = 64
 
 
 class IsolationError(ArithmeticError):
@@ -265,104 +269,162 @@ def _narrow(slope, a: float, b: float, fa: float, fb: float, tol: float):
     return a, b
 
 
-def isolate(f: Program, d1: Program, d2: Program, slope, lo, hi, tol: float, floor: float):
-    """Certified critical points of f on [lo, hi], and bounds of f around them.
+def _first_of_lowest_row(rows: np.ndarray, bad: np.ndarray) -> tuple[int, int]:
+    """(row, index) of the first bad element of the lowest row holding one."""
+    row = int(rows[bad].min())
+    return row, int(np.argmax(bad & (rows == row)))
 
-    ``d1`` and ``d2`` are the programs of f' and f'', and ``slope`` evaluates
-    f' at one point.  Returns ``(roots, ts, vals)``.  ``roots`` holds every
-    zero of f' at which f may have a local extremum, each within ``tol``:
-    exact zeros, the centres of single-root brackets, and the centres of
-    pieces left unresolved at width ``floor``.  ``(ts, vals)`` are (t, value)
-    entries that bound f on every cell holding one of them: f at an exact
-    zero, f(c) +- sup|f''|*delta^2/2 at a bracket centre c of half-width
-    delta, and f's own enclosure at both ends of an unresolved piece.
-    Between them f is monotone, so these entries and the cell endpoints
-    bound f on every cell.
 
-    Raises EvalDomainError where f itself has no finite enclosure on an
-    unresolved piece (a pole, or the edge of f's domain), and IsolationError
-    when a level would hold more than ``_MAX_PIECES`` pieces.
+def isolate(f: Program, d1: Program, d2: Program, slope, lo, hi, tol, floor):
+    """Certified critical points of f on every row's interval [lo[r], hi[r]].
+
+    ``d1`` and ``d2`` are the programs of f' and f'', and ``slope``
+    evaluates f' at one point; ``tol`` and ``floor`` are per-row arrays.
+    Rows are isolated ``_ROW_BLOCK`` at a time, every piece of a level in
+    one array, and a row's result never depends on the other rows.
+    Returns ``(failed, (root_rows, roots), (rows, ts, vals))``:
+
+    - ``failed[r]`` marks a row that would need more than ``_MAX_PIECES``
+      pieces in a level; it gets no roots and no entries.
+    - ``roots`` holds, for each row, every zero of f' at which f may have a
+      local extremum, each within ``tol``: exact zeros, the centres of
+      single-root brackets, and the centres of pieces left unresolved at
+      width ``floor``.
+    - ``(ts, vals)`` are (t, value) entries that bound f on every cell
+      holding one of them: f at an exact zero, f(c) +- sup|f''|*delta^2/2
+      at a bracket centre c of half-width delta, and f's own enclosure at
+      both ends of an unresolved piece.  Between them f is monotone, so
+      these entries and the cell endpoints bound f on every cell.  They
+      are sorted by row, then by t.
+
+    Raises RowError, naming the lowest row at fault, with an EvalDomainError
+    where f itself has no finite enclosure on an unresolved piece (a pole,
+    or the edge of f's domain) or no finite value at an entry.
     """
-    cuts = lo + (hi - lo) * _CUTS  # the first level is already split
-    cuts[-1] = hi
-    a, b = cuts[:-1], cuts[1:]
-    exact, brackets, unresolved = [], [], []
+    parts = []
+    for r0 in range(0, len(lo), _ROW_BLOCK):
+        block = slice(r0, r0 + _ROW_BLOCK)
+        try:
+            found = _isolate_block(f, d1, d2, slope, lo[block], hi[block], tol[block], floor[block])
+        except RowError as err:
+            raise RowError(r0 + err.row, err.cause) from err.cause
+        for rows_first in found[1:]:
+            np.add(rows_first[0], r0, out=rows_first[0])
+        parts.append(found)
+    failed, roots, entries = zip(*parts)
+    return (
+        np.concatenate(failed),
+        tuple(np.concatenate(x) for x in zip(*roots)),
+        tuple(np.concatenate(x) for x in zip(*entries)),
+    )
+
+
+def _isolate_block(f: Program, d1: Program, d2: Program, slope, lo, hi, tol, floor):
+    rows = len(lo)
+    failed = np.zeros(rows, dtype=bool)
+    cuts = lo[:, None] + (hi - lo)[:, None] * _CUTS  # the first level is already split
+    cuts[:, -1] = hi
+    a, b = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+    own = np.repeat(np.arange(rows), _SPLIT)  # the row of each piece
+    exact, brackets, unresolved = [], [], []  # arrays found per level, the row first
     while len(a):  # every level cuts pieces 8-fold, down to the floor
-        if len(a) > _MAX_PIECES:
-            raise IsolationError(
-                f"derivative not resolved on [{lo!r}, {hi!r}] within {_MAX_PIECES} pieces"
-            )
         s_lo, s_hi = enclose(d1, a, b)
         cross = (s_lo < 0.0) & (s_hi > 0.0)
         touch = ~cross & ((s_lo == 0.0) | (s_hi == 0.0)) & (s_lo != s_hi)
         if touch.any():  # f monotone, but an end may be an exact zero of f'
             ends = np.concatenate((a[touch], b[touch]))
-            exact.append(ends[_points(d1, ends) == 0.0])
-        a, b, s_lo, s_hi = a[cross], b[cross], s_lo[cross], s_hi[cross]
+            zero = _points(d1, ends) == 0.0
+            exact.append((np.tile(own[touch], 2)[zero], ends[zero]))
+        a, b, own, s_lo, s_hi = (x[cross] for x in (a, b, own, s_lo, s_hi))
         if not len(a):
             break
         c_lo, c_hi = enclose(d2, a, b)
         vals = _points(d1, np.concatenate((a, b)))
         fa, fb = vals[: len(a)], vals[len(a) :]
         ok = ((c_lo >= 0.0) | (c_hi <= 0.0)) & np.isfinite(fa) & np.isfinite(fb)
-        exact.append(a[ok & (fa == 0.0)])
-        exact.append(b[ok & (fb == 0.0)])
+        exact.append((own[ok & (fa == 0.0)], a[ok & (fa == 0.0)]))
+        exact.append((own[ok & (fb == 0.0)], b[ok & (fb == 0.0)]))
         sign_change = ok & (np.sign(fa) * np.sign(fb) < 0.0)  # fa * fb may underflow
         if sign_change.any():  # with sup|f''| over the piece, for the error term
             curv = np.maximum(np.abs(c_lo), np.abs(c_hi))
-            brackets.append(tuple(x[sign_change] for x in (a, b, fa, fb, curv)))
+            brackets.append(tuple(x[sign_change] for x in (own, a, b, fa, fb, curv)))
         rest = ~ok
         width = b - a
         # at the floor, or too few floats between the ends to split them
         ulp = np.spacing(np.maximum(np.abs(a), np.abs(b)))
-        at_floor = rest & ((width <= floor) | (width <= 2 * _SPLIT * ulp))
+        at_floor = rest & ((width <= floor[own]) | (width <= 2 * _SPLIT * ulp))
         split = rest & ~at_floor
         if at_floor.any():
-            unresolved.append((a[at_floor], b[at_floor]))
-        a, b = a[split], b[split]
+            unresolved.append((own[at_floor], a[at_floor], b[at_floor]))
+        # a row whose next level would hold more than _MAX_PIECES pieces gives up
+        failed |= np.bincount(own[split], minlength=rows) * _SPLIT > _MAX_PIECES
+        split &= ~failed[own]
+        a, b, own = a[split], b[split], own[split]
         cuts = a[:, None] + (b - a)[:, None] * _CUTS
         cuts[:, -1] = b
         a, b = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+        own = np.repeat(own, _SPLIT)
 
-    roots = [np.concatenate(exact)] if exact else []
-    ts, tv = [], []
-    if roots:
-        ts.append(roots[0])
-        tv.append(_points(f, roots[0]))
+    if failed.any():  # the rows that gave up keep nothing
+        exact, brackets, unresolved = (
+            [tuple(x[~failed[part[0]]] for x in part) for part in found]
+            for found in (exact, brackets, unresolved)
+        )
+    root_rows, root_ts, e_rows, ts, tv = [], [], [], [], []
+    if exact:
+        x_rows, x_ts = (np.concatenate(x) for x in zip(*exact))
+        root_rows.append(x_rows)
+        root_ts.append(x_ts)
+        e_rows.append(x_rows)
+        ts.append(x_ts)
+        tv.append(_points(f, x_ts))
     if brackets:
-        ba, bb, bfa, bfb, curv = (np.concatenate(x) for x in zip(*brackets))
-        ends = zip(ba.tolist(), bb.tolist(), bfa.tolist(), bfb.tolist())
-        ba, bb = np.array([_narrow(slope, *x, tol) for x in ends]).T
+        b_rows, ba, bb, bfa, bfb, curv = (np.concatenate(x) for x in zip(*brackets))
+        ends = zip(ba.tolist(), bb.tolist(), bfa.tolist(), bfb.tolist(), tol[b_rows].tolist())
+        ba, bb = np.array([_narrow(slope, *x) for x in ends]).reshape(-1, 2).T
         c = 0.5 * (ba + bb)
         delta = 0.5 * (bb - ba)
         err = _up(0.5 * curv * delta * delta, 4.0 * _EPS)
         taylor = np.isfinite(err)  # else f's own enclosure, as for an unresolved piece
         if not taylor.all():
-            unresolved.append((ba[~taylor], bb[~taylor]))
-        c, err = c[taylor], err[taylor]
+            unresolved.append((b_rows[~taylor], ba[~taylor], bb[~taylor]))
+        b_rows, c, err = b_rows[taylor], c[taylor], err[taylor]
         fc = _points(f, c)
-        roots.append(c)
+        root_rows.append(b_rows)
+        root_ts.append(c)
+        e_rows += [b_rows, b_rows]
         ts += [c, c]
         tv += [fc - err, fc + err]  # rounded to nearest, like the endpoint values
+    errors = []  # (row, message) of the first failure of each kind
     if unresolved:
-        ua = np.concatenate([x[0] for x in unresolved])
-        ub = np.concatenate([x[1] for x in unresolved])
+        u_rows, ua, ub = (np.concatenate(x) for x in zip(*unresolved))
         f_lo, f_hi = enclose(f, ua, ub)
         bad = ~(np.isfinite(f_lo) & np.isfinite(f_hi))
         if bad.any():
-            t = float(0.5 * (ua[bad][0] + ub[bad][0]))
-            raise EvalDomainError(f"kernel has no finite bound near t={t!r}")
-        roots.append(0.5 * (ua + ub))
+            row, i = _first_of_lowest_row(u_rows, bad)
+            t = float(0.5 * (ua[i] + ub[i]))
+            errors.append((row, f"kernel has no finite bound near t={t!r}"))
+        root_rows.append(u_rows)
+        root_ts.append(0.5 * (ua + ub))
+        e_rows += [u_rows] * 4
         ts += [ua, ua, ub, ub]
         tv += [f_lo, f_hi, f_lo, f_hi]
 
-    roots_arr = np.unique(np.concatenate(roots)) if roots else np.empty(0)
+    empty_rows = np.empty(0, dtype=np.int64)
+    roots = (empty_rows, np.empty(0))
+    if root_ts:
+        roots = (np.concatenate(root_rows), np.concatenate(root_ts))
     if not ts:
-        return roots_arr, np.empty(0), np.empty(0)
-    ts_arr, tv_arr = np.concatenate(ts), np.concatenate(tv)
-    if not np.all(np.isfinite(tv_arr)):
-        bad = int(np.argmax(~np.isfinite(tv_arr)))
-        t = float(ts_arr[bad])
-        raise EvalDomainError(f"kernel evaluation left the real domain at t={t!r}")
-    order = np.argsort(ts_arr, kind="stable")
-    return roots_arr, ts_arr[order], tv_arr[order]
+        entries = (empty_rows, np.empty(0), np.empty(0))
+    else:
+        e_rows, ts, tv = np.concatenate(e_rows), np.concatenate(ts), np.concatenate(tv)
+        bad = ~np.isfinite(tv)
+        if bad.any():
+            row, i = _first_of_lowest_row(e_rows, bad)
+            errors.append((row, f"kernel evaluation left the real domain at t={float(ts[i])!r}"))
+        order = np.lexsort((ts, e_rows))
+        entries = (e_rows[order], ts[order], tv[order])
+    if errors:
+        row, message = min(errors, key=lambda e: e[0])  # a tie keeps the unresolved piece
+        raise RowError(row, EvalDomainError(message))
+    return failed, roots, entries

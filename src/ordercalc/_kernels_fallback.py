@@ -1,10 +1,17 @@
-"""Pure-numpy implementation of the per-atom summation kernels.
+"""Numpy evaluation of stack programs and their Darboux sums over rows of cells.
 
-This module mirrors ``_kernels.pyx`` operation for operation: same stack
-program format, same binary-exponentiation sequence for ``^``, same
-chunked left-to-right accumulation order.  Arithmetic-only kernels agree
-bitwise with the compiled backend; transcendental calls may differ in the
-last ulp (numpy's SIMD routines vs libm).
+Every sum runs through ``_sum_cells``, which takes rows of breakpoints (one
+row per atom of a band, all with the same number of cells) and evaluates
+them in blocks of at most ``BLOCK_CELLS`` cells: several whole rows while
+rows are that short, otherwise one stretch of one row at a time.  Each row
+accumulates left to right within a chunk of ``CHUNK_CELLS`` cells, from
+zero, carrying the running sum from block to block, and then over the
+chunk subtotals, so a row's sums are bit for bit the same whether it is
+summed alone or in a block.  ``darboux_rows`` sums a band; the 1-D entry
+points (``darboux_endpoint``, ``prefix_critical``, ``darboux_sampled_fn``
+and the rest) are its one-row case over a given breakpoint array.
+Programs are evaluated with the same binary-exponentiation sequence for
+``^`` as the scalar evaluator.
 """
 
 from __future__ import annotations
@@ -31,12 +38,27 @@ from ._tape import (
     OP_VAR,
     Program,
 )
+from .expr import EvalDomainError
+from .partitions import grid_points, uniform_grid, uniform_rows
 
 NAME = "numpy"
 
+# Cells evaluated at once: a few arrays of this many float64 stay in cache.
+# It divides CHUNK_CELLS, so chunks of a long row start on block boundaries.
+BLOCK_CELLS = 1 << 15
+
+
+class RowError(ValueError):
+    """Evaluation failed in row ``row`` of a block; ``cause`` says where."""
+
+    def __init__(self, row: int, cause: Exception):
+        super().__init__(str(cause))
+        self.row = row
+        self.cause = cause
+
 
 def _ipow_array(x: np.ndarray, e: int) -> np.ndarray:
-    # Same multiplication sequence as the compiled backend's ipow.
+    # Same multiplication sequence as expr._ipow.
     if e == 0:
         return np.ones_like(x)
     n = -e if e < 0 else e
@@ -111,121 +133,240 @@ def eval_many(prog: Program, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_finite(vals: np.ndarray, ts: np.ndarray) -> None:
-    bad = ~np.isfinite(vals)
-    if bad.any():
+def _check_finite(vals: np.ndarray, ts: np.ndarray, row0: int = 0) -> None:
+    """Raise RowError at the first non-finite value; rows run along axis 0."""
+    if not np.isfinite(vals).all():
+        bad = ~np.isfinite(vals)
         i = int(np.argmax(bad))
+        row = row0 + (i // bad[0].size if bad.ndim > 1 else 0)
         t = float(ts.ravel()[i])
-        raise ValueError(f"kernel evaluation left the real domain at t={t!r}")
+        raise RowError(row, ValueError(f"kernel evaluation left the real domain at t={t!r}"))
 
 
-def _crit_cells(xs: np.ndarray, crit_ts: np.ndarray) -> np.ndarray:
-    n = len(xs) - 1
-    return np.clip(np.searchsorted(xs, crit_ts, side="right") - 1, 0, n - 1)
-
-
-def _cell_minmax(
-    xs: np.ndarray,
-    c0: int,
-    c1: int,
-    crit_ts: np.ndarray | None,
-    crit_vals: np.ndarray | None,
-    crit_cells: np.ndarray | None,
-    vals: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    v = vals[c0 : c1 + 1]
-    m = np.minimum(v[:-1], v[1:])
-    big = np.maximum(v[:-1], v[1:])
-    if crit_ts is not None and len(crit_ts):
-        sel = (crit_cells >= c0) & (crit_cells < c1)
-        if sel.any():
-            local = crit_cells[sel] - c0
-            np.minimum.at(m, local, crit_vals[sel])
-            np.maximum.at(big, local, crit_vals[sel])
-    return m, big
-
-
-def _values(prog: Program | None, ts: np.ndarray, evalf) -> np.ndarray:
-    if evalf is not None:
-        return np.asarray(evalf(ts), dtype=np.float64)
-    with np.errstate(all="ignore"):
+def _values(prog: Program | None, ts: np.ndarray, evalf, row0: int) -> np.ndarray:
+    """Kernel values at a block of points whose first row is row ``row0``."""
+    if evalf is None:
         out = _run(prog, ts)
-    _check_finite(out, ts)
+    else:
+        out = np.empty(ts.shape)
+        for r, row in enumerate(ts):
+            try:
+                out[r] = np.asarray(evalf(row.ravel()), dtype=np.float64).reshape(row.shape)
+            except (ValueError, EvalDomainError) as err:
+                raise RowError(row0 + r, err) from err
+    _check_finite(out, ts, row0)
     return out
 
 
-def _sampled_minmax(
-    prog: Program | None, xs: np.ndarray, c0: int, c1: int, s: int, evalf
-) -> tuple[np.ndarray, np.ndarray]:
-    a = xs[c0:c1]
-    b = xs[c0 + 1 : c1 + 1]
+class GivenRows:
+    """Rows of given breakpoints: row r of ``xs`` holds the n + 1 points of row r."""
+
+    def __init__(self, xs: np.ndarray):
+        self.xs = xs
+        self.n = xs.shape[1] - 1
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def row(self, r: int) -> np.ndarray:
+        return self.xs[r]
+
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        return self.xs[r0:r1, c0 : c1 + 1]
+
+    def cells(self, rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """The cell holding each point: clip(searchsorted(row, t, "right") - 1, 0, n - 1).
+
+        ``rows`` must be sorted.
+        """
+        if len(self.xs) == 1:
+            cell = np.searchsorted(self.xs[0], ts, side="right") - 1
+        else:
+            cell = np.empty(len(ts), dtype=np.int64)
+            bounds = np.searchsorted(rows, np.arange(len(self.xs) + 1))
+            for r in np.flatnonzero(bounds[1:] > bounds[:-1]):
+                part = slice(bounds[r], bounds[r + 1])
+                cell[part] = np.searchsorted(self.xs[r], ts[part], side="right") - 1
+        return np.minimum(np.maximum(cell, 0), self.n - 1)
+
+
+class UniformRows:
+    """Row r holds the points of ``uniform_grid(lo[r], hi[r], n)``, built a block at a time."""
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, n: int):
+        self.lo = lo
+        self.hi = hi
+        self.n = n
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def row(self, r: int) -> np.ndarray:
+        return uniform_grid(self.lo[r], self.hi[r], self.n)
+
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        return uniform_rows(self.lo[r0:r1], self.hi[r0:r1], self.n, c0, c1)
+
+    def cells(self, rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """The cell holding each point, as ``GivenRows.cells`` finds it in the built row.
+
+        Compares t with the four points around the quotient (t - lo) / step;
+        where points repeat and the four miss t, searches the built row.
+        """
+        lo, hi, n = self.lo[rows, None], self.hi[rows, None], self.n
+        with np.errstate(all="ignore"):
+            guess = np.nan_to_num(np.floor((ts - lo[:, 0]) / ((hi[:, 0] - lo[:, 0]) / n)))
+        k = np.minimum(np.maximum(guess, 0), n).astype(np.int64)[:, None] + np.arange(-1, 3)
+        # point k <= t, taking points -1 and n + 1 as -inf and inf
+        points = grid_points(lo, hi, n, np.minimum(np.maximum(k, 0), n))
+        below = (k < 0) | ((k <= n) & (points <= ts[:, None]))
+        cell = k[:, 0] - 1 + below.sum(axis=1)
+        for i in np.flatnonzero(~below[:, 0] | below[:, -1]):
+            cell[i] = np.searchsorted(self.row(rows[i]), ts[i], side="right") - 1
+        return np.minimum(np.maximum(cell, 0), n - 1)
+
+
+def _sampled_minmax(prog: Program | None, xs: np.ndarray, s: int, evalf, row0: int):
+    a = xs[:, :-1]
+    b = xs[:, 1:]
     step = (b - a) / s
-    pts = a[:, None] + np.arange(s + 1)[None, :] * step[:, None]
-    fv = _values(prog, pts.ravel(), evalf).reshape(c1 - c0, s + 1)
-    return fv.min(axis=1), fv.max(axis=1)
+    pts = a[..., None] + np.arange(s + 1) * step[..., None]
+    fv = _values(prog, pts, evalf, row0)
+    return fv.min(axis=-1), fv.max(axis=-1)
 
 
 def _sum_cells(
-    prog: Program | None,
-    xs: np.ndarray,
-    crit_ts: np.ndarray | None = None,
-    crit_vals: np.ndarray | None = None,
-    s: int = 0,
-    prefixes: bool = False,
-    evalf=None,
+    prog: Program | None, grid, entries=None, s: int = 0, prefixes: bool = False, evalf=None
 ):
-    """Shared chunked accumulation for all Darboux strategies.
+    """Shared chunked accumulation for all Darboux strategies, over every row of ``grid``.
 
-    ``s == 0`` selects endpoint/critical extrema; ``s > 0`` samples ``s``
-    subintervals per cell.  Returns totals (L, U) or prefix arrays.
-    ``evalf`` substitutes a callable for the program (callable kernels).
+    ``s == 0`` takes each cell's extrema at its endpoints, folded with the
+    ``entries`` (row, t, value), sorted by row, that fall in it; ``s > 0``
+    samples ``s`` subintervals per cell.  Cells are evaluated in blocks of
+    at most ``BLOCK_CELLS``, several short rows or part of one long row at a
+    time; a chunk's running sums carry over from one block to the next.
+    Returns the row totals (L, U), or (rows, n) prefix arrays.  ``evalf``
+    substitutes a callable for the program (callable kernels).
     """
-    n = len(xs) - 1
-    crit_cells = None
-    if crit_ts is not None and len(crit_ts):
-        crit_cells = _crit_cells(xs, crit_ts)
+    rows, n = len(grid), grid.n
+    if entries is not None and len(entries[1]):
+        e_rows, e_ts, e_vals = entries
+        e_cells = grid.cells(e_rows, e_ts)
     else:
-        crit_ts = None
+        entries = None
+    lo_total = np.zeros(rows)
+    up_total = np.zeros(rows)
+    pref_l = np.empty((rows, n)) if prefixes else None
+    pref_u = np.empty((rows, n)) if prefixes else None
+    per_block = max(1, BLOCK_CELLS // max(n, 1))
+    width = min(n, BLOCK_CELLS)
 
-    lo_total = 0.0
-    up_total = 0.0
-    pref_l = np.empty(n) if prefixes else None
-    pref_u = np.empty(n) if prefixes else None
-
-    vals = None
-    if s == 0:
-        vals = _values(prog, xs, evalf)
-
-    for c0 in range(0, max(n, 1), CHUNK_CELLS):
-        c1 = min(c0 + CHUNK_CELLS, n)
-        if c1 <= c0:
-            break
-        if s == 0:
-            m, big = _cell_minmax(xs, c0, c1, crit_ts, crit_vals, crit_cells, vals)
-        else:
-            m, big = _sampled_minmax(prog, xs, c0, c1, s, evalf)
-        dx = xs[c0 + 1 : c1 + 1] - xs[c0:c1]
-        cl = np.add.accumulate(m * dx)
-        cu = np.add.accumulate(big * dx)
-        if prefixes:
-            pref_l[c0:c1] = lo_total + cl
-            pref_u[c0:c1] = up_total + cu
-        lo_total = lo_total + cl[-1]
-        up_total = up_total + cu[-1]
+    for r0 in range(0, rows, per_block):
+        r1 = min(r0 + per_block, rows)
+        if entries is not None:  # the block's entries
+            i0, i1 = (0, len(e_rows)) if r1 - r0 == rows else np.searchsorted(e_rows, (r0, r1))
+            b_rows, b_cells, b_vals = e_rows[i0:i1] - r0, e_cells[i0:i1], e_vals[i0:i1]
+        for c0 in range(0, n, width):
+            c1 = min(c0 + width, n)
+            xs = grid.block(r0, r1, c0, c1)
+            if s == 0:
+                v = _values(prog, xs, evalf, r0)
+                m = np.minimum(v[:, :-1], v[:, 1:])
+                big = np.maximum(v[:, :-1], v[:, 1:])
+                if entries is not None and i1 > i0:
+                    sel = slice(None) if n == width else (b_cells >= c0) & (b_cells < c1)
+                    at = (b_rows[sel], b_cells[sel] - c0)
+                    np.minimum.at(m, at, b_vals[sel])
+                    np.maximum.at(big, at, b_vals[sel])
+            else:
+                m, big = _sampled_minmax(prog, xs, s, evalf, r0)
+            dx = xs[:, 1:] - xs[:, :-1]
+            np.multiply(m, dx, out=m)
+            np.multiply(big, dx, out=big)
+            if c0 % CHUNK_CELLS:  # the chunk's sums so far lead this block's
+                m[:, 0] += cl[:, -1]
+                big[:, 0] += cu[:, -1]
+            cl = np.add.accumulate(m, axis=1, out=m)
+            cu = np.add.accumulate(big, axis=1, out=big)
+            if prefixes:
+                pref_l[r0:r1, c0:c1] = lo_total[r0:r1, None] + cl
+                pref_u[r0:r1, c0:c1] = up_total[r0:r1, None] + cu
+            if c1 % CHUNK_CELLS == 0 or c1 == n:  # the chunk ends here
+                lo_total[r0:r1] += cl[:, -1]
+                up_total[r0:r1] += cu[:, -1]
 
     if prefixes:
         return pref_l, pref_u
-    return float(lo_total), float(up_total)
+    return lo_total, up_total
+
+
+def _sampled(prog: Program | None, grid, s: int, evalf=None):
+    """The sums at 2s subintervals per cell, and |difference| from those at s."""
+    l1, u1 = _sum_cells(prog, grid, s=s, evalf=evalf)
+    l2, u2 = _sum_cells(prog, grid, s=2 * s, evalf=evalf)
+    return l2, u2, np.abs(l2 - l1), np.abs(u2 - u1)
+
+
+def darboux_rows(prog: Program | None, grid, entries=None, s: int = 0, evalf=None):
+    """Lower and upper sums of every row of ``grid``, a ``GivenRows`` or ``UniformRows``.
+
+    ``entries`` are (row, t, value) arrays of certified kernel values,
+    folded into the cells that hold them; ``s > 0`` samples instead, as
+    ``darboux_sampled`` does.  Returns a (4, rows) array whose rows are L,
+    U, widen_L and widen_U.  A single row goes through the 1-D entry points
+    below, which traced runs count; a failure raises RowError naming its row.
+    """
+    if len(grid) == 1:
+        xs = grid.row(0)
+        if s and evalf is None:
+            sums = darboux_sampled(prog, xs, s)
+        elif s:
+            sums = darboux_sampled_fn(evalf, xs, s)
+        elif entries is not None and len(entries[1]):
+            sums = (*darboux_critical(prog, xs, entries[1], entries[2]), 0.0, 0.0)
+        elif evalf is None:
+            sums = (*darboux_endpoint(prog, xs), 0.0, 0.0)
+        else:
+            sums = (*darboux_endpoint_fn(evalf, xs), 0.0, 0.0)
+        return np.array(sums)[:, None]
+    if s:
+        return np.array(_sampled(prog, grid, s, evalf))
+    lo, up = _sum_cells(prog, grid, entries, evalf=evalf)
+    zero = np.zeros(len(grid))
+    return np.array((lo, up, zero, zero))
+
+
+# One-row entry points over a given breakpoint array.
+
+def _one(xs) -> GivenRows:
+    return GivenRows(np.asarray(xs, dtype=np.float64)[None, :])
+
+
+def _one_entries(crit_ts, crit_vals):
+    crit_ts = np.asarray(crit_ts, dtype=np.float64)
+    return np.zeros(len(crit_ts), dtype=np.int64), crit_ts, np.asarray(crit_vals, dtype=np.float64)
+
+
+def _floats(*arrays):
+    return tuple([float(x[0]) for x in arrays])
+
+
+def _prefix_sampled(prog: Program | None, xs, s: int, evalf):
+    (l1,), (u1,) = _sum_cells(prog, _one(xs), s=s, evalf=evalf)
+    (pl,), (pu,) = _sum_cells(prog, _one(xs), s=2 * s, prefixes=True, evalf=evalf)
+    wl = abs(float(pl[-1]) - float(l1)) if len(pl) else 0.0
+    wu = abs(float(pu[-1]) - float(u1)) if len(pu) else 0.0
+    return pl, pu, wl, wu
 
 
 def darboux_endpoint(prog: Program, xs: np.ndarray):
     """Lower/upper sums with per-cell extrema at the cell endpoints."""
-    return _sum_cells(prog, xs)
+    return _floats(*_sum_cells(prog, _one(xs)))
 
 
 def darboux_critical(prog: Program, xs: np.ndarray, crit_ts, crit_vals):
     """Endpoint extrema folded with interior critical values per cell."""
-    return _sum_cells(prog, xs, crit_ts=crit_ts, crit_vals=crit_vals)
+    return _floats(*_sum_cells(prog, _one(xs), _one_entries(crit_ts, crit_vals)))
 
 
 def darboux_sampled(prog: Program, xs: np.ndarray, s: int):
@@ -234,47 +375,37 @@ def darboux_sampled(prog: Program, xs: np.ndarray, s: int):
     Returns the 2s sums plus |difference| between the two passes as a
     measured widening for each of L and U.
     """
-    l1, u1 = _sum_cells(prog, xs, s=s)
-    l2, u2 = _sum_cells(prog, xs, s=2 * s)
-    return l2, u2, abs(l2 - l1), abs(u2 - u1)
+    return _floats(*_sampled(prog, _one(xs), s))
 
 
 def prefix_endpoint(prog: Program, xs: np.ndarray):
-    return _sum_cells(prog, xs, prefixes=True)
+    (pl,), (pu,) = _sum_cells(prog, _one(xs), prefixes=True)
+    return pl, pu
 
 
 def prefix_critical(prog: Program, xs: np.ndarray, crit_ts, crit_vals):
-    return _sum_cells(prog, xs, crit_ts=crit_ts, crit_vals=crit_vals, prefixes=True)
+    (pl,), (pu,) = _sum_cells(prog, _one(xs), _one_entries(crit_ts, crit_vals), prefixes=True)
+    return pl, pu
 
 
 def prefix_sampled(prog: Program, xs: np.ndarray, s: int):
-    l1, u1 = _sum_cells(prog, xs, s=s)
-    pl, pu = _sum_cells(prog, xs, s=2 * s, prefixes=True)
-    wl = abs(float(pl[-1]) - l1) if len(pl) else 0.0
-    wu = abs(float(pu[-1]) - u1) if len(pu) else 0.0
-    return pl, pu, wl, wu
+    return _prefix_sampled(prog, xs, s, None)
 
 
 # Callable-kernel variants: same shapes, ``evalf`` instead of a program.
-# Only this backend offers them; compiled code cannot call back cheaply.
 
 def darboux_endpoint_fn(evalf, xs):
-    return _sum_cells(None, xs, evalf=evalf)
+    return _floats(*_sum_cells(None, _one(xs), evalf=evalf))
 
 
 def darboux_sampled_fn(evalf, xs, s: int):
-    l1, u1 = _sum_cells(None, xs, s=s, evalf=evalf)
-    l2, u2 = _sum_cells(None, xs, s=2 * s, evalf=evalf)
-    return l2, u2, abs(l2 - l1), abs(u2 - u1)
+    return _floats(*_sampled(None, _one(xs), s, evalf))
 
 
 def prefix_endpoint_fn(evalf, xs):
-    return _sum_cells(None, xs, prefixes=True, evalf=evalf)
+    (pl,), (pu,) = _sum_cells(None, _one(xs), prefixes=True, evalf=evalf)
+    return pl, pu
 
 
 def prefix_sampled_fn(evalf, xs, s: int):
-    l1, u1 = _sum_cells(None, xs, s=s, evalf=evalf)
-    pl, pu = _sum_cells(None, xs, s=2 * s, prefixes=True, evalf=evalf)
-    wl = abs(float(pl[-1]) - l1) if len(pl) else 0.0
-    wu = abs(float(pu[-1]) - u1) if len(pu) else 0.0
-    return pl, pu, wl, wu
+    return _prefix_sampled(None, xs, s, evalf)

@@ -1,8 +1,8 @@
 """Compilation of expression ASTs into flat stack programs.
 
-Both evaluation backends (the Cython extension and the numpy fallback)
-execute the same program format, so a kernel produces the same value
-sequence no matter which backend runs it.
+The numpy evaluator (``_kernels_fallback``) runs a program over arrays of
+points, and the interval evaluator (``_interval``) over arrays of bounds;
+both read this one format.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from . import expr as ex
 
-# Opcodes shared with _kernels.pyx; keep the numbering in sync.
+# Opcodes of the stack program.
 OP_CONST = 0
 OP_VAR = 1
 OP_NEG = 2
@@ -46,7 +46,8 @@ MAX_STACK = 64
 
 # Cells are processed in fixed-size chunks to bound memory; accumulation is
 # left-to-right within a chunk (from zero) and left-to-right over chunk
-# subtotals.  Both backends implement exactly this order.
+# subtotals.  A row's chunks start at multiples of CHUNK_CELLS whether it is
+# summed alone or with other rows, so its sums do not depend on the block.
 CHUNK_CELLS = 1 << 18
 
 

@@ -14,7 +14,7 @@ import io
 import json
 import sys
 
-from .backend import BACKEND_NAME
+from ._kernels_fallback import NAME as BACKEND_NAME
 from .calculus import (
     mvt_integral_solve,
     verify_by_parts,

@@ -362,8 +362,8 @@ def eval_expr(e: Expr, t: float) -> float:
 
 
 def _ipow(x: float, e: int) -> float:
-    # Binary exponentiation; the array backends replicate this exact
-    # multiplication sequence so results agree bitwise across backends.
+    # Binary exponentiation; the numpy evaluator replicates this exact
+    # multiplication sequence, so scalar and array values agree bitwise.
     if e == 0:
         return 1.0
     n = -e if e < 0 else e

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from ._interval import IsolationError, isolate
+from . import _kernels_fallback as _kernels
+from ._interval import _MAX_PIECES, IsolationError, isolate
+from ._kernels_fallback import RowError
 from ._tape import Program, compile_expr
-from .backend import kernels as _backend
 from .lattice import Band, Element, OrderInterval, _check_same_dim
 
 __all__ = [
@@ -123,7 +124,7 @@ class ScalarKernel:
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=np.float64)
         if self.expr is not None:
-            return _backend.eval_many(self.program, ts)
+            return _kernels.eval_many(self.program, ts)
         out = np.fromiter((float(self.func(t)) for t in ts.ravel()), dtype=np.float64)
         if not np.all(np.isfinite(out)):
             bad = int(np.argmax(~np.isfinite(out)))
@@ -170,16 +171,56 @@ class ScalarKernel:
         too many pieces to isolate.  With ``enclose=True`` returns ``(ts,
         vals)`` instead: (t, value) entries that, folded into the cells
         holding them, make cell endpoints and entries bound f on every cell.
+        This is the one-row case of ``critical_entries``.
         """
         d1 = self.derivative()
         if hi <= lo or d1 is None:
             return (np.empty(0), np.empty(0)) if enclose else np.empty(0)
-        tol = _BISECT_TOL * max(1.0, abs(lo), abs(hi))
-        floor = min(tol, (hi - lo) * _FLOOR_REL)
-        roots, ts, vals = isolate(
-            self.program, d1.program, d1.derivative().program, d1.eval, lo, hi, tol, floor
-        )
-        return (ts, vals) if enclose else roots
+        try:
+            failed, (_, roots), (_, ts, vals) = self._isolate(np.array([lo]), np.array([hi]))
+        except RowError as err:
+            raise err.cause from None
+        if failed[0]:
+            raise IsolationError(
+                f"derivative not resolved on [{lo!r}, {hi!r}] within {_MAX_PIECES} pieces"
+            )
+        return (ts, vals) if enclose else np.unique(roots)
+
+    def critical_entries(self, lo: np.ndarray, hi: np.ndarray):
+        """``critical_points(lo[r], hi[r], enclose=True)`` for every row r, in one pass.
+
+        Returns ``(rows, ts, vals, failed)``: row r's entries are those with
+        ``rows == r``, as ``critical_points`` gives them, and ``failed[r]``
+        marks a row whose isolation gave up, where ``critical_points``
+        raises IsolationError; it has no entries.  A kernel unbounded near a
+        point raises RowError naming the lowest such row.  A single row goes
+        through ``critical_points``, which traced runs count.
+        """
+        failed = np.zeros(len(lo), dtype=bool)
+        if len(lo) == 1:
+            try:
+                ts, vals = self.critical_points(lo[0], hi[0], enclose=True)
+            except IsolationError:
+                ts, vals = np.empty(0), np.empty(0)
+                failed[0] = True
+            except ex.EvalDomainError as err:
+                raise RowError(0, err) from err
+            return np.zeros(len(ts), dtype=np.int64), ts, vals, failed
+        live = np.flatnonzero(hi > lo)
+        if self.derivative() is None or not len(live):
+            return np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), failed
+        try:
+            failed[live], _, (rows, ts, vals) = self._isolate(lo[live], hi[live])
+        except RowError as err:
+            raise RowError(int(live[err.row]), err.cause) from err.cause
+        return live[rows], ts, vals, failed
+
+    def _isolate(self, lo: np.ndarray, hi: np.ndarray):
+        d1 = self.derivative()
+        tol = _BISECT_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        floor = np.minimum(tol, (hi - lo) * _FLOOR_REL)
+        d2 = d1.derivative()
+        return isolate(self.program, d1.program, d2.program, d1.eval, lo, hi, tol, floor)
 
     def scalar_extrema(self, lo: float, hi: float, tol: float = 0.0):
         """(min, max, method, achieved) of the kernel over [lo, hi]."""
@@ -241,6 +282,25 @@ class ScalarKernel:
         return ScalarKernel(expr=ex.Mul(self.expr, other.expr))
 
 
+def _as_kernels(specs) -> tuple[ScalarKernel, ...]:
+    """One kernel per spec; equal source strings, or one Expr object, share a kernel.
+
+    Atoms with one kernel object form one band in ``integrate``, and share
+    its parse, derivatives and compiled programs.
+    """
+    shared: dict = {}
+
+    def kernel(k) -> ScalarKernel:
+        if isinstance(k, ScalarKernel):
+            return k
+        key = k if isinstance(k, str) else id(k)
+        if key not in shared:
+            shared[key] = _as_kernel(k)
+        return shared[key]
+
+    return tuple(kernel(k) for k in specs)
+
+
 def _as_kernel(k) -> ScalarKernel:
     if isinstance(k, ScalarKernel):
         return k
@@ -260,7 +320,7 @@ class LatticeFunction:
         if kind == "coordinatewise":
             if not kernels:
                 raise ValueError("coordinatewise needs kernels")
-            self.kernels = tuple(_as_kernel(k) for k in kernels)
+            self.kernels = _as_kernels(kernels)
             self.func = None
             self.dim = len(self.kernels)
         elif kind == "general":

@@ -2,11 +2,17 @@
 
 The integral iterates uniform dyadic partitions (a cofinal chain for the
 refinement preorder) and stops when the per-atom bracket is small relative
-to the value.  Kernels with exact extrema produce true Darboux brackets:
-monotone-hinted kernels, and every differentiable expression kernel, whose
-cell extrema are the cell endpoints folded with certified critical-point
-entries (see ``ScalarKernel.critical_points``).  Sampled kernels (callables,
-expressions holding abs, min or max, and kernels whose critical points
+to the value.  The unit of work is a band: the atoms whose kernel is one
+``ScalarKernel`` object (a broadcast kernel, or a repeated source string)
+and whose extrema strategy is the same.  The integral commutes with band
+projection, so each band is isolated in one pass and refined as one block
+of rows, a row per atom, with one call per level; every atom still stops
+at its own closing depth, bit for bit as if integrated alone.  Kernels with
+exact extrema produce true Darboux brackets: monotone-hinted kernels, and
+every differentiable expression kernel, whose cell extrema are the cell
+endpoints folded with certified critical-point entries (see
+``ScalarKernel.critical_entries``).  Sampled kernels (callables,
+expressions holding abs, min or max, and atoms whose critical points
 cannot be isolated) widen the bracket by a measured two-resolution
 difference, and the result records that provenance.  A kernel unbounded
 near a point of its interval raises ``KernelEvalError`` naming the atom and
@@ -22,9 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels_fallback as _generic
-from ._interval import IsolationError
-from .backend import kernels as _backend
+from . import _kernels_fallback as _kernels
 from .expr import EvalDomainError
 from .functions import KernelEvalError, LatticeFunction, ScalarKernel
 from .lattice import Element, OrderInterval, band_lt
@@ -41,8 +45,8 @@ __all__ = [
     "split_integrate",
 ]
 
-# Base per-cell subsample count for sampled extrema (the backend runs the
-# base and its double and reports the difference as a widening).
+# Base per-cell subsample count for sampled extrema (the sums run the base
+# and its double and report the difference as a widening).
 _SAMPLE_BASE = 4
 _SAMPLE_CAP = 256
 
@@ -101,72 +105,129 @@ class IntegralResult:
         }
 
 
-class _AtomTask:
-    """One atom's summation pipeline over a scalar interval.
+class _Band:
+    """The atoms whose kernel is one ScalarKernel object, summed by one strategy.
 
-    A 'critical' atom holds (t, value) entries from the certified isolation
-    of its kernel's critical points; the sums fold them into the cells that
-    hold them.  When isolation gives up, the atom is summed as 'sampled'.
+    The atoms of a band are refined together, as one block of rows with a
+    row per atom.  A band that is not sampled folds the certified (row, t,
+    value) entries of its atoms' critical points into the cells that hold
+    them; a sampled band (callables, abs/min/max expressions, and atoms
+    whose isolation gave up) widens each bracket by the measured
+    two-resolution difference.
     """
 
-    def __init__(self, atom: int, kernel: ScalarKernel, lo: float, hi: float):
+    def __init__(self, kernel: ScalarKernel, atoms, lo, hi, sampled: bool, entries=None):
+        self.kernel = kernel
+        self.atoms = atoms
+        self.lo = lo
+        self.hi = hi
+        self.sampled = sampled
+        self.entries = entries  # (rows, ts, vals), sorted by row
+
+    def sums(self, rows: np.ndarray, grid, s: int = _SAMPLE_BASE) -> np.ndarray:
+        """Rows L, U, widen_L and widen_U for the band's ``rows`` over ``grid``."""
+        prog = self.kernel.program
+        evalf = self.kernel.eval_many if prog is None else None
+        try:
+            return _kernels.darboux_rows(
+                prog, grid, self._entries(rows), s if self.sampled else 0, evalf
+            )
+        except _kernels.RowError as err:
+            raise KernelEvalError(int(self.atoms[rows[err.row]]), err.cause) from err.cause
+
+    def level(self, rows: np.ndarray, n: int):
+        """Level sums of ``rows`` over n uniform cells each."""
+        return self.sums(rows, _kernels.UniformRows(self.lo[rows], self.hi[rows], n))
+
+    def _entries(self, rows: np.ndarray):
+        if self.entries is None:
+            return None
+        e_rows, ts, vals = self.entries
+        if len(rows) < len(self.atoms):
+            keep = np.isin(e_rows, rows)
+            e_rows, ts, vals = np.searchsorted(rows, e_rows[keep]), ts[keep], vals[keep]
+        return e_rows, ts, vals
+
+    def tasks(self) -> list["_AtomTask"]:
+        out = []
+        for r, atom in enumerate(self.atoms):
+            ts = vals = np.empty(0)
+            if self.entries is not None:
+                sel = self.entries[0] == r
+                ts, vals = self.entries[1][sel], self.entries[2][sel]
+            lo, hi = float(self.lo[r]), float(self.hi[r])
+            out.append(_AtomTask(int(atom), self.kernel, lo, hi, self.sampled, ts, vals))
+        return out
+
+
+def _make_bands(f: LatticeFunction, lo: np.ndarray, hi: np.ndarray) -> list[_Band]:
+    """The bands of a coordinatewise function over the intervals [lo[i], hi[i]].
+
+    The atoms of one kernel object are isolated in one pass; those whose
+    isolation gives up form a sampled band of their own, and the rest
+    stay exact.
+    """
+    if f.dim != len(lo):
+        raise ValueError("dimension mismatch")
+    groups: dict[int, tuple[ScalarKernel, list[int]]] = {}
+    for i, kernel in enumerate(f.kernels):
+        groups.setdefault(id(kernel), (kernel, []))[1].append(i)
+    bands = []
+    for kernel, atoms in groups.values():
+        atoms = np.array(atoms)
+        b_lo, b_hi = lo[atoms], hi[atoms]
+        if kernel.strategy != "critical":
+            bands.append(_Band(kernel, atoms, b_lo, b_hi, kernel.strategy == "sampled"))
+            continue
+        try:
+            rows, ts, vals, failed = kernel.critical_entries(b_lo, b_hi)
+        except _kernels.RowError as err:
+            raise KernelEvalError(int(atoms[err.row]), err.cause) from err.cause
+        exact = ~failed
+        if exact.any():
+            renumber = np.cumsum(exact) - 1
+            entries = (renumber[rows], ts, vals)
+            bands.append(_Band(kernel, atoms[exact], b_lo[exact], b_hi[exact], False, entries))
+        if failed.any():
+            bands.append(_Band(kernel, atoms[failed], b_lo[failed], b_hi[failed], True))
+    return bands
+
+
+class _AtomTask:
+    """One atom of a band, for the per-atom work of an antiderivative.
+
+    Holds its band's certified (t, value) entries for this atom; prefix
+    sums and the extrema of a partial cell are computed atom by atom.
+    """
+
+    def __init__(self, atom: int, kernel: ScalarKernel, lo, hi, sampled: bool, crit_ts, crit_vals):
         self.atom = atom
         self.kernel = kernel
         self.lo = lo
         self.hi = hi
-        self.strategy = kernel.strategy
+        self.sampled = sampled
         self.prog = kernel.program
-        self.crit_ts = np.empty(0)
-        self.crit_vals = np.empty(0)
-        if self.strategy == "critical":
-            try:
-                self.crit_ts, self.crit_vals = kernel.critical_points(lo, hi, enclose=True)
-            except IsolationError:
-                self.strategy = "sampled"
-            except EvalDomainError as err:
-                self._wrap(err)
-
-    @property
-    def sampled(self) -> bool:
-        return self.strategy == "sampled"
+        self.crit_ts = crit_ts
+        self.crit_vals = crit_vals
 
     def _wrap(self, err: Exception):
         raise KernelEvalError(self.atom, err) from err
-
-    def level_sums(self, xs: np.ndarray) -> tuple[float, float, float, float]:
-        """(L, U, widen_L, widen_U) over the cells of a breakpoint array."""
-        try:
-            if self.prog is None:
-                evalf = self.kernel.eval_many
-                if self.strategy == "sampled":
-                    return _generic.darboux_sampled_fn(evalf, xs, _SAMPLE_BASE)
-                lo, up = _generic.darboux_endpoint_fn(evalf, xs)
-                return lo, up, 0.0, 0.0
-            if self.strategy == "sampled":
-                return _backend.darboux_sampled(self.prog, xs, _SAMPLE_BASE)
-            if len(self.crit_ts):
-                lo, up = _backend.darboux_critical(self.prog, xs, self.crit_ts, self.crit_vals)
-            else:
-                lo, up = _backend.darboux_endpoint(self.prog, xs)
-            return lo, up, 0.0, 0.0
-        except (ValueError, EvalDomainError) as err:
-            self._wrap(err)
 
     def prefix_sums(self, xs: np.ndarray):
         """Cumulative (lower, upper, widen_L, widen_U) per cell."""
         try:
             if self.prog is None:
                 evalf = self.kernel.eval_many
-                if self.strategy == "sampled":
-                    return _generic.prefix_sampled_fn(evalf, xs, _SAMPLE_BASE)
-                pl, pu = _generic.prefix_endpoint_fn(evalf, xs)
+                if self.sampled:
+                    return _kernels.prefix_sampled_fn(evalf, xs, _SAMPLE_BASE)
+                pl, pu = _kernels.prefix_endpoint_fn(evalf, xs)
                 return pl, pu, 0.0, 0.0
-            if self.strategy == "sampled":
-                return _backend.prefix_sampled(self.prog, xs, _SAMPLE_BASE)
+            if self.sampled:
+                return _kernels.prefix_sampled(self.prog, xs, _SAMPLE_BASE)
             if len(self.crit_ts):
-                pl, pu = _backend.prefix_critical(self.prog, xs, self.crit_ts, self.crit_vals)
+                pl, pu = _kernels.prefix_critical(self.prog, xs, self.crit_ts, self.crit_vals)
             else:
-                pl, pu = _backend.prefix_endpoint(self.prog, xs)
+                pl, pu = _kernels.prefix_endpoint(self.prog, xs)
             return pl, pu, 0.0, 0.0
         except (ValueError, EvalDomainError) as err:
             self._wrap(err)
@@ -183,7 +244,7 @@ class _AtomTask:
                 inside = self.crit_vals[(self.crit_ts >= a) & (self.crit_ts <= b)]
                 if len(inside):
                     m, big = min(m, float(inside.min())), max(big, float(inside.max()))
-            elif self.strategy == "sampled":
+            elif self.sampled:
                 vals = self.kernel.eval_many(np.linspace(a, b, 2 * _SAMPLE_BASE + 1))
                 m, big = min(m, vals.min()), max(big, vals.max())
             return m, big
@@ -192,11 +253,12 @@ class _AtomTask:
 
 
 def _make_tasks(f: LatticeFunction, interval: OrderInterval) -> list[_AtomTask]:
-    if f.dim != interval.dim:
-        raise ValueError("dimension mismatch")
-    return [
-        _AtomTask(i, k, interval.lo[i], interval.hi[i]) for i, k in enumerate(f.kernels)
-    ]
+    """One task per atom, in atom order."""
+    tasks: list = [None] * f.dim
+    for band in _make_bands(f, interval.lo.data, interval.hi.data):
+        for task in band.tasks():
+            tasks[task.atom] = task
+    return tasks
 
 
 # --------------------------------------------------------------------------
@@ -213,25 +275,20 @@ def darboux_sums(f: LatticeFunction, p: Partition, tol: float = 0.0) -> DarbouxS
     """
     if f.is_coordinatewise:
         mat = p.matrix()
+        points = np.ascontiguousarray(mat.T)  # one row of breakpoints per atom
         lo = np.empty(f.dim)
         up = np.empty(f.dim)
-        for i, kernel in enumerate(f.kernels):
-            task = _AtomTask(i, kernel, mat[0, i], mat[-1, i])
-            xs = np.ascontiguousarray(mat[:, i])
-            if task.sampled and tol > 0.0:
-                s = _SAMPLE_BASE
-                while True:
-                    l2, u2, wl, wu = (
-                        _backend.darboux_sampled(task.prog, xs, s)
-                        if task.prog is not None
-                        else _generic.darboux_sampled_fn(kernel.eval_many, xs, s)
-                    )
-                    if max(wl, wu) <= tol or s >= _SAMPLE_CAP:
-                        break
-                    s *= 2
-                lo[i], up[i] = l2, u2
-            else:
-                lo[i], up[i], _, _ = task.level_sums(xs)
+        for band in _make_bands(f, mat[0], mat[-1]):
+            rows = np.arange(len(band.atoms))
+            s = _SAMPLE_BASE
+            while len(rows):
+                atoms = band.atoms[rows]
+                l2, u2, wl, wu = band.sums(rows, _kernels.GivenRows(points[atoms]), s)
+                done = np.full(len(rows), not band.sampled or tol <= 0.0 or s >= _SAMPLE_CAP)
+                done |= np.maximum(wl, wu) <= tol
+                lo[atoms[done]], up[atoms[done]] = l2[done], u2[done]
+                rows = rows[~done]
+                s *= 2
         return DarbouxSums(lower=Element(lo), upper=Element(up))
     return _corner_darboux(f, p)
 
@@ -300,53 +357,57 @@ def integrate(
     gap_i <= tol*(1+|value_i|), and keeps that level's bracket; the value is
     the bracket midpoint.  Each atom's result is therefore bit for bit that
     of its kernel integrated alone, ``depth`` is the deepest atom's closing
-    depth, and ``converged`` is true only if every atom closed.  Coordinatewise
-    atoms may be computed in parallel; results are identical to sequential
-    execution.  General maps are accepted only on the bounded demo path,
-    which always reports non-convergence.
+    depth, and ``converged`` is true only if every atom closed.  With
+    ``workers > 1`` the bands of a level are summed in parallel; results
+    are identical to sequential execution.  General maps are accepted only
+    on the bounded demo path, which always reports non-convergence.
     """
     sched = sched or ToleranceSchedule()
     if not f.is_coordinatewise:
         return _integrate_probes(f, interval, sched)
-    tasks = _make_tasks(f, interval)
-    dim = len(tasks)
+    bands = _make_bands(f, interval.lo.data, interval.hi.data)
 
-    value = np.empty(dim)
-    lower = np.empty(dim)
-    upper = np.empty(dim)
-    active = np.arange(dim)
+    value = np.empty(f.dim)
+    lower = np.empty(f.dim)
+    upper = np.empty(f.dim)
+    live = [(band, np.arange(len(band.atoms))) for band in bands]  # open rows per band
     depth = 0
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for depth in range(sched.max_depth + 1):
             n = 1 << depth
-            live = [tasks[i] for i in active]
-            grids = [uniform_grid(t.lo, t.hi, n) for t in live]
             if pool is not None:
-                rows = list(pool.map(lambda tx: tx[0].level_sums(tx[1]), zip(live, grids)))
+                sums = list(pool.map(lambda band_rows: band_rows[0].level(band_rows[1], n), live))
             else:
-                rows = [t.level_sums(g) for t, g in zip(live, grids)]
-            lo, up, widen_lo, widen_up = np.array(rows, dtype=float).reshape(-1, 4).T
-            value[active] = 0.5 * (lo + up)
-            lower[active] = lo - widen_lo
-            upper[active] = up + widen_up
-            gap = upper[active] - lower[active]
-            closed = gap <= sched.tol * (1.0 + np.abs(value[active]))
-            active = active[~closed]
-            if not len(active):
+                sums = [band.level(rows, n) for band, rows in live]
+            atoms = np.concatenate([band.atoms[rows] for band, rows in live])
+            lo, up, widen_lo, widen_up = np.concatenate(sums, axis=1)
+            value[atoms] = 0.5 * (lo + up)
+            lower[atoms] = lo - widen_lo
+            upper[atoms] = up + widen_up
+            gap = upper[atoms] - lower[atoms]
+            closed = gap <= sched.tol * (1.0 + np.abs(value[atoms]))
+            still_open, start = [], 0
+            for band, rows in live:
+                shut = closed[start : start + len(rows)]
+                start += len(rows)
+                if not shut.all():
+                    still_open.append((band, rows[~shut]))
+            live = still_open
+            if not live:
                 break
     finally:
         if pool is not None:
             pool.shutdown()
 
-    method = "sampled" if any(t.sampled for t in tasks) else "exact"
+    method = "sampled" if any(band.sampled for band in bands) else "exact"
     return IntegralResult(
         value=Element(value),
         lower=Element(lower),
         upper=Element(upper),
         gap=Element(upper - lower),
         depth=depth,
-        converged=not len(active),
+        converged=not live,
         tolerance=sched,
         extrema_method=method,
     )

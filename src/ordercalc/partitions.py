@@ -88,15 +88,35 @@ class TaggedPartition:
 def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
     """Scalar breakpoints lo + k*(hi-lo)/n with both endpoints exact.
 
-    The integrator builds its per-atom grids through this same function,
-    so uniform partitions and refinement levels share identical points.
+    The integrator builds its grids with this same expression (``uniform_rows``
+    for a block of atoms), so uniform partitions and refinement levels share
+    identical points.
     """
-    step = (hi - lo) / n
-    xs = lo + np.arange(n + 1) * step
-    np.minimum(xs, hi, out=xs)
+    xs = _interior(lo, hi, n, np.arange(n + 1, dtype=np.float64))
     xs[0] = lo
     xs[-1] = hi
     return xs
+
+
+def _interior(lo, hi, n: int, k) -> np.ndarray:
+    xs = k * ((hi - lo) / n)
+    xs += lo
+    return np.minimum(xs, hi, out=xs)
+
+
+def uniform_rows(lo: np.ndarray, hi: np.ndarray, n: int, c0: int, c1: int) -> np.ndarray:
+    """Points c0..c1 of ``uniform_grid(lo[r], hi[r], n)``, one row per r."""
+    xs = _interior(lo[:, None], hi[:, None], n, np.arange(c0, c1 + 1, dtype=np.float64))
+    if c0 == 0:
+        xs[:, 0] = lo
+    if c1 == n:
+        xs[:, -1] = hi
+    return xs
+
+
+def grid_points(lo: np.ndarray, hi: np.ndarray, n: int, k: np.ndarray) -> np.ndarray:
+    """Point k[i] of ``uniform_grid(lo[i], hi[i], n)`` for every i."""
+    return np.where(k == 0, lo, np.where(k == n, hi, _interior(lo, hi, n, k)))
 
 
 def uniform(interval: OrderInterval, n: int) -> Partition:

@@ -54,6 +54,16 @@ def test_kernel_broadcast_and_validation():
         f.eval(E(1, 2))
 
 
+def test_equal_kernel_sources_share_one_kernel():
+    f = LatticeFunction.coordinatewise("t^2", dim=1000)
+    assert len({id(k) for k in f.kernels}) == 1
+    g = LatticeFunction.coordinatewise(["sin(t)", "sin(t)", "exp(t)"])
+    assert g.kernels[0] is g.kernels[1] and g.kernels[2] is not g.kernels[0]
+    own = ScalarKernel.from_string("t")
+    h = LatticeFunction.coordinatewise([own, "t"])
+    assert h.kernels[0] is own and h.kernels[1] is not own
+
+
 def test_descriptor_round_trip():
     f = LatticeFunction.from_descriptor(
         {"kind": "coordinatewise", "kernels": ["t^2", "sin(t)"]}

@@ -150,33 +150,59 @@ def test_integrate_workers_bitwise_deterministic():
     assert seq.depth == par.depth
 
 
+def _assert_atoms_equal_their_kernels_alone(f, lo, hi, sched):
+    """Each atom of ``integrate(f)``, with 1 or 3 workers, is its kernel integrated alone."""
+    alone = [
+        integrate(LatticeFunction.coordinatewise([k]), interval((a,), (b,)), sched)
+        for k, a, b in zip(f.kernels, lo, hi)
+    ]
+    for workers in (1, 3):
+        whole = integrate(f, interval(lo, hi), sched, workers=workers)
+        assert whole.converged == all(r.converged for r in alone)
+        assert whole.depth == max(r.depth for r in alone)
+        for i, r in enumerate(alone):
+            assert whole.value[i] == r.value[0], (i, workers)
+            assert whole.lower[i] == r.lower[0], (i, workers)
+            assert whole.upper[i] == r.upper[0], (i, workers)
+            assert whole.gap[i] == r.gap[0], (i, workers)
+    return alone
+
+
 def test_integrate_atoms_equal_their_kernels_integrated_alone():
     # Band projection commutes with the integral, so each atom of a
     # multi-atom result is bit for bit its kernel integrated alone in 1-D,
-    # even when the atoms close at different depths.
+    # even when the atoms close at different depths, and whether or not
+    # they share a kernel and so are summed as rows of one block.
     sources = ["sin(t)", "t", "t^3"]
     lo = (-1.481108694182247, -1.720639181632314, -1.9166527262875368)
     hi = (-1.3171699655282194, -0.4902686949528299, 0.00863067890057323)
     sched = ToleranceSchedule(1e-6, 24)
     f = LatticeFunction.coordinatewise(sources, dim=3)
-    whole = integrate(f, interval(lo, hi), sched)
-    alone = [
-        integrate(LatticeFunction.coordinatewise(src, dim=1), interval((a,), (b,)), sched)
-        for src, a, b in zip(sources, lo, hi)
-    ]
-    depths = [r.depth for r in alone]
-    assert len(set(depths)) == 3  # every atom closes at its own depth
-    assert whole.converged and all(r.converged for r in alone)
-    assert whole.depth == max(depths)
-    for i, r in enumerate(alone):
-        assert whole.value[i] == r.value[0]
-        assert whole.lower[i] == r.lower[0]
-        assert whole.upper[i] == r.upper[0]
-        assert whole.gap[i] == r.gap[0]
-    par = integrate(f, interval(lo, hi), sched, workers=3)
-    assert par.value == whole.value and par.gap == whole.gap
-    assert par.lower == whole.lower and par.upper == whole.upper
-    assert par.depth == whole.depth
+    alone = _assert_atoms_equal_their_kernels_alone(f, lo, hi, sched)
+    assert len({r.depth for r in alone}) == 3  # every atom closes at its own depth
+    assert all(r.converged for r in alone)
+
+    # A broadcast t^3 - t band: some boxes hold a critical point +-3^-1/2,
+    # some hold none, and one is a single point.
+    rng = np.random.default_rng(2604)
+    lo = rng.uniform(-1.5, 1.0, 40)
+    hi = lo + rng.uniform(0.05, 1.5, 40)
+    hi[7] = lo[7]
+    crit = 3.0**-0.5
+    holds = ((lo < crit) & (crit < hi)) | ((lo < -crit) & (-crit < hi))
+    assert 5 <= holds.sum() <= 35
+    band = LatticeFunction.coordinatewise("t^3 - t", dim=40)
+    sched = ToleranceSchedule(1e-6, 20)
+    alone = _assert_atoms_equal_their_kernels_alone(band, tuple(lo), tuple(hi), sched)
+    assert alone[7].value[0] == 0.0 and len({r.depth for r in alone}) > 3
+
+    # Mixed: a sampled abs(t) atom, a callable atom and a repeated sin(t).
+    cube = ScalarKernel.from_callable(lambda t: t**3, label="cube")
+    mixed = LatticeFunction.coordinatewise(["sin(t)", "abs(t)", cube, "sin(t)"])
+    assert mixed.kernels[0] is mixed.kernels[3]
+    _assert_atoms_equal_their_kernels_alone(
+        mixed, (0.1, -0.7, -0.5, 2.0), (1.3, 0.4, 0.5, 4.5), ToleranceSchedule(1e-4, 12)
+    )
 
 
 def test_integrate_result_serialization():

@@ -206,3 +206,56 @@ def test_kernel_whose_derivative_vanishes_everywhere_falls_back_to_sampling():
     r = integrate(f, interval((0.0,), (1.0,)))
     assert r.converged and r.extrema_method == "sampled"
     assert r.value[0] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_band_isolation_gives_each_row_its_one_row_entries():
+    k = ScalarKernel.from_string("(t - 0.3)^3 - 3e-8*(t - 0.3) + sin(4*t)")
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(-2.0, 1.0, 150)  # more rows than one isolation block
+    hi = lo + rng.uniform(0.0, 3.0, 150)
+    hi[3] = lo[3]
+    rows, ts, vals, failed = k.critical_entries(lo, hi)
+    assert not failed.any()
+    assert np.all(np.diff(rows) >= 0)
+    for r in range(len(lo)):
+        want_ts, want_vals = k.critical_points(lo[r], hi[r], enclose=True)
+        assert ts[rows == r].tobytes() == want_ts.tobytes()
+        assert vals[rows == r].tobytes() == want_vals.tobytes()
+
+
+def test_singular_kernel_in_a_band_names_its_atom():
+    # Only atom 2's box holds the pole.
+    f = LatticeFunction.coordinatewise("1/(t-0.3)", dim=3)
+    t0 = time.perf_counter()
+    with pytest.raises(KernelEvalError) as info:
+        integrate(f, interval((0.5, -1.0, 0.0), (1.0, 0.0, 1.0)))
+    assert time.perf_counter() - t0 < 1.0
+    assert info.value.atom == 2
+    t = float(re.search(r"t=(\S+)", str(info.value)).group(1))
+    assert abs(t - 0.3) <= 1e-6
+
+
+def test_failing_value_in_a_band_names_its_atom():
+    # One callable shared by three atoms; only atom 1's box reaches t > 2.
+    k = ScalarKernel.from_callable(lambda t: 1.0 if t <= 2.0 else float("nan"))
+    f = LatticeFunction.coordinatewise([k, k, k])
+    with pytest.raises(KernelEvalError) as info:
+        integrate(f, interval((0.0, 1.0, -1.0), (1.0, 3.0, 0.0)), ToleranceSchedule(1e-3, 8))
+    assert info.value.atom == 1
+    assert float(re.search(r"t=(\S+)", str(info.value)).group(1)) > 2.0
+
+
+def test_band_atom_past_the_piece_budget_is_sampled_alone():
+    # sin(t) on [0, 1e6] has too many critical points to isolate; its
+    # siblings in the band stay exact, each bit for bit its 1-D integral.
+    lo = (0.0, 0.2, 0.0, -1.0)
+    hi = (1e6, 1.9, 7.0, 0.4)
+    sched = ToleranceSchedule(1e-3, 6)
+    whole = integrate(LatticeFunction.coordinatewise("sin(t)", dim=4), interval(lo, hi), sched)
+    assert whole.extrema_method == "sampled"
+    for i, (a, b) in enumerate(zip(lo, hi)):
+        one = LatticeFunction.coordinatewise("sin(t)", dim=1)
+        alone = integrate(one, interval((a,), (b,)), sched)
+        assert alone.extrema_method == ("sampled" if i == 0 else "exact")
+        assert whole.lower[i] == alone.lower[0] and whole.upper[i] == alone.upper[0]
+        assert whole.value[i] == alone.value[0]
