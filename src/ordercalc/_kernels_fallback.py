@@ -7,11 +7,12 @@ rows are that short, otherwise one stretch of one row at a time.  Each row
 accumulates left to right within a chunk of ``CHUNK_CELLS`` cells, from
 zero, carrying the running sum from block to block, and then over the
 chunk subtotals, so a row's sums are bit for bit the same whether it is
-summed alone or in a block.  ``darboux_rows`` sums a band; the 1-D entry
-points (``darboux_endpoint``, ``prefix_critical``, ``darboux_sampled_fn``
-and the rest) are its one-row case over a given breakpoint array.
-Programs are evaluated with the same binary-exponentiation sequence for
-``^`` as the scalar evaluator.
+summed alone or in a block.  The entry points (``darboux_endpoint``,
+``darboux_critical``, ``darboux_sampled`` and their ``_fn`` twins for
+callables) sum a whole band, or one row given as a 1-D breakpoint array;
+the ``prefix_*`` entry points give one row's cumulative sums.  Programs are
+evaluated with the same binary-exponentiation sequence for ``^`` as the
+scalar evaluator.
 """
 
 from __future__ import annotations
@@ -39,13 +40,16 @@ from ._tape import (
     Program,
 )
 from .expr import EvalDomainError
-from .partitions import grid_points, uniform_grid, uniform_rows
+from .partitions import uniform_grid
 
 NAME = "numpy"
 
-# Cells evaluated at once: a few arrays of this many float64 stay in cache.
-# It divides CHUNK_CELLS, so chunks of a long row start on block boundaries.
-BLOCK_CELLS = 1 << 15
+# Cells evaluated at once.  An array of this many float64 (64 KiB) stays
+# below glibc's 128 KiB mmap threshold, so a block's temporaries come from
+# the heap: at 2^15 cells they were fresh mappings, and the oracle workload
+# took 36-97k page faults a pass instead of 3.  It divides CHUNK_CELLS, so
+# chunks of a long row start on block boundaries.
+BLOCK_CELLS = 1 << 13
 
 
 class RowError(ValueError):
@@ -158,72 +162,63 @@ def _values(prog: Program | None, ts: np.ndarray, evalf, row0: int) -> np.ndarra
     return out
 
 
-class GivenRows:
+class _Rows:
+    """Rows of ``n`` cells each, one row per atom of a band.
+
+    Sized as one grid of ``rows * n`` cells: ``len(grid) - 1`` is its number
+    of cells, as for a 1-D breakpoint array, so the cells an entry point
+    below sums read the same for either kind of grid.
+    """
+
+    rows: int
+    n: int
+
+    def __len__(self) -> int:
+        return self.rows * self.n + 1
+
+
+class GivenRows(_Rows):
     """Rows of given breakpoints: row r of ``xs`` holds the n + 1 points of row r."""
 
     def __init__(self, xs: np.ndarray):
         self.xs = xs
-        self.n = xs.shape[1] - 1
-
-    def __len__(self) -> int:
-        return len(self.xs)
-
-    def row(self, r: int) -> np.ndarray:
-        return self.xs[r]
+        self.rows, self.n = xs.shape[0], xs.shape[1] - 1
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
         return self.xs[r0:r1, c0 : c1 + 1]
 
-    def cells(self, rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """The cell holding each point: clip(searchsorted(row, t, "right") - 1, 0, n - 1).
 
-        ``rows`` must be sorted.
-        """
-        if len(self.xs) == 1:
-            cell = np.searchsorted(self.xs[0], ts, side="right") - 1
-        else:
-            cell = np.empty(len(ts), dtype=np.int64)
-            bounds = np.searchsorted(rows, np.arange(len(self.xs) + 1))
-            for r in np.flatnonzero(bounds[1:] > bounds[:-1]):
-                part = slice(bounds[r], bounds[r + 1])
-                cell[part] = np.searchsorted(self.xs[r], ts[part], side="right") - 1
-        return np.minimum(np.maximum(cell, 0), self.n - 1)
-
-
-class UniformRows:
+class UniformRows(_Rows):
     """Row r holds the points of ``uniform_grid(lo[r], hi[r], n)``, built a block at a time."""
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray, n: int):
         self.lo = lo
         self.hi = hi
-        self.n = n
-
-    def __len__(self) -> int:
-        return len(self.lo)
-
-    def row(self, r: int) -> np.ndarray:
-        return uniform_grid(self.lo[r], self.hi[r], self.n)
+        self.rows, self.n = len(lo), n
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        return uniform_rows(self.lo[r0:r1], self.hi[r0:r1], self.n, c0, c1)
+        return uniform_grid(self.lo[r0:r1], self.hi[r0:r1], self.n, c0, c1)
 
-    def cells(self, rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """The cell holding each point, as ``GivenRows.cells`` finds it in the built row.
 
-        Compares t with the four points around the quotient (t - lo) / step;
-        where points repeat and the four miss t, searches the built row.
-        """
-        lo, hi, n = self.lo[rows, None], self.hi[rows, None], self.n
-        with np.errstate(all="ignore"):
-            guess = np.nan_to_num(np.floor((ts - lo[:, 0]) / ((hi[:, 0] - lo[:, 0]) / n)))
-        k = np.minimum(np.maximum(guess, 0), n).astype(np.int64)[:, None] + np.arange(-1, 3)
-        # point k <= t, taking points -1 and n + 1 as -inf and inf
-        points = grid_points(lo, hi, n, np.minimum(np.maximum(k, 0), n))
-        below = (k < 0) | ((k <= n) & (points <= ts[:, None]))
-        cell = k[:, 0] - 1 + below.sum(axis=1)
-        for i in np.flatnonzero(~below[:, 0] | below[:, -1]):
-            cell[i] = np.searchsorted(self.row(rows[i]), ts[i], side="right") - 1
-        return np.minimum(np.maximum(cell, 0), n - 1)
+def _entry_cells(xs: np.ndarray, ts: np.ndarray, starts: list, first: bool, last: bool):
+    """The cell of each point t in a block of rows, counted from the block's first cell.
+
+    Row r of the block holds points ``starts[r]:starts[r + 1]``.  A point's
+    cell in its whole row is clip(searchsorted(row, t, "right") - 1, 0,
+    n - 1); the block holds a stretch of each row, so points left of it
+    read -1 and points right of it read its width, except beyond the row's
+    own ends (in the ``first`` and ``last`` block), where the clip applies.
+    """
+    cells = np.empty(len(ts), dtype=np.int64)
+    for r, (a, b) in enumerate(zip(starts, starts[1:])):
+        if a < b:
+            cells[a:b] = xs[r].searchsorted(ts[a:b], "right")
+    cells -= 1
+    if first:
+        np.maximum(cells, 0, out=cells)
+    if last:
+        np.minimum(cells, xs.shape[1] - 2, out=cells)
+    return cells
 
 
 def _sampled_minmax(prog: Program | None, xs: np.ndarray, s: int, evalf, row0: int):
@@ -245,146 +240,134 @@ def _sum_cells(
     samples ``s`` subintervals per cell.  Cells are evaluated in blocks of
     at most ``BLOCK_CELLS``, several short rows or part of one long row at a
     time; a chunk's running sums carry over from one block to the next.
-    Returns the row totals (L, U), or (rows, n) prefix arrays.  ``evalf``
-    substitutes a callable for the program (callable kernels).
+    Returns the row totals as a (2, rows) array (L, U), or the prefixes as
+    a (2, rows, n) array.  ``evalf`` substitutes a callable for the program
+    (callable kernels).
     """
-    rows, n = len(grid), grid.n
+    rows, n = grid.rows, grid.n
+    i0 = i1 = 0
     if entries is not None and len(entries[1]):
         e_rows, e_ts, e_vals = entries
-        e_cells = grid.cells(e_rows, e_ts)
-    else:
-        entries = None
-    lo_total = np.zeros(rows)
-    up_total = np.zeros(rows)
-    pref_l = np.empty((rows, n)) if prefixes else None
-    pref_u = np.empty((rows, n)) if prefixes else None
+        e_starts = np.searchsorted(e_rows, np.arange(rows + 1)).tolist()  # of each row's entries
+    totals = np.zeros((2, rows))  # lower and upper
+    prefix = np.empty((2, rows, n)) if prefixes else None
     per_block = max(1, BLOCK_CELLS // max(n, 1))
     width = min(n, BLOCK_CELLS)
 
     for r0 in range(0, rows, per_block):
         r1 = min(r0 + per_block, rows)
         if entries is not None:  # the block's entries
-            i0, i1 = (0, len(e_rows)) if r1 - r0 == rows else np.searchsorted(e_rows, (r0, r1))
-            b_rows, b_cells, b_vals = e_rows[i0:i1] - r0, e_cells[i0:i1], e_vals[i0:i1]
+            i0, i1 = e_starts[r0], e_starts[r1]
+            b_rows, b_ts, b_vals = e_rows[i0:i1], e_ts[i0:i1], e_vals[i0:i1]
+            if r0:
+                b_rows = b_rows - r0
+            starts = [i - i0 for i in e_starts[r0 : r1 + 1]]
         for c0 in range(0, n, width):
             c1 = min(c0 + width, n)
             xs = grid.block(r0, r1, c0, c1)
-            if s == 0:
+            if s == 0:  # cell minima and maxima, as one (2, rows, cells) array
                 v = _values(prog, xs, evalf, r0)
-                m = np.minimum(v[:, :-1], v[:, 1:])
-                big = np.maximum(v[:, :-1], v[:, 1:])
-                if entries is not None and i1 > i0:
-                    sel = slice(None) if n == width else (b_cells >= c0) & (b_cells < c1)
-                    at = (b_rows[sel], b_cells[sel] - c0)
-                    np.minimum.at(m, at, b_vals[sel])
-                    np.maximum.at(big, at, b_vals[sel])
+                mb = np.empty((2, r1 - r0, c1 - c0))
+                np.minimum(v[:, :-1], v[:, 1:], out=mb[0])
+                np.maximum(v[:, :-1], v[:, 1:], out=mb[1])
+                if i1 > i0:
+                    cells = _entry_cells(xs, b_ts, starts, c0 == 0, c1 == n)
+                    sel = slice(None) if n == width else (cells >= 0) & (cells < c1 - c0)
+                    at = (b_rows[sel], cells[sel])
+                    np.minimum.at(mb[0], at, b_vals[sel])
+                    np.maximum.at(mb[1], at, b_vals[sel])
             else:
-                m, big = _sampled_minmax(prog, xs, s, evalf, r0)
-            dx = xs[:, 1:] - xs[:, :-1]
-            np.multiply(m, dx, out=m)
-            np.multiply(big, dx, out=big)
+                mb = np.array(_sampled_minmax(prog, xs, s, evalf, r0))
+            np.multiply(mb, xs[:, 1:] - xs[:, :-1], out=mb)
             if c0 % CHUNK_CELLS:  # the chunk's sums so far lead this block's
-                m[:, 0] += cl[:, -1]
-                big[:, 0] += cu[:, -1]
-            cl = np.add.accumulate(m, axis=1, out=m)
-            cu = np.add.accumulate(big, axis=1, out=big)
+                mb[:, :, 0] += acc[:, :, -1]
+            acc = np.add.accumulate(mb, axis=2, out=mb)
             if prefixes:
-                pref_l[r0:r1, c0:c1] = lo_total[r0:r1, None] + cl
-                pref_u[r0:r1, c0:c1] = up_total[r0:r1, None] + cu
+                prefix[:, r0:r1, c0:c1] = totals[:, r0:r1, None] + acc
             if c1 % CHUNK_CELLS == 0 or c1 == n:  # the chunk ends here
-                lo_total[r0:r1] += cl[:, -1]
-                up_total[r0:r1] += cu[:, -1]
+                totals[:, r0:r1] += acc[:, :, -1]
 
-    if prefixes:
-        return pref_l, pref_u
-    return lo_total, up_total
+    return prefix if prefixes else totals
 
 
 def _sampled(prog: Program | None, grid, s: int, evalf=None):
-    """The sums at 2s subintervals per cell, and |difference| from those at s."""
-    l1, u1 = _sum_cells(prog, grid, s=s, evalf=evalf)
-    l2, u2 = _sum_cells(prog, grid, s=2 * s, evalf=evalf)
+    """The sums at 2s subintervals per cell, and |difference| from those at s.
+
+    When both passes fail, the error of the lower row is raised.
+    """
+    passes = []
+    for k in (s, 2 * s):
+        try:
+            passes.append(_sum_cells(prog, grid, s=k, evalf=evalf))
+        except RowError as err:
+            passes.append(err)
+    errors = [p for p in passes if isinstance(p, RowError)]
+    if errors:
+        raise min(errors, key=lambda err: err.row)
+    (l1, u1), (l2, u2) = passes
     return l2, u2, np.abs(l2 - l1), np.abs(u2 - u1)
 
 
-def darboux_rows(prog: Program | None, grid, entries=None, s: int = 0, evalf=None):
-    """Lower and upper sums of every row of ``grid``, a ``GivenRows`` or ``UniformRows``.
+# Entry points.  ``xs`` is a 1-D breakpoint array, giving a float per sum,
+# or a band grid (``GivenRows`` or ``UniformRows``), giving each sum as an
+# array with one entry per row; a failure raises RowError naming its row.
 
-    ``entries`` are (row, t, value) arrays of certified kernel values,
-    folded into the cells that hold them; ``s > 0`` samples instead, as
-    ``darboux_sampled`` does.  Returns a (4, rows) array whose rows are L,
-    U, widen_L and widen_U.  A single row goes through the 1-D entry points
-    below, which traced runs count; a failure raises RowError naming its row.
-    """
-    if len(grid) == 1:
-        xs = grid.row(0)
-        if s and evalf is None:
-            sums = darboux_sampled(prog, xs, s)
-        elif s:
-            sums = darboux_sampled_fn(evalf, xs, s)
-        elif entries is not None and len(entries[1]):
-            sums = (*darboux_critical(prog, xs, entries[1], entries[2]), 0.0, 0.0)
-        elif evalf is None:
-            sums = (*darboux_endpoint(prog, xs), 0.0, 0.0)
-        else:
-            sums = (*darboux_endpoint_fn(evalf, xs), 0.0, 0.0)
-        return np.array(sums)[:, None]
-    if s:
-        return np.array(_sampled(prog, grid, s, evalf))
-    lo, up = _sum_cells(prog, grid, entries, evalf=evalf)
-    zero = np.zeros(len(grid))
-    return np.array((lo, up, zero, zero))
-
-
-# One-row entry points over a given breakpoint array.
-
-def _one(xs) -> GivenRows:
+def _rows(xs) -> _Rows:
+    if isinstance(xs, _Rows):
+        return xs
     return GivenRows(np.asarray(xs, dtype=np.float64)[None, :])
 
 
-def _one_entries(crit_ts, crit_vals):
+def _result(xs, sums):
+    return sums if isinstance(xs, _Rows) else tuple([float(x[0]) for x in sums])
+
+
+def _entries(crit_ts, crit_vals, crit_rows):
     crit_ts = np.asarray(crit_ts, dtype=np.float64)
-    return np.zeros(len(crit_ts), dtype=np.int64), crit_ts, np.asarray(crit_vals, dtype=np.float64)
+    if crit_rows is None:
+        crit_rows = np.zeros(len(crit_ts), dtype=np.int64)
+    return crit_rows, crit_ts, np.asarray(crit_vals, dtype=np.float64)
 
 
-def _floats(*arrays):
-    return tuple([float(x[0]) for x in arrays])
-
-
-def _prefix_sampled(prog: Program | None, xs, s: int, evalf):
-    (l1,), (u1,) = _sum_cells(prog, _one(xs), s=s, evalf=evalf)
-    (pl,), (pu,) = _sum_cells(prog, _one(xs), s=2 * s, prefixes=True, evalf=evalf)
-    wl = abs(float(pl[-1]) - float(l1)) if len(pl) else 0.0
-    wu = abs(float(pu[-1]) - float(u1)) if len(pu) else 0.0
-    return pl, pu, wl, wu
-
-
-def darboux_endpoint(prog: Program, xs: np.ndarray):
+def darboux_endpoint(prog: Program, xs):
     """Lower/upper sums with per-cell extrema at the cell endpoints."""
-    return _floats(*_sum_cells(prog, _one(xs)))
+    return _result(xs, _sum_cells(prog, _rows(xs)))
 
 
-def darboux_critical(prog: Program, xs: np.ndarray, crit_ts, crit_vals):
-    """Endpoint extrema folded with interior critical values per cell."""
-    return _floats(*_sum_cells(prog, _one(xs), _one_entries(crit_ts, crit_vals)))
+def darboux_critical(prog: Program, xs, crit_ts, crit_vals, crit_rows=None):
+    """Endpoint extrema folded with the critical (t, value) entries of each cell.
+
+    In a band, entry i belongs to row ``crit_rows[i]``; rows are sorted.
+    """
+    entries = _entries(crit_ts, crit_vals, crit_rows)
+    return _result(xs, _sum_cells(prog, _rows(xs), entries))
 
 
-def darboux_sampled(prog: Program, xs: np.ndarray, s: int):
+def darboux_sampled(prog: Program, xs, s: int):
     """Per-cell extrema sampled at s and 2s subintervals.
 
     Returns the 2s sums plus |difference| between the two passes as a
     measured widening for each of L and U.
     """
-    return _floats(*_sampled(prog, _one(xs), s))
+    return _result(xs, _sampled(prog, _rows(xs), s))
+
+
+def _prefix_sampled(prog: Program | None, xs, s: int, evalf):
+    (l1,), (u1,) = _sum_cells(prog, _rows(xs), s=s, evalf=evalf)
+    (pl,), (pu,) = _sum_cells(prog, _rows(xs), s=2 * s, prefixes=True, evalf=evalf)
+    wl = abs(float(pl[-1]) - float(l1)) if len(pl) else 0.0
+    wu = abs(float(pu[-1]) - float(u1)) if len(pu) else 0.0
+    return pl, pu, wl, wu
 
 
 def prefix_endpoint(prog: Program, xs: np.ndarray):
-    (pl,), (pu,) = _sum_cells(prog, _one(xs), prefixes=True)
+    (pl,), (pu,) = _sum_cells(prog, _rows(xs), prefixes=True)
     return pl, pu
 
 
 def prefix_critical(prog: Program, xs: np.ndarray, crit_ts, crit_vals):
-    (pl,), (pu,) = _sum_cells(prog, _one(xs), _one_entries(crit_ts, crit_vals), prefixes=True)
+    entries = _entries(crit_ts, crit_vals, None)
+    (pl,), (pu,) = _sum_cells(prog, _rows(xs), entries, prefixes=True)
     return pl, pu
 
 
@@ -395,15 +378,15 @@ def prefix_sampled(prog: Program, xs: np.ndarray, s: int):
 # Callable-kernel variants: same shapes, ``evalf`` instead of a program.
 
 def darboux_endpoint_fn(evalf, xs):
-    return _floats(*_sum_cells(None, _one(xs), evalf=evalf))
+    return _result(xs, _sum_cells(None, _rows(xs), evalf=evalf))
 
 
 def darboux_sampled_fn(evalf, xs, s: int):
-    return _floats(*_sampled(None, _one(xs), s, evalf))
+    return _result(xs, _sampled(None, _rows(xs), s, evalf))
 
 
 def prefix_endpoint_fn(evalf, xs):
-    (pl,), (pu,) = _sum_cells(None, _one(xs), prefixes=True, evalf=evalf)
+    (pl,), (pu,) = _sum_cells(None, _rows(xs), prefixes=True, evalf=evalf)
     return pl, pu
 
 

@@ -193,19 +193,9 @@ class ScalarKernel:
         ``rows == r``, as ``critical_points`` gives them, and ``failed[r]``
         marks a row whose isolation gave up, where ``critical_points``
         raises IsolationError; it has no entries.  A kernel unbounded near a
-        point raises RowError naming the lowest such row.  A single row goes
-        through ``critical_points``, which traced runs count.
+        point raises RowError naming the lowest such row.
         """
         failed = np.zeros(len(lo), dtype=bool)
-        if len(lo) == 1:
-            try:
-                ts, vals = self.critical_points(lo[0], hi[0], enclose=True)
-            except IsolationError:
-                ts, vals = np.empty(0), np.empty(0)
-                failed[0] = True
-            except ex.EvalDomainError as err:
-                raise RowError(0, err) from err
-            return np.zeros(len(ts), dtype=np.int64), ts, vals, failed
         live = np.flatnonzero(hi > lo)
         if self.derivative() is None or not len(live):
             return np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), failed

@@ -15,9 +15,10 @@ endpoints folded with certified critical-point entries (see
 expressions holding abs, min or max, and atoms whose critical points
 cannot be isolated) widen the bracket by a measured two-resolution
 difference, and the result records that provenance.  A kernel unbounded
-near a point of its interval raises ``KernelEvalError`` naming the atom and
-the point.  Non-integrable demo maps report ``converged=False`` with a
-stalling gap instead of raising.
+near a point of its interval raises ``KernelEvalError`` naming the point and
+the lowest atom at fault, as if the atoms ran one by one.  Non-integrable
+demo maps report ``converged=False`` with a stalling gap instead of
+raising.
 """
 
 from __future__ import annotations
@@ -127,26 +128,37 @@ class _Band:
     def sums(self, rows: np.ndarray, grid, s: int = _SAMPLE_BASE) -> np.ndarray:
         """Rows L, U, widen_L and widen_U for the band's ``rows`` over ``grid``."""
         prog = self.kernel.program
-        evalf = self.kernel.eval_many if prog is None else None
+        evalf = self.kernel.eval_many
+        out = np.zeros((4, len(rows)))  # the widenings stay 0 unless sampled
         try:
-            return _kernels.darboux_rows(
-                prog, grid, self._entries(rows), s if self.sampled else 0, evalf
-            )
+            if self.sampled and prog is None:
+                out[:] = _kernels.darboux_sampled_fn(evalf, grid, s)
+            elif self.sampled:
+                out[:] = _kernels.darboux_sampled(prog, grid, s)
+            elif prog is None:
+                out[:2] = _kernels.darboux_endpoint_fn(evalf, grid)
+            elif (entries := self._entries(rows)) is None:
+                out[:2] = _kernels.darboux_endpoint(prog, grid)
+            else:
+                e_rows, ts, vals = entries
+                out[:2] = _kernels.darboux_critical(prog, grid, ts, vals, e_rows)
         except _kernels.RowError as err:
             raise KernelEvalError(int(self.atoms[rows[err.row]]), err.cause) from err.cause
+        return out
 
     def level(self, rows: np.ndarray, n: int):
         """Level sums of ``rows`` over n uniform cells each."""
         return self.sums(rows, _kernels.UniformRows(self.lo[rows], self.hi[rows], n))
 
     def _entries(self, rows: np.ndarray):
+        """The entries of ``rows``, renumbered to their positions; None if there are none."""
         if self.entries is None:
             return None
         e_rows, ts, vals = self.entries
         if len(rows) < len(self.atoms):
             keep = np.isin(e_rows, rows)
             e_rows, ts, vals = np.searchsorted(rows, e_rows[keep]), ts[keep], vals[keep]
-        return e_rows, ts, vals
+        return (e_rows, ts, vals) if len(ts) else None
 
     def tasks(self) -> list["_AtomTask"]:
         out = []
@@ -161,36 +173,58 @@ class _Band:
 
 
 def _make_bands(f: LatticeFunction, lo: np.ndarray, hi: np.ndarray) -> list[_Band]:
-    """The bands of a coordinatewise function over the intervals [lo[i], hi[i]].
-
-    The atoms of one kernel object are isolated in one pass; those whose
-    isolation gives up form a sampled band of their own, and the rest
-    stay exact.
-    """
+    """The bands of a coordinatewise function over the intervals [lo[i], hi[i]]."""
     if f.dim != len(lo):
         raise ValueError("dimension mismatch")
     groups: dict[int, tuple[ScalarKernel, list[int]]] = {}
     for i, kernel in enumerate(f.kernels):
         groups.setdefault(id(kernel), (kernel, []))[1].append(i)
+    found = _each(lambda group: _kernel_bands(*group, lo, hi), groups.values())
+    return [band for bands in found for band in bands]
+
+
+def _kernel_bands(kernel: ScalarKernel, atoms: list[int], lo, hi) -> list[_Band]:
+    """The bands of one kernel's atoms.
+
+    The atoms are isolated in one pass; those whose isolation gives up
+    form a sampled band of their own, and the rest stay exact.
+    """
+    atoms = np.array(atoms)
+    lo, hi = lo[atoms], hi[atoms]
+    if kernel.strategy != "critical":
+        return [_Band(kernel, atoms, lo, hi, kernel.strategy == "sampled")]
+    try:
+        rows, ts, vals, failed = kernel.critical_entries(lo, hi)
+    except _kernels.RowError as err:
+        raise KernelEvalError(int(atoms[err.row]), err.cause) from err.cause
     bands = []
-    for kernel, atoms in groups.values():
-        atoms = np.array(atoms)
-        b_lo, b_hi = lo[atoms], hi[atoms]
-        if kernel.strategy != "critical":
-            bands.append(_Band(kernel, atoms, b_lo, b_hi, kernel.strategy == "sampled"))
-            continue
-        try:
-            rows, ts, vals, failed = kernel.critical_entries(b_lo, b_hi)
-        except _kernels.RowError as err:
-            raise KernelEvalError(int(atoms[err.row]), err.cause) from err.cause
-        exact = ~failed
-        if exact.any():
-            renumber = np.cumsum(exact) - 1
-            entries = (renumber[rows], ts, vals)
-            bands.append(_Band(kernel, atoms[exact], b_lo[exact], b_hi[exact], False, entries))
-        if failed.any():
-            bands.append(_Band(kernel, atoms[failed], b_lo[failed], b_hi[failed], True))
+    exact = ~failed
+    if exact.any():
+        entries = (np.cumsum(exact)[rows] - 1, ts, vals) if len(ts) else None
+        bands.append(_Band(kernel, atoms[exact], lo[exact], hi[exact], False, entries))
+    if failed.any():
+        bands.append(_Band(kernel, atoms[failed], lo[failed], hi[failed], True))
     return bands
+
+
+def _each(fn, items, pool: ThreadPoolExecutor | None = None) -> list:
+    """``fn`` over ``items``, in order.
+
+    Where calls raise KernelEvalError, the error of the lowest atom is
+    raised, as if the atoms had run one by one in atom order.
+    """
+
+    def call(item):
+        try:
+            return fn(item)
+        except KernelEvalError as err:
+            return err
+
+    out = list(pool.map(call, items)) if pool is not None else [call(item) for item in items]
+    errors = [r for r in out if isinstance(r, KernelEvalError)]
+    if errors:
+        raise min(errors, key=lambda err: err.atom)
+    return out
 
 
 class _AtomTask:
@@ -376,17 +410,12 @@ def integrate(
     try:
         for depth in range(sched.max_depth + 1):
             n = 1 << depth
-            if pool is not None:
-                sums = list(pool.map(lambda band_rows: band_rows[0].level(band_rows[1], n), live))
-            else:
-                sums = [band.level(rows, n) for band, rows in live]
+            sums = _each(lambda band_rows: band_rows[0].level(band_rows[1], n), live, pool)
             atoms = np.concatenate([band.atoms[rows] for band, rows in live])
             lo, up, widen_lo, widen_up = np.concatenate(sums, axis=1)
-            value[atoms] = 0.5 * (lo + up)
-            lower[atoms] = lo - widen_lo
-            upper[atoms] = up + widen_up
-            gap = upper[atoms] - lower[atoms]
-            closed = gap <= sched.tol * (1.0 + np.abs(value[atoms]))
+            mid, lo, up = 0.5 * (lo + up), lo - widen_lo, up + widen_up
+            value[atoms], lower[atoms], upper[atoms] = mid, lo, up
+            closed = up - lo <= sched.tol * (1.0 + np.abs(mid))
             still_open, start = [], 0
             for band, rows in live:
                 shut = closed[start : start + len(rows)]

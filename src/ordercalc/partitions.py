@@ -85,38 +85,25 @@ class TaggedPartition:
                 raise ValueError(f"tag {k} outside its cell")
 
 
-def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """Scalar breakpoints lo + k*(hi-lo)/n with both endpoints exact.
+def uniform_grid(lo, hi, n: int, c0: int = 0, c1: int | None = None) -> np.ndarray:
+    """Breakpoints lo + k*(hi-lo)/n for k = c0..c1 (all n + 1 by default), endpoints exact.
 
-    The integrator builds its grids with this same expression (``uniform_rows``
-    for a block of atoms), so uniform partitions and refinement levels share
-    identical points.
+    ``lo`` and ``hi`` may be arrays of the same shape, giving one row of
+    points per entry.  The integrator builds the grids of its refinement
+    levels with this function, a block of rows and cells at a time, so
+    uniform partitions and refinement levels share identical points.
     """
-    xs = _interior(lo, hi, n, np.arange(n + 1, dtype=np.float64))
-    xs[0] = lo
-    xs[-1] = hi
-    return xs
-
-
-def _interior(lo, hi, n: int, k) -> np.ndarray:
-    xs = k * ((hi - lo) / n)
+    c1 = n if c1 is None else c1
+    lo = np.asarray(lo, dtype=np.float64)[..., None]
+    hi = np.asarray(hi, dtype=np.float64)[..., None]
+    xs = np.arange(c0, c1 + 1, dtype=np.float64) * ((hi - lo) / n)
     xs += lo
-    return np.minimum(xs, hi, out=xs)
-
-
-def uniform_rows(lo: np.ndarray, hi: np.ndarray, n: int, c0: int, c1: int) -> np.ndarray:
-    """Points c0..c1 of ``uniform_grid(lo[r], hi[r], n)``, one row per r."""
-    xs = _interior(lo[:, None], hi[:, None], n, np.arange(c0, c1 + 1, dtype=np.float64))
+    np.minimum(xs, hi, out=xs)
     if c0 == 0:
-        xs[:, 0] = lo
+        xs[..., :1] = lo
     if c1 == n:
-        xs[:, -1] = hi
+        xs[..., -1:] = hi
     return xs
-
-
-def grid_points(lo: np.ndarray, hi: np.ndarray, n: int, k: np.ndarray) -> np.ndarray:
-    """Point k[i] of ``uniform_grid(lo[i], hi[i], n)`` for every i."""
-    return np.where(k == 0, lo, np.where(k == n, hi, _interior(lo, hi, n, k)))
 
 
 def uniform(interval: OrderInterval, n: int) -> Partition:

@@ -245,6 +245,33 @@ def test_failing_value_in_a_band_names_its_atom():
     assert float(re.search(r"t=(\S+)", str(info.value)).group(1)) > 2.0
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failures_in_interleaved_bands_name_the_lowest_atom(workers):
+    # Kernels [A, B, A]: atoms 1 and 2 both fail, in different bands; the
+    # error names atom 1, as when the atoms run one by one.
+    a, b = ScalarKernel.from_string("1/(t-0.3)"), ScalarKernel.from_string("1/(t-0.7)")
+    f = LatticeFunction.coordinatewise([a, b, a])
+    with pytest.raises(KernelEvalError) as info:  # at isolation
+        integrate(f, interval((0.5, 0.0, 0.0), (1.0, 1.0, 1.0)), workers=workers)
+    assert info.value.atom == 1
+    a = ScalarKernel.from_callable(lambda t: 1.0 if t <= 2.0 else float("nan"))
+    b = ScalarKernel.from_callable(lambda t: 1.0 if t <= 5.0 else float("nan"))
+    f = LatticeFunction.coordinatewise([a, b, a])
+    with pytest.raises(KernelEvalError) as info:  # in the level loop
+        integrate(f, interval((0.0, 0.0, 0.0), (1.0, 6.0, 3.0)), workers=workers)
+    assert info.value.atom == 1
+
+
+def test_sampled_band_names_the_lowest_atom_over_both_passes():
+    # One callable shared by atoms 1 and 2: atom 1 fails only at the points
+    # of the finer pass (t = 1), atom 2 already at the coarser one (t = 12).
+    k = ScalarKernel.from_callable(lambda t: float("nan") if t in (1.0, 12.0) else 1.0)
+    f = LatticeFunction.coordinatewise([k, k, k])
+    with pytest.raises(KernelEvalError) as info:
+        integrate(f, interval((20.0, 0.0, 10.0), (21.0, 8.0, 18.0)), ToleranceSchedule(1e-3, 4))
+    assert info.value.atom == 1
+
+
 def test_band_atom_past_the_piece_budget_is_sampled_alone():
     # sin(t) on [0, 1e6] has too many critical points to isolate; its
     # siblings in the band stay exact, each bit for bit its 1-D integral.

@@ -1,4 +1,4 @@
-"""The summation core: rows summed as one block equal the 1-D entry points bit for bit."""
+"""The summation core: a band summed as one block of rows equals its rows summed alone, bit for bit."""
 
 import numpy as np
 import pytest
@@ -33,14 +33,17 @@ def _band(src, lo, hi):
     return k, (rows, ts, vals)
 
 
-@pytest.mark.parametrize("n", [1, 2**10, 2 * CHUNK_CELLS + 2**11])
+@pytest.mark.parametrize("n", [1, 2**12, 2 * CHUNK_CELLS + 2**11])
 def test_uniform_rows_equal_one_row_sums(n):
     # Blocks of many short rows, and long rows in several chunks with
     # critical entries on both sides of a chunk boundary.
     lo = np.array([-1.0, -0.3, 0.5, 0.2, -2.0])
     hi = np.array([1.0, 0.9, 0.5, 1.7, 0.3])
     k, entries = _band("t^3 - t", lo, hi)
-    got = K.darboux_rows(k.program, K.UniformRows(lo, hi, n), entries)
+    e_rows, e_ts, e_vals = entries
+    grid = K.UniformRows(lo, hi, n)
+    assert len(grid) - 1 == len(lo) * n  # cells, counted as for a 1-D grid
+    got = K.darboux_critical(k.program, grid, e_ts, e_vals, e_rows)
     for r in range(len(lo)):
         xs = uniform_grid(lo[r], hi[r], n)
         ts, vals = entries[1][entries[0] == r], entries[2][entries[0] == r]
@@ -49,45 +52,40 @@ def test_uniform_rows_equal_one_row_sums(n):
             one_row = K.darboux_critical(k.program, xs, ts, vals)
         else:
             one_row = K.darboux_endpoint(k.program, xs)
-        assert (got[0, r], got[1, r]) == want == one_row, r
-        assert got[2, r] == got[3, r] == 0.0
+        assert (got[0][r], got[1][r]) == want == one_row, r
 
 
 def test_given_rows_equal_one_row_sums_and_prefixes():
     rng = np.random.default_rng(3)
     xs = np.sort(rng.uniform(-1.0, 1.0, (3, 65)), axis=1)
     prog = ScalarKernel.from_string("abs(t - 0.1)").program
-    got = K.darboux_rows(prog, K.GivenRows(xs), s=4)
+    got = K.darboux_sampled(prog, K.GivenRows(xs), 4)
     for r in range(3):
-        assert tuple(got[:, r]) == K.darboux_sampled(prog, xs[r], 4)
+        assert tuple(x[r] for x in got) == K.darboux_sampled(prog, xs[r], 4)
         pl, pu, wl, wu = K.prefix_sampled(prog, xs[r], 4)
         assert (pl[-1], pu[-1]) == K.darboux_sampled(prog, xs[r], 4)[:2]
 
 
-def test_uniform_cells_match_a_search_of_the_built_row():
+def test_entry_cells_match_a_search_of_the_whole_row():
+    # Each block of a row places a point in the cell a search of the whole
+    # row finds, or outside the block when that cell is in another block.
     rng = np.random.default_rng(7)
     n = 1000
-    lo = np.array([-1.0, 0.0, 1e16, 3.0])
-    hi = np.array([1.0, 1e-300, 1e16 + 64.0, 3.0 + 1e-12])
-    grid = K.UniformRows(lo, hi, n)
-    rows = np.repeat(np.arange(4), 50)
-    built = [uniform_grid(lo[r], hi[r], n) for r in range(4)]
-    # points on the grid, between grid points, and at and beyond the ends
-    ends = [[lo[r], hi[r], lo[r] - 1, hi[r] + 1] for r in range(4)]
-    picks = [(rng.choice(built[r], 30), rng.uniform(lo[r], hi[r], 16), ends[r]) for r in range(4)]
-    ts = np.concatenate([np.concatenate(p) for p in picks])
-    want = np.concatenate(
-        [np.searchsorted(built[r], ts[rows == r], side="right") - 1 for r in range(4)]
-    )
-    want = np.clip(want, 0, n - 1)
-    assert np.array_equal(grid.cells(rows, ts), want)
-    assert np.array_equal(K.GivenRows(np.array(built)).cells(rows, ts), want)
+    for lo, hi in [(-1.0, 1.0), (0.0, 1e-300), (1e16, 1e16 + 64.0), (3.0, 3.0 + 1e-12)]:
+        row = uniform_grid(lo, hi, n)  # repeated points in the last three
+        ts = np.concatenate([rng.choice(row, 30), rng.uniform(lo, hi, 16), [lo, hi, lo - 1, hi + 1]])
+        want = np.clip(np.searchsorted(row, ts, side="right") - 1, 0, n - 1)
+        for c0, c1 in [(0, n), (0, 300), (300, 700), (700, n)]:
+            got = K._entry_cells(row[None, c0 : c1 + 1], ts, [0, len(ts)], c0 == 0, c1 == n)
+            inside = (want >= c0) & (want < c1)
+            assert np.array_equal(got[inside], want[inside] - c0)
+            assert not ((got[~inside] >= 0) & (got[~inside] < c1 - c0)).any()
 
 
 def test_non_finite_value_names_its_row():
     prog = ScalarKernel.from_string("log(t)").program
     grid = K.UniformRows(np.array([1.0, 2.0, -1.0, -2.0]), np.array([2.0, 3.0, 1.0, 1.0]), 16)
     with pytest.raises(K.RowError) as info:
-        K.darboux_rows(prog, grid)
+        K.darboux_endpoint(prog, grid)
     assert info.value.row == 2
     assert "t=-1.0" in str(info.value)

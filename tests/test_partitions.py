@@ -11,6 +11,7 @@ from ordercalc.partitions import (
     refines,
     tag,
     uniform,
+    uniform_grid,
 )
 
 
@@ -42,6 +43,17 @@ def test_uniform_examples():
     assert all(s == E(0.5, 1.0) for s in steps)
     with pytest.raises(ValueError):
         uniform(UNIT2, 0)
+
+
+def test_uniform_grid_rows_and_stretches_equal_the_whole_grid():
+    # n * ((hi - lo) / n) + lo falls short of hi here; the last point is hi.
+    lo, hi, n = -2.9835689989791114, 1.8951213247291925, 20
+    whole = uniform_grid(lo, hi, n)
+    assert whole[0] == lo and whole[-1] == hi
+    rows = uniform_grid(np.array([lo, 0.0]), np.array([hi, 1.0]), n, 5, n)
+    assert rows.shape == (2, n - 4)
+    assert rows[0].tobytes() == whole[5:].tobytes()
+    assert rows[1].tobytes() == uniform_grid(0.0, 1.0, n)[5:].tobytes()
 
 
 def test_partition_validation():
