@@ -3,11 +3,25 @@
 Every sum runs through ``_sum_cells``, which takes rows of breakpoints (one
 row per atom of a band, all with the same number of cells) and evaluates
 them in blocks of at most ``BLOCK_CELLS`` cells: several whole rows while
-rows are that short, otherwise one stretch of one row at a time.  Each row
-accumulates left to right within a chunk of ``CHUNK_CELLS`` cells, from
-zero, carrying the running sum from block to block, and then over the
-chunk subtotals, so a row's sums are bit for bit the same whether it is
-summed alone or in a block.  The entry points (``darboux_endpoint``,
+rows are that short, otherwise one stretch of one row at a time.  Rows are
+summed in one of two orders, chosen by the kind of grid:
+
+- ``UniformRows`` (every refinement level of ``integrate``): each block's
+  products are summed per row by one pairwise reduction (``np.sum`` over
+  the row), and the block sums are added left to right.  This vectorises,
+  where a running sum cannot, and its rounding-error bound grows with
+  log2(BLOCK_CELLS) plus the number of blocks instead of with the number
+  of cells.
+- ``GivenRows`` and 1-D breakpoint arrays (explicit partitions and every
+  ``prefix_*`` call): each row accumulates left to right within a chunk of
+  ``CHUNK_CELLS`` cells, from zero, carrying the running sum from block to
+  block, and then over the chunk subtotals.  Prefixes are that running sum,
+  and the sequential order makes a cell of zero width (a repeated point)
+  add exactly nothing.
+
+In either order a row's blocks are the same whether it is summed alone or
+in a band (whole short rows, or the same stretches of a long row), so its
+sums are bit for bit the same both ways.  The entry points (``darboux_endpoint``,
 ``darboux_critical``, ``darboux_sampled`` and their ``_fn`` twins for
 callables) sum a whole band, or one row given as a 1-D breakpoint array;
 the ``prefix_*`` entry points give one row's cumulative sums.  Programs are
@@ -148,7 +162,7 @@ def _check_finite(vals: np.ndarray, ts: np.ndarray, row0: int = 0) -> None:
 
 
 def _values(prog: Program | None, ts: np.ndarray, evalf, row0: int) -> np.ndarray:
-    """Kernel values at a block of points whose first row is row ``row0``."""
+    """Kernel values at a block of points whose first row is row ``row0``, unchecked."""
     if evalf is None:
         out = _run(prog, ts)
     else:
@@ -158,7 +172,6 @@ def _values(prog: Program | None, ts: np.ndarray, evalf, row0: int) -> np.ndarra
                 out[r] = np.asarray(evalf(row.ravel()), dtype=np.float64).reshape(row.shape)
             except (ValueError, EvalDomainError) as err:
                 raise RowError(row0 + r, err) from err
-    _check_finite(out, ts, row0)
     return out
 
 
@@ -222,33 +235,44 @@ def _entry_cells(xs: np.ndarray, ts: np.ndarray, starts: list, first: bool, last
 
 
 def _sampled_minmax(prog: Program | None, xs: np.ndarray, s: int, evalf, row0: int):
+    """The sample points, their values and the (2, rows, cells) sampled minima and maxima."""
     a = xs[:, :-1]
     b = xs[:, 1:]
     step = (b - a) / s
     pts = a[..., None] + np.arange(s + 1) * step[..., None]
     fv = _values(prog, pts, evalf, row0)
-    return fv.min(axis=-1), fv.max(axis=-1)
+    return pts, fv, np.array([fv.min(axis=-1), fv.max(axis=-1)])
 
 
 def _sum_cells(
     prog: Program | None, grid, entries=None, s: int = 0, prefixes: bool = False, evalf=None
 ):
-    """Shared chunked accumulation for all Darboux strategies, over every row of ``grid``.
+    """Shared summation for all Darboux strategies, over every row of ``grid``.
 
     ``s == 0`` takes each cell's extrema at its endpoints, folded with the
     ``entries`` (row, t, value), sorted by row, that fall in it; ``s > 0``
     samples ``s`` subintervals per cell.  Cells are evaluated in blocks of
     at most ``BLOCK_CELLS``, several short rows or part of one long row at a
-    time; a chunk's running sums carry over from one block to the next.
-    Returns the row totals as a (2, rows) array (L, U), or the prefixes as
-    a (2, rows, n) array.  ``evalf`` substitutes a callable for the program
-    (callable kernels).
+    time.  The products of a ``UniformRows`` block are summed per row by one
+    pairwise reduction, and the block sums are added to the totals left to
+    right.  Every other grid accumulates left to right within chunks of
+    ``CHUNK_CELLS`` cells, a chunk's running sums carrying over from one
+    block to the next; prefixes need that order, and it makes a repeated
+    point add exactly nothing.  A non-finite kernel value makes its block's
+    L or U non-finite, so the block's values are scanned only then, and the
+    first bad point of the lowest row raises RowError.  Returns the row
+    totals as a (2, rows) array (L, U), or the prefixes as a (2, rows, n)
+    array.  ``evalf`` substitutes a callable for the program (callable
+    kernels).
     """
     rows, n = grid.rows, grid.n
+    pairwise = isinstance(grid, UniformRows) and not prefixes
     i0 = i1 = 0
     if entries is not None and len(entries[1]):
         e_rows, e_ts, e_vals = entries
         e_starts = np.searchsorted(e_rows, np.arange(rows + 1)).tolist()  # of each row's entries
+    else:  # no entries, or an empty list of them
+        entries = None
     totals = np.zeros((2, rows))  # lower and upper
     prefix = np.empty((2, rows, n)) if prefixes else None
     per_block = max(1, BLOCK_CELLS // max(n, 1))
@@ -266,7 +290,7 @@ def _sum_cells(
             c1 = min(c0 + width, n)
             xs = grid.block(r0, r1, c0, c1)
             if s == 0:  # cell minima and maxima, as one (2, rows, cells) array
-                v = _values(prog, xs, evalf, r0)
+                pts, v = xs, _values(prog, xs, evalf, r0)
                 mb = np.empty((2, r1 - r0, c1 - c0))
                 np.minimum(v[:, :-1], v[:, 1:], out=mb[0])
                 np.maximum(v[:, :-1], v[:, 1:], out=mb[1])
@@ -277,15 +301,22 @@ def _sum_cells(
                     np.minimum.at(mb[0], at, b_vals[sel])
                     np.maximum.at(mb[1], at, b_vals[sel])
             else:
-                mb = np.array(_sampled_minmax(prog, xs, s, evalf, r0))
+                pts, v, mb = _sampled_minmax(prog, xs, s, evalf, r0)
             np.multiply(mb, xs[:, 1:] - xs[:, :-1], out=mb)
-            if c0 % CHUNK_CELLS:  # the chunk's sums so far lead this block's
-                mb[:, :, 0] += acc[:, :, -1]
-            acc = np.add.accumulate(mb, axis=2, out=mb)
-            if prefixes:
-                prefix[:, r0:r1, c0:c1] = totals[:, r0:r1, None] + acc
-            if c1 % CHUNK_CELLS == 0 or c1 == n:  # the chunk ends here
-                totals[:, r0:r1] += acc[:, :, -1]
+            if pairwise:
+                sums = mb.sum(axis=2)
+                totals[:, r0:r1] += sums
+            else:
+                if c0 % CHUNK_CELLS:  # the chunk's sums so far lead this block's
+                    mb[:, :, 0] += acc[:, :, -1]
+                acc = np.add.accumulate(mb, axis=2, out=mb)
+                sums = acc[:, :, -1]
+                if prefixes:
+                    prefix[:, r0:r1, c0:c1] = totals[:, r0:r1, None] + acc
+                if c1 % CHUNK_CELLS == 0 or c1 == n:  # the chunk ends here
+                    totals[:, r0:r1] += sums
+            if not np.isfinite(sums).all():
+                _check_finite(v, pts, r0)
 
     return prefix if prefixes else totals
 

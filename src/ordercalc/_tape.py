@@ -44,10 +44,13 @@ _CALL_OPS = {
 
 MAX_STACK = 64
 
-# Cells are processed in fixed-size chunks to bound memory; accumulation is
-# left-to-right within a chunk (from zero) and left-to-right over chunk
-# subtotals.  A row's chunks start at multiples of CHUNK_CELLS whether it is
-# summed alone or with other rows, so its sums do not depend on the block.
+# Given rows (explicit partitions, 1-D breakpoint arrays and every prefix
+# sum) accumulate left to right within chunks of this many cells (from zero)
+# and left to right over the chunk subtotals: prefixes are that running sum,
+# and it makes a repeated point add exactly nothing.  A row's chunks start
+# at multiples of CHUNK_CELLS whether it is summed alone or with other rows,
+# so its sums do not depend on the block.  Uniform levels do not use it:
+# they sum each block pairwise (see _kernels_fallback).
 CHUNK_CELLS = 1 << 18
 
 

@@ -91,7 +91,10 @@ def uniform_grid(lo, hi, n: int, c0: int = 0, c1: int | None = None) -> np.ndarr
     ``lo`` and ``hi`` may be arrays of the same shape, giving one row of
     points per entry.  The integrator builds the grids of its refinement
     levels with this function, a block of rows and cells at a time, so
-    uniform partitions and refinement levels share identical points.
+    uniform partitions and refinement levels share identical points.  Their
+    sums may still differ in the last bits: ``integrate`` sums each block of
+    a level by one pairwise reduction, while ``darboux_sums(f, uniform(...))``
+    sums the partition's given points left to right.
     """
     c1 = n if c1 is None else c1
     lo = np.asarray(lo, dtype=np.float64)[..., None]

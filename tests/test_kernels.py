@@ -1,5 +1,7 @@
 """The summation core: a band summed as one block of rows equals its rows summed alone, bit for bit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from ordercalc.functions import ScalarKernel
 from ordercalc.partitions import uniform_grid
 
 
-def _reference_sums(prog, xs, crit_ts, crit_vals):
-    """The 1-D sums written plainly: whole-row extrema, chunks of CHUNK_CELLS cells."""
+def _products(prog, xs, crit_ts, crit_vals):
+    """Each cell's (min · dx, max · dx) over a whole row: endpoint extrema folded with the entries."""
     n = len(xs) - 1
     v = K.eval_many(prog, xs)
     m, big = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
@@ -18,11 +20,27 @@ def _reference_sums(prog, xs, crit_ts, crit_vals):
     np.minimum.at(m, cells, crit_vals)
     np.maximum.at(big, cells, crit_vals)
     dx = xs[1:] - xs[:-1]
+    return m * dx, big * dx
+
+
+def _reference_sums(prog, xs, crit_ts, crit_vals):
+    """The given-rows order written plainly: left to right in chunks of CHUNK_CELLS cells."""
+    m, big = _products(prog, xs, crit_ts, crit_vals)
     lo = up = 0.0
-    for c0 in range(0, n, CHUNK_CELLS):
+    for c0 in range(0, len(m), CHUNK_CELLS):
         chunk = slice(c0, c0 + CHUNK_CELLS)
-        lo = lo + np.add.accumulate(m[chunk] * dx[chunk])[-1]
-        up = up + np.add.accumulate(big[chunk] * dx[chunk])[-1]
+        lo = lo + np.add.accumulate(m[chunk])[-1]
+        up = up + np.add.accumulate(big[chunk])[-1]
+    return float(lo), float(up)
+
+
+def _pairwise_reference(prog, xs, crit_ts, crit_vals):
+    """The uniform-rows order written plainly: one reduction per BLOCK_CELLS stretch, added left to right."""
+    m, big = _products(prog, xs, crit_ts, crit_vals)
+    lo = up = 0.0
+    for c0 in range(0, len(m), K.BLOCK_CELLS):
+        lo = lo + np.add.reduce(m[c0 : c0 + K.BLOCK_CELLS])
+        up = up + np.add.reduce(big[c0 : c0 + K.BLOCK_CELLS])
     return float(lo), float(up)
 
 
@@ -33,10 +51,10 @@ def _band(src, lo, hi):
     return k, (rows, ts, vals)
 
 
-@pytest.mark.parametrize("n", [1, 2**12, 2 * CHUNK_CELLS + 2**11])
+@pytest.mark.parametrize("n", [1, 2**12, 2**13 + 5, 2 * CHUNK_CELLS + 2**11])
 def test_uniform_rows_equal_one_row_sums(n):
-    # Blocks of many short rows, and long rows in several chunks with
-    # critical entries on both sides of a chunk boundary.
+    # Blocks of many short rows, and long rows in several blocks and chunks
+    # with critical entries on both sides of a block and a chunk boundary.
     lo = np.array([-1.0, -0.3, 0.5, 0.2, -2.0])
     hi = np.array([1.0, 0.9, 0.5, 1.7, 0.3])
     k, entries = _band("t^3 - t", lo, hi)
@@ -46,13 +64,49 @@ def test_uniform_rows_equal_one_row_sums(n):
     got = K.darboux_critical(k.program, grid, e_ts, e_vals, e_rows)
     for r in range(len(lo)):
         xs = uniform_grid(lo[r], hi[r], n)
-        ts, vals = entries[1][entries[0] == r], entries[2][entries[0] == r]
-        want = _reference_sums(k.program, xs, ts, vals)
+        sel = e_rows == r
+        ts, vals = e_ts[sel], e_vals[sel]
+        alone = K.darboux_critical(
+            k.program, K.UniformRows(lo[r : r + 1], hi[r : r + 1], n), ts, vals, np.zeros(len(ts), int)
+        )
+        assert (got[0][r], got[1][r]) == _pairwise_reference(k.program, xs, ts, vals), r
+        assert (got[0][r], got[1][r]) == (alone[0][0], alone[1][0]), r
+        # A 1-D grid is given rows, summed left to right.
         if len(ts):
             one_row = K.darboux_critical(k.program, xs, ts, vals)
         else:
             one_row = K.darboux_endpoint(k.program, xs)
-        assert (got[0][r], got[1][r]) == want == one_row, r
+        assert one_row == _reference_sums(k.program, xs, ts, vals), r
+
+
+@pytest.mark.parametrize("n", [1, 4096, 2**13 + 5, 2 * CHUNK_CELLS + 2**11])
+def test_uniform_level_sums_within_the_sequential_error_bound(n):
+    # |sum - fsum| <= gamma_{n-1} * sum |m_k dx_k|, the bound of a left-to-right sum.
+    u = 2.0**-53
+    gamma = (n - 1) * u / (1 - (n - 1) * u)
+    lo = np.array([-1.0, -0.3, 0.2, -2.0, 0.7])
+    hi = np.array([1.0, 0.9, 1.7, 0.3, 3.1])
+    for src in ["t^3 - t", "sin(3*t) + exp(t)"]:
+        k, (e_rows, e_ts, e_vals) = _band(src, lo, hi)
+        got = K.darboux_critical(k.program, K.UniformRows(lo, hi, n), e_ts, e_vals, e_rows)
+        for r in range(len(lo)):
+            sel = e_rows == r
+            xs = uniform_grid(lo[r], hi[r], n)
+            for side, prods in enumerate(_products(k.program, xs, e_ts[sel], e_vals[sel])):
+                bound = gamma * math.fsum(np.abs(prods))
+                assert abs(got[side][r] - math.fsum(prods)) <= bound, (src, r, side)
+
+
+def test_empty_entries_sum_as_no_entries():
+    prog = ScalarKernel.from_string("t^3 - t").program
+    xs = uniform_grid(-1.0, 1.0, 100)
+    assert K.darboux_critical(prog, xs, [], []) == K.darboux_endpoint(prog, xs)
+    for got, want in zip(K.prefix_critical(prog, xs, [], []), K.prefix_endpoint(prog, xs)):
+        assert np.array_equal(got, want)
+    lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.5, 2.0])
+    for grid in (K.UniformRows(lo, hi, 100), K.GivenRows(uniform_grid(lo, hi, 100))):
+        got = K.darboux_critical(prog, grid, [], [], np.empty(0, dtype=np.int64))
+        assert np.array_equal(got, K.darboux_endpoint(prog, grid))
 
 
 def test_given_rows_equal_one_row_sums_and_prefixes():
@@ -82,10 +136,31 @@ def test_entry_cells_match_a_search_of_the_whole_row():
             assert not ((got[~inside] >= 0) & (got[~inside] < c1 - c0)).any()
 
 
+C1 = 1.0 + 100 / 8192  # grid points of [0, 3] and [C1 - 0.5, C1 + 2.5] at 3 * 2^13 cells
+C2 = 1.0 + 200 / 8192
+
+
 def test_non_finite_value_names_its_row():
-    prog = ScalarKernel.from_string("log(t)").program
-    grid = K.UniformRows(np.array([1.0, 2.0, -1.0, -2.0]), np.array([2.0, 3.0, 1.0, 1.0]), 16)
-    with pytest.raises(K.RowError) as info:
-        K.darboux_endpoint(prog, grid)
-    assert info.value.row == 2
-    assert "t=-1.0" in str(info.value)
+    # Values are scanned only when a block's L or U is not finite; the
+    # first bad point of the lowest bad row is still the one named.
+    cases = [  # (kernel, lo, hi, cells, row, t, sampled)
+        # A block of short rows whose third row and a later one are bad.
+        ("log(t)", [1.0, 2.0, -1.0, -2.0], [2.0, 3.0, 1.0, 1.0], 16, 2, -1.0, False),
+        # 1/t is +inf at the grid point 0.0 of rows 2 and 3.
+        ("1/t", [1.0, 2.0, -1.0, -3.0], [2.0, 3.0, 1.0, 1.0], 16, 2, 0.0, False),
+        # NaN·0 on a zero-width row, by endpoints and by sampling.
+        ("log(t)", [1.0, -1.0, -1.0], [2.0, -1.0, 1.0], 16, 1, -1.0, False),
+        ("log(t)", [1.0, -1.0, -1.0], [2.0, -1.0, 1.0], 16, 1, -1.0, True),
+        # Long rows: row 1 is bad at C1 and C2 in its second block, row 2 in its first.
+        ("1/((t - C1)*(t - C2))", [5.0, 0.0, C1 - 0.5], [8.0, 3.0, C1 + 2.5], 3 * 8192, 1, C1, False),
+    ]
+    for src, lo, hi, n, row, t, sampled in cases:
+        prog = ScalarKernel.from_string(src.replace("C1", repr(C1)).replace("C2", repr(C2))).program
+        grid = K.UniformRows(np.array(lo), np.array(hi), n)
+        with pytest.raises(K.RowError) as info:
+            if sampled:
+                K.darboux_sampled(prog, grid, 4)
+            else:
+                K.darboux_endpoint(prog, grid)
+        assert info.value.row == row, src
+        assert f"t={t!r}" in str(info.value), src
