@@ -21,12 +21,11 @@ summed in one of two orders, chosen by the kind of grid:
 
 In either order a row's blocks are the same whether it is summed alone or
 in a band (whole short rows, or the same stretches of a long row), so its
-sums are bit for bit the same both ways.  The entry points (``darboux_endpoint``,
-``darboux_critical``, ``darboux_sampled`` and their ``_fn`` twins for
-callables) sum a whole band, or one row given as a 1-D breakpoint array;
-the ``prefix_*`` entry points give one row's cumulative sums.  Programs are
-evaluated with the same binary-exponentiation sequence for ``^`` as the
-scalar evaluator.
+sums are bit for bit the same both ways.  The entry points (``darboux_*``
+for sums, ``prefix_*`` for cumulative sums, and the ``_fn`` twins of both
+for callables) sum a whole band, or one row given as a 1-D breakpoint
+array.  Programs are evaluated with the same binary-exponentiation sequence
+for ``^`` as the scalar evaluator.
 """
 
 from __future__ import annotations
@@ -244,9 +243,7 @@ def _sampled_minmax(prog: Program | None, xs: np.ndarray, s: int, evalf, row0: i
     return pts, fv, np.array([fv.min(axis=-1), fv.max(axis=-1)])
 
 
-def _sum_cells(
-    prog: Program | None, grid, entries=None, s: int = 0, prefixes: bool = False, evalf=None
-):
+def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None, evalf=None):
     """Shared summation for all Darboux strategies, over every row of ``grid``.
 
     ``s == 0`` takes each cell's extrema at its endpoints, folded with the
@@ -258,15 +255,16 @@ def _sum_cells(
     right.  Every other grid accumulates left to right within chunks of
     ``CHUNK_CELLS`` cells, a chunk's running sums carrying over from one
     block to the next; prefixes need that order, and it makes a repeated
-    point add exactly nothing.  A non-finite kernel value makes its block's
-    L or U non-finite, so the block's values are scanned only then, and the
-    first bad point of the lowest row raises RowError.  Returns the row
-    totals as a (2, rows) array (L, U), or the prefixes as a (2, rows, n)
-    array.  ``evalf`` substitutes a callable for the program (callable
-    kernels).
+    point add exactly nothing.  A non-finite kernel value or an overflowing
+    product makes its block's L or U non-finite, so the block is examined
+    only then, and its lowest such row raises RowError (see ``_non_finite``).
+    Returns the row totals as a (2, rows) array (L, U); a (2, rows, n)
+    ``prefix`` array, when given, receives each row's running sums, the
+    last of which is its total.  ``evalf`` substitutes a callable for the
+    program (callable kernels).  A grid of zero cells sums to 0.
     """
     rows, n = grid.rows, grid.n
-    pairwise = isinstance(grid, UniformRows) and not prefixes
+    pairwise = isinstance(grid, UniformRows) and prefix is None
     i0 = i1 = 0
     if entries is not None and len(entries[1]):
         e_rows, e_ts, e_vals = entries
@@ -274,9 +272,8 @@ def _sum_cells(
     else:  # no entries, or an empty list of them
         entries = None
     totals = np.zeros((2, rows))  # lower and upper
-    prefix = np.empty((2, rows, n)) if prefixes else None
     per_block = max(1, BLOCK_CELLS // max(n, 1))
-    width = min(n, BLOCK_CELLS)
+    width = max(1, min(n, BLOCK_CELLS))  # with no cells, no blocks
 
     for r0 in range(0, rows, per_block):
         r1 = min(r0 + per_block, rows)
@@ -311,25 +308,42 @@ def _sum_cells(
                     mb[:, :, 0] += acc[:, :, -1]
                 acc = np.add.accumulate(mb, axis=2, out=mb)
                 sums = acc[:, :, -1]
-                if prefixes:
+                if prefix is not None:
                     prefix[:, r0:r1, c0:c1] = totals[:, r0:r1, None] + acc
                 if c1 % CHUNK_CELLS == 0 or c1 == n:  # the chunk ends here
                     totals[:, r0:r1] += sums
             if not np.isfinite(sums).all():
-                _check_finite(v, pts, r0)
+                _non_finite(sums, v, pts, mb, xs, pairwise, r0)
 
-    return prefix if prefixes else totals
+    return totals
 
 
-def _sampled(prog: Program | None, grid, s: int, evalf=None):
+def _non_finite(sums, v, pts, mb, xs, pairwise: bool, r0: int):
+    """Raise RowError for the lowest row of a block whose L or U is not finite.
+
+    Names the row's first non-finite value (``v`` at ``pts``), or else the
+    first cell at which the running sum of its products m·Δx (``mb``, or
+    already their running sums unless ``pairwise``) overflowed.
+    """
+    r = int(np.argmax(~np.isfinite(sums).all(axis=0)))
+    _check_finite(v[r : r + 1], pts[r : r + 1], r0 + r)
+    running = np.add.accumulate(mb[:, r], axis=1) if pairwise else mb[:, r]
+    k = int(np.argmax(~np.isfinite(running).all(axis=0)))
+    a, b = float(xs[r, k]), float(xs[r, k + 1])
+    message = f"the products m·Δx overflowed: their sum is not finite at the cell [{a!r}, {b!r}]"
+    raise RowError(r0 + r, OverflowError(message))
+
+
+def _sampled(prog: Program | None, grid, s: int, evalf=None, prefix=None):
     """The sums at 2s subintervals per cell, and |difference| from those at s.
 
-    When both passes fail, the error of the lower row is raised.
+    ``prefix``, when given, receives the running sums of the 2s pass.  When
+    both passes fail, the error of the lower row is raised.
     """
     passes = []
-    for k in (s, 2 * s):
+    for k, out in ((s, None), (2 * s, prefix)):
         try:
-            passes.append(_sum_cells(prog, grid, s=k, evalf=evalf))
+            passes.append(_sum_cells(prog, grid, s=k, prefix=out, evalf=evalf))
         except RowError as err:
             passes.append(err)
     errors = [p for p in passes if isinstance(p, RowError)]
@@ -339,9 +353,11 @@ def _sampled(prog: Program | None, grid, s: int, evalf=None):
     return l2, u2, np.abs(l2 - l1), np.abs(u2 - u1)
 
 
-# Entry points.  ``xs`` is a 1-D breakpoint array, giving a float per sum,
-# or a band grid (``GivenRows`` or ``UniformRows``), giving each sum as an
-# array with one entry per row; a failure raises RowError naming its row.
+# Entry points.  ``xs`` is a 1-D breakpoint array, giving a float per sum
+# and an array per prefix, or a band grid (``GivenRows`` or ``UniformRows``),
+# giving each with a leading axis of rows; a failure raises RowError naming
+# its row.  The first pass of a sampled prefix, which sets its widening,
+# sums a ``UniformRows`` pairwise.
 
 def _rows(xs) -> _Rows:
     if isinstance(xs, _Rows):
@@ -349,8 +365,11 @@ def _rows(xs) -> _Rows:
     return GivenRows(np.asarray(xs, dtype=np.float64)[None, :])
 
 
-def _result(xs, sums):
-    return sums if isinstance(xs, _Rows) else tuple([float(x[0]) for x in sums])
+def _result(xs, parts):
+    """``parts`` as they are for a band grid; for a 1-D grid, row 0 of each, a sum as a float."""
+    if isinstance(xs, _Rows):
+        return parts
+    return tuple([float(p[0]) if p.ndim == 1 else p[0] for p in parts])
 
 
 def _entries(crit_ts, crit_vals, crit_rows):
@@ -358,6 +377,16 @@ def _entries(crit_ts, crit_vals, crit_rows):
     if crit_rows is None:
         crit_rows = np.zeros(len(crit_ts), dtype=np.int64)
     return crit_rows, crit_ts, np.asarray(crit_vals, dtype=np.float64)
+
+
+def _prefixes(prog: Program | None, xs, entries=None, s: int = 0, evalf=None):
+    grid = _rows(xs)
+    prefix = np.empty((2, grid.rows, grid.n))
+    if s == 0:
+        _sum_cells(prog, grid, entries, prefix=prefix, evalf=evalf)
+        return _result(xs, prefix)
+    _, _, wl, wu = _sampled(prog, grid, s, evalf, prefix)
+    return _result(xs, (prefix[0], prefix[1], wl, wu))
 
 
 def darboux_endpoint(prog: Program, xs):
@@ -383,27 +412,19 @@ def darboux_sampled(prog: Program, xs, s: int):
     return _result(xs, _sampled(prog, _rows(xs), s))
 
 
-def _prefix_sampled(prog: Program | None, xs, s: int, evalf):
-    (l1,), (u1,) = _sum_cells(prog, _rows(xs), s=s, evalf=evalf)
-    (pl,), (pu,) = _sum_cells(prog, _rows(xs), s=2 * s, prefixes=True, evalf=evalf)
-    wl = abs(float(pl[-1]) - float(l1)) if len(pl) else 0.0
-    wu = abs(float(pu[-1]) - float(u1)) if len(pu) else 0.0
-    return pl, pu, wl, wu
+def prefix_endpoint(prog: Program, xs):
+    """Running lower/upper sums of ``darboux_endpoint``, one per cell."""
+    return _prefixes(prog, xs)
 
 
-def prefix_endpoint(prog: Program, xs: np.ndarray):
-    (pl,), (pu,) = _sum_cells(prog, _rows(xs), prefixes=True)
-    return pl, pu
+def prefix_critical(prog: Program, xs, crit_ts, crit_vals, crit_rows=None):
+    """Running lower/upper sums of ``darboux_critical``, one per cell."""
+    return _prefixes(prog, xs, _entries(crit_ts, crit_vals, crit_rows))
 
 
-def prefix_critical(prog: Program, xs: np.ndarray, crit_ts, crit_vals):
-    entries = _entries(crit_ts, crit_vals, None)
-    (pl,), (pu,) = _sum_cells(prog, _rows(xs), entries, prefixes=True)
-    return pl, pu
-
-
-def prefix_sampled(prog: Program, xs: np.ndarray, s: int):
-    return _prefix_sampled(prog, xs, s, None)
+def prefix_sampled(prog: Program, xs, s: int):
+    """Running lower/upper sums of the 2s pass of ``darboux_sampled``, and its widenings."""
+    return _prefixes(prog, xs, s=s)
 
 
 # Callable-kernel variants: same shapes, ``evalf`` instead of a program.
@@ -417,9 +438,8 @@ def darboux_sampled_fn(evalf, xs, s: int):
 
 
 def prefix_endpoint_fn(evalf, xs):
-    (pl,), (pu,) = _sum_cells(None, _rows(xs), prefixes=True, evalf=evalf)
-    return pl, pu
+    return _prefixes(None, xs, evalf=evalf)
 
 
 def prefix_sampled_fn(evalf, xs, s: int):
-    return _prefix_sampled(None, xs, s, evalf)
+    return _prefixes(None, xs, s=s, evalf=evalf)

@@ -12,8 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functions import LatticeFunction, ScalarKernel
-from .integrate import ToleranceSchedule, integrate, signed_integrate
+from ._kernels_fallback import GivenRows
+from .expr import EvalDomainError
+from .functions import KernelEvalError, LatticeFunction, ScalarKernel
+from .integrate import ToleranceSchedule, _each, _make_bands, integrate, signed_integrate
 from .lattice import Element, OrderInterval
 from .partitions import uniform_grid
 
@@ -127,52 +129,31 @@ def numeric_derivative(
 # Antiderivative with memoized cumulative grids
 # --------------------------------------------------------------------------
 
+@dataclass
 class _CumulativeGrid:
-    """Per-atom cumulative Darboux prefixes over a fixed dyadic grid.
+    """Row ``row`` of ``band``: its cumulative Darboux prefixes over its closing dyadic grid.
 
-    Built once to the depth at which the full-interval bracket closes
-    relative to the schedule; afterwards queries are read-only.  A query at
-    x adds the partial cell [x_j, x] to the cell prefix, so differences of
-    nearby queries share prefixes and their grid errors cancel.
+    ``xs`` is the grid of the depth at which the atom's full-interval
+    bracket closed, with the running lower and upper sums over its cells
+    and the sampled widenings.  Queries are read-only.  A query at x adds
+    the partial cell [x_j, x] to the cell prefix, so differences of nearby
+    queries share prefixes and their grid errors cancel.  A zero-width atom
+    holds no grid and reads 0.
     """
 
-    def __init__(self, task, sched: ToleranceSchedule):
-        self.task = task
-        self.sched = sched
-        self.depth = 0
-        self.xs = None
-        self.pref_l = None
-        self.pref_u = None
-        self.widen_l = 0.0
-        self.widen_u = 0.0
-        self._build()
-
-    def _build(self) -> None:
-        task, sched = self.task, self.sched
-        if task.hi <= task.lo:
-            self.xs = np.array([task.lo, task.hi])
-            self.pref_l = np.zeros(1)
-            self.pref_u = np.zeros(1)
-            return
-        depth = min(8, sched.max_depth)
-        while True:
-            xs = uniform_grid(task.lo, task.hi, 1 << depth)
-            pl, pu, wl, wu = task.prefix_sums(xs)
-            full_l = pl[-1] - wl
-            full_u = pu[-1] + wu
-            mid = 0.5 * (pl[-1] + pu[-1])
-            if (full_u - full_l) <= sched.tol * (1.0 + abs(mid)) or depth >= sched.max_depth:
-                self.depth = depth
-                self.xs, self.pref_l, self.pref_u = xs, pl, pu
-                self.widen_l, self.widen_u = wl, wu
-                return
-            depth += 2
+    band: object
+    row: int
+    xs: np.ndarray | None = None
+    pref_l: np.ndarray | None = None
+    pref_u: np.ndarray | None = None
+    widen_l: float = 0.0
+    widen_u: float = 0.0
 
     def bracket(self, x: float) -> tuple[float, float]:
-        task = self.task
-        if not (task.lo <= x <= task.hi):
+        lo, hi = self.band.lo[self.row], self.band.hi[self.row]
+        if not (lo <= x <= hi):
             raise ValueError(f"antiderivative queried outside its interval: {x!r}")
-        if task.hi <= task.lo:
+        if hi <= lo:
             return 0.0, 0.0
         xs = self.xs
         j = int(np.searchsorted(xs, x, side="right")) - 1
@@ -180,7 +161,7 @@ class _CumulativeGrid:
         base_l = self.pref_l[j - 1] if j > 0 else 0.0
         base_u = self.pref_u[j - 1] if j > 0 else 0.0
         if x > xs[j]:
-            m, big = self.task.cell_extrema(xs[j], x)
+            m, big = self.band.cell_extrema(self.row, xs[j], x)
             dx = x - xs[j]
             base_l += m * dx
             base_u += big * dx
@@ -191,6 +172,34 @@ class _CumulativeGrid:
         return 0.5 * (lo + hi)
 
 
+def _band_grids(band, sched: ToleranceSchedule) -> list[_CumulativeGrid]:
+    """The cumulative grids of a band's atoms, in row order.
+
+    The open rows are summed together at depths min(8, max_depth), +2, and
+    so on; a row closes at the first depth where its full bracket satisfies
+    gap <= tol*(1+|mid|), or at max_depth.
+    """
+    grids = [_CumulativeGrid(band, r) for r in range(len(band.atoms))]  # kept if zero-width
+    rows = np.flatnonzero(band.hi > band.lo)
+    depth = min(8, sched.max_depth)
+    while len(rows):
+        xs = uniform_grid(band.lo[rows], band.hi[rows], 1 << depth)
+        pl, pu, wl, wu = band.prefixes(rows, GivenRows(xs))
+        mid = 0.5 * (pl[:, -1] + pu[:, -1])
+        gap = (pu[:, -1] + wu) - (pl[:, -1] - wl)
+        shut = (gap <= sched.tol * (1.0 + np.abs(mid))) | (depth >= sched.max_depth)
+        # A closed row is copied out unless every open row closes, so that
+        # it does not keep the rows still open alive.
+        keep = np.asarray if shut.all() else np.copy
+        for i in np.flatnonzero(shut):
+            r, w = int(rows[i]), (float(wl[i]), float(wu[i]))
+            grids[r] = _CumulativeGrid(band, r, keep(xs[i]), keep(pl[i]), keep(pu[i]), *w)
+        rows = rows[~shut]
+        del xs, pl, pu  # before the next, four times larger, pass
+        depth += 2
+    return grids
+
+
 def antiderivative(
     f: LatticeFunction,
     interval: OrderInterval,
@@ -198,16 +207,19 @@ def antiderivative(
 ) -> LatticeFunction:
     """F with F(x) giving the integral of f over [lo, x], as a function.
 
-    Backed by per-atom cumulative grids built once at the schedule's
-    resolution; evaluation anywhere in the interval is then cheap and
-    read-only (safe to share across threads).
+    Backed by per-atom cumulative grids, built band by band (the atoms that
+    share a kernel, as in ``integrate``) at the schedule's resolution;
+    evaluation anywhere in the interval is then cheap and read-only (safe
+    to share across threads).  A kernel that fails raises KernelEvalError
+    naming the lowest atom at fault, as ``integrate`` does.
     """
-    from .integrate import _make_tasks
-
     _require_coordinatewise(f, "antiderivative")
     sched = sched or _DEFAULT_SCHED
-    tasks = _make_tasks(f, interval)
-    grids = [_CumulativeGrid(t, sched) for t in tasks]
+    bands = _make_bands(f, interval.lo.data, interval.hi.data)
+    grids: list = [None] * f.dim
+    for band, band_grids in zip(bands, _each(lambda band: _band_grids(band, sched), bands)):
+        for atom, grid in zip(band.atoms, band_grids):
+            grids[atom] = grid
     kernels = [
         ScalarKernel.from_callable(g.value, label=f"antiderivative[{i}]")
         for i, g in enumerate(grids)
@@ -250,15 +262,22 @@ def mvt_integral_solve(
         def g(t: float) -> float:
             return slope * kernel.eval(t) - target
 
-        c[i] = _bisect_root(g, lo, hi, tol, atom=i)
+        def g_many(ts: np.ndarray) -> np.ndarray:
+            return slope * kernel.eval_many(ts) - target
+
+        c[i] = _bisect_root(g, g_many, lo, hi, tol, atom=i)
     return Element(c)
 
 
-def _bisect_root(g, lo: float, hi: float, tol: float, atom: int) -> float:
+def _bisect_root(g, g_many, lo: float, hi: float, tol: float, atom: int) -> float:
+    """A root of ``g`` in [lo, hi]: scan with ``g_many``, then bisect with ``g``."""
     points = _MVT_SCAN_START
     while True:
         ts = np.linspace(lo, hi, points)
-        vals = np.array([g(t) for t in ts])
+        try:
+            vals = g_many(ts)
+        except (ValueError, EvalDomainError) as err:
+            raise KernelEvalError(atom, err) from err
         if np.all(vals == 0.0):
             return 0.5 * (lo + hi)
         hit = np.flatnonzero(vals == 0.0)

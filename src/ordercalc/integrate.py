@@ -18,13 +18,13 @@ difference, and the result records that provenance.  A kernel unbounded
 near a point of its interval raises ``KernelEvalError`` naming the point and
 the lowest atom at fault, as if the atoms ran one by one.  Non-integrable
 demo maps report ``converged=False`` with a stalling gap instead of
-raising.
+raising.  Bands run one after another: a level's blocks (at most 2^13
+cells) are too small for threads to pay for themselves.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,11 +110,12 @@ class _Band:
     """The atoms whose kernel is one ScalarKernel object, summed by one strategy.
 
     The atoms of a band are refined together, as one block of rows with a
-    row per atom.  A band that is not sampled folds the certified (row, t,
-    value) entries of its atoms' critical points into the cells that hold
-    them; a sampled band (callables, abs/min/max expressions, and atoms
-    whose isolation gave up) widens each bracket by the measured
-    two-resolution difference.
+    row per atom, for the sums of ``integrate`` and the prefixes of an
+    antiderivative alike; both go through one strategy dispatch.  A band
+    that is not sampled folds the certified (row, t, value) entries of its
+    atoms' critical points into the cells that hold them; a sampled band
+    (callables, abs/min/max expressions, and atoms whose isolation gave up)
+    widens each bracket by the measured two-resolution difference.
     """
 
     def __init__(self, kernel: ScalarKernel, atoms, lo, hi, sampled: bool, entries=None):
@@ -127,24 +128,36 @@ class _Band:
 
     def sums(self, rows: np.ndarray, grid, s: int = _SAMPLE_BASE) -> np.ndarray:
         """Rows L, U, widen_L and widen_U for the band's ``rows`` over ``grid``."""
+        out = np.zeros((4, len(rows)))  # the widenings stay 0 unless sampled
+        found = self._run(rows, grid, s, cumulative=False)
+        out[: len(found)] = found
+        return out
+
+    def prefixes(self, rows: np.ndarray, grid: _kernels.GivenRows):
+        """Running L and U per cell of ``rows`` over ``grid``, and the rows' widen_L and widen_U."""
+        found = self._run(rows, grid, _SAMPLE_BASE, cumulative=True)
+        widen = found[2:] if self.sampled else np.zeros((2, len(rows)))
+        return found[0], found[1], widen[0], widen[1]
+
+    def _run(self, rows: np.ndarray, grid, s: int, cumulative: bool):
+        """The kernel entry point of the band's strategy: sums, or prefixes if ``cumulative``."""
+        K = _kernels
         prog = self.kernel.program
         evalf = self.kernel.eval_many
-        out = np.zeros((4, len(rows)))  # the widenings stay 0 unless sampled
         try:
             if self.sampled and prog is None:
-                out[:] = _kernels.darboux_sampled_fn(evalf, grid, s)
-            elif self.sampled:
-                out[:] = _kernels.darboux_sampled(prog, grid, s)
-            elif prog is None:
-                out[:2] = _kernels.darboux_endpoint_fn(evalf, grid)
-            elif (entries := self._entries(rows)) is None:
-                out[:2] = _kernels.darboux_endpoint(prog, grid)
-            else:
-                e_rows, ts, vals = entries
-                out[:2] = _kernels.darboux_critical(prog, grid, ts, vals, e_rows)
-        except _kernels.RowError as err:
+                return (K.prefix_sampled_fn if cumulative else K.darboux_sampled_fn)(evalf, grid, s)
+            if self.sampled:
+                return (K.prefix_sampled if cumulative else K.darboux_sampled)(prog, grid, s)
+            if prog is None:
+                return (K.prefix_endpoint_fn if cumulative else K.darboux_endpoint_fn)(evalf, grid)
+            if (entries := self._entries(rows)) is None:
+                return (K.prefix_endpoint if cumulative else K.darboux_endpoint)(prog, grid)
+            e_rows, ts, vals = entries
+            entry = K.prefix_critical if cumulative else K.darboux_critical
+            return entry(prog, grid, ts, vals, e_rows)
+        except K.RowError as err:
             raise KernelEvalError(int(self.atoms[rows[err.row]]), err.cause) from err.cause
-        return out
 
     def level(self, rows: np.ndarray, n: int):
         """Level sums of ``rows`` over n uniform cells each."""
@@ -160,16 +173,23 @@ class _Band:
             e_rows, ts, vals = np.searchsorted(rows, e_rows[keep]), ts[keep], vals[keep]
         return (e_rows, ts, vals) if len(ts) else None
 
-    def tasks(self) -> list["_AtomTask"]:
-        out = []
-        for r, atom in enumerate(self.atoms):
-            ts = vals = np.empty(0)
+    def cell_extrema(self, row: int, a: float, b: float) -> tuple[float, float]:
+        """Extrema of row ``row`` over the (sub)cell [a, b], a < b, by the band's strategy."""
+        kernel = self.kernel
+        try:
+            va, vb = kernel.eval(a), kernel.eval(b)
+            m, big = min(va, vb), max(va, vb)
             if self.entries is not None:
-                sel = self.entries[0] == r
-                ts, vals = self.entries[1][sel], self.entries[2][sel]
-            lo, hi = float(self.lo[r]), float(self.hi[r])
-            out.append(_AtomTask(int(atom), self.kernel, lo, hi, self.sampled, ts, vals))
-        return out
+                e_rows, ts, vals = self.entries
+                inside = vals[(e_rows == row) & (ts >= a) & (ts <= b)]
+                if len(inside):
+                    m, big = min(m, float(inside.min())), max(big, float(inside.max()))
+            elif self.sampled:
+                vals = kernel.eval_many(np.linspace(a, b, 2 * _SAMPLE_BASE + 1))
+                m, big = min(m, vals.min()), max(big, vals.max())
+            return m, big
+        except (ValueError, EvalDomainError) as err:
+            raise KernelEvalError(int(self.atoms[row]), err) from err
 
 
 def _make_bands(f: LatticeFunction, lo: np.ndarray, hi: np.ndarray) -> list[_Band]:
@@ -207,7 +227,7 @@ def _kernel_bands(kernel: ScalarKernel, atoms: list[int], lo, hi) -> list[_Band]
     return bands
 
 
-def _each(fn, items, pool: ThreadPoolExecutor | None = None) -> list:
+def _each(fn, items) -> list:
     """``fn`` over ``items``, in order.
 
     Where calls raise KernelEvalError, the error of the lowest atom is
@@ -220,79 +240,11 @@ def _each(fn, items, pool: ThreadPoolExecutor | None = None) -> list:
         except KernelEvalError as err:
             return err
 
-    out = list(pool.map(call, items)) if pool is not None else [call(item) for item in items]
+    out = [call(item) for item in items]
     errors = [r for r in out if isinstance(r, KernelEvalError)]
     if errors:
         raise min(errors, key=lambda err: err.atom)
     return out
-
-
-class _AtomTask:
-    """One atom of a band, for the per-atom work of an antiderivative.
-
-    Holds its band's certified (t, value) entries for this atom; prefix
-    sums and the extrema of a partial cell are computed atom by atom.
-    """
-
-    def __init__(self, atom: int, kernel: ScalarKernel, lo, hi, sampled: bool, crit_ts, crit_vals):
-        self.atom = atom
-        self.kernel = kernel
-        self.lo = lo
-        self.hi = hi
-        self.sampled = sampled
-        self.prog = kernel.program
-        self.crit_ts = crit_ts
-        self.crit_vals = crit_vals
-
-    def _wrap(self, err: Exception):
-        raise KernelEvalError(self.atom, err) from err
-
-    def prefix_sums(self, xs: np.ndarray):
-        """Cumulative (lower, upper, widen_L, widen_U) per cell."""
-        try:
-            if self.prog is None:
-                evalf = self.kernel.eval_many
-                if self.sampled:
-                    return _kernels.prefix_sampled_fn(evalf, xs, _SAMPLE_BASE)
-                pl, pu = _kernels.prefix_endpoint_fn(evalf, xs)
-                return pl, pu, 0.0, 0.0
-            if self.sampled:
-                return _kernels.prefix_sampled(self.prog, xs, _SAMPLE_BASE)
-            if len(self.crit_ts):
-                pl, pu = _kernels.prefix_critical(self.prog, xs, self.crit_ts, self.crit_vals)
-            else:
-                pl, pu = _kernels.prefix_endpoint(self.prog, xs)
-            return pl, pu, 0.0, 0.0
-        except (ValueError, EvalDomainError) as err:
-            self._wrap(err)
-
-    def cell_extrema(self, a: float, b: float) -> tuple[float, float]:
-        """Extrema over one (sub)cell, by this atom's strategy."""
-        try:
-            if b <= a:
-                v = self.kernel.eval(a)
-                return v, v
-            va, vb = self.kernel.eval(a), self.kernel.eval(b)
-            m, big = min(va, vb), max(va, vb)
-            if len(self.crit_ts):
-                inside = self.crit_vals[(self.crit_ts >= a) & (self.crit_ts <= b)]
-                if len(inside):
-                    m, big = min(m, float(inside.min())), max(big, float(inside.max()))
-            elif self.sampled:
-                vals = self.kernel.eval_many(np.linspace(a, b, 2 * _SAMPLE_BASE + 1))
-                m, big = min(m, vals.min()), max(big, vals.max())
-            return m, big
-        except (ValueError, EvalDomainError) as err:
-            self._wrap(err)
-
-
-def _make_tasks(f: LatticeFunction, interval: OrderInterval) -> list[_AtomTask]:
-    """One task per atom, in atom order."""
-    tasks: list = [None] * f.dim
-    for band in _make_bands(f, interval.lo.data, interval.hi.data):
-        for task in band.tasks():
-            tasks[task.atom] = task
-    return tasks
 
 
 # --------------------------------------------------------------------------
@@ -391,11 +343,13 @@ def integrate(
     gap_i <= tol*(1+|value_i|), and keeps that level's bracket; the value is
     the bracket midpoint.  Each atom's result is therefore bit for bit that
     of its kernel integrated alone, ``depth`` is the deepest atom's closing
-    depth, and ``converged`` is true only if every atom closed.  With
-    ``workers > 1`` the bands of a level are summed in parallel; results
-    are identical to sequential execution.  General maps are accepted only
-    on the bounded demo path, which always reports non-convergence.
+    depth, and ``converged`` is true only if every atom closed.  Bands are
+    summed one after another: ``workers`` must be at least 1, and the
+    results do not depend on it.  General maps are accepted only on the
+    bounded demo path, which always reports non-convergence.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     sched = sched or ToleranceSchedule()
     if not f.is_coordinatewise:
         return _integrate_probes(f, interval, sched)
@@ -406,28 +360,23 @@ def integrate(
     upper = np.empty(f.dim)
     live = [(band, np.arange(len(band.atoms))) for band in bands]  # open rows per band
     depth = 0
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for depth in range(sched.max_depth + 1):
-            n = 1 << depth
-            sums = _each(lambda band_rows: band_rows[0].level(band_rows[1], n), live, pool)
-            atoms = np.concatenate([band.atoms[rows] for band, rows in live])
-            lo, up, widen_lo, widen_up = np.concatenate(sums, axis=1)
-            mid, lo, up = 0.5 * (lo + up), lo - widen_lo, up + widen_up
-            value[atoms], lower[atoms], upper[atoms] = mid, lo, up
-            closed = up - lo <= sched.tol * (1.0 + np.abs(mid))
-            still_open, start = [], 0
-            for band, rows in live:
-                shut = closed[start : start + len(rows)]
-                start += len(rows)
-                if not shut.all():
-                    still_open.append((band, rows[~shut]))
-            live = still_open
-            if not live:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for depth in range(sched.max_depth + 1):
+        n = 1 << depth
+        sums = _each(lambda band_rows: band_rows[0].level(band_rows[1], n), live)
+        atoms = np.concatenate([band.atoms[rows] for band, rows in live])
+        lo, up, widen_lo, widen_up = np.concatenate(sums, axis=1)
+        mid, lo, up = 0.5 * (lo + up), lo - widen_lo, up + widen_up
+        value[atoms], lower[atoms], upper[atoms] = mid, lo, up
+        closed = up - lo <= sched.tol * (1.0 + np.abs(mid))
+        still_open, start = [], 0
+        for band, rows in live:
+            shut = closed[start : start + len(rows)]
+            start += len(rows)
+            if not shut.all():
+                still_open.append((band, rows[~shut]))
+        live = still_open
+        if not live:
+            break
 
     method = "sampled" if any(band.sampled for band in bands) else "exact"
     return IntegralResult(
@@ -510,7 +459,8 @@ def signed_integrate(
 
     Integrates over [a^b, avb] and combines by the trichotomy bands: keep
     where a < b, negate where b < a, zero where they agree.  Antisymmetric
-    in (a, b) exactly.
+    in (a, b) exactly.  Evaluation is sequential; ``workers`` is checked as
+    by ``integrate`` and does not change the result.
     """
     box = OrderInterval(a.inf(b), a.sup(b))
     base = integrate(f, box, sched=sched, workers=workers)

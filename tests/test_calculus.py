@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import adaptive_simpson
+from ordercalc import _kernels_fallback as K
 from ordercalc.calculus import (
     antiderivative,
     mvt_integral_solve,
@@ -13,9 +14,10 @@ from ordercalc.calculus import (
     verify_ftc2,
     verify_substitution,
 )
-from ordercalc.functions import LatticeFunction, ScalarKernel
+from ordercalc.functions import KernelEvalError, LatticeFunction, ScalarKernel
 from ordercalc.integrate import ToleranceSchedule, signed_integrate
 from ordercalc.lattice import Element, OrderInterval
+from ordercalc.partitions import uniform_grid
 
 
 def E(*coords):
@@ -126,6 +128,127 @@ def test_antiderivative_lipschitz_bound():
         assert np.all(lhs <= rhs)
 
 
+def _antiderivative_alone(kernel, lo, hi, sched, xq):
+    """One atom's antiderivative at the points ``xq``, built alone from the 1-D prefix sums.
+
+    Depths min(8, max_depth), +2, ... until gap <= tol*(1+|mid|) or
+    max_depth; a query adds its partial cell's extrema (endpoints, then the
+    critical entries in it, or 9 samples if the kernel is sampled) to the
+    prefix of the cells before it.  Returns the values and the depth.
+    """
+    if hi <= lo:
+        return [0.0] * len(xq), None
+    prog, evalf, sampled = kernel.program, kernel.eval_many, kernel.strategy == "sampled"
+    ts = vals = np.empty(0)
+    if kernel.strategy == "critical":
+        ts, vals = kernel.critical_points(lo, hi, enclose=True)
+    depth = min(8, sched.max_depth)
+    while True:
+        xs = uniform_grid(lo, hi, 1 << depth)
+        if sampled and prog is None:
+            pl, pu, wl, wu = K.prefix_sampled_fn(evalf, xs, 4)
+        elif sampled:
+            pl, pu, wl, wu = K.prefix_sampled(prog, xs, 4)
+        elif prog is None:
+            (pl, pu), wl, wu = K.prefix_endpoint_fn(evalf, xs), 0.0, 0.0
+        elif len(ts):
+            (pl, pu), wl, wu = K.prefix_critical(prog, xs, ts, vals), 0.0, 0.0
+        else:
+            (pl, pu), wl, wu = K.prefix_endpoint(prog, xs), 0.0, 0.0
+        mid = 0.5 * (pl[-1] + pu[-1])
+        if (pu[-1] + wu) - (pl[-1] - wl) <= sched.tol * (1.0 + abs(mid)) or depth >= sched.max_depth:
+            break
+        depth += 2
+    out = []
+    for x in xq:
+        j = min(max(int(np.searchsorted(xs, x, side="right")) - 1, 0), len(xs) - 2)
+        low = pl[j - 1] if j > 0 else 0.0
+        up = pu[j - 1] if j > 0 else 0.0
+        if x > xs[j]:
+            a = xs[j]
+            m, big = sorted([kernel.eval(a), kernel.eval(x)])
+            inside = vals[(ts >= a) & (ts <= x)]
+            if len(inside):
+                m, big = min(m, float(inside.min())), max(big, float(inside.max()))
+            elif sampled:
+                v = kernel.eval_many(np.linspace(a, x, 9))
+                m, big = min(m, v.min()), max(big, v.max())
+            low += m * (x - a)
+            up += big * (x - a)
+        out.append(0.5 * ((low - wl) + (up + wu)))
+    return out, depth
+
+
+def _assert_antiderivative_is_per_atom(f, iv, sched, critical=()):
+    """Each atom of ``antiderivative(f)`` equals its kernel's built alone, bit for bit.
+
+    Queries fall at random, on grid points, and 1e-5 right of each of the
+    ``critical`` points, in the partial cell that holds it when the cells
+    are wider than that.
+    """
+    F = antiderivative(f, iv, sched=sched)
+    rng = np.random.default_rng(0)
+    lo, hi = iv.lo.data, iv.hi.data
+    points = [lo, hi] + [lo + u * (hi - lo) for u in rng.uniform(0.0, 1.0, (40, f.dim))]
+    points += [lo + k / 256 * (hi - lo) for k in range(0, 257, 32)]
+    points += [np.clip(np.full(f.dim, c + 1e-5), lo, hi) for c in critical]
+    got = np.array([F.eval(Element(p)).data for p in points])
+    depths = []
+    for i, kernel in enumerate(f.kernels):
+        want, depth = _antiderivative_alone(kernel, lo[i], hi[i], sched, [p[i] for p in points])
+        assert got[:, i].tolist() == want, i
+        depths.append(depth)
+    return depths
+
+
+def test_antiderivative_broadcast_band_is_per_atom():
+    f = LatticeFunction.coordinatewise("t^3 - t", dim=5)
+    iv = interval((-1.0, 0.0, 0.5, -2.0, 0.2), (1.0, 0.5, 0.5, 0.3, 0.2001))
+    crit = (-(3**-0.5), 3**-0.5)
+    depths = _assert_antiderivative_is_per_atom(f, iv, ToleranceSchedule(1e-4, 20), crit)
+    assert depths == [16, 12, None, 16, 8]  # zero width, and closing at different depths
+
+
+def test_antiderivative_mixed_bands_are_per_atom():
+    f = LatticeFunction.coordinatewise(["abs(t - 0.3)", "sin(t)", "abs(t - 0.3)"])
+    iv = interval((0.0, 0.0, -1.0), (1.0, 2.0, 2.0))
+    _assert_antiderivative_is_per_atom(f, iv, ToleranceSchedule(1e-5, 14), (0.3, math.pi / 2))
+
+
+def test_antiderivative_callables_are_per_atom():
+    mono = ScalarKernel.from_callable(lambda t: t**3 + t, monotone="increasing")
+    wave = ScalarKernel.from_callable(lambda t: abs(math.sin(3 * t)))
+    f = LatticeFunction.coordinatewise([mono, wave, mono, wave])
+    iv = interval((0.0, 0.0, -1.0, 1.0), (1.0, 2.0, 1.0, 1.0))
+    _assert_antiderivative_is_per_atom(f, iv, ToleranceSchedule(1e-5, 12))
+    # A spike at 101/2048 is a sample point of the finer pass at depth 8
+    # but not of the coarser one, so only the widening keeps depth 8 open.
+    spike = ScalarKernel.from_callable(lambda t: max(0.0, 1.0 - abs(t - 101 / 2048) * 4096))
+    f = LatticeFunction.coordinatewise([spike])
+    depths = _assert_antiderivative_is_per_atom(f, interval((0.0,), (1.0,)), ToleranceSchedule(5e-3, 12))
+    assert depths == [10]
+
+
+def test_antiderivative_bench_case_is_per_atom():
+    f = LatticeFunction.coordinatewise(["sin(t)", "t^3 - t"])
+    _assert_antiderivative_is_per_atom(f, UNIT2, ToleranceSchedule(), (3**-0.5,))
+
+
+def test_antiderivative_failures_in_interleaved_bands_name_the_lowest_atom():
+    # Kernels [A, B, A]: atoms 1 and 2 both fail, in different bands.
+    a, b = ScalarKernel.from_string("1/(t-0.3)"), ScalarKernel.from_string("1/(t-0.7)")
+    f = LatticeFunction.coordinatewise([a, b, a])
+    with pytest.raises(KernelEvalError) as info:  # at isolation
+        antiderivative(f, interval((0.5, 0.0, 0.0), (1.0, 1.0, 1.0)))
+    assert info.value.atom == 1
+    a = ScalarKernel.from_callable(lambda t: 1.0 if t <= 2.0 else float("nan"))
+    b = ScalarKernel.from_callable(lambda t: 1.0 if t <= 5.0 else float("nan"))
+    f = LatticeFunction.coordinatewise([a, b, a])
+    with pytest.raises(KernelEvalError) as info:  # in the prefix passes
+        antiderivative(f, interval((0.0, 0.0, 0.0), (1.0, 6.0, 3.0)), ToleranceSchedule(1e-3, 10))
+    assert info.value.atom == 1
+
+
 # -- mean value theorem for integrals --------------------------------------------
 
 def test_mvt_square_kernel_hits_inverse_sqrt3():
@@ -180,6 +303,16 @@ def test_mvt_reports_bracket_failure_with_atom():
     with pytest.raises(ArithmeticError) as info:
         mvt_integral_solve(f, E(0.0), E(1.0), sched=ToleranceSchedule(1e-3, 10))
     assert "atom 0" in str(info.value)
+
+
+def test_mvt_scan_failure_names_its_atom():
+    # The scan's first step, 1/64, is off every point the loose integral
+    # samples (multiples of 1/32), so only the scan meets the bad value.
+    bad = ScalarKernel.from_callable(lambda t: float("nan") if t == 1 / 64 else 1.0)
+    f = LatticeFunction.coordinatewise([ScalarKernel.identity(), bad])
+    with pytest.raises(KernelEvalError) as info:
+        mvt_integral_solve(f, E(0.0, 0.0), E(1.0, 1.0), sched=ToleranceSchedule(0.1, 2))
+    assert info.value.atom == 1
 
 
 # -- FTC 1 -----------------------------------------------------------------------

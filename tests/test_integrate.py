@@ -150,6 +150,15 @@ def test_integrate_workers_bitwise_deterministic():
     assert seq.depth == par.depth
 
 
+def test_workers_below_one_are_rejected():
+    f = LatticeFunction.coordinatewise("t", dim=2)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            integrate(f, UNIT2, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            signed_integrate(f, E(0, 1), E(1, 0), workers=workers)
+
+
 def _assert_atoms_equal_their_kernels_alone(f, lo, hi, sched):
     """Each atom of ``integrate(f)``, with 1 or 3 workers, is its kernel integrated alone."""
     alone = [

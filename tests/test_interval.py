@@ -245,6 +245,16 @@ def test_failing_value_in_a_band_names_its_atom():
     assert float(re.search(r"t=(\S+)", str(info.value)).group(1)) > 2.0
 
 
+def test_overflowing_products_name_their_atom():
+    # exp(t) is finite on [700, 709], but exp(709) * 9 is not.
+    f = LatticeFunction.coordinatewise(["t", "exp(t)"])
+    with pytest.raises(KernelEvalError) as info, np.errstate(over="ignore"):
+        integrate(f, interval((0.0, 700.0), (1.0, 709.0)))
+    assert info.value.atom == 1
+    assert isinstance(info.value.cause, OverflowError)
+    assert "m·Δx overflowed" in str(info.value)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failures_in_interleaved_bands_name_the_lowest_atom(workers):
     # Kernels [A, B, A]: atoms 1 and 2 both fail, in different bands; the

@@ -114,10 +114,68 @@ def test_given_rows_equal_one_row_sums_and_prefixes():
     xs = np.sort(rng.uniform(-1.0, 1.0, (3, 65)), axis=1)
     prog = ScalarKernel.from_string("abs(t - 0.1)").program
     got = K.darboux_sampled(prog, K.GivenRows(xs), 4)
+    band = K.prefix_sampled(prog, K.GivenRows(xs), 4)
     for r in range(3):
         assert tuple(x[r] for x in got) == K.darboux_sampled(prog, xs[r], 4)
         pl, pu, wl, wu = K.prefix_sampled(prog, xs[r], 4)
         assert (pl[-1], pu[-1]) == K.darboux_sampled(prog, xs[r], 4)[:2]
+        assert np.array_equal(band[0][r], pl) and np.array_equal(band[1][r], pu)
+        assert (band[2][r], band[3][r]) == (wl, wu)
+    # Critical entries of a band of prefixes, row by row.
+    k, (e_rows, e_ts, e_vals) = _band("t^3 - t", xs[:, 0], xs[:, -1])
+    band = K.prefix_critical(k.program, K.GivenRows(xs), e_ts, e_vals, e_rows)
+    assert band.shape == (2, 3, 64)
+    for r in range(3):
+        sel = e_rows == r
+        alone = K.prefix_critical(k.program, xs[r], e_ts[sel], e_vals[sel])
+        assert np.array_equal(band[:, r], alone)
+
+
+def test_zero_cell_grids_sum_to_zero():
+    prog = ScalarKernel.from_string("t^3 - t").program
+    evalf = ScalarKernel.from_callable(math.sin).eval_many
+    sums = [
+        lambda xs: K.darboux_endpoint(prog, xs),
+        lambda xs: K.darboux_critical(prog, xs, [1.0], [0.0], [0]),
+        lambda xs: K.darboux_sampled(prog, xs, 4),
+        lambda xs: K.darboux_endpoint_fn(evalf, xs),
+        lambda xs: K.darboux_sampled_fn(evalf, xs, 4),
+    ]
+    prefixes = [
+        lambda xs: K.prefix_endpoint(prog, xs),
+        lambda xs: K.prefix_critical(prog, xs, [1.0], [0.0], [0]),
+        lambda xs: K.prefix_sampled(prog, xs, 4),
+        lambda xs: K.prefix_endpoint_fn(evalf, xs),
+        lambda xs: K.prefix_sampled_fn(evalf, xs, 4),
+    ]
+    one = np.array([1.0])
+    for call in sums:
+        assert call(one) in [(0.0, 0.0), (0.0, 0.0, 0.0, 0.0)]
+    for call in prefixes:
+        pl, pu, *widen = call(one)
+        assert pl.shape == pu.shape == (0,) and widen in [[], [0.0, 0.0]]
+    lo = np.array([1.0, 2.0])
+    for grid in (K.GivenRows(lo[:, None]), K.UniformRows(lo, lo, 0)):
+        for call in sums:
+            assert all(np.array_equal(x, [0.0, 0.0]) for x in call(grid))
+        for call in prefixes:
+            pl, pu, *widen = call(grid)
+            assert pl.shape == pu.shape == (2, 0)
+            assert all(np.array_equal(w, [0.0, 0.0]) for w in widen)
+
+
+def test_overflowing_products_name_the_lowest_row():
+    # Row 1's values are finite but its products m·Δx overflow; row 2
+    # leaves the domain.  Row 1 is named, by either summation order.
+    prog = ScalarKernel.from_string("exp(t) + log(t)").program
+    lo, hi = np.array([1.0, 700.0, -1.0]), np.array([2.0, 709.0, 1.0])
+    for grid in (K.UniformRows(lo, hi, 1), K.GivenRows(uniform_grid(lo, hi, 1))):
+        for call in (K.darboux_endpoint, K.prefix_endpoint):
+            with pytest.raises(K.RowError) as info, np.errstate(over="ignore"):
+                call(prog, grid)
+            assert info.value.row == 1
+            assert isinstance(info.value.cause, OverflowError)
+            assert "overflowed" in str(info.value) and "[700.0, 709.0]" in str(info.value)
 
 
 def test_entry_cells_match_a_search_of_the_whole_row():
