@@ -53,7 +53,7 @@ from ._tape import (
     Program,
 )
 from .expr import EvalDomainError
-from .partitions import uniform_grid
+from .partitions import grid_points
 
 NAME = "numpy"
 
@@ -201,15 +201,27 @@ class GivenRows(_Rows):
 
 
 class UniformRows(_Rows):
-    """Row r holds the points of ``uniform_grid(lo[r], hi[r], n)``, built a block at a time."""
+    """Row r holds the points of ``uniform_grid(lo[r], hi[r], n)``, built a block at a time.
+
+    A block's points are formed by ``grid_points``, as in ``uniform_grid``,
+    from one index row 0, 1, ..., BLOCK_CELLS kept for the grid: c0 + k is
+    an integer, exact in float64, so the points are bit for bit the same.
+    """
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray, n: int):
         self.lo = lo
         self.hi = hi
         self.rows, self.n = len(lo), n
+        self._lo, self._hi = lo[:, None], hi[:, None]
+        self._step = (self._hi - self._lo) / max(n, 1)  # with no cells, never used
+        self._index = np.arange(min(n, BLOCK_CELLS) + 1, dtype=np.float64)
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        return uniform_grid(self.lo[r0:r1], self.hi[r0:r1], self.n, c0, c1)
+        ks = self._index[: c1 - c0 + 1]
+        if c0:
+            ks = ks + c0
+        r = slice(r0, r1)
+        return grid_points(ks, self._lo[r], self._hi[r], self._step[r], c0 == 0, c1 == self.n)
 
 
 def _entry_cells(xs: np.ndarray, ts: np.ndarray, starts: list, first: bool, last: bool):
@@ -243,6 +255,7 @@ def _sampled_minmax(prog: Program | None, xs: np.ndarray, s: int, evalf, row0: i
     return pts, fv, np.array([fv.min(axis=-1), fv.max(axis=-1)])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflows are named instead
 def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None, evalf=None):
     """Shared summation for all Darboux strategies, over every row of ``grid``.
 
@@ -255,9 +268,11 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
     right.  Every other grid accumulates left to right within chunks of
     ``CHUNK_CELLS`` cells, a chunk's running sums carrying over from one
     block to the next; prefixes need that order, and it makes a repeated
-    point add exactly nothing.  A non-finite kernel value or an overflowing
-    product makes its block's L or U non-finite, so the block is examined
-    only then, and its lowest such row raises RowError (see ``_non_finite``).
+    point add exactly nothing.  A non-finite kernel value, an overflowing
+    product, or a total that overflows only across blocks makes a row's
+    running L or U non-finite after its block, so the block is examined
+    only then, and its lowest such row raises RowError (see ``_non_finite``)
+    instead of numpy warning of the overflow.
     Returns the row totals as a (2, rows) array (L, U); a (2, rows, n)
     ``prefix`` array, when given, receives each row's running sums, the
     last of which is its total.  ``evalf`` substitutes a callable for the
@@ -301,31 +316,35 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
                 pts, v, mb = _sampled_minmax(prog, xs, s, evalf, r0)
             np.multiply(mb, xs[:, 1:] - xs[:, :-1], out=mb)
             if pairwise:
-                sums = mb.sum(axis=2)
-                totals[:, r0:r1] += sums
+                seen = totals[:, r0:r1]
+                seen += mb.sum(axis=2)
             else:
                 if c0 % CHUNK_CELLS:  # the chunk's sums so far lead this block's
                     mb[:, :, 0] += acc[:, :, -1]
                 acc = np.add.accumulate(mb, axis=2, out=mb)
-                sums = acc[:, :, -1]
+                seen = acc[:, :, -1]
                 if prefix is not None:
                     prefix[:, r0:r1, c0:c1] = totals[:, r0:r1, None] + acc
                 if c1 % CHUNK_CELLS == 0 or c1 == n:  # the chunk ends here
-                    totals[:, r0:r1] += sums
-            if not np.isfinite(sums).all():
-                _non_finite(sums, v, pts, mb, xs, pairwise, r0)
+                    sums, seen = seen, totals[:, r0:r1]
+                    seen += sums
+            if not np.isfinite(seen).all():  # a finite total has finite terms
+                _non_finite(seen, v, pts, mb, xs, pairwise, r0)
 
     return totals
 
 
-def _non_finite(sums, v, pts, mb, xs, pairwise: bool, r0: int):
+def _non_finite(seen, v, pts, mb, xs, pairwise: bool, r0: int):
     """Raise RowError for the lowest row of a block whose L or U is not finite.
 
-    Names the row's first non-finite value (``v`` at ``pts``), or else the
-    first cell at which the running sum of its products m·Δx (``mb``, or
-    already their running sums unless ``pairwise``) overflowed.
+    ``seen`` holds the block's rows' running L and U: their totals so far,
+    or their chunk's running sums.  Names the row's first non-finite value
+    (``v`` at ``pts``), or else the first cell at which the running sum of
+    its products m·Δx (``mb``, or already their running sums unless
+    ``pairwise``) overflowed; if none did, the total carried into the block
+    overflowed, at the block's first cell.
     """
-    r = int(np.argmax(~np.isfinite(sums).all(axis=0)))
+    r = int(np.argmax(~np.isfinite(seen).all(axis=0)))
     _check_finite(v[r : r + 1], pts[r : r + 1], r0 + r)
     running = np.add.accumulate(mb[:, r], axis=1) if pairwise else mb[:, r]
     k = int(np.argmax(~np.isfinite(running).all(axis=0)))

@@ -6,9 +6,19 @@ to the value.  The unit of work is a band: the atoms whose kernel is one
 ``ScalarKernel`` object (a broadcast kernel, or a repeated source string)
 and whose extrema strategy is the same.  The integral commutes with band
 projection, so each band is isolated in one pass and refined as one block
-of rows, a row per atom, with one call per level; every atom still stops
-at its own closing depth, bit for bit as if integrated alone.  Kernels with
-exact extrema produce true Darboux brackets: monotone-hinted kernels, and
+of rows, a row per atom; every atom still stops at its own closing depth,
+bit for bit as if integrated alone.  Levels that provably cannot close are
+skipped: on uniform dyadic levels a cell's oscillation is at most the sum
+of its halves' (they share the midpoint), so an exact bracket's gap at
+most halves per level, gap_e >= gap_d·2^(d-e), and the brackets nest, so
+|mid_e| <= max(|L_d|, |U_d|).  After each level an open row of an exact
+band moves straight to the first depth at which this bound, less a slack
+for rounding, lets it close; each level calls a band once, for its rows
+due there.  A level's sums do not depend on earlier levels, and the grids
+nest exactly (point 2k at depth d+1 is point k at depth d), so the skip
+changes no bit of any result; sampled bands, whose two-resolution
+widening is not monotone, are summed at every level.  Kernels with exact
+extrema produce true Darboux brackets: monotone-hinted kernels, and
 every differentiable expression kernel, whose cell extrema are the cell
 endpoints folded with certified critical-point entries (see
 ``ScalarKernel.critical_entries``).  Sampled kernels (callables,
@@ -55,6 +65,12 @@ _SAMPLE_CAP = 256
 _DEMO_MAX_DEPTH = 6
 
 _GENERAL_DIM_CAP = 3
+
+# Relative slack of the skip bound (see ``_next_due``), on gap_d + S.  It
+# covers the rounding of both levels' sums with a wide margin: at 2^24
+# cells at most about γ_2072 ≈ 2^-42 of Σ|m·Δx| block-pairwise, and about
+# γ_(2^18 + 64) ≈ 2^-35 for prefixes summed left to right in chunks.
+_SKIP_SLACK = 2.0**-30
 
 
 @dataclass(frozen=True)
@@ -247,6 +263,30 @@ def _each(fn, items) -> list:
     return out
 
 
+def _next_due(depth: int, lower, upper, scale, tol: float) -> np.ndarray:
+    """The first depth e > ``depth`` at which each open row of an exact band could close.
+
+    ``lower`` and ``upper`` are a row's sums at ``depth`` and ``scale`` is
+    S = max(|L_0|, |U_0|), which bounds Σ|m·Δx| at every depth, as level 0
+    is (hi - lo)·[inf f, sup f] from certified extrema.  A cell's
+    oscillation is at most the sum of its halves' (they share the
+    midpoint), so the gap at most halves per level, and the brackets nest,
+    so |mid_e| <= M_d = max(|L_d|, |U_d|).  A row cannot close at e while
+    gap_d·2^(d-e) exceeds tol·(1 + M_d) plus a slack for the rounding of
+    both levels' sums; this returns the first e where it does not.  No
+    depth before it could close the row, so a row moved there still closes
+    at its first closing depth.  Callers clamp e to their last depth.
+    """
+    gap = upper - lower
+    slack = _SKIP_SLACK * (1.0 + tol) * (gap + scale)  # tol·slack for the rounding of |mid_e|
+    reach = tol * (1.0 + np.maximum(np.abs(lower), np.abs(upper))) + slack
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        k = np.ceil(np.log2(gap / reach))
+    k = np.clip(np.nan_to_num(k, nan=1.0), 1.0, 2048.0).astype(np.int64)
+    k -= (k > 1) & (np.ldexp(gap, 1 - k) <= reach)  # where log2 rounded past a power of 2
+    return depth + k
+
+
 # --------------------------------------------------------------------------
 # Darboux and Riemann sums over explicit partitions
 # --------------------------------------------------------------------------
@@ -341,12 +381,20 @@ def integrate(
     Atoms are minimal bands and the integral commutes with band projection,
     so each atom stops at its own first closing depth, where
     gap_i <= tol*(1+|value_i|), and keeps that level's bracket; the value is
-    the bracket midpoint.  Each atom's result is therefore bit for bit that
-    of its kernel integrated alone, ``depth`` is the deepest atom's closing
-    depth, and ``converged`` is true only if every atom closed.  Bands are
-    summed one after another: ``workers`` must be at least 1, and the
-    results do not depend on it.  General maps are accepted only on the
-    bounded demo path, which always reports non-convergence.
+    the bracket midpoint.  An atom of an exact band is summed at depth 0 and
+    then only at depths the skip bound of ``_next_due`` cannot rule out:
+    gap_d·2^(d-e) - slack <= tol*(1 + max(|L_d|, |U_d|)), with slack
+    2^-30·(1 + tol)·(gap_d + max(|L_0|, |U_0|)) for rounding.  Since no
+    depth that could close is skipped, it closes at the same depth with the
+    same bits as in a sweep of every level.  Sampled atoms, whose
+    two-resolution widening is not monotone, are summed at every level.
+    Each atom's result is therefore bit for bit that of its kernel
+    integrated alone, ``depth`` is the last depth summed (the deepest atom's
+    closing depth, or ``max_depth``), and ``converged`` is true only if
+    every atom closed.  Bands are summed one after another: ``workers``
+    must be at least 1, and the results do not depend on it.  General maps
+    are accepted only on the bounded demo path, which always reports
+    non-convergence.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -358,24 +406,43 @@ def integrate(
     value = np.empty(f.dim)
     lower = np.empty(f.dim)
     upper = np.empty(f.dim)
-    live = [(band, np.arange(len(band.atoms))) for band in bands]  # open rows per band
+    # Per band: its open rows, the depth at which each is next summed, and
+    # each row's max(|L_0|, |U_0|) once level 0 is summed.
+    live = []
+    for band in bands:
+        rows = np.arange(len(band.atoms))
+        live.append((band, rows, np.zeros_like(rows), None))
     depth = 0
-    for depth in range(sched.max_depth + 1):
+    while live:
+        depth = min(int(due.min()) for _, _, due, _ in live)
         n = 1 << depth
-        sums = _each(lambda band_rows: band_rows[0].level(band_rows[1], n), live)
-        atoms = np.concatenate([band.atoms[rows] for band, rows in live])
-        lo, up, widen_lo, widen_up = np.concatenate(sums, axis=1)
-        mid, lo, up = 0.5 * (lo + up), lo - widen_lo, up + widen_up
-        value[atoms], lower[atoms], upper[atoms] = mid, lo, up
-        closed = up - lo <= sched.tol * (1.0 + np.abs(mid))
-        still_open, start = [], 0
-        for band, rows in live:
-            shut = closed[start : start + len(rows)]
-            start += len(rows)
-            if not shut.all():
-                still_open.append((band, rows[~shut]))
+        now = [due == depth for _, _, due, _ in live]
+        summed = [
+            (band, rows[due_now]) for (band, rows, _, _), due_now in zip(live, now) if due_now.any()
+        ]
+        sums = iter(_each(lambda band_rows: band_rows[0].level(band_rows[1], n), summed))
+        still_open = []
+        for (band, rows, due, scale), due_now in zip(live, now):
+            if due_now.any():
+                lo, up, widen_lo, widen_up = next(sums)
+                mid, lo, up = 0.5 * (lo + up), lo - widen_lo, up + widen_up
+                atoms = band.atoms[rows[due_now]]
+                value[atoms], lower[atoms], upper[atoms] = mid, lo, up
+                if scale is None:  # level 0, where every row is due
+                    scale = np.maximum(np.abs(lo), np.abs(up))
+                shut = up - lo <= sched.tol * (1.0 + np.abs(mid))
+                if band.sampled:
+                    due[due_now] = depth + 1
+                else:
+                    e = _next_due(depth, lo, up, scale[due_now], sched.tol)
+                    due[due_now] = np.minimum(e, sched.max_depth)
+                keep = np.ones(len(rows), dtype=bool)
+                keep[due_now] = ~shut
+                rows, due, scale = rows[keep], due[keep], scale[keep]
+            if len(rows):
+                still_open.append((band, rows, due, scale))
         live = still_open
-        if not live:
+        if depth == sched.max_depth:
             break
 
     method = "sampled" if any(band.sampled for band in bands) else "exact"

@@ -99,12 +99,24 @@ def uniform_grid(lo, hi, n: int, c0: int = 0, c1: int | None = None) -> np.ndarr
     c1 = n if c1 is None else c1
     lo = np.asarray(lo, dtype=np.float64)[..., None]
     hi = np.asarray(hi, dtype=np.float64)[..., None]
-    xs = np.arange(c0, c1 + 1, dtype=np.float64) * ((hi - lo) / n)
+    ks = np.arange(c0, c1 + 1, dtype=np.float64)
+    return grid_points(ks, lo, hi, (hi - lo) / n, c0 == 0, c1 == n)
+
+
+def grid_points(ks: np.ndarray, lo, hi, step, first: bool, last: bool) -> np.ndarray:
+    """The points lo + k*step for the float indices ``ks``, clipped to hi.
+
+    ``lo``, ``hi`` and ``step`` hold one value per row, on a trailing axis
+    of length 1.  The point at the first index is lo if ``first``, and the
+    one at the last is hi if ``last``.  Indices are integers, exact in
+    float64, so a point depends only on its index and its row's values.
+    """
+    xs = ks * step
     xs += lo
     np.minimum(xs, hi, out=xs)
-    if c0 == 0:
+    if first:
         xs[..., :1] = lo
-    if c1 == n:
+    if last:
         xs[..., -1:] = hi
     return xs
 

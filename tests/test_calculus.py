@@ -15,7 +15,7 @@ from ordercalc.calculus import (
     verify_substitution,
 )
 from ordercalc.functions import KernelEvalError, LatticeFunction, ScalarKernel
-from ordercalc.integrate import ToleranceSchedule, signed_integrate
+from ordercalc.integrate import ToleranceSchedule, _Band, signed_integrate
 from ordercalc.lattice import Element, OrderInterval
 from ordercalc.partitions import uniform_grid
 
@@ -232,6 +232,25 @@ def test_antiderivative_callables_are_per_atom():
 def test_antiderivative_bench_case_is_per_atom():
     f = LatticeFunction.coordinatewise(["sin(t)", "t^3 - t"])
     _assert_antiderivative_is_per_atom(f, UNIT2, ToleranceSchedule(), (3**-0.5,))
+
+
+def test_antiderivative_passes_skip_to_the_closing_depth(monkeypatch):
+    # Both atoms close at depth 20 of the lattice 8, 10, ...: after the
+    # first pass and one level-0 sum, each is summed once more, at 20.
+    calls = []
+    prefixes, level = _Band.prefixes, _Band.level
+    monkeypatch.setattr(_Band, "prefixes", lambda b, r, g: calls.append(g.n) or prefixes(b, r, g))
+    monkeypatch.setattr(_Band, "level", lambda b, r, n: calls.append(-n) or level(b, r, n))
+    antiderivative(LatticeFunction.coordinatewise(["sin(t)", "t^3 - t"]), UNIT2)
+    assert calls == [2**8, -1, 2**20] * 2
+
+    # An odd max_depth: the last lattice depth is past it, and rows that
+    # cannot close go straight there.
+    f = LatticeFunction.coordinatewise("t^3 - t", dim=5)
+    iv = interval((-1.0, 0.0, 0.5, -2.0, 0.2), (1.0, 0.5, 0.5, 0.3, 0.2001))
+    calls.clear()
+    depths = _assert_antiderivative_is_per_atom(f, iv, ToleranceSchedule(1e-9, 13), (3**-0.5,))
+    assert depths == [14, 14, None, 14, 8] and calls == [2**8, -1, 2**14]
 
 
 def test_antiderivative_failures_in_interleaved_bands_name_the_lowest_atom():

@@ -1,15 +1,19 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from helpers import adaptive_simpson
+from helpers import adaptive_simpson, random_expr
+from ordercalc import expr as ex
 from ordercalc.expr import eval_expr, parse
-from ordercalc.functions import LatticeFunction, ScalarKernel
+from ordercalc.functions import KernelEvalError, LatticeFunction, ScalarKernel
 from ordercalc.integrate import (
     DarbouxSums,
     IntegralResult,
     ToleranceSchedule,
+    _Band,
+    _make_bands,
     darboux_sums,
     integrate,
     riemann_sum,
@@ -212,6 +216,163 @@ def test_integrate_atoms_equal_their_kernels_integrated_alone():
     _assert_atoms_equal_their_kernels_alone(
         mixed, (0.1, -0.7, -0.5, 2.0), (1.3, 0.4, 0.5, 4.5), ToleranceSchedule(1e-4, 12)
     )
+
+
+# -- skipping levels that cannot close ------------------------------------------
+
+def _sweep(f, iv, sched):
+    """``integrate`` as a plain sweep: every open row of every band summed at every depth.
+
+    Returns the result and the last depth at which each atom was summed.
+    """
+    value, lower, upper = np.empty(f.dim), np.empty(f.dim), np.empty(f.dim)
+    last = np.full(f.dim, -1)
+    bands = _make_bands(f, iv.lo.data, iv.hi.data)
+    live = [(band, np.arange(len(band.atoms))) for band in bands]
+    depth = 0
+    for depth in range(sched.max_depth + 1):
+        still_open = []
+        for band, rows in live:
+            lo, up, widen_lo, widen_up = band.level(rows, 1 << depth)
+            mid, lo, up = 0.5 * (lo + up), lo - widen_lo, up + widen_up
+            atoms = band.atoms[rows]
+            value[atoms], lower[atoms], upper[atoms], last[atoms] = mid, lo, up, depth
+            shut = up - lo <= sched.tol * (1.0 + np.abs(mid))
+            if not shut.all():
+                still_open.append((band, rows[~shut]))
+        live = still_open
+        if not live:
+            break
+    method = "sampled" if any(band.sampled for band in bands) else "exact"
+    result = IntegralResult(
+        Element(value), Element(lower), Element(upper), Element(upper - lower),
+        depth, not live, sched, method,
+    )
+    return result, last
+
+
+def _integrate_counting(f, iv, sched, monkeypatch):
+    """``integrate(f, iv, sched)``, and the (depth, atoms) of each ``_Band.level`` call it made."""
+    calls = []
+    level = _Band.level
+
+    def counted(band, rows, n):
+        calls.append((n.bit_length() - 1, band.atoms[rows].tolist()))
+        return level(band, rows, n)
+
+    with monkeypatch.context() as m:
+        m.setattr(_Band, "level", counted)
+        return integrate(f, iv, sched), calls
+
+
+def _assert_skip_equals_sweep(f, iv, sched, monkeypatch):
+    """Every field of ``integrate`` and every atom's closing depth equal the sweep's, bit for bit.
+
+    A kernel that fails must fail in both, naming the same atom and point.
+    Returns the sweep's result and the last depth at which each atom was
+    summed, or None if the kernel failed.
+    """
+    try:
+        want, want_last = _sweep(f, iv, sched)
+    except KernelEvalError as err:
+        with pytest.raises(KernelEvalError) as info:
+            integrate(f, iv, sched)
+        assert (info.value.atom, str(info.value)) == (err.atom, str(err))
+        return None
+    got, calls = _integrate_counting(f, iv, sched, monkeypatch)
+    last = np.full(f.dim, -1)
+    for depth, atoms in calls:
+        last[atoms] = depth
+    assert last.tolist() == want_last.tolist()
+    for name in ("value", "lower", "upper", "gap"):
+        assert getattr(got, name).data.tobytes() == getattr(want, name).data.tobytes(), name
+    assert (got.depth, got.converged, got.tolerance, got.extrema_method) == (
+        want.depth, want.converged, want.tolerance, want.extrema_method
+    )
+    return want, last
+
+
+@pytest.mark.parametrize(
+    "sched, min_closed", [(ToleranceSchedule(1e-4, 14), 50), (ToleranceSchedule(1e-6, 16), 15)]
+)
+def test_skip_equals_sweep_on_random_smooth_kernels(sched, min_closed, monkeypatch):
+    # The kernels and boxes of test_no_extremum_missed_on_random_smooth_kernels,
+    # each kernel broadcast over its box and two parts of it, so that rows
+    # of one band close at different depths.
+    rng = random.Random(2604)
+    box_rng = np.random.default_rng(2604)
+    kernels = closed = 0
+    while kernels < 50:
+        e = random_expr(rng, depth=5, smooth_only=True)
+        if isinstance(ex.differentiate(e), ex.Const):
+            continue
+        kernels += 1
+        a = float(box_rng.uniform(-2.0, 1.0))
+        b = a + float(box_rng.uniform(0.1, 2.0))
+        iv = interval((a, a, a + 0.25 * (b - a)), (b, 0.5 * (a + b), b))
+        f = LatticeFunction.coordinatewise(ScalarKernel.from_expr(e), dim=3)
+        found = _assert_skip_equals_sweep(f, iv, sched, monkeypatch)
+        closed += int((found[1] < sched.max_depth).sum()) if found else 0
+    assert closed >= min_closed  # of 150 atoms; the rest fail or stop at max_depth
+
+
+def test_skip_equals_sweep_on_the_acceptance_draws(monkeypatch):
+    # The draws of test_acceptance.test_integrate_matches_scalar_oracle.
+    kernels = ["t", "t^2", "t^3", "sin(t)", "exp(t)", "3*t^2 - 2*t"]
+    rng = np.random.default_rng(777)
+    sched = ToleranceSchedule(1e-6, 24)
+    for _ in range(20):
+        dim = int(rng.integers(1, 4))
+        sources = [kernels[int(rng.integers(0, len(kernels)))] for _ in range(dim)]
+        lo = rng.uniform(-2.0, 1.0, dim)
+        hi = lo + rng.uniform(0.1, 2.0, dim)
+        f = LatticeFunction.coordinatewise(sources, dim=dim)
+        want, _ = _assert_skip_equals_sweep(f, interval(tuple(lo), tuple(hi)), sched, monkeypatch)
+        assert want.converged
+
+
+def test_skip_equals_sweep_on_cancelling_kernels(monkeypatch):
+    # Rounding dominates both kernels near 0; (t + 1e8) - 1e8 is a staircase
+    # of steps 2^-26 that stops at max_depth without closing.
+    f = LatticeFunction.coordinatewise(["(t + 1e8) - 1e8", "exp(t) - 1 - t", "exp(t) - 1 - t"])
+    iv = interval((0.0, -1e-3, 1e-6), (1e-3, 1e-3, 1e-2))
+    want, last = _assert_skip_equals_sweep(f, iv, ToleranceSchedule(1e-13, 22), monkeypatch)
+    assert not want.converged and want.depth == 22 and last[0] == 22 and min(last[1:]) < 22
+
+
+def test_skip_equals_sweep_on_part_sampled_band(monkeypatch):
+    # Isolation gives up on sin(t) over [0, 1e6]: that atom is sampled,
+    # and swept level by level, while its siblings stay exact.
+    f = LatticeFunction.coordinatewise("sin(t)", dim=4)
+    iv = interval((0.0, 0.2, 0.0, -1.0), (1e6, 1.9, 7.0, 0.4))
+    want, _ = _assert_skip_equals_sweep(f, iv, ToleranceSchedule(1e-4, 12), monkeypatch)
+    assert want.extrema_method == "sampled"
+
+
+def test_skip_equals_sweep_on_monotone_callables(monkeypatch):
+    k = ScalarKernel.from_callable(math.atan, monotone="increasing", label="atan")
+    f = LatticeFunction.coordinatewise([k, k, "t^2", k])
+    iv = interval((-3.0, 0.0, 1.0, 5.0), (2.0, 0.25, 3.0, 5.5))
+    want, last = _assert_skip_equals_sweep(f, iv, ToleranceSchedule(1e-4, 18), monkeypatch)
+    assert want.converged and want.extrema_method == "exact" and len(set(last)) == 4
+
+
+def test_skip_equals_sweep_when_atoms_stop_at_max_depth(monkeypatch):
+    # Atoms 0 and 2 cannot close by depth 10; atom 1 closes before it.
+    f = LatticeFunction.coordinatewise("t^3 - t", dim=3)
+    iv = interval((-1.0, 0.0, 0.5), (2.0, 1e-4, 3.0))
+    want, last = _assert_skip_equals_sweep(f, iv, ToleranceSchedule(1e-8, 10), monkeypatch)
+    assert not want.converged and want.depth == 10
+    assert last.tolist()[0::2] == [10, 10] and last[1] < 10
+
+
+def test_an_exact_atom_is_summed_at_level_0_and_its_closing_depth(monkeypatch):
+    # t^2 on [1, 2]: gap_d = 3·2^-d, and the bound from level 0 lands on
+    # the first d with 3·2^-d <= 1e-6·(1 + 7/3).
+    f = LatticeFunction.coordinatewise("t^2", dim=1)
+    r, calls = _integrate_counting(f, interval((1.0,), (2.0,)), ToleranceSchedule(), monkeypatch)
+    assert r.converged and r.depth == 20
+    assert calls == [(0, [0]), (20, [0])]
 
 
 def test_integrate_result_serialization():

@@ -1,13 +1,16 @@
 """The summation core: a band summed as one block of rows equals its rows summed alone, bit for bit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from ordercalc import _kernels_fallback as K
 from ordercalc._tape import CHUNK_CELLS
-from ordercalc.functions import ScalarKernel
+from ordercalc.functions import KernelEvalError, LatticeFunction, ScalarKernel
+from ordercalc.integrate import integrate
+from ordercalc.lattice import Element, OrderInterval
 from ordercalc.partitions import uniform_grid
 
 
@@ -176,6 +179,62 @@ def test_overflowing_products_name_the_lowest_row():
             assert info.value.row == 1
             assert isinstance(info.value.cause, OverflowError)
             assert "overflowed" in str(info.value) and "[700.0, 709.0]" in str(info.value)
+
+
+def test_totals_overflowing_across_blocks_name_the_lowest_row():
+    # Each block's sums are finite; only their totals pass the float range.
+    # Row 1 overflows at its second block, which starts at t = 1, row 2 at
+    # its third; row 1 is named, at the first cell of that block.
+    prog = ScalarKernel.from_string("1e308").program
+    grid = K.UniformRows(np.array([0.0, 0.0, 0.0]), np.array([1.0, 3.0, 2.5]), 3 * K.BLOCK_CELLS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(K.RowError) as info:
+            K.darboux_endpoint(prog, grid)
+        assert info.value.row == 1 and isinstance(info.value.cause, OverflowError)
+        assert f"[1.0, {1.0 + 1.0 / K.BLOCK_CELLS!r}]" in str(info.value)
+        # Left to right, the total is taken once per chunk: the row is
+        # named at the first cell of the block that ends its second chunk.
+        n = 3 * CHUNK_CELLS
+        with pytest.raises(K.RowError) as info:
+            K.prefix_endpoint(prog, uniform_grid(0.0, 3.0, n))
+        assert isinstance(info.value.cause, OverflowError)
+        t = 3.0 * (2 * CHUNK_CELLS - K.BLOCK_CELLS) / n
+        assert f"[{t!r}, " in str(info.value)
+
+
+def test_overflowing_products_raise_without_warnings():
+    f = LatticeFunction.coordinatewise(["t", "exp(t)"])
+    box = OrderInterval(Element([0.0, 700.0]), Element([1.0, 709.0]))
+    prog = ScalarKernel.from_string("exp(t) + log(t)").program
+    lo, hi = np.array([1.0, 700.0]), np.array([2.0, 709.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KernelEvalError) as info:
+            integrate(f, box)
+        assert info.value.atom == 1 and isinstance(info.value.cause, OverflowError)
+        for grid in (K.UniformRows(lo, hi, 4), K.GivenRows(uniform_grid(lo, hi, 4))):
+            for call in (K.darboux_endpoint, K.prefix_endpoint):
+                with pytest.raises(K.RowError, match="overflowed"):
+                    call(prog, grid)
+
+
+@pytest.mark.parametrize("n", [1, 7, K.BLOCK_CELLS, 3 * K.BLOCK_CELLS + 5])
+def test_uniform_rows_blocks_equal_uniform_grid(n):
+    # Blocks are built from one cached index row; every block, the last
+    # one shorter than BLOCK_CELLS included, is uniform_grid's stretch bit
+    # for bit, on rows of all magnitudes and one of zero width.
+    lo = np.array([-1.0, 0.0, 1e16, 3.0, -2.5e-300, 0.1])
+    hi = np.array([1.0, 1e-300, 1e16 + 64.0, 3.0, 7e-301, 0.7])
+    grid = K.UniformRows(lo, hi, n)
+    per_block = max(1, K.BLOCK_CELLS // n)
+    width = min(n, K.BLOCK_CELLS)
+    for r0 in range(0, len(lo), per_block):
+        r1 = min(r0 + per_block, len(lo))
+        for c0 in range(0, n, width):
+            c1 = min(c0 + width, n)
+            got = grid.block(r0, r1, c0, c1)
+            assert got.tobytes() == uniform_grid(lo[r0:r1], hi[r0:r1], n, c0, c1).tobytes()
 
 
 def test_entry_cells_match_a_search_of_the_whole_row():
