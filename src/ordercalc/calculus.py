@@ -19,7 +19,7 @@ from .integrate import (
     ToleranceSchedule,
     _each,
     _make_bands,
-    _next_due,
+    _refine,
     integrate,
     signed_integrate,
 )
@@ -182,54 +182,29 @@ class _CumulativeGrid:
 def _band_grids(band, sched: ToleranceSchedule) -> list[_CumulativeGrid]:
     """The cumulative grids of a band's atoms, in row order.
 
-    A row's prefixes are summed at depths on the lattice min(8, max_depth),
-    +2, and so on, and it closes at the first of them where its full
-    bracket satisfies gap <= tol*(1+|mid|), or at the first at or past
-    max_depth.  Every row is summed at the first depth.  After that, a row
-    of an exact band moves straight to the first lattice depth that the
-    skip bound of ``integrate`` allows (see ``_next_due``, with S from one
-    level-0 sum), and a sampled row steps by 2.  The bound never passes a
-    depth where the row could close, and a row's prefixes do not depend on
-    which other rows are summed with it, so each row closes at the same
-    depth, with the same bits, as on the plain lattice.
+    Each row of nonzero width is refined by ``_refine`` on the lattice
+    min(8, max_depth), +2, and so on, summing its prefixes over the uniform
+    grid of each depth.  It keeps the grid of the pass that shut it, or of
+    the first depth at or past max_depth.
     """
     grids = [_CumulativeGrid(band, r) for r in range(len(band.atoms))]  # kept if zero-width
+
+    def measure(rows, depth):
+        xs = uniform_grid(band.lo[rows], band.hi[rows], 1 << depth)
+        pl, pu, wl, wu = band.prefixes(rows, GivenRows(xs))
+        return pl[:, -1], pu[:, -1], wl, wu, xs, pl, pu
+
     rows = np.flatnonzero(band.hi > band.lo)
-    first = min(8, sched.max_depth)
-    last = first + 2 * -(-(sched.max_depth - first) // 2)  # the first lattice depth >= max_depth
-    due = np.full(len(rows), first)
-    scale = None
-    while len(rows):
-        depth = int(due.min())
-        now = due == depth
-        xs = uniform_grid(band.lo[rows[now]], band.hi[rows[now]], 1 << depth)
-        pl, pu, wl, wu = band.prefixes(rows[now], GivenRows(xs))
-        lower, upper = pl[:, -1] - wl, pu[:, -1] + wu
-        mid = 0.5 * (pl[:, -1] + pu[:, -1])
-        shut = (upper - lower <= sched.tol * (1.0 + np.abs(mid))) | (depth >= sched.max_depth)
-        # A closed row is copied out unless every row summed here closes, so
+    passes = _refine(band, rows, sched, measure, first=min(8, sched.max_depth), step=2)
+    for depth, rows, (_, _, _, shut), found in passes:
+        stop = shut | (depth >= sched.max_depth)
+        # A stopped row is copied out unless every row summed here stops, so
         # that it does not keep the rows still open alive.
-        keep = np.asarray if shut.all() else np.copy
-        for i in np.flatnonzero(shut):
-            r, w = int(rows[now][i]), (float(wl[i]), float(wu[i]))
-            grids[r] = _CumulativeGrid(band, r, keep(xs[i]), keep(pl[i]), keep(pu[i]), *w)
-        del xs, pl, pu  # before the next, four or more times larger, pass
-        if band.sampled:
-            due[now] = depth + 2
-        elif not shut.all():
-            if scale is None:  # after the first pass, where every row is due
-                scale = np.zeros(len(rows))
-                try:  # it evaluates only points the first pass did
-                    scale[~shut] = np.max(np.abs(band.level(rows[~shut], 1)[:2]), axis=0)
-                except KernelEvalError:  # (hi - lo)·sup|f| overflows: step by 2
-                    scale[~shut] = np.inf
-            e = _next_due(depth, lower, upper, scale[now], sched.tol)
-            due[now] = np.minimum(e + (e - first) % 2, last)
-        open_ = ~now
-        open_[now] = ~shut
-        rows, due = rows[open_], due[open_]
-        if scale is not None:
-            scale = scale[open_]
+        keep = np.asarray if stop.all() else np.copy
+        for i in np.flatnonzero(stop):
+            r, w = int(rows[i]), (float(found[2][i]), float(found[3][i]))
+            grids[r] = _CumulativeGrid(band, r, *(keep(a[i]) for a in found[4:]), *w)
+        del found  # before the next, four or more times larger, pass
     return grids
 
 
@@ -241,10 +216,11 @@ def antiderivative(
     """F with F(x) giving the integral of f over [lo, x], as a function.
 
     Backed by per-atom cumulative grids, built band by band (the atoms that
-    share a kernel, as in ``integrate``) at the schedule's resolution;
-    evaluation anywhere in the interval is then cheap and read-only (safe
-    to share across threads).  A kernel that fails raises KernelEvalError
-    naming the lowest atom at fault, as ``integrate`` does.
+    share a kernel, as in ``integrate``) at the schedule's resolution, by
+    the refinement loop of ``integrate`` (see ``_band_grids``); evaluation
+    anywhere in the interval is then cheap and read-only (safe to share
+    across threads).  A kernel that fails raises KernelEvalError by the
+    error rule of ``integrate._refine``.
     """
     _require_coordinatewise(f, "antiderivative")
     sched = sched or _DEFAULT_SCHED

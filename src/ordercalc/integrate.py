@@ -7,29 +7,22 @@ to the value.  The unit of work is a band: the atoms whose kernel is one
 and whose extrema strategy is the same.  The integral commutes with band
 projection, so each band is isolated in one pass and refined as one block
 of rows, a row per atom; every atom still stops at its own closing depth,
-bit for bit as if integrated alone.  Levels that provably cannot close are
-skipped: on uniform dyadic levels a cell's oscillation is at most the sum
-of its halves' (they share the midpoint), so an exact bracket's gap at
-most halves per level, gap_e >= gap_d·2^(d-e), and the brackets nest, so
-|mid_e| <= max(|L_d|, |U_d|).  After each level an open row of an exact
-band moves straight to the first depth at which this bound, less a slack
-for rounding, lets it close; each level calls a band once, for its rows
-due there.  A level's sums do not depend on earlier levels, and the grids
-nest exactly (point 2k at depth d+1 is point k at depth d), so the skip
-changes no bit of any result; sampled bands, whose two-resolution
-widening is not monotone, are summed at every level.  Kernels with exact
-extrema produce true Darboux brackets: monotone-hinted kernels, and
-every differentiable expression kernel, whose cell extrema are the cell
-endpoints folded with certified critical-point entries (see
-``ScalarKernel.critical_entries``).  Sampled kernels (callables,
-expressions holding abs, min or max, and atoms whose critical points
-cannot be isolated) widen the bracket by a measured two-resolution
-difference, and the result records that provenance.  A kernel unbounded
-near a point of its interval raises ``KernelEvalError`` naming the point and
-the lowest atom at fault, as if the atoms ran one by one.  Non-integrable
-demo maps report ``converged=False`` with a stalling gap instead of
-raising.  Bands run one after another: a level's blocks (at most 2^13
-cells) are too small for threads to pay for themselves.
+bit for bit as if integrated alone.  One loop, ``_refine``, refines the
+rows of a band, for ``integrate`` and for the antiderivatives of
+``calculus`` alike: it owns the close test, the lattice of depths, the
+skip of levels that provably cannot close (the bound is stated at
+``_next_due``) and the error rule.  Kernels with exact extrema produce
+true Darboux brackets: monotone-hinted kernels, and every differentiable
+expression kernel, whose cell extrema are the cell endpoints folded with
+certified critical-point entries (see ``ScalarKernel.critical_entries``).
+Sampled kernels (callables, expressions holding abs, min or max, and atoms
+whose critical points cannot be isolated) widen the bracket by a measured
+two-resolution difference, and the result records that provenance.  A
+kernel unbounded near a point of its interval raises ``KernelEvalError``
+naming the point and the lowest atom at fault, as if the atoms ran one by
+one.  Non-integrable demo maps report ``converged=False`` with a stalling
+gap instead of raising.  Bands run one after another: a level's blocks (at
+most 2^13 cells) are too small for threads to pay for themselves.
 """
 
 from __future__ import annotations
@@ -59,7 +52,6 @@ __all__ = [
 # Base per-cell subsample count for sampled extrema (the sums run the base
 # and its double and report the difference as a widening).
 _SAMPLE_BASE = 4
-_SAMPLE_CAP = 256
 
 # The non-integrable demo path stops refining its probe partitions here.
 _DEMO_MAX_DEPTH = 6
@@ -142,22 +134,23 @@ class _Band:
         self.sampled = sampled
         self.entries = entries  # (rows, ts, vals), sorted by row
 
-    def sums(self, rows: np.ndarray, grid, s: int = _SAMPLE_BASE) -> np.ndarray:
+    def sums(self, rows: np.ndarray, grid) -> np.ndarray:
         """Rows L, U, widen_L and widen_U for the band's ``rows`` over ``grid``."""
         out = np.zeros((4, len(rows)))  # the widenings stay 0 unless sampled
-        found = self._run(rows, grid, s, cumulative=False)
+        found = self._run(rows, grid, cumulative=False)
         out[: len(found)] = found
         return out
 
     def prefixes(self, rows: np.ndarray, grid: _kernels.GivenRows):
         """Running L and U per cell of ``rows`` over ``grid``, and the rows' widen_L and widen_U."""
-        found = self._run(rows, grid, _SAMPLE_BASE, cumulative=True)
+        found = self._run(rows, grid, cumulative=True)
         widen = found[2:] if self.sampled else np.zeros((2, len(rows)))
         return found[0], found[1], widen[0], widen[1]
 
-    def _run(self, rows: np.ndarray, grid, s: int, cumulative: bool):
+    def _run(self, rows: np.ndarray, grid, cumulative: bool):
         """The kernel entry point of the band's strategy: sums, or prefixes if ``cumulative``."""
         K = _kernels
+        s = _SAMPLE_BASE
         prog = self.kernel.program
         evalf = self.kernel.eval_many
         try:
@@ -266,16 +259,21 @@ def _each(fn, items) -> list:
 def _next_due(depth: int, lower, upper, scale, tol: float) -> np.ndarray:
     """The first depth e > ``depth`` at which each open row of an exact band could close.
 
-    ``lower`` and ``upper`` are a row's sums at ``depth`` and ``scale`` is
-    S = max(|L_0|, |U_0|), which bounds Σ|m·Δx| at every depth, as level 0
-    is (hi - lo)·[inf f, sup f] from certified extrema.  A cell's
-    oscillation is at most the sum of its halves' (they share the
-    midpoint), so the gap at most halves per level, and the brackets nest,
-    so |mid_e| <= M_d = max(|L_d|, |U_d|).  A row cannot close at e while
-    gap_d·2^(d-e) exceeds tol·(1 + M_d) plus a slack for the rounding of
-    both levels' sums; this returns the first e where it does not.  No
-    depth before it could close the row, so a row moved there still closes
-    at its first closing depth.  Callers clamp e to their last depth.
+    This is the skip bound.  ``lower`` and ``upper`` are a row's sums at
+    ``depth`` and ``scale`` is S = max(|L_0|, |U_0|), which bounds Σ|m·Δx|
+    at every depth, as level 0 is (hi - lo)·[inf f, sup f] from certified
+    extrema.  On uniform dyadic levels a cell's oscillation is at most the
+    sum of its halves' (they share the midpoint), so the gap at most halves
+    per level, gap_e >= gap_d·2^(d-e), and the brackets nest, so
+    |mid_e| <= M_d = max(|L_d|, |U_d|).  A row cannot close at e while
+    gap_d·2^(d-e) exceeds tol·(1 + M_d) plus a slack of
+    2^-30·(1 + tol)·(gap_d + S) for the rounding of both levels' sums;
+    this returns the first e where it does not.  No depth before it could
+    close the row, and a level's sums do not depend on earlier levels, so a
+    row moved there still closes at its first closing depth, with the same
+    bits as in a sweep of every level.  It does not hold for sampled rows,
+    whose two-resolution widening is not monotone.  Callers round e up to
+    their lattice and clamp it to their last depth.
     """
     gap = upper - lower
     slack = _SKIP_SLACK * (1.0 + tol) * (gap + scale)  # tol·slack for the rounding of |mid_e|
@@ -287,34 +285,94 @@ def _next_due(depth: int, lower, upper, scale, tol: float) -> np.ndarray:
     return depth + k
 
 
+def _refine(
+    band: _Band, rows: np.ndarray, sched: ToleranceSchedule, measure, first: int = 0, step: int = 1
+):
+    """Refine ``rows`` of ``band`` until each closes; yield each pass.
+
+    The depths form the lattice first, first + step, ... up to ``last``,
+    the first of them at or past ``max_depth``.  ``measure(rows, depth)``
+    sums ``rows`` at ``depth`` and returns their L, U, widen_L and widen_U,
+    then anything else the caller keeps.  Each pass yields (depth, rows,
+    (mid, lower, upper, shut), found), where ``found`` is what ``measure``
+    returned and a row is shut when its widened bracket has
+    gap <= tol*(1+|mid|).  Every row is summed at ``first``.  After that an
+    open row of a sampled band steps by ``step``, and one of an exact band
+    moves to ``_next_due``, rounded up to the lattice.  Its S is taken from
+    the first pass when ``first`` is 0, and otherwise from one level-0 sum
+    of the rows still open, which evaluates only points the first pass did;
+    where (hi - lo)·sup|f| overflows there, S is inf and those rows step by
+    ``step``.  A row stops when it shuts or reaches ``last``; each row's
+    depths therefore do not depend on the other rows.
+
+    Error rule: when ``measure`` raises ``KernelEvalError`` for atom a, the
+    error is kept and only the rows of atoms below a are refined further,
+    from the depth that failed.  At the end the last kept error, that of
+    the lowest atom at fault, is raised, as if the atoms ran one by one; an
+    error may thus take as long as refining the atoms below it.  Callers
+    must hold no part of ``found`` across the next pass.
+    """
+    last = first + step * -(-(sched.max_depth - first) // step)
+    due = np.full(len(rows), first)
+    scale = np.zeros(len(rows))  # S, from the first pass on
+    error = None
+    while len(rows):
+        depth = int(due.min())
+        now = due == depth
+        try:
+            found = measure(rows[now], depth)
+        except KernelEvalError as err:
+            error, below = err, band.atoms[rows] < err.atom
+            rows, due, scale = rows[below], due[below], scale[below]
+            continue
+        mid = 0.5 * (found[0] + found[1])
+        lower, upper = found[0] - found[2], found[1] + found[3]
+        shut = upper - lower <= sched.tol * (1.0 + np.abs(mid))
+        yield depth, rows[now], (mid, lower, upper, shut), found
+        del found  # before the next, larger, pass
+        go = ~shut & (depth < last)
+        if band.sampled:
+            due[now] = depth + step
+        elif go.any():
+            if depth == 0:  # the first pass, where every row is due
+                scale = np.maximum(np.abs(lower), np.abs(upper))
+            elif depth == first:
+                try:  # it evaluates only points the first pass did
+                    scale[go] = np.max(np.abs(band.level(rows[go], 1)[:2]), axis=0)
+                except KernelEvalError:  # (hi - lo)·sup|f| overflows there
+                    scale[go] = np.inf
+            e = _next_due(depth, lower, upper, scale[now], sched.tol)
+            due[now] = np.minimum(first + step * -(-(e - first) // step), last)
+        keep = ~now
+        keep[now] = go
+        rows, due, scale = rows[keep], due[keep], scale[keep]
+    if error is not None:
+        raise error
+
+
 # --------------------------------------------------------------------------
 # Darboux and Riemann sums over explicit partitions
 # --------------------------------------------------------------------------
 
-def darboux_sums(f: LatticeFunction, p: Partition, tol: float = 0.0) -> DarbouxSums:
+def darboux_sums(f: LatticeFunction, p: Partition) -> DarbouxSums:
     """Lower/upper sums over an explicit partition.
 
-    Coordinatewise functions use per-kernel extrema (sampled ones refine
-    subsampling until the two-resolution difference is at most ``tol``).
-    General maps take the corner-evaluation route, valid for maps that are
-    affine on every cell and dim <= 3 (the swap demo's contract).
+    Coordinatewise functions use per-kernel extrema, summed band by band; a
+    kernel that fails names the lowest atom at fault.  General maps take
+    the corner-evaluation route, valid for maps that are affine on every
+    cell and dim <= 3 (the swap demo's contract).
     """
     if f.is_coordinatewise:
         mat = p.matrix()
         points = np.ascontiguousarray(mat.T)  # one row of breakpoints per atom
         lo = np.empty(f.dim)
         up = np.empty(f.dim)
-        for band in _make_bands(f, mat[0], mat[-1]):
-            rows = np.arange(len(band.atoms))
-            s = _SAMPLE_BASE
-            while len(rows):
-                atoms = band.atoms[rows]
-                l2, u2, wl, wu = band.sums(rows, _kernels.GivenRows(points[atoms]), s)
-                done = np.full(len(rows), not band.sampled or tol <= 0.0 or s >= _SAMPLE_CAP)
-                done |= np.maximum(wl, wu) <= tol
-                lo[atoms[done]], up[atoms[done]] = l2[done], u2[done]
-                rows = rows[~done]
-                s *= 2
+
+        def run(band):
+            grid = _kernels.GivenRows(points[band.atoms])
+            lo[band.atoms], up[band.atoms] = band.sums(np.arange(len(band.atoms)), grid)[:2]
+
+        _each(run, _make_bands(f, mat[0], mat[-1]))
         return DarbouxSums(lower=Element(lo), upper=Element(up))
     return _corner_darboux(f, p)
 
@@ -379,22 +437,18 @@ def integrate(
     """Refine uniform dyadic partitions until every atom's bracket closes.
 
     Atoms are minimal bands and the integral commutes with band projection,
-    so each atom stops at its own first closing depth, where
+    so each band is refined by ``_refine`` on the depths 0, 1, 2, ..., and
+    each atom stops at its own first closing depth, where
     gap_i <= tol*(1+|value_i|), and keeps that level's bracket; the value is
-    the bracket midpoint.  An atom of an exact band is summed at depth 0 and
-    then only at depths the skip bound of ``_next_due`` cannot rule out:
-    gap_d·2^(d-e) - slack <= tol*(1 + max(|L_d|, |U_d|)), with slack
-    2^-30·(1 + tol)·(gap_d + max(|L_0|, |U_0|)) for rounding.  Since no
-    depth that could close is skipped, it closes at the same depth with the
-    same bits as in a sweep of every level.  Sampled atoms, whose
-    two-resolution widening is not monotone, are summed at every level.
-    Each atom's result is therefore bit for bit that of its kernel
-    integrated alone, ``depth`` is the last depth summed (the deepest atom's
-    closing depth, or ``max_depth``), and ``converged`` is true only if
-    every atom closed.  Bands are summed one after another: ``workers``
-    must be at least 1, and the results do not depend on it.  General maps
-    are accepted only on the bounded demo path, which always reports
-    non-convergence.
+    the bracket midpoint.  Levels that the skip bound of ``_next_due`` rules
+    out are not summed, which changes no bit: each atom's result is that of
+    its kernel integrated alone.  ``depth`` is the deepest level summed
+    (the deepest atom's closing depth, or ``max_depth``), and ``converged``
+    is true only if every atom closed.  A failing kernel raises
+    ``KernelEvalError`` by the error rule of ``_refine``.  Bands are summed
+    one after another: ``workers`` must be at least 1, and the results do
+    not depend on it.  General maps are accepted only on the bounded demo
+    path, which always reports non-convergence.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -402,49 +456,20 @@ def integrate(
     if not f.is_coordinatewise:
         return _integrate_probes(f, interval, sched)
     bands = _make_bands(f, interval.lo.data, interval.hi.data)
+    value, lower, upper = np.empty(f.dim), np.empty(f.dim), np.empty(f.dim)
+    closed = np.zeros(f.dim, dtype=bool)
 
-    value = np.empty(f.dim)
-    lower = np.empty(f.dim)
-    upper = np.empty(f.dim)
-    # Per band: its open rows, the depth at which each is next summed, and
-    # each row's max(|L_0|, |U_0|) once level 0 is summed.
-    live = []
-    for band in bands:
-        rows = np.arange(len(band.atoms))
-        live.append((band, rows, np.zeros_like(rows), None))
-    depth = 0
-    while live:
-        depth = min(int(due.min()) for _, _, due, _ in live)
-        n = 1 << depth
-        now = [due == depth for _, _, due, _ in live]
-        summed = [
-            (band, rows[due_now]) for (band, rows, _, _), due_now in zip(live, now) if due_now.any()
-        ]
-        sums = iter(_each(lambda band_rows: band_rows[0].level(band_rows[1], n), summed))
-        still_open = []
-        for (band, rows, due, scale), due_now in zip(live, now):
-            if due_now.any():
-                lo, up, widen_lo, widen_up = next(sums)
-                mid, lo, up = 0.5 * (lo + up), lo - widen_lo, up + widen_up
-                atoms = band.atoms[rows[due_now]]
-                value[atoms], lower[atoms], upper[atoms] = mid, lo, up
-                if scale is None:  # level 0, where every row is due
-                    scale = np.maximum(np.abs(lo), np.abs(up))
-                shut = up - lo <= sched.tol * (1.0 + np.abs(mid))
-                if band.sampled:
-                    due[due_now] = depth + 1
-                else:
-                    e = _next_due(depth, lo, up, scale[due_now], sched.tol)
-                    due[due_now] = np.minimum(e, sched.max_depth)
-                keep = np.ones(len(rows), dtype=bool)
-                keep[due_now] = ~shut
-                rows, due, scale = rows[keep], due[keep], scale[keep]
-            if len(rows):
-                still_open.append((band, rows, due, scale))
-        live = still_open
-        if depth == sched.max_depth:
-            break
+    def run(band) -> int:
+        """Refine ``band``, keeping each atom's last bracket; the deepest level summed."""
+        passes = _refine(
+            band, np.arange(len(band.atoms)), sched, lambda rows, d: band.level(rows, 1 << d)
+        )
+        for depth, rows, (mid, lo, up, shut), _ in passes:
+            atoms = band.atoms[rows]
+            value[atoms], lower[atoms], upper[atoms], closed[atoms] = mid, lo, up, shut
+        return depth
 
+    depth = max(_each(run, bands))
     method = "sampled" if any(band.sampled for band in bands) else "exact"
     return IntegralResult(
         value=Element(value),
@@ -452,7 +477,7 @@ def integrate(
         upper=Element(upper),
         gap=Element(upper - lower),
         depth=depth,
-        converged=not live,
+        converged=bool(closed.all()),
         tolerance=sched,
         extrema_method=method,
     )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from ordercalc.calculus import (
     verify_substitution,
 )
 from ordercalc.functions import KernelEvalError, LatticeFunction, ScalarKernel
-from ordercalc.integrate import ToleranceSchedule, _Band, signed_integrate
+from ordercalc.integrate import ToleranceSchedule, _Band, integrate, signed_integrate
 from ordercalc.lattice import Element, OrderInterval
 from ordercalc.partitions import uniform_grid
 
@@ -252,6 +253,26 @@ def test_antiderivative_passes_skip_to_the_closing_depth(monkeypatch):
     depths = _assert_antiderivative_is_per_atom(f, iv, ToleranceSchedule(1e-9, 13), (3**-0.5,))
     assert depths == [14, 14, None, 14, 8] and calls == [2**8, -1, 2**14]
 
+    # A sampled band steps by 2 on the lattice up to 14, with no level-0 sum.
+    f = LatticeFunction.coordinatewise("abs(t - 0.3)", dim=2)
+    calls.clear()
+    antiderivative(f, interval((0.0, -1.0), (1.0, 2.0)), ToleranceSchedule(1e-7, 13))
+    assert calls == [2**8, 2**10, 2**12, 2**14]
+
+
+def test_antiderivative_build_keeps_no_earlier_pass_alive():
+    # Sampled passes at 8, 10, ..., 20, and the grids of the last are kept
+    # (48 MiB).  Holding any part of the pass at 18 while summing the one at
+    # 20 would add at least a 4 MiB prefix row to the peak.
+    f = LatticeFunction.coordinatewise(["abs(t - 0.3)", "abs(t - 0.6)"])
+    tracemalloc.start()
+    try:
+        F = antiderivative(f, UNIT2, ToleranceSchedule(1e-7, 20))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert F.dim == 2 and peak <= 1.1 * held, (held, peak)
+
 
 def test_antiderivative_failures_in_interleaved_bands_name_the_lowest_atom():
     # Kernels [A, B, A]: atoms 1 and 2 both fail, in different bands.
@@ -266,6 +287,22 @@ def test_antiderivative_failures_in_interleaved_bands_name_the_lowest_atom():
     with pytest.raises(KernelEvalError) as info:  # in the prefix passes
         antiderivative(f, interval((0.0, 0.0, 0.0), (1.0, 6.0, 3.0)), ToleranceSchedule(1e-3, 10))
     assert info.value.atom == 1
+
+
+def test_failures_within_a_band_name_the_lowest_atom_at_fault():
+    # One callable, NaN at 1/1024 + 1/4096 and at 10.5: atom 1 fails at
+    # the first level (10.5 is a sample point there), atom 0 only deeper.
+    bad = (1 / 1024 + 1 / 4096, 10.5)
+    k = ScalarKernel.from_callable(lambda t: float("nan") if t in bad else math.sin(t))
+    f = LatticeFunction.coordinatewise([k, k])
+    iv, sched = interval((0.0, 10.0), (1.0, 11.0)), ToleranceSchedule(1e-9, 12)
+    with pytest.raises(KernelEvalError) as alone:
+        integrate(LatticeFunction.coordinatewise([k]), interval((0.0,), (1.0,)), sched)
+    for build in (integrate, antiderivative):
+        with pytest.raises(KernelEvalError) as info:
+            build(f, iv, sched)
+        assert (info.value.atom, str(info.value)) == (0, str(alone.value)), build
+        assert "t=0.001220703125" in str(info.value)
 
 
 # -- mean value theorem for integrals --------------------------------------------

@@ -67,6 +67,19 @@ def test_corner_path_rejects_high_dimension():
         darboux_sums(f, uniform(iv, 2))
 
 
+def test_darboux_sums_failures_in_interleaved_bands_name_the_lowest_atom():
+    # Kernels [A, B, A]: band A (atoms 0 and 2) fails in atom 2 and band B
+    # in atom 1, so the lowest atom at fault is 1, as integrate names it.
+    a = ScalarKernel.from_callable(lambda t: 1.0 if t <= 2.0 else float("nan"))
+    b = ScalarKernel.from_callable(lambda t: 1.0 if t <= 5.0 else float("nan"))
+    f = LatticeFunction.coordinatewise([a, b, a])
+    iv = interval((0.0, 0.0, 0.0), (1.0, 6.0, 3.0))
+    for run in (lambda: darboux_sums(f, uniform(iv, 4)), lambda: integrate(f, iv)):
+        with pytest.raises(KernelEvalError) as info:
+            run()
+        assert info.value.atom == 1
+
+
 def test_darboux_sums_validation():
     with pytest.raises(ValueError):
         DarbouxSums(lower=E(1, 1), upper=E(0, 0))
