@@ -180,13 +180,10 @@ def enclose(prog: Program, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     stack: list[tuple[np.ndarray, np.ndarray]] = []
-    ops, iargs, consts = prog.ops.tolist(), prog.iargs.tolist(), prog.consts
     with np.errstate(all="ignore"):
-        for k in range(len(ops)):
-            op = ops[k]
+        for op, arg in prog.steps:
             if op == OP_CONST:
-                c = consts[iargs[k]]  # one object for both bounds marks a point
-                stack.append((c, c))
+                stack.append((arg, arg))  # one object for both bounds marks a point
             elif op == OP_VAR:
                 stack.append((a, b))
             elif op == OP_NEG:
@@ -208,7 +205,7 @@ def enclose(prog: Program, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np
                 else:
                     stack.append((np.maximum(xl, yl), np.maximum(xh, yh)))
             elif op == OP_POW:
-                stack.append(_pow(*stack.pop(), iargs[k]))
+                stack.append(_pow(*stack.pop(), arg))
             elif op == OP_SIN:
                 stack.append(_periodic(*stack.pop(), np.sin, 0.5 * np.pi))
             elif op == OP_COS:

@@ -24,8 +24,12 @@ in a band (whole short rows, or the same stretches of a long row), so its
 sums are bit for bit the same both ways.  The entry points (``darboux_*``
 for sums, ``prefix_*`` for cumulative sums, and the ``_fn`` twins of both
 for callables) sum a whole band, or one row given as a 1-D breakpoint
-array.  Programs are evaluated with the same binary-exponentiation sequence
-for ``^`` as the scalar evaluator.
+array.  ``_run`` steps through a program's (opcode, argument) pairs, and
+evaluates ``^`` with ``expr._ipow``, the scalar evaluator's own routine, so
+scalar and array values agree bit for bit.  ``BLOCK_CELLS`` and
+``CHUNK_CELLS`` are defined here, beside the one loop that reads them:
+they fix the blocks and the chunks, and so the summation order, which
+this module owns; the tape format has no part in it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from __future__ import annotations
 import numpy as np
 
 from ._tape import (
-    CHUNK_CELLS,
     OP_ABS,
     OP_ADD,
     OP_CONST,
@@ -52,7 +55,7 @@ from ._tape import (
     OP_VAR,
     Program,
 )
-from .expr import EvalDomainError
+from .expr import EvalDomainError, _ipow
 from .partitions import grid_points
 
 NAME = "numpy"
@@ -64,6 +67,15 @@ NAME = "numpy"
 # chunks of a long row start on block boundaries.
 BLOCK_CELLS = 1 << 13
 
+# Given rows (explicit partitions, 1-D breakpoint arrays and every prefix
+# sum) accumulate left to right within chunks of this many cells (from zero)
+# and left to right over the chunk subtotals: prefixes are that running sum,
+# and it makes a repeated point add exactly nothing.  A row's chunks start
+# at multiples of CHUNK_CELLS whether it is summed alone or with other rows,
+# so its sums do not depend on the block.  Uniform levels do not use it:
+# they sum each block pairwise.
+CHUNK_CELLS = 1 << 18
+
 
 class RowError(ValueError):
     """Evaluation failed in row ``row`` of a block; ``cause`` says where."""
@@ -74,30 +86,12 @@ class RowError(ValueError):
         self.cause = cause
 
 
-def _ipow_array(x: np.ndarray, e: int) -> np.ndarray:
-    # Same multiplication sequence as expr._ipow.
-    if e == 0:
-        return np.ones_like(x)
-    n = -e if e < 0 else e
-    acc = None
-    base = x
-    while n:
-        if n & 1:
-            acc = base if acc is None else acc * base
-        n >>= 1
-        if n:
-            base = base * base
-    return 1.0 / acc if e < 0 else acc
-
-
 def _run(prog: Program, ts: np.ndarray) -> np.ndarray:
     stack: list[np.ndarray] = []
-    ops, iargs, consts = prog.ops, prog.iargs, prog.consts
     with np.errstate(all="ignore"):
-        for k in range(len(ops)):
-            op = ops[k]
+        for op, arg in prog.steps:
             if op == OP_CONST:
-                stack.append(np.full(ts.shape, consts[iargs[k]]))
+                stack.append(np.full(ts.shape, arg))
             elif op == OP_VAR:
                 stack.append(ts)
             elif op == OP_NEG:
@@ -115,7 +109,7 @@ def _run(prog: Program, ts: np.ndarray) -> np.ndarray:
                 b = stack.pop()
                 stack.append(stack.pop() / b)
             elif op == OP_POW:
-                stack.append(_ipow_array(stack.pop(), int(iargs[k])))
+                stack.append(_ipow(stack.pop(), arg))
             elif op == OP_SIN:
                 stack.append(np.sin(stack.pop()))
             elif op == OP_COS:
@@ -157,7 +151,7 @@ def _check_finite(vals: np.ndarray, ts: np.ndarray, row0: int = 0) -> None:
         i = int(np.argmax(bad))
         row = row0 + (i // bad[0].size if bad.ndim > 1 else 0)
         t = float(ts.ravel()[i])
-        raise RowError(row, ValueError(f"kernel evaluation left the real domain at t={t!r}"))
+        raise RowError(row, EvalDomainError(f"kernel evaluation left the real domain at t={t!r}"))
 
 
 def _values(prog: Program | None, ts: np.ndarray, evalf, row0: int) -> np.ndarray:
@@ -169,7 +163,7 @@ def _values(prog: Program | None, ts: np.ndarray, evalf, row0: int) -> np.ndarra
         for r, row in enumerate(ts):
             try:
                 out[r] = np.asarray(evalf(row.ravel()), dtype=np.float64).reshape(row.shape)
-            except (ValueError, EvalDomainError) as err:
+            except EvalDomainError as err:
                 raise RowError(row0 + r, err) from err
     return out
 

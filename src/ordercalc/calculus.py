@@ -79,56 +79,41 @@ def _require_coordinatewise(f: LatticeFunction, what: str) -> None:
 # Differentiation
 # --------------------------------------------------------------------------
 
-def numeric_derivative(
-    f: LatticeFunction,
-    x: Element,
-    interval: OrderInterval,
-    h_factors=_H_FACTORS,
-    check_symbolic: bool = True,
-) -> Element:
+def numeric_derivative(f: LatticeFunction, x: Element, interval: OrderInterval) -> Element:
     """Per-atom central differences at the stablest step of a shrinking schedule.
 
     ``x`` must be interior.  When a kernel has a differentiable expression,
     the result is cross-checked against the symbolic derivative and a gross
-    mismatch raises.
+    mismatch raises.  A kernel that fails raises KernelEvalError naming its
+    atom.
     """
     _require_coordinatewise(f, "numeric_derivative")
     if x.dim != interval.dim:
         raise ValueError("dimension mismatch")
     if not (interval.lo.strictly_below(x) and x.strictly_below(interval.hi)):
         raise ValueError("x must be interior to the interval")
-    factors = tuple(h_factors)
-    if len(factors) < 2 or any(h <= 0 for h in factors):
-        raise ValueError("need at least two positive step factors")
-    hi_factor = max(factors)
 
     width = interval.hi.data - interval.lo.data
     margin = np.minimum(x.data - interval.lo.data, interval.hi.data - x.data)
-    scale = np.minimum(width, 0.99 * margin / hi_factor)
+    scale = np.minimum(width, 0.99 * margin / _H_FACTORS[0])
 
-    estimates = []
-    for factor in factors:
-        d = np.empty(f.dim)
-        for i, kernel in enumerate(f.kernels):
-            h = factor * scale[i]
-            d[i] = (kernel.eval(x[i] + h) - kernel.eval(x[i] - h)) / (2.0 * h)
-        estimates.append(d)
-    est = np.stack(estimates)  # (levels, dim)
-    changes = np.abs(np.diff(est, axis=0))
-    pick = np.argmin(changes, axis=0)
-    out = est[pick + 1, np.arange(f.dim)]
-
-    if check_symbolic:
-        for i, kernel in enumerate(f.kernels):
-            dk = kernel.derivative()
-            if dk is None:
-                continue
-            sym = dk.eval(x[i])
-            if abs(out[i] - sym) > 1e-3 * (1.0 + abs(sym)):
-                raise ArithmeticError(
-                    f"numeric derivative disagrees with the symbolic one in atom {i}: "
-                    f"{out[i]!r} vs {sym!r}"
-                )
+    out = np.empty(f.dim)
+    for i, kernel in enumerate(f.kernels):
+        dk = kernel.derivative()
+        try:
+            est = []
+            for factor in _H_FACTORS:
+                h = factor * scale[i]
+                est.append((kernel.eval(x[i] + h) - kernel.eval(x[i] - h)) / (2.0 * h))
+            sym = None if dk is None else dk.eval(x[i])
+        except EvalDomainError as err:
+            raise KernelEvalError(i, err) from err
+        out[i] = est[int(np.argmin(np.abs(np.diff(est)))) + 1]
+        if sym is not None and abs(out[i] - sym) > 1e-3 * (1.0 + abs(sym)):
+            raise ArithmeticError(
+                f"numeric derivative disagrees with the symbolic one in atom {i}: "
+                f"{out[i]!r} vs {sym!r}"
+            )
     return Element(out)
 
 
@@ -274,19 +259,23 @@ def mvt_integral_solve(
         def g_many(ts: np.ndarray) -> np.ndarray:
             return slope * kernel.eval_many(ts) - target
 
-        c[i] = _bisect_root(g, g_many, lo, hi, tol, atom=i)
+        try:
+            c[i] = _bisect_root(g, g_many, lo, hi, tol, atom=i)
+        except EvalDomainError as err:
+            raise KernelEvalError(i, err) from err
     return Element(c)
 
 
 def _bisect_root(g, g_many, lo: float, hi: float, tol: float, atom: int) -> float:
-    """A root of ``g`` in [lo, hi]: scan with ``g_many``, then bisect with ``g``."""
+    """A root of ``g`` in [lo, hi]: scan with ``g_many``, then bisect with ``g``.
+
+    ``atom`` names the atom in the errors raised here; the caller names it
+    when ``g`` or ``g_many`` raise EvalDomainError.
+    """
     points = _MVT_SCAN_START
     while True:
         ts = np.linspace(lo, hi, points)
-        try:
-            vals = g_many(ts)
-        except (ValueError, EvalDomainError) as err:
-            raise KernelEvalError(atom, err) from err
+        vals = g_many(ts)
         if np.all(vals == 0.0):
             return 0.5 * (lo + hi)
         hit = np.flatnonzero(vals == 0.0)

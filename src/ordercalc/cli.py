@@ -22,8 +22,7 @@ from .calculus import (
     verify_ftc2,
     verify_substitution,
 )
-from .expr import ExprSyntaxError
-from .functions import KernelEvalError, LatticeFunction
+from .functions import LatticeFunction
 from .integrate import ToleranceSchedule, darboux_sums, integrate, signed_integrate
 from .lattice import Element, OrderInterval, totord, trichotomy
 from .partitions import Partition
@@ -124,11 +123,9 @@ def _cmd_signed_integrate(args) -> int:
     return 0 if result.converged else 2
 
 
-def _report_exit(report, args, extra: dict | None = None) -> int:
+def _report_exit(report, args) -> int:
     payload = {"command": f"verify {report.name}", "backend": BACKEND_NAME}
     payload.update(report.to_dict())
-    if extra:
-        payload.update(extra)
     rows = [
         {"atom": i, "max_residual": payload["max_residual"][i], "passed": report.passed}
         for i in range(len(payload["max_residual"]))
@@ -282,11 +279,21 @@ def _cmd_demo(args) -> int:
 # Parser assembly
 # --------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--dim", type=int, default=None)
-    sub.add_argument("--tol", type=float, default=1e-6)
-    sub.add_argument("--max-depth", type=int, default=24)
-    sub.add_argument("--seed", type=int, default=0)
+# The shared options: (type, default) by name.  A subcommand takes only
+# those its handler reads.
+_OPTIONS = {
+    "dim": (int, None),
+    "tol": (float, 1e-6),
+    "max-depth": (int, 24),
+    "seed": (int, 0),
+}
+
+
+def _add_options(sub: argparse.ArgumentParser, *names: str) -> None:
+    """The options ``names`` of ``_OPTIONS``, and ``--format``."""
+    for name in names:
+        kind, default = _OPTIONS[name]
+        sub.add_argument(f"--{name}", type=kind, default=default)
     sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
 
@@ -299,14 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hi", required=True)
     sp.add_argument("--kernel", action="append", default=None)
     sp.add_argument("--function", default=None, help="JSON function descriptor")
-    _add_common(sp)
+    _add_options(sp, "dim", "tol", "max-depth")
     sp.set_defaults(handler=_cmd_integrate)
 
     sp = subs.add_parser("signed-integrate", help="integral between possibly incomparable endpoints")
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
     sp.add_argument("--kernel", action="append", default=None)
-    _add_common(sp)
+    _add_options(sp, "dim", "tol", "max-depth")
     sp.set_defaults(handler=_cmd_signed_integrate)
 
     sp = subs.add_parser("verify", help="check an integral-calculus identity")
@@ -320,23 +327,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--g", action="append", default=None)
     sp.add_argument("--G", action="append", default=None)
     sp.add_argument("--samples", type=int, default=50)
-    _add_common(sp)
+    _add_options(sp, "dim", "tol", "seed")
     sp.set_defaults(handler=_cmd_verify)
 
     sp = subs.add_parser("bands", help="trichotomy decomposition of two elements")
     sp.add_argument("--x", required=True)
     sp.add_argument("--y", required=True)
-    _add_common(sp)
+    _add_options(sp, "dim")
     sp.set_defaults(handler=_cmd_bands)
 
     sp = subs.add_parser("totord", help="total orderisation of a point list")
     sp.add_argument("--points", required=True)
-    _add_common(sp)
+    _add_options(sp)
     sp.set_defaults(handler=_cmd_totord)
 
     sp = subs.add_parser("demo", help="built-in demonstrations")
     sp.add_argument("what", choices=("swap",))
-    _add_common(sp)
+    _add_options(sp, "tol", "max-depth")
     sp.set_defaults(handler=_cmd_demo)
 
     return parser
@@ -347,7 +354,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ExprSyntaxError, KernelEvalError, ValueError, ArithmeticError) as err:
+    except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -361,11 +361,16 @@ def eval_expr(e: Expr, t: float) -> float:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _ipow(x: float, e: int) -> float:
-    # Binary exponentiation; the numpy evaluator replicates this exact
-    # multiplication sequence, so scalar and array values agree bitwise.
+def _ipow(x, e: int):
+    """``x`` to the integer power ``e`` by binary exponentiation; ``x`` a float or an array.
+
+    The one ``^`` of both point evaluators: ``eval_expr`` calls it on a
+    float and the numpy evaluator on an array, so scalar and array values
+    agree bit for bit.  Exponent 0 gives ``x**0``, which is 1 (ones for an
+    array) even where x is not finite.
+    """
     if e == 0:
-        return 1.0
+        return x**0
     n = -e if e < 0 else e
     acc = None
     base = x
@@ -379,11 +384,13 @@ def _ipow(x: float, e: int) -> float:
 
 
 # --------------------------------------------------------------------------
-# Symbolic differentiation (smooth fragment only)
+# Symbolic differentiation (smooth fragment only).  The builders below fold
+# two constants only where the result is finite: one that overflows is left
+# to the evaluators, which name the point where it is met.
 # --------------------------------------------------------------------------
 
 def _add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(a.value + b.value):
         return Const(a.value + b.value)
     if isinstance(a, Const) and a.value == 0.0:
         return b
@@ -393,7 +400,7 @@ def _add(a: Expr, b: Expr) -> Expr:
 
 
 def _sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(a.value - b.value):
         return Const(a.value - b.value)
     if isinstance(b, Const) and b.value == 0.0:
         return a
@@ -411,7 +418,7 @@ def _neg(a: Expr) -> Expr:
 
 
 def _mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(a.value * b.value):
         return Const(a.value * b.value)
     if isinstance(a, Const):
         if a.value == 0.0:

@@ -8,6 +8,7 @@ them by band mixing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from . import _kernels_fallback as _kernels
 from ._interval import _MAX_PIECES, IsolationError, isolate
 from ._kernels_fallback import RowError
 from ._tape import Program, compile_expr
-from .lattice import Band, Element, OrderInterval, _check_same_dim
+from .lattice import Band, Element, OrderInterval
 
 __all__ = [
     "KernelEvalError",
@@ -114,23 +115,24 @@ class ScalarKernel:
         return self._program
 
     def eval(self, t: float) -> float:
-        if self.expr is not None:
-            return ex.eval_expr(self.expr, t)
-        v = float(self.func(t))
-        if not np.isfinite(v):
-            raise ex.EvalDomainError(f"callable kernel returned {v!r}")
+        """k(t); a failure or a value that is not finite raises EvalDomainError naming t."""
+        try:
+            v = ex.eval_expr(self.expr, t) if self.expr is not None else float(self.func(t))
+        except (ValueError, ArithmeticError) as err:
+            raise ex.EvalDomainError(f"kernel evaluation failed at t={float(t)!r}: {err}") from err
+        if not math.isfinite(v):
+            raise ex.EvalDomainError(f"kernel evaluation left the real domain at t={float(t)!r}")
         return v
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
+        """k at every point of ``ts``; fails as ``eval`` does, naming the first t at fault."""
         ts = np.asarray(ts, dtype=np.float64)
         if self.expr is not None:
-            return _kernels.eval_many(self.program, ts)
-        out = np.fromiter((float(self.func(t)) for t in ts.ravel()), dtype=np.float64)
-        if not np.all(np.isfinite(out)):
-            bad = int(np.argmax(~np.isfinite(out)))
-            raise ex.EvalDomainError(
-                f"callable kernel returned a non-finite value at t={float(ts.ravel()[bad])!r}"
-            )
+            try:
+                return _kernels.eval_many(self.program, ts)
+            except RowError as err:
+                raise err.cause from None
+        out = np.fromiter(map(self.eval, ts.ravel()), dtype=np.float64, count=ts.size)
         return out.reshape(ts.shape)
 
     # -- extrema machinery ----------------------------------------------------
@@ -213,7 +215,12 @@ class ScalarKernel:
         return isolate(self.program, d1.program, d2.program, d1.eval, lo, hi, tol, floor)
 
     def scalar_extrema(self, lo: float, hi: float, tol: float = 0.0):
-        """(min, max, method, achieved) of the kernel over [lo, hi]."""
+        """(min, max, method, achieved) of the kernel over [lo, hi].
+
+        When sampled, ``achieved`` is the larger of the last change of the
+        grid's extrema and the grid's resolution, which is at least half the
+        largest step between neighbouring samples.
+        """
         if hi < lo:
             raise ValueError("needs lo <= hi")
         if hi == lo:
@@ -250,11 +257,14 @@ class ScalarKernel:
                     break
             else:
                 streak = 0
-        # Resolution-based residual: worst quadratic deviation between grid
-        # points, from a second-difference curvature estimate.
+        # Resolution-based residual: the worst quadratic deviation between
+        # grid points, from a second-difference curvature estimate, but at
+        # least half the largest step between neighbouring samples, which a
+        # kink between them (abs, min, max) can hide.
         h = (hi - lo) / (g - 1)
         curvature = float(np.abs(np.diff(vals, 2)).max()) / (h * h) if g >= 3 else 0.0
-        resolution = 0.5 * curvature * (0.5 * h) ** 2
+        step = float(np.abs(np.diff(vals)).max())
+        resolution = max(0.5 * curvature * (0.5 * h) ** 2, 0.5 * step)
         achieved = max(change if np.isfinite(change) else 0.0, resolution)
         return m, big, "sampled", float(achieved)
 

@@ -197,7 +197,7 @@ class _Band:
                 vals = kernel.eval_many(np.linspace(a, b, 2 * _SAMPLE_BASE + 1))
                 m, big = min(m, vals.min()), max(big, vals.max())
             return m, big
-        except (ValueError, EvalDomainError) as err:
+        except EvalDomainError as err:
             raise KernelEvalError(int(self.atoms[row]), err) from err
 
 

@@ -259,6 +259,18 @@ def test_antiderivative_passes_skip_to_the_closing_depth(monkeypatch):
     antiderivative(f, interval((0.0, -1.0), (1.0, 2.0)), ToleranceSchedule(1e-7, 13))
     assert calls == [2**8, 2**10, 2**12, 2**14]
 
+    # Where the level-0 sum (hi - lo)·sup|f| overflows, S is inf and the
+    # exact row steps by 2, to close at 14, though its integral is finite.
+    f = LatticeFunction.coordinatewise("exp(t)")
+    iv, sched = interval((700.0,), (709.0,)), ToleranceSchedule(1e-3, 16)
+    calls.clear()
+    depths = _assert_antiderivative_is_per_atom(f, iv, sched)
+    assert depths == [14] and calls == [2**8, -1, 2**10, 2**12, 2**14]
+    want = math.exp(709) - math.exp(700)
+    assert abs(antiderivative(f, iv, sched).eval(E(709.0))[0] - want) <= 3e-8 * want
+    with pytest.raises(KernelEvalError):
+        integrate(f, iv, sched)
+
 
 def test_antiderivative_build_keeps_no_earlier_pass_alive():
     # Sampled passes at 8, 10, ..., 20, and the grids of the last are kept

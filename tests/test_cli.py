@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from helpers import with_package_path
-from ordercalc.cli import main
+from ordercalc.cli import build_parser, main
 
 
 def run_cli(*argv, capsys):
@@ -141,6 +141,40 @@ def test_usage_errors_exit_one(capsys):
         "--kernel", "t", capsys=capsys,
     )
     assert code == 1
+
+
+_BASE_ARGS = {
+    "integrate": ["integrate", "--kernel", "t", "--lo", "0", "--hi", "1"],
+    "signed-integrate": ["signed-integrate", "--kernel", "t", "--a", "0", "--b", "1"],
+    "bands": ["bands", "--x", "0,1", "--y", "1,0"],
+    "totord": ["totord", "--points", "0,1;1,2"],
+    "demo": ["demo", "swap"],
+    "verify": ["verify", "ftc1", "--kernel", "t", "--lo", "0", "--hi", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("integrate", "--seed"),
+        ("signed-integrate", "--seed"),
+        ("bands", "--seed"),
+        ("totord", "--seed"),
+        ("demo", "--seed"),
+        ("bands", "--tol"),
+        ("totord", "--tol"),
+        ("bands", "--max-depth"),
+        ("totord", "--max-depth"),
+        ("totord", "--dim"),
+        ("demo", "--dim"),
+        ("verify", "--max-depth"),
+    ],
+)
+def test_options_no_handler_reads_are_rejected(command, flag):
+    build_parser().parse_args(_BASE_ARGS[command])  # valid without the flag
+    with pytest.raises(SystemExit) as info:
+        main(_BASE_ARGS[command] + [flag, "1"])
+    assert info.value.code == 1
 
 
 def test_bad_subcommand_exits_one():

@@ -83,6 +83,11 @@ def test_differentiate_examples():
         assert d and abs(ex.eval_expr(d, t) - (math.exp(t) + t * math.exp(t))) < 1e-12
 
 
+def test_differentiate_folds_only_finite_constants():
+    assert ex.differentiate(ex.parse("t*1e308*10")) == ex.Mul(ex.Const(1e308), ex.Const(10.0))
+    assert ex.differentiate(ex.parse("t*2*3")) == ex.Const(6.0)
+
+
 def test_differentiate_rejects_nonsmooth():
     for src in ("abs(t)", "min(t, 1)", "max(t, 0)"):
         with pytest.raises(ex.NonDifferentiableError):

@@ -1,9 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from helpers import adaptive_simpson
+from ordercalc.calculus import numeric_derivative
+from ordercalc.expr import EvalDomainError
 from ordercalc.functions import (
     ExtremaPair,
     KernelEvalError,
@@ -13,7 +16,9 @@ from ordercalc.functions import (
     extrema,
     lbp_check,
 )
+from ordercalc.integrate import riemann_sum
 from ordercalc.lattice import Band, Element, OrderInterval
+from ordercalc.partitions import tag, uniform
 
 
 def E(*coords):
@@ -43,6 +48,41 @@ def test_eval_reports_atom_index():
     with pytest.raises(KernelEvalError) as info:
         f.eval(E(1, 0))
     assert info.value.atom == 1
+
+
+_RECIPROCAL = ["t^2", "1/t"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: continuity_modulus(LatticeFunction.coordinatewise(_RECIPROCAL), UNIT2, [E(0.1, 0.1)]),
+        lambda: riemann_sum(LatticeFunction.coordinatewise(_RECIPROCAL), tag(uniform(UNIT2, 4), "left")),
+        lambda: extrema(LatticeFunction.coordinatewise(["t", "abs(1/t)"]), UNIT2),
+        lambda: LatticeFunction.coordinatewise(["t", "t*1e308*10"]).eval(E(0.5, 0.5)),
+        lambda: LatticeFunction.coordinatewise(
+            [ScalarKernel.identity(), ScalarKernel.from_callable(math.log)]
+        ).eval(E(0.5, -1.0)),
+        lambda: numeric_derivative(LatticeFunction.coordinatewise(["t", "log(t - 0.4999)"]), E(0.5, 0.5), UNIT2),
+    ],
+    ids=["continuity_modulus", "riemann_sum", "extrema", "overflow", "callable", "numeric_derivative"],
+)
+def test_every_kernel_failure_names_its_atom(call):
+    with pytest.raises(KernelEvalError) as info:
+        call()
+    assert info.value.atom == 1
+
+
+def test_kernel_eval_raises_only_domain_errors_naming_t():
+    for kernel, t in [
+        (ScalarKernel.from_string("t*1e308*10"), 0.5),
+        (ScalarKernel.from_callable(math.log), -1.0),
+        (ScalarKernel.from_callable(lambda t: 1 / float(t)), 0.0),
+        (ScalarKernel.from_string("1/t"), 0.0),
+    ]:
+        for call in (lambda: kernel.eval(t), lambda: kernel.eval_many(np.array([t, t]))):
+            with pytest.raises(EvalDomainError, match=f"t={t!r}"):
+                call()
 
 
 def test_kernel_broadcast_and_validation():
@@ -202,6 +242,21 @@ def test_extrema_brackets_sampled_values():
         y = f.eval(x)
         assert np.all(pair.m.data - slack <= y.data)
         assert np.all(y.data <= pair.M.data + slack)
+
+
+@pytest.mark.parametrize(
+    "kernel, lo, hi, true_min, true_max",
+    [
+        ("abs(t - 0.3)", 0.0, 2.0, 0.0, 1.7),
+        ("max(t, 0.7 - t)", 0.0, 1.0, 0.35, 1.0),
+        (ScalarKernel.from_callable(lambda t: abs(t - 1 / 3)), 0.0, 1.0, 0.0, 1.0 - 1 / 3),
+    ],
+)
+def test_sampled_extrema_tolerance_covers_kinks(kernel, lo, hi, true_min, true_max):
+    pair = extrema(LatticeFunction.coordinatewise([kernel]), interval((lo,), (hi,)), tol=1e-9)
+    assert pair.method == "sampled"
+    assert pair.m[0] - pair.tolerance <= true_min <= pair.m[0]
+    assert pair.M[0] <= true_max <= pair.M[0] + pair.tolerance
 
 
 def test_extrema_pair_validation():

@@ -156,6 +156,16 @@ def test_integrate_reports_nonconvergence_instead_of_raising():
     assert result.depth == 4
 
 
+def test_overflowing_constant_product_names_its_atom():
+    # The derivative's constants 1e308 and 10 are not folded into inf, so
+    # the kernel keeps its certified strategy and fails where it is summed.
+    assert ScalarKernel.from_string("t*1e308*10").strategy == "critical"
+    f = LatticeFunction.coordinatewise(["t", "t*1e308*10"])
+    with pytest.raises(KernelEvalError, match="t=0.5") as info:
+        integrate(f, interval((0, 0.5), (1, 1)))
+    assert info.value.atom == 1
+
+
 def test_integrate_workers_bitwise_deterministic():
     f = LatticeFunction.coordinatewise(["t^2", "sin(t)", "exp(t)"], dim=3)
     iv = interval((0, 0, 0), (1, 2, 1))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ordercalc import _kernels_fallback as K
-from ordercalc._tape import CHUNK_CELLS
+from ordercalc._kernels_fallback import CHUNK_CELLS
 from ordercalc.functions import KernelEvalError, LatticeFunction, ScalarKernel
 from ordercalc.integrate import integrate
 from ordercalc.lattice import Element, OrderInterval
