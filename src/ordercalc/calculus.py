@@ -20,6 +20,7 @@ from .integrate import (
     _each,
     _make_bands,
     _refine,
+    _representatives,
     integrate,
     signed_integrate,
 )
@@ -204,19 +205,23 @@ def antiderivative(
     share a kernel, as in ``integrate``) at the schedule's resolution, by
     the refinement loop of ``integrate`` (see ``_band_grids``); evaluation
     anywhere in the interval is then cheap and read-only (safe to share
-    across threads).  A kernel that fails raises KernelEvalError by the
-    error rule of ``integrate._refine``.
+    across threads).  Atoms with one kernel object over the same interval
+    bits share one grid, built once for the lowest of them (see
+    ``integrate._representatives``).  A kernel that fails raises
+    KernelEvalError by the error rule of ``integrate._refine``.
     """
     _require_coordinatewise(f, "antiderivative")
     sched = sched or _DEFAULT_SCHED
-    bands = _make_bands(f, interval.lo.data, interval.hi.data)
+    lo, hi = interval.lo.data, interval.hi.data
+    rep = _representatives(f, lo, hi)
+    bands = _make_bands(f, lo, hi, rep)
     grids: list = [None] * f.dim
     for band, band_grids in zip(bands, _each(lambda band: _band_grids(band, sched), bands)):
         for atom, grid in zip(band.atoms, band_grids):
             grids[atom] = grid
     kernels = [
-        ScalarKernel.from_callable(g.value, label=f"antiderivative[{i}]")
-        for i, g in enumerate(grids)
+        ScalarKernel.from_callable(grids[r].value, label=f"antiderivative[{i}]")
+        for i, r in enumerate(rep.tolist())
     ]
     return LatticeFunction(kind="coordinatewise", kernels=kernels)
 
@@ -337,6 +342,8 @@ def verify_ftc1(
     _require_coordinatewise(f, "verify_ftc1")
     if not interval.lo.strictly_below(interval.hi):
         raise ValueError("needs a nondegenerate interval (lo strictly below hi)")
+    if interior_samples < 1:
+        raise ValueError("verify_ftc1 needs interior_samples >= 1")
     anti = antiderivative(f, interval, sched=sched)
     rng = np.random.default_rng(seed)
     worst = None
@@ -385,7 +392,11 @@ def verify_ftc2(
 
     Pairs are drawn independently, so dimensions >= 2 exercise incomparable
     endpoints as well as comparable ones.  Explicit ``pairs`` replace the
-    sampling.
+    sampling; there must be at least one pair.  The integrals of all pairs
+    are one ``signed_integrate`` over len(pairs) × dim atoms, f's kernels
+    repeated per pair, which gives each pair's values bit for bit, as each
+    atom is its kernel integrated alone.  A failing kernel raises
+    KernelEvalError naming its atom of f, as if the pairs ran one by one.
     """
     _require_coordinatewise(F, "verify_ftc2")
     _require_coordinatewise(f, "verify_ftc2")
@@ -394,10 +405,23 @@ def verify_ftc2(
     if pairs is None:
         rng = np.random.default_rng(seed)
         pairs = [(interval.sample(rng), interval.sample(rng)) for _ in range(samples)]
+    if not pairs:
+        raise ValueError("verify_ftc2 needs at least one pair")
+    dim = f.dim
+    if any(x.dim != dim or y.dim != dim for x, y in pairs):
+        raise ValueError("dimension mismatch")
+    batch = LatticeFunction(kind="coordinatewise", kernels=f.kernels * len(pairs))
+    xs, ys = (Element(np.concatenate([p[k].data for p in pairs])) for k in (0, 1))
+    try:
+        lhs_all = signed_integrate(batch, xs, ys, sched=sched).value.data
+    except KernelEvalError as err:
+        for x, y in pairs[: err.atom // dim]:  # the pairs before it evaluate F first
+            F.eval(y), F.eval(x)
+        raise KernelEvalError(err.atom % dim, err.cause) from err.cause
     worst = None
     details = []
-    for x, y in pairs:
-        lhs = signed_integrate(f, x, y, sched=sched).value
+    for n, (x, y) in enumerate(pairs):
+        lhs = Element(lhs_all[n * dim : (n + 1) * dim])
         rhs = F.eval(y) - F.eval(x)
         residual = abs(lhs - rhs)
         worst = _max_elem(worst, residual)

@@ -45,6 +45,14 @@ def _parse_element(text: str, dim: int | None) -> Element:
     return Element(vals)
 
 
+def _flag_element(args, name: str) -> Element:
+    """The element given by ``--name``, of ``--dim`` coordinates; ValueError if it is missing."""
+    text = getattr(args, name)
+    if text is None:
+        raise ValueError(f"--{name} is required")
+    return _parse_element(text, args.dim)
+
+
 def _parse_points(text: str) -> list[Element]:
     return [_parse_element(chunk, None) for chunk in text.split(";") if chunk.strip()]
 
@@ -105,8 +113,8 @@ def _result_rows(result_dict: dict) -> list[dict]:
 
 def _cmd_integrate(args) -> int:
     f = _function(args)
-    lo = _parse_element(args.lo, args.dim)
-    hi = _parse_element(args.hi, args.dim)
+    lo = _flag_element(args, "lo")
+    hi = _flag_element(args, "hi")
     result = integrate(f, OrderInterval(lo, hi), sched=_sched(args))
     payload = {"command": "integrate", "backend": BACKEND_NAME, **result.to_dict()}
     _emit(payload, _result_rows(result.to_dict()), args.format)
@@ -115,8 +123,8 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_signed_integrate(args) -> int:
     f = _function(args)
-    a = _parse_element(args.a, args.dim)
-    b = _parse_element(args.b, args.dim)
+    a = _flag_element(args, "a")
+    b = _flag_element(args, "b")
     result = signed_integrate(f, a, b, sched=_sched(args))
     payload = {"command": "signed-integrate", "backend": BACKEND_NAME, **result.to_dict()}
     _emit(payload, _result_rows(result.to_dict()), args.format)
@@ -138,8 +146,8 @@ def _cmd_verify(args) -> int:
     which = args.which
     if which == "mvt":
         f = _function(args)
-        x = _parse_element(args.x, args.dim)
-        y = _parse_element(args.y, args.dim)
+        x = _flag_element(args, "x")
+        y = _flag_element(args, "y")
         c = mvt_integral_solve(f, x, y, tol=args.tol)
         lhs = (y - x) * f.eval(c)
         rhs = signed_integrate(f, x, y).value
@@ -161,8 +169,8 @@ def _cmd_verify(args) -> int:
 
     f = _function(args)
     if which == "ftc1":
-        lo = _parse_element(args.lo, args.dim)
-        hi = _parse_element(args.hi, args.dim)
+        lo = _flag_element(args, "lo")
+        hi = _flag_element(args, "hi")
         report = verify_ftc1(
             f,
             OrderInterval(lo, hi),
@@ -176,13 +184,13 @@ def _cmd_verify(args) -> int:
             raise ValueError("verify ftc2 needs --anti (the antiderivative)")
         F = LatticeFunction.coordinatewise(list(args.anti), dim=args.dim or 1)
         if args.x and args.y:
-            x = _parse_element(args.x, args.dim)
-            y = _parse_element(args.y, args.dim)
+            x = _flag_element(args, "x")
+            y = _flag_element(args, "y")
             box = OrderInterval(x.inf(y), x.sup(y))
             report = verify_ftc2(F, f, box, tol=args.tol, seed=args.seed, pairs=[(x, y)])
         else:
-            lo = _parse_element(args.lo, args.dim)
-            hi = _parse_element(args.hi, args.dim)
+            lo = _flag_element(args, "lo")
+            hi = _flag_element(args, "hi")
             report = verify_ftc2(
                 F, f, OrderInterval(lo, hi), samples=args.samples, tol=args.tol, seed=args.seed
             )
@@ -190,8 +198,8 @@ def _cmd_verify(args) -> int:
     if which == "usub":
         if not args.G:
             raise ValueError("verify usub needs --G (the substitution)")
-        lo = _parse_element(args.lo, args.dim)
-        hi = _parse_element(args.hi, args.dim)
+        lo = _flag_element(args, "lo")
+        hi = _flag_element(args, "hi")
         G = LatticeFunction.coordinatewise(list(args.G), dim=args.dim or 1)
         g = (
             LatticeFunction.coordinatewise(list(args.g), dim=args.dim or 1)
@@ -205,8 +213,8 @@ def _cmd_verify(args) -> int:
     if which == "parts":
         if not args.g:
             raise ValueError("verify parts needs --g (the second factor)")
-        lo = _parse_element(args.lo, args.dim)
-        hi = _parse_element(args.hi, args.dim)
+        lo = _flag_element(args, "lo")
+        hi = _flag_element(args, "hi")
         g = LatticeFunction.coordinatewise(list(args.g), dim=args.dim or 1)
         df = f.derivative()
         dg = g.derivative()
@@ -218,8 +226,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bands(args) -> int:
-    x = _parse_element(args.x, args.dim)
-    y = _parse_element(args.y, args.dim)
+    x = _flag_element(args, "x")
+    y = _flag_element(args, "y")
     decomposition = trichotomy(x, y)
     lt, gt, eq = decomposition.parts
     payload = {

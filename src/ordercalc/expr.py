@@ -334,7 +334,10 @@ def eval_expr(e: Expr, t: float) -> float:
         base = eval_expr(e.base, t)
         if e.exponent < 0 and base == 0.0:
             raise EvalDomainError("zero raised to a negative power", e.pos)
-        return _ipow(base, e.exponent)
+        try:
+            return _ipow(base, e.exponent)
+        except ZeroDivisionError:  # the positive power underflowed to 0
+            raise EvalDomainError("negative power overflows", e.pos) from None
     if isinstance(e, Call):
         a = eval_expr(e.args[0], t)
         try:

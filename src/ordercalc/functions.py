@@ -132,7 +132,8 @@ class ScalarKernel:
                 return _kernels.eval_many(self.program, ts)
             except RowError as err:
                 raise err.cause from None
-        out = np.fromiter(map(self.eval, ts.ravel()), dtype=np.float64, count=ts.size)
+        # Python floats, as ``eval`` gets them, so a callable fails alike through both.
+        out = np.fromiter(map(self.eval, ts.ravel().tolist()), dtype=np.float64, count=ts.size)
         return out.reshape(ts.shape)
 
     # -- extrema machinery ----------------------------------------------------
@@ -397,25 +398,26 @@ class LatticeFunction:
     # -- pointwise algebra (expression kernels only) ---------------------------
 
     def compose(self, inner: "LatticeFunction") -> "LatticeFunction":
-        """Atomwise composition self(inner(.))."""
+        """Atomwise composition self(inner(.)).
+
+        One kernel is built per distinct pair of kernel objects, so the
+        composition of broadcast functions is broadcast.
+        """
         if not (self.is_coordinatewise and inner.is_coordinatewise):
             raise ValueError("compose needs coordinatewise functions")
         if self.dim != inner.dim:
             raise ValueError("dimension mismatch")
-        return LatticeFunction(
-            kind="coordinatewise",
-            kernels=[a.compose(b) for a, b in zip(self.kernels, inner.kernels)],
-        )
+        kernels = _pairwise(ScalarKernel.compose, self.kernels, inner.kernels)
+        return LatticeFunction(kind="coordinatewise", kernels=kernels)
 
     def product(self, other: "LatticeFunction") -> "LatticeFunction":
+        """Atomwise product; one kernel per distinct pair of kernel objects, as in ``compose``."""
         if not (self.is_coordinatewise and other.is_coordinatewise):
             raise ValueError("product needs coordinatewise functions")
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return LatticeFunction(
-            kind="coordinatewise",
-            kernels=[a.multiply(b) for a, b in zip(self.kernels, other.kernels)],
-        )
+        kernels = _pairwise(ScalarKernel.multiply, self.kernels, other.kernels)
+        return LatticeFunction(kind="coordinatewise", kernels=kernels)
 
     def derivative(self) -> "LatticeFunction | None":
         if not self.is_coordinatewise:
@@ -424,6 +426,22 @@ class LatticeFunction:
         if any(d is None for d in ds):
             return None
         return LatticeFunction(kind="coordinatewise", kernels=ds)
+
+
+def _pairwise(op, left, right) -> list[ScalarKernel]:
+    """``op(a, b)`` for each atom's kernels a and b, built once per distinct pair of objects.
+
+    Atoms whose kernels come out as one object form one band in
+    ``integrate``, so the result of broadcast operands is refined as one.
+    """
+    built: dict = {}
+    out = []
+    for a, b in zip(left, right):
+        key = (id(a), id(b))
+        if key not in built:
+            built[key] = op(a, b)
+        out.append(built[key])
+    return out
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ to the value.  The unit of work is a band: the atoms whose kernel is one
 and whose extrema strategy is the same.  The integral commutes with band
 projection, so each band is isolated in one pass and refined as one block
 of rows, a row per atom; every atom still stops at its own closing depth,
-bit for bit as if integrated alone.  One loop, ``_refine``, refines the
+bit for bit as if integrated alone.  Atoms alike in kernel object and in
+the bits of their interval would therefore get the same bits, so
+``integrate`` and the antiderivatives give a row only to the lowest of
+them and copy its result to the rest (see ``_representatives``).  One loop, ``_refine``, refines the
 rows of a band, for ``integrate`` and for the antiderivatives of
 ``calculus`` alike: it owns the close test, the lattice of depths, the
 skip of levels that provably cannot close (the bound is stated at
@@ -183,30 +186,58 @@ class _Band:
         return (e_rows, ts, vals) if len(ts) else None
 
     def cell_extrema(self, row: int, a: float, b: float) -> tuple[float, float]:
-        """Extrema of row ``row`` over the (sub)cell [a, b], a < b, by the band's strategy."""
+        """Extrema of row ``row`` over the (sub)cell [a, b], a < b, by the band's strategy.
+
+        A failing kernel raises EvalDomainError naming t; the caller names
+        the atom, which may be any atom alike to the row's.
+        """
         kernel = self.kernel
-        try:
-            va, vb = kernel.eval(a), kernel.eval(b)
-            m, big = min(va, vb), max(va, vb)
-            if self.entries is not None:
-                e_rows, ts, vals = self.entries
-                inside = vals[(e_rows == row) & (ts >= a) & (ts <= b)]
-                if len(inside):
-                    m, big = min(m, float(inside.min())), max(big, float(inside.max()))
-            elif self.sampled:
-                vals = kernel.eval_many(np.linspace(a, b, 2 * _SAMPLE_BASE + 1))
-                m, big = min(m, vals.min()), max(big, vals.max())
-            return m, big
-        except EvalDomainError as err:
-            raise KernelEvalError(int(self.atoms[row]), err) from err
+        va, vb = kernel.eval(a), kernel.eval(b)
+        m, big = min(va, vb), max(va, vb)
+        if self.entries is not None:
+            e_rows, ts, vals = self.entries
+            inside = vals[(e_rows == row) & (ts >= a) & (ts <= b)]
+            if len(inside):
+                m, big = min(m, float(inside.min())), max(big, float(inside.max()))
+        elif self.sampled:
+            vals = kernel.eval_many(np.linspace(a, b, 2 * _SAMPLE_BASE + 1))
+            m, big = min(m, vals.min()), max(big, vals.max())
+        return m, big
 
 
-def _make_bands(f: LatticeFunction, lo: np.ndarray, hi: np.ndarray) -> list[_Band]:
-    """The bands of a coordinatewise function over the intervals [lo[i], hi[i]]."""
+def _representatives(f: LatticeFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each atom's representative: the lowest atom with its kernel object and interval bits.
+
+    Atoms are alike when their kernel is one ScalarKernel object and their
+    lo and hi have the same float64 bit patterns, so -0.0 and 0.0 stay
+    apart.  An atom's integral, bracket and antiderivative grid are its
+    kernel refined alone over its interval, so alike atoms get the same
+    bits, and only the representative need be refined.  ``_make_bands``
+    checks the lengths.
+    """
+    first: dict = {}
+    keys = zip(map(id, f.kernels), lo.view(np.int64).tolist(), hi.view(np.int64).tolist())
+    return np.array([first.setdefault(key, i) for i, key in enumerate(keys)])
+
+
+def _make_bands(f: LatticeFunction, lo: np.ndarray, hi: np.ndarray, rep=None) -> list[_Band]:
+    """The bands of a coordinatewise function over the intervals [lo[i], hi[i]].
+
+    Every atom gets a row, unless ``rep`` (from ``_representatives``) is
+    given: then only the atoms that represent themselves do, one per
+    distinct (kernel object, interval bits), and the caller copies each
+    result to the other atoms of its class.  That changes no bit (see
+    ``_representatives``), and the error rule is kept: a representative is
+    the lowest atom of its class, so it fails where that atom would, at the
+    same t.  ``darboux_sums`` does not merge: its atoms can share endpoints
+    and still have different breakpoints.
+    """
     if f.dim != len(lo):
         raise ValueError("dimension mismatch")
+    atoms = range(f.dim) if rep is None else np.flatnonzero(rep == np.arange(f.dim)).tolist()
     groups: dict[int, tuple[ScalarKernel, list[int]]] = {}
-    for i, kernel in enumerate(f.kernels):
+    for i in atoms:
+        kernel = f.kernels[i]
         groups.setdefault(id(kernel), (kernel, []))[1].append(i)
     found = _each(lambda group: _kernel_bands(*group, lo, hi), groups.values())
     return [band for bands in found for band in bands]
@@ -455,7 +486,9 @@ def integrate(
     sched = sched or ToleranceSchedule()
     if not f.is_coordinatewise:
         return _integrate_probes(f, interval, sched)
-    bands = _make_bands(f, interval.lo.data, interval.hi.data)
+    lo, hi = interval.lo.data, interval.hi.data
+    rep = _representatives(f, lo, hi)
+    bands = _make_bands(f, lo, hi, rep)
     value, lower, upper = np.empty(f.dim), np.empty(f.dim), np.empty(f.dim)
     closed = np.zeros(f.dim, dtype=bool)
 
@@ -470,6 +503,7 @@ def integrate(
         return depth
 
     depth = max(_each(run, bands))
+    value, lower, upper, closed = value[rep], lower[rep], upper[rep], closed[rep]
     method = "sampled" if any(band.sampled for band in bands) else "exact"
     return IntegralResult(
         value=Element(value),

@@ -526,3 +526,79 @@ def test_by_parts_sin_times_identity():
     want = adaptive_simpson(lambda t: math.sin(t) * 1.0, 0.0, 1.0)
     # integral of f * dg = integral of sin over [0,1]
     assert report.details[0]["lhs"][0] == pytest.approx(want, abs=1e-5)
+
+
+# -- alike atoms and batched verifiers ---------------------------------------------
+
+def test_antiderivative_of_alike_atoms_shares_one_grid():
+    f = LatticeFunction.coordinatewise("t^3 - t", dim=3)
+    iv = interval((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    _assert_antiderivative_is_per_atom(f, iv, ToleranceSchedule(1e-5, 18), (3**-0.5,))
+    F = antiderivative(f, iv, sched=ToleranceSchedule(1e-5, 18))
+    assert len({id(k.func.__self__) for k in F.kernels}) == 1
+    assert [k.label for k in F.kernels] == [f"antiderivative[{i}]" for i in range(3)]
+
+
+def test_antiderivative_read_that_fails_names_the_atom_read():
+    # The pole at 0.3 is off every dyadic grid point, so the build
+    # succeeds; atoms 0 and 2 share a grid, and a read at 0.3 fails.
+    pole = ScalarKernel.from_callable(lambda t: 1 / (t - 0.3), label="pole")
+    f = LatticeFunction.coordinatewise([pole, "t", pole])
+    F = antiderivative(f, interval((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), ToleranceSchedule(1e-3, 10))
+    assert F.kernels[0].func.__self__ is F.kernels[2].func.__self__
+    with pytest.raises(KernelEvalError, match="t=0.3") as info:
+        F.eval(E(0.5, 0.5, 0.3))
+    assert info.value.atom == 2 and "atom 0" not in str(info.value)
+
+
+def test_verify_ftc2_integrates_all_pairs_at_once(monkeypatch):
+    F = LatticeFunction.coordinatewise(["t^3/3", "sin(t)"])
+    f = LatticeFunction.coordinatewise(["t^2", "cos(t)"])
+    iv = interval((-1.0, 0.0), (2.0, 3.0))
+    found = []
+
+    def recorded(*args, **kwargs):
+        found.append(signed_integrate(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr("ordercalc.calculus.signed_integrate", recorded)
+    report = verify_ftc2(F, f, iv, samples=20, tol=1e-5, seed=4)
+    assert report.passed and report.samples == 20 and len(found) == 1
+    lhs = found[0].value.data
+    sched = ToleranceSchedule(tol=1e-5 / 4.0, max_depth=26)
+    for n, d in enumerate(report.details):
+        x, y = Element(d["x"]), Element(d["y"])
+        want = signed_integrate(f, x, y, sched=sched).value.data
+        assert lhs[2 * n : 2 * n + 2].tobytes() == want.tobytes(), n
+        assert d["residual"] == abs(Element(want) - (F.eval(y) - F.eval(x))).to_json()
+
+
+def test_verify_ftc2_names_the_atom_of_the_first_failing_pair():
+    # 1/t^2 is unbounded at 0: pair 3 crosses it in atom 1, pair 4 in atom 0.
+    F = LatticeFunction.coordinatewise("-1/t", dim=2)
+    f = LatticeFunction.coordinatewise("1/t^2", dim=2)
+    iv = interval((-1.0, -1.0), (2.0, 2.0))
+    pairs = [(E(0.5, 0.6), E(1.5, 1.4 + k / 10)) for k in range(3)]
+    pairs += [(E(0.5, -0.5), E(1.0, 1.0)), (E(-0.5, 0.5), E(1.0, 1.0))]
+    with pytest.raises(KernelEvalError) as info:
+        verify_ftc2(F, f, iv, pairs=pairs)
+    assert info.value.atom == 1
+    with pytest.raises(KernelEvalError) as alone:
+        signed_integrate(f, *pairs[3], sched=ToleranceSchedule(tol=1e-5 / 4.0, max_depth=26))
+    assert str(info.value) == str(alone.value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, F: verify_ftc1(f, UNIT2, interior_samples=0),
+        lambda f, F: verify_ftc2(F, f, UNIT2, samples=0),
+        lambda f, F: verify_ftc2(F, f, UNIT2, pairs=[]),
+    ],
+    ids=["ftc1", "ftc2-samples", "ftc2-pairs"],
+)
+def test_verifiers_without_samples_are_rejected(call):
+    f = LatticeFunction.coordinatewise("t^2", dim=2)
+    F = LatticeFunction.coordinatewise("t^3/3", dim=2)
+    with pytest.raises(ValueError):
+        call(f, F)

@@ -227,3 +227,22 @@ def test_kernel_broadcast_and_multiple(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == pytest.approx([0.5, 1 / 3], abs=2e-6)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ftc1", "--kernel", "t^2"], "--lo is required"),
+        (["ftc2", "--kernel", "t^2", "--anti", "t^3/3", "--samples", "5"], "--lo is required"),
+        (["usub", "--kernel", "t^2", "--G", "t + 1", "--lo", "0,0"], "--hi is required"),
+        (["parts", "--kernel", "t", "--g", "t^2/2"], "--lo is required"),
+        (["ftc2", "--kernel", "t^2", "--anti", "t^3/3", "--lo", "0,0", "--hi", "1,1",
+          "--samples", "0"], "at least one pair"),
+    ],
+    ids=["ftc1", "ftc2", "usub", "parts", "ftc2-no-samples"],
+)
+def test_verify_missing_input_exits_one_with_one_error_line(argv, message, capsys):
+    code, out, err = run_cli("verify", *argv, "--dim", "2", capsys=capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -1,9 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ordercalc import expr as ex
+from ordercalc.functions import ScalarKernel
 from helpers import central_difference, random_expr
 
 
@@ -149,3 +151,12 @@ def test_is_polynomial():
     assert not ex.is_polynomial(ex.parse("1/t"))
     assert not ex.is_polynomial(ex.parse("t^-1"))
     assert not ex.is_polynomial(ex.parse("abs(t)"))
+
+
+def test_underflowing_negative_power_is_a_domain_error_in_both_evaluators():
+    e = ex.parse("t^-3")
+    with pytest.raises(ex.EvalDomainError) as info:
+        ex.eval_expr(e, 1e-150)
+    assert info.value.pos == e.pos
+    with pytest.raises(ex.EvalDomainError, match="t=1e-150"):
+        ScalarKernel.from_string("t^-3").eval_many(np.array([1e-150]))

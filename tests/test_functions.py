@@ -16,7 +16,7 @@ from ordercalc.functions import (
     extrema,
     lbp_check,
 )
-from ordercalc.integrate import riemann_sum
+from ordercalc.integrate import integrate, riemann_sum
 from ordercalc.lattice import Band, Element, OrderInterval
 from ordercalc.partitions import tag, uniform
 
@@ -374,3 +374,28 @@ def test_compose_and_product():
     assert prod.eval(E(1, 2)) == E(2, 12)
     d = f.derivative()
     assert d is not None and d.eval(E(3, 4)) == E(6, 8)
+
+
+def test_compose_and_product_build_one_kernel_per_distinct_pair():
+    f = LatticeFunction.coordinatewise("t^2", dim=4)
+    g = LatticeFunction.coordinatewise("t + 1", dim=4)
+    for h in (f.product(g), f.compose(g)):
+        assert len({id(k) for k in h.kernels}) == 1
+    mixed = LatticeFunction.coordinatewise(["t^2", "sin(t)", "t^2", "t^2"])
+    other = LatticeFunction.coordinatewise(["t + 1", "t + 1", "t + 1", "t - 1"])
+    x = E(1, 2, 3, 4)
+    product, composition = mixed.product(other), mixed.compose(other)
+    for h in (product, composition):
+        k = h.kernels
+        assert k[0] is k[2] and len({id(a) for a in k}) == 3
+    assert product.eval(x) == mixed.eval(x) * other.eval(x)
+    assert composition.eval(x) == mixed.eval(other.eval(x))
+
+
+def test_callable_kernels_fail_alike_through_eval_and_eval_many():
+    k = ScalarKernel.from_callable(lambda t: 1 / t, label="reciprocal")
+    with pytest.raises(EvalDomainError, match=r"t=0\.0"):
+        k.eval_many(np.array([0.0]))
+    with pytest.raises(KernelEvalError) as info:
+        integrate(LatticeFunction.coordinatewise([k]), interval((0,), (1,)))
+    assert info.value.atom == 0

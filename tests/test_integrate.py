@@ -6,6 +6,7 @@ import pytest
 
 from helpers import adaptive_simpson, random_expr
 from ordercalc import expr as ex
+from ordercalc.calculus import antiderivative
 from ordercalc.expr import eval_expr, parse
 from ordercalc.functions import KernelEvalError, LatticeFunction, ScalarKernel
 from ordercalc.integrate import (
@@ -637,3 +638,36 @@ def test_split_rejects_outside_point():
     f = LatticeFunction.coordinatewise("t", dim=2)
     with pytest.raises(ValueError):
         split_integrate(f, UNIT2, E(2, 0.5))
+
+
+# -- alike atoms: one kernel object over the same interval bits ------------------
+
+def test_broadcast_atoms_on_one_interval_are_refined_once(monkeypatch):
+    f = LatticeFunction.coordinatewise("t^3 - t", dim=3)
+    sched = ToleranceSchedule(1e-6, 20)
+    got, calls = _integrate_counting(f, interval((0, 0, 0), (1, 1, 1)), sched, monkeypatch)
+    assert calls and all(atoms == [0] for _, atoms in calls)  # one row per level
+    alone = integrate(LatticeFunction.coordinatewise("t^3 - t"), interval((0,), (1,)), sched)
+    for name in ("value", "lower", "upper", "gap"):
+        assert getattr(got, name).data.tobytes() == getattr(alone, name).data.tobytes() * 3, name
+    assert (got.depth, got.converged) == (alone.depth, alone.converged)
+
+
+def test_signed_zero_endpoints_are_not_merged(monkeypatch):
+    f = LatticeFunction.coordinatewise("t^2", dim=2)
+    iv = interval((-0.0, 0.0), (1, 1))
+    got, calls = _integrate_counting(f, iv, ToleranceSchedule(), monkeypatch)
+    assert calls[0] == (0, [0, 1])
+    assert got.value[0] == got.value[1]
+
+
+def test_alike_failing_atoms_name_the_lowest():
+    # Atoms 1 and 3 are alike and fail at t = 0.5; atom 2 has the same
+    # kernel over another interval and is fine.
+    pole = ScalarKernel.from_callable(lambda t: 1 / (t - 0.5), label="pole")
+    f = LatticeFunction.coordinatewise(["t", pole, pole, pole])
+    iv = interval((0, 0, 0.6, 0), (1, 1, 1, 1))
+    for call in (integrate, antiderivative):
+        with pytest.raises(KernelEvalError, match="t=0.5") as info:
+            call(f, iv, ToleranceSchedule(1e-4, 12))
+        assert info.value.atom == 1, call.__name__
