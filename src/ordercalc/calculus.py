@@ -3,7 +3,11 @@
 The checks here make the classical integral-calculus identities (mean
 value for integrals, both fundamental theorems, substitution, integration
 by parts) executable: each verifier samples the identity and reports the
-largest residual against a declared tolerance.
+largest residual against a declared tolerance.  An antiderivative is
+built from ``integrate``'s own refinement: each atom keeps the running
+sums at the stretch ends of the level that closes it, so F(hi) - F(lo)
+is ``integrate``'s bracket, and a read adds the cells of at most one
+stretch, the last of them partial, to a kept running sum.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels_fallback import GivenRows
+from ._kernels_fallback import STRETCH_CELLS, GivenRows, UniformRows
 from .expr import EvalDomainError
 from .functions import KernelEvalError, LatticeFunction, ScalarKernel
 from .integrate import (
@@ -25,7 +29,6 @@ from .integrate import (
     signed_integrate,
 )
 from .lattice import Element, OrderInterval
-from .partitions import uniform_grid
 
 __all__ = [
     "VerificationReport",
@@ -119,46 +122,52 @@ def numeric_derivative(f: LatticeFunction, x: Element, interval: OrderInterval) 
 
 
 # --------------------------------------------------------------------------
-# Antiderivative with memoized cumulative grids
+# Antiderivative from the running sums of integrate's closing level
 # --------------------------------------------------------------------------
 
 @dataclass
 class _CumulativeGrid:
-    """Row ``row`` of ``band``: its cumulative Darboux prefixes over its closing dyadic grid.
+    """Row ``row`` of ``band`` at the level where its bracket closed, kept by stretch.
 
-    ``xs`` is the grid of the depth at which the atom's full-interval
-    bracket closed, with the running lower and upper sums over its cells
-    and the sampled widenings.  Queries are read-only.  A query at x adds
-    the partial cell [x_j, x] to the cell prefix, so differences of nearby
-    queries share prefixes and their grid errors cancel.  A zero-width atom
-    holds no grid and reads 0.
+    ``level`` is that level, one row of n uniform cells; ``running`` holds
+    the running lower and upper sums at the end of each of its stretches of
+    ``STRETCH_CELLS`` cells (``ends`` are the level's points there), the
+    last being the row's total; ``widen_l`` and ``widen_u`` are the level's
+    sampled widenings.  A read at x inside stretch k adds to the running
+    sum at the end of stretch k - 1 one left-to-right sum, by ``band.sums``,
+    over the level's own points of stretch k up to x, with x itself as the
+    end of its partial cell.  A read exactly at a stretch end, hi included,
+    is the running sum kept there, so the bracket at hi is ``integrate``'s,
+    bit for bit.  Reads in one stretch share its leading running sum and
+    its cells' products, so the grid errors of nearby reads cancel in their
+    differences.  Queries are read-only.
     """
 
     band: object
     row: int
-    xs: np.ndarray | None = None
-    pref_l: np.ndarray | None = None
-    pref_u: np.ndarray | None = None
-    widen_l: float = 0.0
-    widen_u: float = 0.0
+    level: UniformRows
+    ends: np.ndarray
+    running: np.ndarray
+    widen_l: float
+    widen_u: float
 
     def bracket(self, x: float) -> tuple[float, float]:
         lo, hi = self.band.lo[self.row], self.band.hi[self.row]
         if not (lo <= x <= hi):
             raise ValueError(f"antiderivative queried outside its interval: {x!r}")
-        if hi <= lo:
-            return 0.0, 0.0
-        xs = self.xs
-        j = int(np.searchsorted(xs, x, side="right")) - 1
-        j = min(max(j, 0), len(xs) - 2)
-        base_l = self.pref_l[j - 1] if j > 0 else 0.0
-        base_u = self.pref_u[j - 1] if j > 0 else 0.0
-        if x > xs[j]:
-            m, big = self.band.cell_extrema(self.row, xs[j], x)
-            dx = x - xs[j]
-            base_l += m * dx
-            base_u += big * dx
-        return base_l - self.widen_l, base_u + self.widen_u
+        k = int(self.ends.searchsorted(x, "right")) - 1
+        low, up = self.running[:, k - 1] if k else (0.0, 0.0)
+        if self.ends[k] < x:  # inside stretch k: its cells up to x, the last one cut at x
+            c0 = k * STRETCH_CELLS
+            xs = self.level.block(0, 1, c0, min(c0 + STRETCH_CELLS, self.level.n))
+            j = int(xs[0].searchsorted(x, "right"))
+            xs[0, j] = x  # block() made xs, so it is ours to cut
+            try:
+                got = self.band.sums(np.array([self.row]), GivenRows(xs[:, : j + 1]), (xs[0, 0], x))
+            except KernelEvalError as err:  # the caller names the atom read
+                raise err.cause from None
+            low, up = low + got[0, 0], up + got[1, 0]
+        return low - self.widen_l, up + self.widen_u
 
     def value(self, x: float) -> float:
         lo, hi = self.bracket(x)
@@ -168,29 +177,26 @@ class _CumulativeGrid:
 def _band_grids(band, sched: ToleranceSchedule) -> list[_CumulativeGrid]:
     """The cumulative grids of a band's atoms, in row order.
 
-    Each row of nonzero width is refined by ``_refine`` on the lattice
-    min(8, max_depth), +2, and so on, summing its prefixes over the uniform
-    grid of each depth.  It keeps the grid of the pass that shut it, or of
-    the first depth at or past max_depth.
+    The band is refined by ``_refine`` on ``integrate``'s own levels, each
+    keeping its rows' running sums at their stretch ends.  A row keeps
+    those of the level at which it stopped: where its bracket closed, or
+    ``max_depth``.  So each atom stops at ``integrate``'s depth, with its
+    sums, and fails where ``integrate`` fails.
     """
-    grids = [_CumulativeGrid(band, r) for r in range(len(band.atoms))]  # kept if zero-width
+    grids: list = [None] * len(band.atoms)
 
     def measure(rows, depth):
-        xs = uniform_grid(band.lo[rows], band.hi[rows], 1 << depth)
-        pl, pu, wl, wu = band.prefixes(rows, GivenRows(xs))
-        return pl[:, -1], pu[:, -1], wl, wu, xs, pl, pu
+        level = UniformRows(band.lo[rows], band.hi[rows], 1 << depth, running=True)
+        return (*band.sums(rows, level), level)
 
-    rows = np.flatnonzero(band.hi > band.lo)
-    passes = _refine(band, rows, sched, measure, first=min(8, sched.max_depth), step=2)
-    for depth, rows, (_, _, _, shut), found in passes:
-        stop = shut | (depth >= sched.max_depth)
-        # A stopped row is copied out unless every row summed here stops, so
-        # that it does not keep the rows still open alive.
-        keep = np.asarray if stop.all() else np.copy
-        for i in np.flatnonzero(stop):
-            r, w = int(rows[i]), (float(found[2][i]), float(found[3][i]))
-            grids[r] = _CumulativeGrid(band, r, *(keep(a[i]) for a in found[4:]), *w)
-        del found  # before the next, four or more times larger, pass
+    passes = _refine(band, np.arange(len(band.atoms)), sched, measure)
+    for depth, rows, (_, _, _, shut), (*sums, level) in passes:
+        for i in np.flatnonzero(shut | (depth >= sched.max_depth)):
+            r = int(rows[i])
+            one = UniformRows(band.lo[r : r + 1], band.hi[r : r + 1], level.n)
+            running, widen = level.running[:, i].copy(), (float(sums[2][i]), float(sums[3][i]))
+            grids[r] = _CumulativeGrid(band, r, one, one.ends()[0], running, *widen)
+        del sums, level  # before the next, larger, pass
     return grids
 
 
@@ -202,13 +208,16 @@ def antiderivative(
     """F with F(x) giving the integral of f over [lo, x], as a function.
 
     Backed by per-atom cumulative grids, built band by band (the atoms that
-    share a kernel, as in ``integrate``) at the schedule's resolution, by
-    the refinement loop of ``integrate`` (see ``_band_grids``); evaluation
-    anywhere in the interval is then cheap and read-only (safe to share
-    across threads).  Atoms with one kernel object over the same interval
-    bits share one grid, built once for the lowest of them (see
-    ``integrate._representatives``).  A kernel that fails raises
-    KernelEvalError by the error rule of ``integrate._refine``.
+    share a kernel, as in ``integrate``) by the refinement loop and the
+    level sums of ``integrate`` (see ``_band_grids``): each atom keeps the
+    running sums at the stretch ends of the level where ``integrate``
+    closes it, so F(hi) - F(lo) is ``integrate``'s bracket bit for bit.
+    A read sums at most one stretch of that level (see ``_CumulativeGrid``),
+    and is read-only (safe to share across threads).  Atoms with one kernel
+    object over the same interval bits share one grid, built once for the
+    lowest of them (see ``integrate._representatives``).  A kernel that
+    fails raises KernelEvalError by the error rule of ``integrate._refine``,
+    as ``integrate`` would.
     """
     _require_coordinatewise(f, "antiderivative")
     sched = sched or _DEFAULT_SCHED
@@ -241,15 +250,21 @@ def mvt_integral_solve(
 
     Bisection on a bracketing grid; continuity of the kernels guarantees a
     bracket exists (a scan failure signals a discontinuous kernel and
-    raises with the atom index).  Atoms with x_i = y_i return x_i.
+    raises with the atom index).  Atoms with x_i = y_i return x_i.  Atoms
+    alike in kernel object and in the bits of x_i and y_i are solved once,
+    for the lowest of them (see ``integrate._representatives``), which
+    fails where that atom would.
     """
     _require_coordinatewise(f, "mvt_integral_solve")
     if x.dim != y.dim or x.dim != f.dim:
         raise ValueError("dimension mismatch")
     sched = sched or _DEFAULT_SCHED
     result = signed_integrate(f, x, y, sched=sched)
+    rep = _representatives(f, x.data, y.data)
     c = np.empty(f.dim)
     for i, kernel in enumerate(f.kernels):
+        if rep[i] != i:  # solved as its representative
+            continue
         xi, yi = x[i], y[i]
         if xi == yi:
             c[i] = xi
@@ -268,7 +283,7 @@ def mvt_integral_solve(
             c[i] = _bisect_root(g, g_many, lo, hi, tol, atom=i)
         except EvalDomainError as err:
             raise KernelEvalError(i, err) from err
-    return Element(c)
+    return Element(c[rep])
 
 
 def _bisect_root(g, g_many, lo: float, hi: float, tol: float, atom: int) -> float:

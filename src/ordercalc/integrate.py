@@ -10,14 +10,15 @@ of rows, a row per atom; every atom still stops at its own closing depth,
 bit for bit as if integrated alone.  Atoms alike in kernel object and in
 the bits of their interval would therefore get the same bits, so
 ``integrate`` and the antiderivatives give a row only to the lowest of
-them and copy its result to the rest (see ``_representatives``).  One loop, ``_refine``, refines the
-rows of a band, for ``integrate`` and for the antiderivatives of
-``calculus`` alike: it owns the close test, the lattice of depths, the
-skip of levels that provably cannot close (the bound is stated at
-``_next_due``) and the error rule.  Kernels with exact extrema produce
-true Darboux brackets: monotone-hinted kernels, and every differentiable
-expression kernel, whose cell extrema are the cell endpoints folded with
-certified critical-point entries (see ``ScalarKernel.critical_entries``).
+them and copy its result to the rest (see ``_representatives``).  One
+loop, ``_refine``, refines the rows of a band on the depths 0, 1, 2, ...,
+for ``integrate`` and for the antiderivatives of ``calculus`` alike, both
+summing the same uniform levels: it owns the close test, the skip of
+levels that provably cannot close (the bound is stated at ``_next_due``)
+and the error rule.  Kernels with exact extrema produce true Darboux
+brackets: monotone-hinted kernels, and every differentiable expression
+kernel, whose cell extrema are the cell endpoints folded with certified
+critical-point entries (see ``ScalarKernel.critical_entries``).
 Sampled kernels (callables, expressions holding abs, min or max, and atoms
 whose critical points cannot be isolated) widen the bracket by a measured
 two-resolution difference, and the result records that provenance.  A
@@ -62,9 +63,11 @@ _DEMO_MAX_DEPTH = 6
 _GENERAL_DIM_CAP = 3
 
 # Relative slack of the skip bound (see ``_next_due``), on gap_d + S.  It
-# covers the rounding of both levels' sums with a wide margin: at 2^24
-# cells at most about γ_2072 ≈ 2^-42 of Σ|m·Δx| block-pairwise, and about
-# γ_(2^18 + 64) ≈ 2^-35 for prefixes summed left to right in chunks.
+# covers the rounding of both levels' sums with a wide margin.  A level of
+# n cells sums stretches of g = STRETCH_CELLS cells pairwise and adds the
+# n/g stretch subtotals left to right, so its error is at most about
+# γ_(log2 g + n/g) of Σ|m·Δx|: at 2^24 cells and g = 2^8 that is
+# γ_65544 ≈ 2^-37.
 _SKIP_SLACK = 2.0**-30
 
 
@@ -121,12 +124,12 @@ class _Band:
     """The atoms whose kernel is one ScalarKernel object, summed by one strategy.
 
     The atoms of a band are refined together, as one block of rows with a
-    row per atom, for the sums of ``integrate`` and the prefixes of an
-    antiderivative alike; both go through one strategy dispatch.  A band
-    that is not sampled folds the certified (row, t, value) entries of its
-    atoms' critical points into the cells that hold them; a sampled band
-    (callables, abs/min/max expressions, and atoms whose isolation gave up)
-    widens each bracket by the measured two-resolution difference.
+    row per atom, for the sums of ``integrate`` and the antiderivatives
+    alike, through one strategy dispatch.  A band that is not sampled
+    folds the certified (row, t, value) entries of its atoms' critical
+    points into the cells that hold them; a sampled band (callables,
+    abs/min/max expressions, and atoms whose isolation gave up) widens each
+    bracket by the measured two-resolution difference.
     """
 
     def __init__(self, kernel: ScalarKernel, atoms, lo, hi, sampled: bool, entries=None):
@@ -137,37 +140,35 @@ class _Band:
         self.sampled = sampled
         self.entries = entries  # (rows, ts, vals), sorted by row
 
-    def sums(self, rows: np.ndarray, grid) -> np.ndarray:
-        """Rows L, U, widen_L and widen_U for the band's ``rows`` over ``grid``."""
+    def sums(self, rows: np.ndarray, grid, part=None) -> np.ndarray:
+        """Rows L, U, widen_L and widen_U for the band's ``rows`` over ``grid``.
+
+        ``part`` = (a, b) says that ``grid`` is one row's cells between the
+        points a and b of a longer grid: only the entries with a <= t < b
+        are folded in, each into the cell the whole grid puts it in.
+        """
         out = np.zeros((4, len(rows)))  # the widenings stay 0 unless sampled
-        found = self._run(rows, grid, cumulative=False)
+        found = self._run(rows, grid, part)
         out[: len(found)] = found
         return out
 
-    def prefixes(self, rows: np.ndarray, grid: _kernels.GivenRows):
-        """Running L and U per cell of ``rows`` over ``grid``, and the rows' widen_L and widen_U."""
-        found = self._run(rows, grid, cumulative=True)
-        widen = found[2:] if self.sampled else np.zeros((2, len(rows)))
-        return found[0], found[1], widen[0], widen[1]
-
-    def _run(self, rows: np.ndarray, grid, cumulative: bool):
-        """The kernel entry point of the band's strategy: sums, or prefixes if ``cumulative``."""
+    def _run(self, rows: np.ndarray, grid, part):
+        """The kernel entry point of the band's strategy, over ``grid``."""
         K = _kernels
         s = _SAMPLE_BASE
         prog = self.kernel.program
         evalf = self.kernel.eval_many
         try:
             if self.sampled and prog is None:
-                return (K.prefix_sampled_fn if cumulative else K.darboux_sampled_fn)(evalf, grid, s)
+                return K.darboux_sampled_fn(evalf, grid, s)
             if self.sampled:
-                return (K.prefix_sampled if cumulative else K.darboux_sampled)(prog, grid, s)
+                return K.darboux_sampled(prog, grid, s)
             if prog is None:
-                return (K.prefix_endpoint_fn if cumulative else K.darboux_endpoint_fn)(evalf, grid)
-            if (entries := self._entries(rows)) is None:
-                return (K.prefix_endpoint if cumulative else K.darboux_endpoint)(prog, grid)
+                return K.darboux_endpoint_fn(evalf, grid)
+            if (entries := self._entries(rows, part)) is None:
+                return K.darboux_endpoint(prog, grid)
             e_rows, ts, vals = entries
-            entry = K.prefix_critical if cumulative else K.darboux_critical
-            return entry(prog, grid, ts, vals, e_rows)
+            return K.darboux_critical(prog, grid, ts, vals, e_rows)
         except K.RowError as err:
             raise KernelEvalError(int(self.atoms[rows[err.row]]), err.cause) from err.cause
 
@@ -175,34 +176,18 @@ class _Band:
         """Level sums of ``rows`` over n uniform cells each."""
         return self.sums(rows, _kernels.UniformRows(self.lo[rows], self.hi[rows], n))
 
-    def _entries(self, rows: np.ndarray):
-        """The entries of ``rows``, renumbered to their positions; None if there are none."""
+    def _entries(self, rows: np.ndarray, part=None):
+        """The entries of ``rows`` (or of ``part``), renumbered to their positions; None if none."""
         if self.entries is None:
             return None
         e_rows, ts, vals = self.entries
-        if len(rows) < len(self.atoms):
-            keep = np.isin(e_rows, rows)
-            e_rows, ts, vals = np.searchsorted(rows, e_rows[keep]), ts[keep], vals[keep]
+        if len(rows) < len(self.atoms) or part is not None:
+            at = np.minimum(np.searchsorted(rows, e_rows), len(rows) - 1)  # rows are sorted
+            keep = rows[at] == e_rows
+            if part is not None:
+                keep &= (ts >= part[0]) & (ts < part[1])
+            e_rows, ts, vals = at[keep], ts[keep], vals[keep]
         return (e_rows, ts, vals) if len(ts) else None
-
-    def cell_extrema(self, row: int, a: float, b: float) -> tuple[float, float]:
-        """Extrema of row ``row`` over the (sub)cell [a, b], a < b, by the band's strategy.
-
-        A failing kernel raises EvalDomainError naming t; the caller names
-        the atom, which may be any atom alike to the row's.
-        """
-        kernel = self.kernel
-        va, vb = kernel.eval(a), kernel.eval(b)
-        m, big = min(va, vb), max(va, vb)
-        if self.entries is not None:
-            e_rows, ts, vals = self.entries
-            inside = vals[(e_rows == row) & (ts >= a) & (ts <= b)]
-            if len(inside):
-                m, big = min(m, float(inside.min())), max(big, float(inside.max()))
-        elif self.sampled:
-            vals = kernel.eval_many(np.linspace(a, b, 2 * _SAMPLE_BASE + 1))
-            m, big = min(m, vals.min()), max(big, vals.max())
-        return m, big
 
 
 def _representatives(f: LatticeFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -303,8 +288,8 @@ def _next_due(depth: int, lower, upper, scale, tol: float) -> np.ndarray:
     close the row, and a level's sums do not depend on earlier levels, so a
     row moved there still closes at its first closing depth, with the same
     bits as in a sweep of every level.  It does not hold for sampled rows,
-    whose two-resolution widening is not monotone.  Callers round e up to
-    their lattice and clamp it to their last depth.
+    whose two-resolution widening is not monotone.  ``_refine`` clamps e
+    to ``max_depth``.
     """
     gap = upper - lower
     slack = _SKIP_SLACK * (1.0 + tol) * (gap + scale)  # tol·slack for the rounding of |mid_e|
@@ -316,25 +301,20 @@ def _next_due(depth: int, lower, upper, scale, tol: float) -> np.ndarray:
     return depth + k
 
 
-def _refine(
-    band: _Band, rows: np.ndarray, sched: ToleranceSchedule, measure, first: int = 0, step: int = 1
-):
+def _refine(band: _Band, rows: np.ndarray, sched: ToleranceSchedule, measure=None):
     """Refine ``rows`` of ``band`` until each closes; yield each pass.
 
-    The depths form the lattice first, first + step, ... up to ``last``,
-    the first of them at or past ``max_depth``.  ``measure(rows, depth)``
-    sums ``rows`` at ``depth`` and returns their L, U, widen_L and widen_U,
-    then anything else the caller keeps.  Each pass yields (depth, rows,
-    (mid, lower, upper, shut), found), where ``found`` is what ``measure``
+    ``measure(rows, depth)`` sums ``rows`` over the 2^depth uniform cells
+    of that level and returns their L, U, widen_L and widen_U, then
+    anything else the caller keeps; by default it is ``band.level``, which
+    returns those four only.  Each pass yields (depth, rows, (mid,
+    lower, upper, shut), found), where ``found`` is what ``measure``
     returned and a row is shut when its widened bracket has
-    gap <= tol*(1+|mid|).  Every row is summed at ``first``.  After that an
-    open row of a sampled band steps by ``step``, and one of an exact band
-    moves to ``_next_due``, rounded up to the lattice.  Its S is taken from
-    the first pass when ``first`` is 0, and otherwise from one level-0 sum
-    of the rows still open, which evaluates only points the first pass did;
-    where (hi - lo)·sup|f| overflows there, S is inf and those rows step by
-    ``step``.  A row stops when it shuts or reaches ``last``; each row's
-    depths therefore do not depend on the other rows.
+    gap <= tol*(1+|mid|).  Every row is summed at depth 0.  After that an
+    open row of a sampled band steps by 1, and one of an exact band moves
+    to ``_next_due``, clamped to ``max_depth``, with S taken from the
+    depth-0 pass.  A row stops when it shuts or reaches ``max_depth``; each
+    row's depths therefore do not depend on the other rows.
 
     Error rule: when ``measure`` raises ``KernelEvalError`` for atom a, the
     error is kept and only the rows of atoms below a are refined further,
@@ -343,15 +323,14 @@ def _refine(
     error may thus take as long as refining the atoms below it.  Callers
     must hold no part of ``found`` across the next pass.
     """
-    last = first + step * -(-(sched.max_depth - first) // step)
-    due = np.full(len(rows), first)
+    due = np.zeros(len(rows), dtype=np.int64)
     scale = np.zeros(len(rows))  # S, from the first pass on
     error = None
     while len(rows):
         depth = int(due.min())
         now = due == depth
         try:
-            found = measure(rows[now], depth)
+            found = measure(rows[now], depth) if measure else band.level(rows[now], 1 << depth)
         except KernelEvalError as err:
             error, below = err, band.atoms[rows] < err.atom
             rows, due, scale = rows[below], due[below], scale[below]
@@ -361,19 +340,12 @@ def _refine(
         shut = upper - lower <= sched.tol * (1.0 + np.abs(mid))
         yield depth, rows[now], (mid, lower, upper, shut), found
         del found  # before the next, larger, pass
-        go = ~shut & (depth < last)
-        if band.sampled:
-            due[now] = depth + step
-        elif go.any():
-            if depth == 0:  # the first pass, where every row is due
-                scale = np.maximum(np.abs(lower), np.abs(upper))
-            elif depth == first:
-                try:  # it evaluates only points the first pass did
-                    scale[go] = np.max(np.abs(band.level(rows[go], 1)[:2]), axis=0)
-                except KernelEvalError:  # (hi - lo)·sup|f| overflows there
-                    scale[go] = np.inf
-            e = _next_due(depth, lower, upper, scale[now], sched.tol)
-            due[now] = np.minimum(first + step * -(-(e - first) // step), last)
+        go = ~shut & (depth < sched.max_depth)
+        if depth == 0:  # the first pass, where every row is due
+            scale = np.maximum(np.abs(lower), np.abs(upper))
+        if go.any():
+            e = depth + 1 if band.sampled else _next_due(depth, lower, upper, scale[now], sched.tol)
+            due[now] = np.minimum(e, sched.max_depth)
         keep = ~now
         keep[now] = go
         rows, due, scale = rows[keep], due[keep], scale[keep]
@@ -494,10 +466,7 @@ def integrate(
 
     def run(band) -> int:
         """Refine ``band``, keeping each atom's last bracket; the deepest level summed."""
-        passes = _refine(
-            band, np.arange(len(band.atoms)), sched, lambda rows, d: band.level(rows, 1 << d)
-        )
-        for depth, rows, (mid, lo, up, shut), _ in passes:
+        for depth, rows, (mid, lo, up, shut), _ in _refine(band, np.arange(len(band.atoms)), sched):
             atoms = band.atoms[rows]
             value[atoms], lower[atoms], upper[atoms], closed[atoms] = mid, lo, up, shut
         return depth

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import adaptive_simpson
 from ordercalc import _kernels_fallback as K
+from ordercalc import calculus
 from ordercalc.calculus import (
     antiderivative,
     mvt_integral_solve,
@@ -129,77 +130,121 @@ def test_antiderivative_lipschitz_bound():
         assert np.all(lhs <= rhs)
 
 
-def _antiderivative_alone(kernel, lo, hi, sched, xq):
-    """One atom's antiderivative at the points ``xq``, built alone from the 1-D prefix sums.
+G = K.STRETCH_CELLS
 
-    Depths min(8, max_depth), +2, ... until gap <= tol*(1+|mid|) or
-    max_depth; a query adds its partial cell's extrema (endpoints, then the
-    critical entries in it, or 9 samples if the kernel is sampled) to the
-    prefix of the cells before it.  Returns the values and the depth.
+
+def _stretch_running(prods):
+    """Running sums at the stretch ends, written plainly: one reduction per stretch, added left to right."""
+    total, out = 0.0, []
+    for c0 in range(0, len(prods), G):
+        total = total + np.add.reduce(prods[c0 : c0 + G])
+        out.append(total)
+    return np.array(out)
+
+
+def _level_products(kernel, xs, ts, vals, s):
+    """Each cell's (min · dx, max · dx): endpoint extrema folded with the entries, or s samples."""
+    if s:
+        a, b = xs[:-1], xs[1:]
+        v = kernel.eval_many(a[:, None] + np.arange(s + 1) * ((b - a) / s)[:, None])
+        m, big = v.min(axis=1), v.max(axis=1)
+    else:
+        v = kernel.eval_many(xs)
+        m, big = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
+        cells = np.clip(np.searchsorted(xs, ts, side="right") - 1, 0, len(xs) - 2)
+        np.minimum.at(m, cells, vals)
+        np.maximum.at(big, cells, vals)
+    dx = xs[1:] - xs[:-1]
+    return m * dx, big * dx
+
+
+def _antiderivative_alone(kernel, lo, hi, sched):
+    """One atom's antiderivative built alone, written plainly; returns a reader and its depth.
+
+    The depth is that of ``integrate`` of the kernel alone.  At that level
+    the running L and U at each stretch end are the stretch reductions
+    added left to right (the 2s pass of a sampled kernel, widened by the
+    difference from the s pass).  A read at x in cell j of stretch k is the
+    running sum at the end of stretch k - 1 plus one left-to-right sum of
+    the products of the cells of stretch k before j and of the partial cell
+    [x_j, x].  The partial cell's extrema are its endpoints', folded with
+    the critical entries in [x_j, x), or 9 samples if the kernel is
+    sampled.  A read at a stretch end, hi included, is the running sum
+    there.
     """
-    if hi <= lo:
-        return [0.0] * len(xq), None
-    prog, evalf, sampled = kernel.program, kernel.eval_many, kernel.strategy == "sampled"
+    one = LatticeFunction.coordinatewise([kernel])
+    depth = integrate(one, interval((lo,), (hi,)), sched).depth
+    s = 8 if kernel.strategy == "sampled" else 0
     ts = vals = np.empty(0)
     if kernel.strategy == "critical":
         ts, vals = kernel.critical_points(lo, hi, enclose=True)
-    depth = min(8, sched.max_depth)
-    while True:
-        xs = uniform_grid(lo, hi, 1 << depth)
-        if sampled and prog is None:
-            pl, pu, wl, wu = K.prefix_sampled_fn(evalf, xs, 4)
-        elif sampled:
-            pl, pu, wl, wu = K.prefix_sampled(prog, xs, 4)
-        elif prog is None:
-            (pl, pu), wl, wu = K.prefix_endpoint_fn(evalf, xs), 0.0, 0.0
-        elif len(ts):
-            (pl, pu), wl, wu = K.prefix_critical(prog, xs, ts, vals), 0.0, 0.0
-        else:
-            (pl, pu), wl, wu = K.prefix_endpoint(prog, xs), 0.0, 0.0
-        mid = 0.5 * (pl[-1] + pu[-1])
-        if (pu[-1] + wu) - (pl[-1] - wl) <= sched.tol * (1.0 + abs(mid)) or depth >= sched.max_depth:
-            break
-        depth += 2
-    out = []
-    for x in xq:
-        j = min(max(int(np.searchsorted(xs, x, side="right")) - 1, 0), len(xs) - 2)
-        low = pl[j - 1] if j > 0 else 0.0
-        up = pu[j - 1] if j > 0 else 0.0
-        if x > xs[j]:
+    xs = uniform_grid(lo, hi, 1 << depth)
+    pl, pu = _level_products(kernel, xs, ts, vals, s)
+    rl, ru = _stretch_running(pl), _stretch_running(pu)
+    wl = wu = 0.0
+    if s:
+        ql, qu = _level_products(kernel, xs, ts, vals, s // 2)
+        wl, wu = abs(rl[-1] - _stretch_running(ql)[-1]), abs(ru[-1] - _stretch_running(qu)[-1])
+
+    def read(x):
+        if x == hi:
+            return rl[-1] - wl, ru[-1] + wu
+        j = int(np.searchsorted(xs, x, side="right")) - 1
+        k = j // G
+        low, up = (rl[k - 1], ru[k - 1]) if k else (0.0, 0.0)
+        if x > xs[k * G]:
             a = xs[j]
-            m, big = sorted([kernel.eval(a), kernel.eval(x)])
-            inside = vals[(ts >= a) & (ts <= x)]
-            if len(inside):
-                m, big = min(m, float(inside.min())), max(big, float(inside.max()))
-            elif sampled:
-                v = kernel.eval_many(np.linspace(a, x, 9))
-                m, big = min(m, v.min()), max(big, v.max())
-            low += m * (x - a)
-            up += big * (x - a)
-        out.append(0.5 * ((low - wl) + (up + wu)))
-    return out, depth
+            inside = (ts >= a) & (ts < x)
+            ml, mu = _level_products(kernel, np.array([a, x]), ts[inside], vals[inside], s)
+            low = low + np.add.accumulate(np.append(pl[k * G : j], ml))[-1]
+            up = up + np.add.accumulate(np.append(pu[k * G : j], mu))[-1]
+        return low - wl, up + wu
+
+    read.running, read.xs, read.ts = (rl, ru), xs, ts
+    return read, depth
+
+
+def _bits(*values):
+    return np.array(values, dtype=np.float64).tobytes()
 
 
 def _assert_antiderivative_is_per_atom(f, iv, sched, critical=()):
     """Each atom of ``antiderivative(f)`` equals its kernel's built alone, bit for bit.
 
-    Queries fall at random, on grid points, and 1e-5 right of each of the
-    ``critical`` points, in the partial cell that holds it when the cells
-    are wider than that.
+    Each atom keeps the running sums of the written-out reference at
+    ``integrate``'s depth, and its bracket at hi is ``integrate``'s (lower,
+    upper).  Reads fall at random, on stretch ends and inside stretches, on
+    the critical entries, and 1e-5 right of each of the ``critical``
+    points, in the partial cell that holds it when the cells are wider than
+    that.  Returns the depths.
     """
     F = antiderivative(f, iv, sched=sched)
-    rng = np.random.default_rng(0)
+    whole = integrate(f, iv, sched)
     lo, hi = iv.lo.data, iv.hi.data
+    refs = [_antiderivative_alone(k, lo[i], hi[i], sched) for i, k in enumerate(f.kernels)]
+    for i, (read, depth) in enumerate(refs):
+        grid = F.kernels[i].func.__self__
+        assert grid.level.n == 1 << depth, i
+        assert _bits(*grid.running[0]) == _bits(*read.running[0]), i
+        assert _bits(*grid.running[1]) == _bits(*read.running[1]), i
+        assert _bits(*grid.bracket(hi[i])) == _bits(whole.lower[i], whole.upper[i]), i
+        for m in range(1, len(grid.ends)):  # a read at a stretch end is the running sum kept there
+            low, up = grid.running[0][m - 1] - grid.widen_l, grid.running[1][m - 1] + grid.widen_u
+            assert _bits(*grid.bracket(grid.ends[m])) == _bits(low, up), (i, m)
+    rng = np.random.default_rng(0)
     points = [lo, hi] + [lo + u * (hi - lo) for u in rng.uniform(0.0, 1.0, (40, f.dim))]
-    points += [lo + k / 256 * (hi - lo) for k in range(0, 257, 32)]
     points += [np.clip(np.full(f.dim, c + 1e-5), lo, hi) for c in critical]
+    for m in range(max(len(r.ts) for r, _ in refs)):  # on the critical entries themselves
+        points.append(np.array([r.ts[m] if m < len(r.ts) else lo[i] for i, (r, _) in enumerate(refs)]))
+    for m in (1, 2, 5):  # at a stretch end, on a grid point inside a stretch, and between
+        ends = [r.xs[min(m * G, len(r.xs) - 1)] for r, _ in refs]
+        inner = [r.xs[min(m * G + 3, len(r.xs) - 1)] for r, _ in refs]
+        points += [np.array(ends), np.array(inner), 0.5 * (np.array(ends) + np.array(inner))]
     got = np.array([F.eval(Element(p)).data for p in points])
-    depths = []
-    for i, kernel in enumerate(f.kernels):
-        want, depth = _antiderivative_alone(kernel, lo[i], hi[i], sched, [p[i] for p in points])
-        assert got[:, i].tolist() == want, i
-        depths.append(depth)
-    return depths
+    for i, (read, _) in enumerate(refs):
+        want = [0.5 * sum(read(p[i])) for p in points]
+        assert got[:, i].tobytes() == np.array(want).tobytes(), i
+    return [depth for _, depth in refs]
 
 
 def test_antiderivative_broadcast_band_is_per_atom():
@@ -207,7 +252,7 @@ def test_antiderivative_broadcast_band_is_per_atom():
     iv = interval((-1.0, 0.0, 0.5, -2.0, 0.2), (1.0, 0.5, 0.5, 0.3, 0.2001))
     crit = (-(3**-0.5), 3**-0.5)
     depths = _assert_antiderivative_is_per_atom(f, iv, ToleranceSchedule(1e-4, 20), crit)
-    assert depths == [16, 12, None, 16, 8]  # zero width, and closing at different depths
+    assert depths == [15, 11, 0, 16, 0]  # zero width, and closing at different depths
 
 
 def test_antiderivative_mixed_bands_are_per_atom():
@@ -222,12 +267,15 @@ def test_antiderivative_callables_are_per_atom():
     f = LatticeFunction.coordinatewise([mono, wave, mono, wave])
     iv = interval((0.0, 0.0, -1.0, 1.0), (1.0, 2.0, 1.0, 1.0))
     _assert_antiderivative_is_per_atom(f, iv, ToleranceSchedule(1e-5, 12))
-    # A spike at 101/2048 is a sample point of the finer pass at depth 8
-    # but not of the coarser one, so only the widening keeps depth 8 open.
-    spike = ScalarKernel.from_callable(lambda t: max(0.0, 1.0 - abs(t - 101 / 2048) * 4096))
+    # The ramp keeps depths 0-7 open.  A spike at 101/2048 is a sample point
+    # of the finer pass at depth 8 but not of the coarser one, so the last
+    # level, at max_depth 8, keeps a widening for every read.
+    spike = ScalarKernel.from_callable(lambda t: t + max(0.0, 1.0 - abs(t - 101 / 2048) * 4096))
     f = LatticeFunction.coordinatewise([spike])
-    depths = _assert_antiderivative_is_per_atom(f, interval((0.0,), (1.0,)), ToleranceSchedule(5e-3, 12))
-    assert depths == [10]
+    depths = _assert_antiderivative_is_per_atom(f, interval((0.0,), (1.0,)), ToleranceSchedule(5e-3, 8))
+    assert depths == [8]
+    grid = antiderivative(f, interval((0.0,), (1.0,)), ToleranceSchedule(5e-3, 8)).kernels[0].func.__self__
+    assert grid.widen_u > 0.0
 
 
 def test_antiderivative_bench_case_is_per_atom():
@@ -235,47 +283,83 @@ def test_antiderivative_bench_case_is_per_atom():
     _assert_antiderivative_is_per_atom(f, UNIT2, ToleranceSchedule(), (3**-0.5,))
 
 
+def test_antiderivative_brackets_at_hi_are_integrates():
+    # Every strategy, broadcast and alike atoms, and a zero-width atom: F's
+    # bracket at hi is integrate's, bit for bit, and for exact kernels F(hi)
+    # is integrate's value.
+    cube = ScalarKernel.from_callable(lambda t: t**3, label="cube")
+    mono = ScalarKernel.from_callable(math.exp, monotone="increasing")
+    f = LatticeFunction.coordinatewise(["t^3 - t", "abs(t - 0.3)", cube, mono, "t^3 - t", "t^3 - t"])
+    iv = interval((-1.0, 0.0, -0.5, 0.0, 0.5, -1.0), (1.0, 1.0, 0.5, 2.0, 0.5, 1.0))
+    sched = ToleranceSchedule(1e-6, 18)
+    F, whole = antiderivative(f, iv, sched), integrate(f, iv, sched)
+    hi = iv.hi.data
+    for i, kernel in enumerate(F.kernels):
+        assert _bits(*kernel.func.__self__.bracket(hi[i])) == _bits(whole.lower[i], whole.upper[i]), i
+    exact = [0, 3, 4, 5]
+    assert F.eval(iv.hi).data[exact].tobytes() == whole.value.data[exact].tobytes()
+
+
 def test_antiderivative_passes_skip_to_the_closing_depth(monkeypatch):
-    # Both atoms close at depth 20 of the lattice 8, 10, ...: after the
-    # first pass and one level-0 sum, each is summed once more, at 20.
+    # The antiderivative sums exactly the levels integrate sums: each band
+    # at depth 0, then at each depth the skip bound allows, up to the depth
+    # at which it closes; the sin(t) and t^3 - t atoms close at 20.
     calls = []
-    prefixes, level = _Band.prefixes, _Band.level
-    monkeypatch.setattr(_Band, "prefixes", lambda b, r, g: calls.append(g.n) or prefixes(b, r, g))
-    monkeypatch.setattr(_Band, "level", lambda b, r, n: calls.append(-n) or level(b, r, n))
-    antiderivative(LatticeFunction.coordinatewise(["sin(t)", "t^3 - t"]), UNIT2)
-    assert calls == [2**8, -1, 2**20] * 2
+    sums = _Band.sums
 
-    # An odd max_depth: the last lattice depth is past it, and rows that
-    # cannot close go straight there.
-    f = LatticeFunction.coordinatewise("t^3 - t", dim=5)
-    iv = interval((-1.0, 0.0, 0.5, -2.0, 0.2), (1.0, 0.5, 0.5, 0.3, 0.2001))
-    calls.clear()
-    depths = _assert_antiderivative_is_per_atom(f, iv, ToleranceSchedule(1e-9, 13), (3**-0.5,))
-    assert depths == [14, 14, None, 14, 8] and calls == [2**8, -1, 2**14]
+    def recorded(band, rows, grid, part=None):
+        if isinstance(grid, K.UniformRows):
+            calls.append((grid.n.bit_length() - 1, band.atoms[rows].tolist()))
+        return sums(band, rows, grid, part)
 
-    # A sampled band steps by 2 on the lattice up to 14, with no level-0 sum.
-    f = LatticeFunction.coordinatewise("abs(t - 0.3)", dim=2)
-    calls.clear()
-    antiderivative(f, interval((0.0, -1.0), (1.0, 2.0)), ToleranceSchedule(1e-7, 13))
-    assert calls == [2**8, 2**10, 2**12, 2**14]
+    monkeypatch.setattr(_Band, "sums", recorded)
 
-    # Where the level-0 sum (hi - lo)·sup|f| overflows, S is inf and the
-    # exact row steps by 2, to close at 14, though its integral is finite.
-    f = LatticeFunction.coordinatewise("exp(t)")
-    iv, sched = interval((700.0,), (709.0,)), ToleranceSchedule(1e-3, 16)
-    calls.clear()
-    depths = _assert_antiderivative_is_per_atom(f, iv, sched)
-    assert depths == [14] and calls == [2**8, -1, 2**10, 2**12, 2**14]
-    want = math.exp(709) - math.exp(700)
-    assert abs(antiderivative(f, iv, sched).eval(E(709.0))[0] - want) <= 3e-8 * want
-    with pytest.raises(KernelEvalError):
+    def levels(build, f, iv, sched):
+        calls.clear()
+        build(f, iv, sched)
+        return list(calls)
+
+    cases = [
+        (LatticeFunction.coordinatewise(["sin(t)", "t^3 - t"]), UNIT2, ToleranceSchedule()),
+        # rows that cannot close go straight to max_depth
+        (
+            LatticeFunction.coordinatewise("t^3 - t", dim=5),
+            interval((-1.0, 0.0, 0.5, -2.0, 0.2), (1.0, 0.5, 0.5, 0.3, 0.2001)),
+            ToleranceSchedule(1e-9, 13),
+        ),
+        # a sampled band steps by 1
+        (LatticeFunction.coordinatewise("abs(t - 0.3)", dim=2), interval((0.0, -1.0), (1.0, 2.0)), ToleranceSchedule(1e-7, 13)),
+    ]
+    for f, iv, sched in cases:
+        assert levels(antiderivative, f, iv, sched) == levels(integrate, f, iv, sched)
+    assert levels(antiderivative, *cases[0]) == [(0, [0]), (19, [0]), (20, [0]), (0, [1]), (19, [1]), (20, [1])]
+    assert [d for d, _ in levels(antiderivative, *cases[2])] == list(range(14))
+
+
+def test_antiderivative_fails_where_integrate_fails():
+    # exp(t) on [700, 709]: level 0's (hi - lo)·sup f overflows, so
+    # integrate has no bracket there, and neither has F: both raise the same
+    # error, naming the same atom and cell.
+    f = LatticeFunction.coordinatewise(["t", "exp(t)"])
+    iv, sched = interval((0.0, 700.0), (1.0, 709.0)), ToleranceSchedule(1e-3, 16)
+    with pytest.raises(KernelEvalError) as want:
         integrate(f, iv, sched)
+    with pytest.raises(KernelEvalError) as got:
+        antiderivative(f, iv, sched)
+    assert got.value.atom == want.value.atom == 1 and str(got.value) == str(want.value)
+    assert isinstance(got.value.cause, OverflowError) and "[700.0, 709.0]" in str(got.value)
+    # A zero-width atom is refined too: log(t) has no value at 0.
+    f = LatticeFunction.coordinatewise(["t", "log(t)"])
+    with pytest.raises(KernelEvalError) as got:
+        antiderivative(f, interval((0.0, 0.0), (1.0, 0.0)))
+    assert got.value.atom == 1
 
 
 def test_antiderivative_build_keeps_no_earlier_pass_alive():
-    # Sampled passes at 8, 10, ..., 20, and the grids of the last are kept
-    # (48 MiB).  Holding any part of the pass at 18 while summing the one at
-    # 20 would add at least a 4 MiB prefix row to the peak.
+    # Sampled passes at 0, 1, ..., 20, each keeping only its running sums
+    # at stretch ends (2^12 pairs per row at 20).  The build's tracemalloc
+    # peak measured 3.9 MiB, the sampled blocks' temporaries; one per-cell
+    # array of a row at depth 20 would add 8 MiB.
     f = LatticeFunction.coordinatewise(["abs(t - 0.3)", "abs(t - 0.6)"])
     tracemalloc.start()
     try:
@@ -283,7 +367,7 @@ def test_antiderivative_build_keeps_no_earlier_pass_alive():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert F.dim == 2 and peak <= 1.1 * held, (held, peak)
+    assert F.dim == 2 and peak <= 6 * 2**20 and held <= 2**20, (held, peak)
 
 
 def test_antiderivative_failures_in_interleaved_bands_name_the_lowest_atom():
@@ -381,6 +465,29 @@ def test_mvt_scan_failure_names_its_atom():
     with pytest.raises(KernelEvalError) as info:
         mvt_integral_solve(f, E(0.0, 0.0), E(1.0, 1.0), sched=ToleranceSchedule(0.1, 2))
     assert info.value.atom == 1
+
+
+def test_mvt_solves_alike_atoms_once(monkeypatch):
+    solved = []
+    bisect = calculus._bisect_root
+
+    def recorded(*args, atom):
+        solved.append(atom)
+        return bisect(*args, atom=atom)
+
+    monkeypatch.setattr(calculus, "_bisect_root", recorded)
+    c = mvt_integral_solve(LatticeFunction.coordinatewise("t^2", dim=2), E(0, 0), E(1, 1))
+    assert solved == [0]  # one scan and one bisection for both atoms
+    alone = mvt_integral_solve(LatticeFunction.coordinatewise("t^2"), E(0), E(1))
+    assert c.data.tobytes() == np.repeat(alone.data, 2).tobytes()
+    # Alike failing atoms 1 and 3 (atom 2 has another kernel object): the
+    # lowest is named, as if the atoms were solved one by one.
+    bad = ScalarKernel.from_callable(lambda t: float("nan") if t == 1 / 64 else 1.0)
+    f = LatticeFunction.coordinatewise([ScalarKernel.identity(), bad, ScalarKernel.identity(), bad])
+    solved.clear()
+    with pytest.raises(KernelEvalError) as info:
+        mvt_integral_solve(f, E(0, 0, 0, 0), E(1, 1, 1, 1), sched=ToleranceSchedule(0.1, 2))
+    assert info.value.atom == 1 and solved == [0, 1]
 
 
 # -- FTC 1 -----------------------------------------------------------------------
@@ -602,3 +709,25 @@ def test_verifiers_without_samples_are_rejected(call):
     F = LatticeFunction.coordinatewise("t^3/3", dim=2)
     with pytest.raises(ValueError):
         call(f, F)
+
+
+def test_library_calls_print_nothing(capfd):
+    # The library writes nothing to stdout: a benchmark or a CLI reading its
+    # caller's last stdout line must find its own output there.
+    f = LatticeFunction.coordinatewise(["sin(t)", "t^3 - t"])
+    sched = ToleranceSchedule(1e-4, 16)
+    integrate(f, UNIT2, sched)
+    F = antiderivative(f, UNIT2, sched)
+    for p in np.random.default_rng(0).uniform(0.0, 1.0, (20, 2)):
+        F.eval(Element(p))
+    sq, cube = LatticeFunction.coordinatewise("t^2", dim=2), LatticeFunction.coordinatewise("t^3/3", dim=2)
+    verify_ftc1(sq, UNIT2, interior_samples=3, sched=sched)
+    verify_ftc2(cube, sq, UNIT2, samples=3)
+    G, one = LatticeFunction.coordinatewise("t + 1", dim=2), LatticeFunction.coordinatewise("1", dim=2)
+    verify_substitution(sq, one, G, UNIT2)
+    g = LatticeFunction.coordinatewise("t^2/2", dim=2)
+    verify_by_parts(G, g, G.derivative(), g.derivative(), UNIT2)
+    mvt_integral_solve(sq, E(0, 0), E(1, 1), sched=sched)
+    with pytest.raises(KernelEvalError):
+        integrate(LatticeFunction.coordinatewise("1/t"), interval((-1.0,), (1.0,)))
+    assert capfd.readouterr().out == ""

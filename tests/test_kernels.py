@@ -38,12 +38,12 @@ def _reference_sums(prog, xs, crit_ts, crit_vals):
 
 
 def _pairwise_reference(prog, xs, crit_ts, crit_vals):
-    """The uniform-rows order written plainly: one reduction per BLOCK_CELLS stretch, added left to right."""
+    """The uniform-rows order written plainly: one reduction per STRETCH_CELLS stretch, added left to right."""
     m, big = _products(prog, xs, crit_ts, crit_vals)
     lo = up = 0.0
-    for c0 in range(0, len(m), K.BLOCK_CELLS):
-        lo = lo + np.add.reduce(m[c0 : c0 + K.BLOCK_CELLS])
-        up = up + np.add.reduce(big[c0 : c0 + K.BLOCK_CELLS])
+    for c0 in range(0, len(m), K.STRETCH_CELLS):
+        lo = lo + np.add.reduce(m[c0 : c0 + K.STRETCH_CELLS])
+        up = up + np.add.reduce(big[c0 : c0 + K.STRETCH_CELLS])
     return float(lo), float(up)
 
 
@@ -80,6 +80,31 @@ def test_uniform_rows_equal_one_row_sums(n):
         else:
             one_row = K.darboux_endpoint(k.program, xs)
         assert one_row == _reference_sums(k.program, xs, ts, vals), r
+
+
+@pytest.mark.parametrize("n", [1, 3 * K.STRETCH_CELLS, 2**13 + 5, 2**14])
+def test_uniform_rows_keep_the_running_sums_at_stretch_ends(n):
+    # A grid built with running=True keeps, per row, the running sums of the
+    # reference order at each stretch end (a short last stretch included),
+    # the last being the row's total; ends() are the level's points there.
+    lo = np.array([-1.0, -0.3, 0.5, 0.2])
+    hi = np.array([1.0, 0.9, 0.5, 1.7])
+    k, (e_rows, e_ts, e_vals) = _band("t^3 - t", lo, hi)
+    grid = K.UniformRows(lo, hi, n, running=True)
+    got = K.darboux_critical(k.program, grid, e_ts, e_vals, e_rows)
+    g = K.STRETCH_CELLS
+    assert grid.running.shape == (2, len(lo), -(-n // g))
+    for r in range(len(lo)):
+        sel = e_rows == r
+        xs = uniform_grid(lo[r], hi[r], n)
+        for side, prods in enumerate(_products(k.program, xs, e_ts[sel], e_vals[sel])):
+            total, want = 0.0, []
+            for c0 in range(0, n, g):
+                total = total + np.add.reduce(prods[c0 : c0 + g])
+                want.append(total)
+            assert grid.running[side, r].tobytes() == np.array(want).tobytes(), (r, side)
+            assert grid.running[side, r, -1] == got[side][r]
+        assert grid.ends()[r].tobytes() == xs[list(range(0, n, g)) + [n]].tobytes(), r
 
 
 @pytest.mark.parametrize("n", [1, 4096, 2**13 + 5, 2 * CHUNK_CELLS + 2**11])
@@ -201,6 +226,18 @@ def test_totals_overflowing_across_blocks_name_the_lowest_row():
         assert isinstance(info.value.cause, OverflowError)
         t = 3.0 * (2 * CHUNK_CELLS - K.BLOCK_CELLS) / n
         assert f"[{t!r}, " in str(info.value)
+
+
+def test_short_rows_overflowing_across_stretches_name_the_lowest_row():
+    # Rows of two stretches in one block: row 1's stretch sums are finite
+    # but their running sum is not; row 2 leaves the domain.  Row 1 is named.
+    prog = ScalarKernel.from_string("1e308 + 0*log(t)").program
+    grid = K.UniformRows(np.array([1.0, 1.0, -1.0]), np.array([2.0, 3.5, 1.0]), 2 * K.STRETCH_CELLS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(K.RowError) as info:
+            K.darboux_endpoint(prog, grid)
+    assert info.value.row == 1 and isinstance(info.value.cause, OverflowError)
 
 
 def test_overflowing_products_raise_without_warnings():
