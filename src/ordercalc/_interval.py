@@ -1,9 +1,11 @@
 """Interval evaluation of stack programs, and certified isolation of critical points.
 
-``enclose(prog, a, b)`` runs a compiled program once per opcode over arrays
-of bounds and returns ``(lo, hi)`` with ``lo[i] <= k(t) <= hi[i]`` for every
-t in ``[a[i], b[i]]`` at which the kernel is defined (Moore, Kearfott and
-Cloud, *Introduction to Interval Analysis*, SIAM 2009).  Every operation
+``enclose(prog, a, b)`` evaluates a compiled program over arrays of bounds
+and returns ``(lo, hi)`` with ``lo[i] <= k(t) <= hi[i]`` for every t in
+``[a[i], b[i]]`` at which the kernel is defined (Moore, Kearfott and Cloud,
+*Introduction to Interval Analysis*, SIAM 2009).  ``_tape.run`` alone steps
+through the program; this module supplies only its op table, ``_OPS``,
+which maps each opcode to an operation on (lo, hi) pairs.  Every operation
 that rounds is rounded outward with ``np.nextafter``; numpy's sin, cos, exp
 and log and the power routine are widened by a few ulps more, since they
 are not correctly rounded.  A zero result stays zero: the operations here
@@ -27,7 +29,6 @@ from ._kernels_fallback import RowError, _run
 from ._tape import (
     OP_ABS,
     OP_ADD,
-    OP_CONST,
     OP_COS,
     OP_DIV,
     OP_EXP,
@@ -40,8 +41,8 @@ from ._tape import (
     OP_SIN,
     OP_SQRT,
     OP_SUB,
-    OP_VAR,
     Program,
+    run,
 )
 from .expr import EvalDomainError
 
@@ -170,59 +171,43 @@ def _monotone(xl, xh, fn, rel: float, domain_lo: float, open_domain: bool):
     return np.where(outside, np.nan, lo), np.where(outside, np.nan, hi)
 
 
+def _exp(xl, xh):
+    lo, hi = _down(np.exp(xl), _LIB_REL), _up(np.exp(xh), _LIB_REL)
+    return lo, np.maximum(hi, _TINY)  # exp underflows, never hits 0
+
+
 def _abs(xl, xh):
     lo = np.where(xl >= 0.0, xl, np.where(xh <= 0.0, -xh, 0.0))
     return lo, np.maximum(-xl, xh)
+
+
+# The interval evaluator's op table, over (lo, hi) pairs.
+_OPS = {
+    OP_NEG: lambda x: (-x[1], -x[0]),
+    OP_ADD: lambda x, y: (_down(x[0] + y[0]), _up(x[1] + y[1])),
+    OP_SUB: lambda x, y: (_down(x[0] - y[1]), _up(x[1] - y[0])),
+    OP_MUL: lambda x, y: _mul(*x, *y),
+    OP_DIV: lambda x, y: _div(*x, *y),
+    OP_POW: lambda x, n: _pow(*x, n),
+    OP_SIN: lambda x: _periodic(*x, np.sin, 0.5 * np.pi),
+    OP_COS: lambda x: _periodic(*x, np.cos, 0.0),
+    OP_EXP: lambda x: _exp(*x),
+    OP_LOG: lambda x: _monotone(*x, np.log, _LIB_REL, 0.0, True),
+    OP_SQRT: lambda x: _monotone(*x, np.sqrt, 0.0, 0.0, False),
+    OP_ABS: lambda x: _abs(*x),
+    OP_MIN2: lambda x, y: (np.minimum(x[0], y[0]), np.minimum(x[1], y[1])),
+    OP_MAX2: lambda x, y: (np.maximum(x[0], y[0]), np.maximum(x[1], y[1])),
+}
 
 
 def enclose(prog: Program, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds of the program over every piece [a[i], b[i]]; (-inf, inf) if unbounded."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    stack: list[tuple[np.ndarray, np.ndarray]] = []
     with np.errstate(all="ignore"):
-        for op, arg in prog.steps:
-            if op == OP_CONST:
-                stack.append((arg, arg))  # one object for both bounds marks a point
-            elif op == OP_VAR:
-                stack.append((a, b))
-            elif op == OP_NEG:
-                xl, xh = stack.pop()
-                stack.append((-xh, -xl))
-            elif op in (OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_MIN2, OP_MAX2):
-                yl, yh = stack.pop()
-                xl, xh = stack.pop()
-                if op == OP_ADD:
-                    stack.append((_down(xl + yl), _up(xh + yh)))
-                elif op == OP_SUB:
-                    stack.append((_down(xl - yh), _up(xh - yl)))
-                elif op == OP_MUL:
-                    stack.append(_mul(xl, xh, yl, yh))
-                elif op == OP_DIV:
-                    stack.append(_div(xl, xh, yl, yh))
-                elif op == OP_MIN2:
-                    stack.append((np.minimum(xl, yl), np.minimum(xh, yh)))
-                else:
-                    stack.append((np.maximum(xl, yl), np.maximum(xh, yh)))
-            elif op == OP_POW:
-                stack.append(_pow(*stack.pop(), arg))
-            elif op == OP_SIN:
-                stack.append(_periodic(*stack.pop(), np.sin, 0.5 * np.pi))
-            elif op == OP_COS:
-                stack.append(_periodic(*stack.pop(), np.cos, 0.0))
-            elif op == OP_EXP:
-                xl, xh = stack.pop()
-                lo, hi = _down(np.exp(xl), _LIB_REL), _up(np.exp(xh), _LIB_REL)
-                stack.append((lo, np.maximum(hi, _TINY)))  # exp underflows, never hits 0
-            elif op == OP_LOG:
-                stack.append(_monotone(*stack.pop(), np.log, _LIB_REL, 0.0, True))
-            elif op == OP_SQRT:
-                stack.append(_monotone(*stack.pop(), np.sqrt, 0.0, 0.0, False))
-            elif op == OP_ABS:
-                stack.append(_abs(*stack.pop()))
-            else:
-                raise ValueError(f"bad opcode {op}")
-    lo, hi = np.broadcast_arrays(*stack.pop(), a)[:2]
+        # a constant is one object for both bounds, which marks a point for ``_mul``
+        lo, hi = run(prog, (a, b), lambda c: (c, c), _OPS)
+    lo, hi = np.broadcast_arrays(lo, hi, a)[:2]
     undefined = np.isnan(lo) | np.isnan(hi)
     return np.where(undefined, -np.inf, lo), np.where(undefined, np.inf, hi)
 
@@ -230,12 +215,6 @@ def enclose(prog: Program, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np
 # --------------------------------------------------------------------------
 # Certified isolation of the zeros of f'
 # --------------------------------------------------------------------------
-
-def _points(prog: Program, ts: np.ndarray) -> np.ndarray:
-    """Point values, NaN or inf where the program is undefined (never raises)."""
-    with np.errstate(all="ignore"):
-        return _run(prog, ts)
-
 
 def _narrow(slope, a: float, b: float, fa: float, fb: float, tol: float):
     """Narrow [a, b], over which ``slope`` changes sign once, to width ``tol``.
@@ -330,13 +309,13 @@ def _isolate_block(f: Program, d1: Program, d2: Program, slope, lo, hi, tol, flo
         touch = ~cross & ((s_lo == 0.0) | (s_hi == 0.0)) & (s_lo != s_hi)
         if touch.any():  # f monotone, but an end may be an exact zero of f'
             ends = np.concatenate((a[touch], b[touch]))
-            zero = _points(d1, ends) == 0.0
+            zero = _run(d1, ends) == 0.0
             exact.append((np.tile(own[touch], 2)[zero], ends[zero]))
         a, b, own, s_lo, s_hi = (x[cross] for x in (a, b, own, s_lo, s_hi))
         if not len(a):
             break
         c_lo, c_hi = enclose(d2, a, b)
-        vals = _points(d1, np.concatenate((a, b)))
+        vals = _run(d1, np.concatenate((a, b)))
         fa, fb = vals[: len(a)], vals[len(a) :]
         ok = ((c_lo >= 0.0) | (c_hi <= 0.0)) & np.isfinite(fa) & np.isfinite(fb)
         exact.append((own[ok & (fa == 0.0)], a[ok & (fa == 0.0)]))
@@ -374,7 +353,7 @@ def _isolate_block(f: Program, d1: Program, d2: Program, slope, lo, hi, tol, flo
         root_ts.append(x_ts)
         e_rows.append(x_rows)
         ts.append(x_ts)
-        tv.append(_points(f, x_ts))
+        tv.append(_run(f, x_ts))
     if brackets:
         b_rows, ba, bb, bfa, bfb, curv = (np.concatenate(x) for x in zip(*brackets))
         ends = zip(ba.tolist(), bb.tolist(), bfa.tolist(), bfb.tolist(), tol[b_rows].tolist())
@@ -386,7 +365,7 @@ def _isolate_block(f: Program, d1: Program, d2: Program, slope, lo, hi, tol, flo
         if not taylor.all():
             unresolved.append((b_rows[~taylor], ba[~taylor], bb[~taylor]))
         b_rows, c, err = b_rows[taylor], c[taylor], err[taylor]
-        fc = _points(f, c)
+        fc = _run(f, c)
         root_rows.append(b_rows)
         root_ts.append(c)
         e_rows += [b_rows, b_rows]

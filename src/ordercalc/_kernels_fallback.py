@@ -30,23 +30,24 @@ for sums, ``prefix_*`` for per-cell running sums, and the ``_fn`` twins
 of both for callables) sum a whole band, or one row given as a 1-D
 breakpoint array.  No library path calls the ``prefix_*`` entry points any
 more; they are kept for the benchmark, which times and traces them.
-``_run`` steps through a program's (opcode, argument) pairs, and evaluates
-``^`` with ``expr._ipow``, the scalar evaluator's own routine, so scalar
-and array values agree bit for bit.  ``BLOCK_CELLS``,
-``STRETCH_CELLS`` and ``CHUNK_CELLS`` are defined here, beside the one loop
-that reads them.  Stretches and chunks fix the summation order, which this
-module owns, and the tape format has no part in it; blocks fix only how
-many cells are evaluated at once, as no stretch or chunk straddles two.
+``_run`` evaluates a program over arrays of points through ``_tape.run``,
+which alone steps through programs; this module supplies only the numpy
+evaluator's op table, ``_OPS``.  ``BLOCK_CELLS``, ``STRETCH_CELLS`` and
+``CHUNK_CELLS`` are defined here, beside the one loop that reads them.
+Stretches and chunks fix the summation order, which this module owns, and
+the tape format has no part in it; blocks fix only how many cells are
+evaluated at once, as no stretch or chunk straddles two.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from ._tape import (
     OP_ABS,
     OP_ADD,
-    OP_CONST,
     OP_COS,
     OP_DIV,
     OP_EXP,
@@ -59,13 +60,32 @@ from ._tape import (
     OP_SIN,
     OP_SQRT,
     OP_SUB,
-    OP_VAR,
     Program,
+    run,
 )
 from .expr import EvalDomainError, _ipow
 from .partitions import grid_points
 
 NAME = "numpy"
+
+# The numpy evaluator's op table.  ``^`` is ``expr._ipow``, the scalar
+# evaluator's own routine, so scalar and array values agree bit for bit.
+_OPS = {
+    OP_NEG: np.negative,
+    OP_ADD: np.add,
+    OP_SUB: np.subtract,
+    OP_MUL: np.multiply,
+    OP_DIV: np.divide,
+    OP_POW: _ipow,
+    OP_SIN: np.sin,
+    OP_COS: np.cos,
+    OP_EXP: np.exp,
+    OP_LOG: np.log,
+    OP_ABS: np.abs,
+    OP_SQRT: np.sqrt,
+    OP_MIN2: np.minimum,
+    OP_MAX2: np.maximum,
+}
 
 # Cells evaluated at once.  An array of this many float64 (64 KiB) stays
 # below glibc's 128 KiB mmap threshold, so a block's temporaries come from
@@ -109,53 +129,9 @@ def _run(prog: Program, ts: np.ndarray) -> np.ndarray:
 
 
 def _steps(prog: Program, ts: np.ndarray) -> np.ndarray:
-    """The program's values at ``ts``, under the caller's ``np.errstate``."""
-    stack: list[np.ndarray] = []
-    for op, arg in prog.steps:
-        if op == OP_CONST:
-            stack.append(np.full(ts.shape, arg))
-        elif op == OP_VAR:
-            stack.append(ts)
-        elif op == OP_NEG:
-            stack.append(-stack.pop())
-        elif op == OP_ADD:
-            b = stack.pop()
-            stack.append(stack.pop() + b)
-        elif op == OP_SUB:
-            b = stack.pop()
-            stack.append(stack.pop() - b)
-        elif op == OP_MUL:
-            b = stack.pop()
-            stack.append(stack.pop() * b)
-        elif op == OP_DIV:
-            b = stack.pop()
-            stack.append(stack.pop() / b)
-        elif op == OP_POW:
-            stack.append(_ipow(stack.pop(), arg))
-        elif op == OP_SIN:
-            stack.append(np.sin(stack.pop()))
-        elif op == OP_COS:
-            stack.append(np.cos(stack.pop()))
-        elif op == OP_EXP:
-            stack.append(np.exp(stack.pop()))
-        elif op == OP_LOG:
-            stack.append(np.log(stack.pop()))
-        elif op == OP_ABS:
-            stack.append(np.abs(stack.pop()))
-        elif op == OP_SQRT:
-            stack.append(np.sqrt(stack.pop()))
-        elif op == OP_MIN2:
-            b = stack.pop()
-            stack.append(np.minimum(stack.pop(), b))
-        elif op == OP_MAX2:
-            b = stack.pop()
-            stack.append(np.maximum(stack.pop(), b))
-        else:
-            raise ValueError(f"bad opcode {op}")
-    out = stack.pop()
-    if out is ts:
-        out = ts.copy()
-    return out
+    """The program's values at ``ts``, under the caller's ``np.errstate``; always a new array."""
+    out = run(prog, ts, partial(np.full, ts.shape), _OPS)
+    return ts.copy() if out is ts else out
 
 
 def eval_many(prog: Program, ts: np.ndarray) -> np.ndarray:

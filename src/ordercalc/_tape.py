@@ -1,14 +1,16 @@
-"""Compilation of expression ASTs into flat stack programs.
+"""Compilation of expression ASTs into flat stack programs, and the one loop that runs them.
 
 A program is a tuple of (opcode, argument) steps in postfix order.  The
 argument is the constant, an ``np.float64``, for ``OP_CONST``, the integer
-exponent for ``OP_POW``, and None for every other opcode.  The numpy
-evaluator (``_kernels_fallback._run``) steps through a program over arrays
-of points, and the interval evaluator (``_interval.enclose``) over arrays
-of bounds.  A constant stays an ``np.float64`` so that both evaluators get
-numpy scalars from it: ``enclose`` holds it as one object for both bounds,
-and a comparison of it gives a numpy bool, which ``~`` negates (on a
-Python bool, ``~True`` is -2).
+exponent for ``OP_POW``, and None for every other opcode.  ``run`` alone
+steps through programs: it holds the stack discipline, each opcode's arity
+and which steps read their argument.  Each evaluator is its own op table
+from opcode to function: the numpy one (``_kernels_fallback._run``) over
+arrays of points, the interval one (``_interval.enclose``) over pairs of
+arrays of bounds.  A constant stays an ``np.float64`` so that both
+evaluators get numpy scalars from it: ``enclose`` holds it as one object
+for both bounds, and a comparison of it gives a numpy bool, which ``~``
+negates (on a Python bool, ``~True`` is -2).
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ OP_ABS = 12
 OP_SQRT = 13
 OP_MIN2 = 14
 OP_MAX2 = 15
+
+# Opcodes that pop two values; OP_CONST and OP_VAR pop none, the rest one.
+_BINARY = frozenset({OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_MIN2, OP_MAX2})
 
 _BINARY_OPS = {ex.Add: OP_ADD, ex.Sub: OP_SUB, ex.Mul: OP_MUL, ex.Div: OP_DIV}
 
@@ -83,3 +88,27 @@ def compile_expr(e: ex.Expr) -> Program:
 
     emit(e)
     return Program(tuple(steps))
+
+
+def run(prog: Program, var, const, ops: dict):
+    """The value of ``prog`` with ``var`` for t, ``const(c)`` for each constant c.
+
+    ``ops`` maps every other opcode to its function: of the operand, of
+    both operands (left first), or, for ``OP_POW``, of the operand and the
+    integer exponent.
+    """
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    for op, arg in prog.steps:
+        if op == OP_VAR:
+            push(var)
+        elif op == OP_CONST:
+            push(const(arg))
+        elif op == OP_POW:
+            push(ops[op](pop(), arg))
+        elif op in _BINARY:
+            y = pop()
+            push(ops[op](pop(), y))
+        else:
+            push(ops[op](pop()))
+    return pop()

@@ -37,7 +37,6 @@ __all__ = [
     "differentiate",
     "print_expr",
     "substitute",
-    "is_polynomial",
 ]
 
 UNARY_CALLS = ("sin", "cos", "exp", "log", "abs", "sqrt")
@@ -575,22 +574,3 @@ def substitute(e: Expr, replacement: Expr) -> Expr:
     if isinstance(e, Call):
         return Call(e.name, tuple(substitute(a, replacement) for a in e.args))
     raise TypeError(f"not an expression node: {e!r}")
-
-
-def is_polynomial(e: Expr) -> bool:
-    """True iff ``e`` is built from +,-,*,^(n>=0), constants, t, and /constant."""
-    if isinstance(e, (Const, Var)):
-        return True
-    if isinstance(e, Neg):
-        return is_polynomial(e.arg)
-    if isinstance(e, (Add, Sub, Mul)):
-        return is_polynomial(e.lhs) and is_polynomial(e.rhs)
-    if isinstance(e, Div):
-        return (
-            is_polynomial(e.lhs)
-            and isinstance(e.rhs, Const)
-            and e.rhs.value != 0.0
-        )
-    if isinstance(e, Pow):
-        return e.exponent >= 0 and is_polynomial(e.base)
-    return False

@@ -85,22 +85,22 @@ class TaggedPartition:
                 raise ValueError(f"tag {k} outside its cell")
 
 
-def uniform_grid(lo, hi, n: int, c0: int = 0, c1: int | None = None) -> np.ndarray:
-    """Breakpoints lo + k*(hi-lo)/n for k = c0..c1 (all n + 1 by default), endpoints exact.
+def uniform_grid(lo, hi, n: int) -> np.ndarray:
+    """Breakpoints lo + k*(hi-lo)/n for k = 0..n, endpoints exact.
 
     ``lo`` and ``hi`` may be arrays of the same shape, giving one row of
-    points per entry.  The integrator builds the grids of its refinement
-    levels with this function, a block of rows and cells at a time, so
-    uniform partitions and refinement levels share identical points.  Their
-    sums may still differ in the last bits: ``integrate`` sums each block of
-    a level by one pairwise reduction, while ``darboux_sums(f, uniform(...))``
-    sums the partition's given points left to right.
+    points per entry.  The integrator's refinement levels
+    (``_kernels_fallback.UniformRows``) form their points a block at a time
+    with ``grid_points``, as this function does, so uniform partitions and
+    refinement levels share identical points.  Their sums may still differ
+    in the last bits: ``integrate`` sums each stretch of a level by one
+    pairwise reduction, while ``darboux_sums(f, uniform(...))`` sums the
+    partition's given points left to right.
     """
-    c1 = n if c1 is None else c1
     lo = np.asarray(lo, dtype=np.float64)[..., None]
     hi = np.asarray(hi, dtype=np.float64)[..., None]
-    ks = np.arange(c0, c1 + 1, dtype=np.float64)
-    return grid_points(ks, lo, hi, (hi - lo) / n, c0 == 0, c1 == n)
+    ks = np.arange(n + 1, dtype=np.float64)
+    return grid_points(ks, lo, hi, (hi - lo) / n, True, True)
 
 
 def grid_points(ks: np.ndarray, lo, hi, step, first: bool, last: bool) -> np.ndarray:

@@ -144,15 +144,6 @@ def test_substitute_composes():
         ) < 1e-12
 
 
-def test_is_polynomial():
-    assert ex.is_polynomial(ex.parse("3*t^2 - 2*t"))
-    assert ex.is_polynomial(ex.parse("t^3/3"))
-    assert not ex.is_polynomial(ex.parse("sin(t)"))
-    assert not ex.is_polynomial(ex.parse("1/t"))
-    assert not ex.is_polynomial(ex.parse("t^-1"))
-    assert not ex.is_polynomial(ex.parse("abs(t)"))
-
-
 def test_underflowing_negative_power_is_a_domain_error_in_both_evaluators():
     e = ex.parse("t^-3")
     with pytest.raises(ex.EvalDomainError) as info:

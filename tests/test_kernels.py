@@ -271,7 +271,7 @@ def test_uniform_rows_blocks_equal_uniform_grid(n):
         for c0 in range(0, n, width):
             c1 = min(c0 + width, n)
             got = grid.block(r0, r1, c0, c1)
-            assert got.tobytes() == uniform_grid(lo[r0:r1], hi[r0:r1], n, c0, c1).tobytes()
+            assert got.tobytes() == uniform_grid(lo[r0:r1], hi[r0:r1], n)[:, c0 : c1 + 1].tobytes()
 
 
 def test_entry_cells_match_a_search_of_the_whole_row():

@@ -50,10 +50,10 @@ def test_uniform_grid_rows_and_stretches_equal_the_whole_grid():
     lo, hi, n = -2.9835689989791114, 1.8951213247291925, 20
     whole = uniform_grid(lo, hi, n)
     assert whole[0] == lo and whole[-1] == hi
-    rows = uniform_grid(np.array([lo, 0.0]), np.array([hi, 1.0]), n, 5, n)
-    assert rows.shape == (2, n - 4)
-    assert rows[0].tobytes() == whole[5:].tobytes()
-    assert rows[1].tobytes() == uniform_grid(0.0, 1.0, n)[5:].tobytes()
+    rows = uniform_grid(np.array([lo, 0.0]), np.array([hi, 1.0]), n)
+    assert rows.shape == (2, n + 1)
+    assert rows[0].tobytes() == whole.tobytes()
+    assert rows[1].tobytes() == uniform_grid(0.0, 1.0, n).tobytes()
 
 
 def test_partition_validation():

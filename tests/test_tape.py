@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from ordercalc import _interval, _kernels_fallback, _tape
 from ordercalc import expr as ex
 from ordercalc._interval import enclose
 from ordercalc._kernels_fallback import _run
-from ordercalc._tape import OP_CONST, OP_POW, compile_expr
+from ordercalc._tape import OP_CONST, OP_POW, OP_VAR, compile_expr
 from ordercalc.functions import ScalarKernel
 
 
@@ -18,6 +19,13 @@ def test_steps_carry_numpy_constants_and_integer_exponents():
     assert type(args[OP_CONST]) is np.float64 and args[OP_CONST] == 2.5
     assert type(args[OP_POW]) is int and args[OP_POW] == -3
     assert all(arg is None for op, arg in steps if op not in (OP_CONST, OP_POW))
+
+
+@pytest.mark.parametrize("table", [_kernels_fallback._OPS, _interval._OPS])
+def test_each_op_table_covers_every_opcode_but_const_and_var(table):
+    # run() reads constants and t itself; every other opcode is looked up.
+    opcodes = {v for k, v in vars(_tape).items() if k.startswith("OP_")}
+    assert set(table) == opcodes - {OP_CONST, OP_VAR}
 
 
 def test_expression_deeper_than_64_stack_slots_evaluates():
@@ -39,6 +47,7 @@ def test_scalar_and_array_powers_agree_bitwise(e):
     got = _run(compile_expr(ex.Pow(ex.Var(), e)), xs)
     want = np.array([ex._ipow(x, e) for x in xs.tolist()])
     assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, xs)  # t^1 is t itself: still a new array
     if e == 0:  # ones even where the base is not finite
         assert got.tolist() == [1.0] * len(xs)
 
