@@ -122,6 +122,11 @@ def _div(xl, xh, yl, yh):
     return lo, hi
 
 
+def _neg(xl, xh):
+    n = -xl
+    return (n, n) if xl is xh else (-xh, n)  # a negated point stays one object for ``_mul``
+
+
 def _pow(xl, xh, n: int):
     if n == 0:
         return 1.0, 1.0
@@ -183,7 +188,7 @@ def _abs(xl, xh):
 
 # The interval evaluator's op table, over (lo, hi) pairs.
 _OPS = {
-    OP_NEG: lambda x: (-x[1], -x[0]),
+    OP_NEG: lambda x: _neg(*x),
     OP_ADD: lambda x, y: (_down(x[0] + y[0]), _up(x[1] + y[1])),
     OP_SUB: lambda x, y: (_down(x[0] - y[1]), _up(x[1] - y[0])),
     OP_MUL: lambda x, y: _mul(*x, *y),

@@ -18,10 +18,9 @@ import numpy as np
 
 from ._kernels_fallback import STRETCH_CELLS, GivenRows, UniformRows
 from .expr import EvalDomainError
-from .functions import KernelEvalError, LatticeFunction, ScalarKernel
+from .functions import KernelEvalError, LatticeFunction, ScalarKernel, _each
 from .integrate import (
     ToleranceSchedule,
-    _each,
     _make_bands,
     _refine,
     _representatives,
@@ -86,10 +85,12 @@ def _require_coordinatewise(f: LatticeFunction, what: str) -> None:
 def numeric_derivative(f: LatticeFunction, x: Element, interval: OrderInterval) -> Element:
     """Per-atom central differences at the stablest step of a shrinking schedule.
 
-    ``x`` must be interior.  When a kernel has a differentiable expression,
-    the result is cross-checked against the symbolic derivative and a gross
-    mismatch raises.  A kernel that fails raises KernelEvalError naming its
-    atom.
+    ``x`` must be interior.  The six difference points of every atom are
+    one ``f.eval_many``.  When a kernel has a differentiable expression,
+    the result is cross-checked against the symbolic derivative at x, and a
+    gross mismatch raises ArithmeticError.  A kernel that fails, at a
+    difference point or in its derivative, raises KernelEvalError naming
+    the lowest atom at fault; mismatches are checked only when none fails.
     """
     _require_coordinatewise(f, "numeric_derivative")
     if x.dim != interval.dim:
@@ -101,18 +102,20 @@ def numeric_derivative(f: LatticeFunction, x: Element, interval: OrderInterval) 
     margin = np.minimum(x.data - interval.lo.data, interval.hi.data - x.data)
     scale = np.minimum(width, 0.99 * margin / _H_FACTORS[0])
 
-    out = np.empty(f.dim)
+    syms, error = [], None
     for i, kernel in enumerate(f.kernels):
         dk = kernel.derivative()
         try:
-            est = []
-            for factor in _H_FACTORS:
-                h = factor * scale[i]
-                est.append((kernel.eval(x[i] + h) - kernel.eval(x[i] - h)) / (2.0 * h))
-            sym = None if dk is None else dk.eval(x[i])
+            syms.append(None if dk is None else dk.eval(x[i]))
         except EvalDomainError as err:
-            raise KernelEvalError(i, err) from err
-        out[i] = est[int(np.argmin(np.abs(np.diff(est)))) + 1]
+            error = KernelEvalError(i, err)
+            break
+    h = np.multiply.outer(scale, _H_FACTORS)  # each atom's steps, largest first
+    points = x.data[:, None] + np.stack([h, -h], axis=2).reshape(f.dim, -1)  # x ± h, step by step
+    [vals] = _each(f.eval_many, [points], error)  # raises the lower of its error and ``error``
+    est = (vals[:, 0::2] - vals[:, 1::2]) / (2.0 * h)
+    out = est[np.arange(f.dim), np.argmin(np.abs(np.diff(est, axis=1)), axis=1) + 1]
+    for i, sym in enumerate(syms):
         if sym is not None and abs(out[i] - sym) > 1e-3 * (1.0 + abs(sym)):
             raise ArithmeticError(
                 f"numeric derivative disagrees with the symbolic one in atom {i}: "
@@ -223,9 +226,9 @@ def antiderivative(
     sched = sched or _DEFAULT_SCHED
     lo, hi = interval.lo.data, interval.hi.data
     rep = _representatives(f, lo, hi)
-    bands = _make_bands(f, lo, hi, rep)
+    bands, error = _make_bands(f, lo, hi, rep)
     grids: list = [None] * f.dim
-    for band, band_grids in zip(bands, _each(lambda band: _band_grids(band, sched), bands)):
+    for band, band_grids in zip(bands, _each(lambda band: _band_grids(band, sched), bands, error)):
         for atom, grid in zip(band.atoms, band_grids):
             grids[atom] = grid
     kernels = [

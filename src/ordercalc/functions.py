@@ -60,7 +60,11 @@ class ScalarKernel:
     expression kernel (all but those holding abs, min or max) gets exact
     extrema from critical points isolated by interval evaluation of its
     derivatives, unless its derivative vanishes on too many pieces to
-    isolate; those, callables and abs/min/max expressions are sampled.
+    isolate; those, callables and abs/min/max expressions are sampled.  A
+    kernel only evaluates and isolates, over rows of points or intervals:
+    the extrema, sums and integrals of a ``LatticeFunction`` are taken band
+    by band, one kernel object with all its atoms at a time (see
+    ``extrema`` and ``integrate._make_bands``).
     """
 
     __slots__ = ("expr", "func", "monotone", "label", "_program", "_derivative")
@@ -164,39 +168,39 @@ class ScalarKernel:
                 self._derivative = False
         return self._derivative or None
 
-    def critical_points(self, lo: float, hi: float, enclose: bool = False):
+    def critical_points(self, lo: float, hi: float) -> np.ndarray:
         """Zeros of the derivative in [lo, hi], isolated with interval enclosures.
 
         Every zero of f' at which f may have a local extremum lies within
         ``_BISECT_TOL * max(1, |lo|, |hi|)`` of a returned point, unless
         EvalDomainError is raised because f itself is unbounded near one, or
         IsolationError because f' vanishes (to the evaluator's resolution) on
-        too many pieces to isolate.  With ``enclose=True`` returns ``(ts,
-        vals)`` instead: (t, value) entries that, folded into the cells
-        holding them, make cell endpoints and entries bound f on every cell.
-        This is the one-row case of ``critical_entries``.
+        too many pieces to isolate.  It isolates as ``critical_entries`` does
+        for one row.
         """
-        d1 = self.derivative()
-        if hi <= lo or d1 is None:
-            return (np.empty(0), np.empty(0)) if enclose else np.empty(0)
+        if hi <= lo or self.derivative() is None:
+            return np.empty(0)
         try:
-            failed, (_, roots), (_, ts, vals) = self._isolate(np.array([lo]), np.array([hi]))
+            failed, (_, roots), _ = self._isolate(np.array([lo]), np.array([hi]))
         except RowError as err:
             raise err.cause from None
         if failed[0]:
             raise IsolationError(
                 f"derivative not resolved on [{lo!r}, {hi!r}] within {_MAX_PIECES} pieces"
             )
-        return (ts, vals) if enclose else np.unique(roots)
+        return np.unique(roots)
 
     def critical_entries(self, lo: np.ndarray, hi: np.ndarray):
-        """``critical_points(lo[r], hi[r], enclose=True)`` for every row r, in one pass.
+        """The critical (t, value) entries of every row [lo[r], hi[r]], in one pass.
 
         Returns ``(rows, ts, vals, failed)``: row r's entries are those with
-        ``rows == r``, as ``critical_points`` gives them, and ``failed[r]``
-        marks a row whose isolation gave up, where ``critical_points``
-        raises IsolationError; it has no entries.  A kernel unbounded near a
-        point raises RowError naming the lowest such row.
+        ``rows == r``, and folded into the cells holding them they make
+        cell endpoints and entries bound f on every cell of row r.  A row's
+        entries are the same whether it is isolated alone or with others.
+        ``failed[r]`` marks a row whose isolation gave up, where
+        ``critical_points`` raises IsolationError; it has no entries.  A
+        kernel unbounded near a point raises RowError naming the lowest such
+        row.
         """
         failed = np.zeros(len(lo), dtype=bool)
         live = np.flatnonzero(hi > lo)
@@ -214,60 +218,6 @@ class ScalarKernel:
         floor = np.minimum(tol, (hi - lo) * _FLOOR_REL)
         d2 = d1.derivative()
         return isolate(self.program, d1.program, d2.program, d1.eval, lo, hi, tol, floor)
-
-    def scalar_extrema(self, lo: float, hi: float, tol: float = 0.0):
-        """(min, max, method, achieved) of the kernel over [lo, hi].
-
-        When sampled, ``achieved`` is the larger of the last change of the
-        grid's extrema and the grid's resolution, which is at least half the
-        largest step between neighbouring samples.
-        """
-        if hi < lo:
-            raise ValueError("needs lo <= hi")
-        if hi == lo:
-            v = self.eval(lo)
-            return v, v, "exact", 0.0
-        strat = self.strategy
-        if strat == "monotone":
-            a, b = self.eval(lo), self.eval(hi)
-            return (min(a, b), max(a, b), "exact", 0.0)
-        if strat == "critical":
-            try:
-                _, crit_vals = self.critical_points(lo, hi, enclose=True)
-            except IsolationError:
-                pass
-            else:
-                vals = [self.eval(lo), self.eval(hi), *crit_vals.tolist()]
-                return min(vals), max(vals), "exact", 0.0
-        g = _EXTREMA_GRID_START
-        vals = self.eval_many(np.linspace(lo, hi, g))
-        m, big = float(vals.min()), float(vals.max())
-        change = np.inf
-        streak = 0
-        while g < _EXTREMA_GRID_CAP:
-            g = 2 * g - 1
-            vals = self.eval_many(np.linspace(lo, hi, g))
-            m2, big2 = float(vals.min()), float(vals.max())
-            change = max(abs(m2 - m), abs(big2 - big))
-            m, big = m2, big2
-            if change <= tol:
-                # Changes can stall at a fixed offset from the true extremum,
-                # so require the criterion twice before accepting.
-                streak += 1
-                if streak >= 2:
-                    break
-            else:
-                streak = 0
-        # Resolution-based residual: the worst quadratic deviation between
-        # grid points, from a second-difference curvature estimate, but at
-        # least half the largest step between neighbouring samples, which a
-        # kink between them (abs, min, max) can hide.
-        h = (hi - lo) / (g - 1)
-        curvature = float(np.abs(np.diff(vals, 2)).max()) / (h * h) if g >= 3 else 0.0
-        step = float(np.abs(np.diff(vals)).max())
-        resolution = max(0.5 * curvature * (0.5 * h) ** 2, 0.5 * step)
-        achieved = max(change if np.isfinite(change) else 0.0, resolution)
-        return m, big, "sampled", float(achieved)
 
     # -- composition ----------------------------------------------------------
 
@@ -395,6 +345,26 @@ class LatticeFunction:
 
     __call__ = eval
 
+    def eval_many(self, ts: np.ndarray) -> np.ndarray:
+        """Row i holds atom i's kernel at the points of row i of ``ts``.
+
+        One ``ScalarKernel.eval_many`` call per kernel object.  A failure
+        raises KernelEvalError for the lowest atom at fault, naming the first
+        point at fault in its row, as if the atoms ran one by one.  ``eval``
+        stays scalar: at one point per atom it is the faster.
+        """
+        ts = np.asarray(ts, dtype=np.float64)
+        if not self.is_coordinatewise or len(ts) != self.dim:
+            raise ValueError("eval_many needs a coordinatewise function and a row per atom")
+        out = np.empty(ts.shape)
+
+        def run(group):
+            kernel, atoms = group
+            out[atoms] = _eval_atoms(kernel, ts[atoms], atoms)
+
+        _each(run, _kernel_groups(self.kernels, range(self.dim)))
+        return out
+
     # -- pointwise algebra (expression kernels only) ---------------------------
 
     def compose(self, inner: "LatticeFunction") -> "LatticeFunction":
@@ -442,6 +412,53 @@ def _pairwise(op, left, right) -> list[ScalarKernel]:
             built[key] = op(a, b)
         out.append(built[key])
     return out
+
+
+def _kernel_groups(kernels, atoms) -> list[tuple[ScalarKernel, list[int]]]:
+    """Each kernel object of ``atoms``, with its atoms, in the order of their lowest atoms."""
+    groups: dict = {}
+    for i in atoms:
+        groups.setdefault(id(kernels[i]), (kernels[i], []))[1].append(i)
+    return list(groups.values())
+
+
+def _each(fn, items, error: KernelEvalError | None = None) -> list:
+    """``fn`` over ``items``, in order.
+
+    Where calls raise KernelEvalError, or ``error`` is given, the error of
+    the lowest atom is raised, as if the atoms had run one by one in atom
+    order.
+    """
+
+    def call(item):
+        try:
+            return fn(item)
+        except KernelEvalError as err:
+            return err
+
+    out = [call(item) for item in items]
+    errors = [r for r in out if isinstance(r, KernelEvalError)] + ([error] if error else [])
+    if errors:
+        raise min(errors, key=lambda err: err.atom)
+    return out
+
+
+def _eval_atoms(kernel: ScalarKernel, ts: np.ndarray, atoms) -> np.ndarray:
+    """``kernel.eval_many(ts)``, where row r of ``ts`` holds the points of atom ``atoms[r]``.
+
+    A failure raises KernelEvalError for the lowest atom at fault, naming
+    the first point at fault in its row; only then are rows evaluated one
+    by one, to find it.
+    """
+    try:
+        return kernel.eval_many(ts)
+    except ex.EvalDomainError:
+        for row, atom in zip(ts, atoms):
+            try:
+                kernel.eval_many(row)
+            except ex.EvalDomainError as err:
+                raise KernelEvalError(int(atom), err) from err
+        raise
 
 
 @dataclass(frozen=True)
@@ -502,34 +519,88 @@ class ExtremaPair:
 
 
 def extrema(f: LatticeFunction, interval: OrderInterval, tol: float = 0.0) -> ExtremaPair:
-    """Per-atom inf/sup of a coordinatewise function over the interval.
+    """Per-atom inf/sup of a coordinatewise function over the interval, band by band.
 
-    Exact for monotone-hinted kernels and for every differentiable
-    expression kernel (from its certified critical points).  Callables,
-    abs/min/max expressions, and kernels whose derivative vanishes on too
-    many pieces to isolate are sampled on a refining grid until successive
-    estimates move at most ``tol``.
+    The bands are ``integrate``'s (see ``integrate._make_bands``), built
+    once per distinct (kernel object, interval bits).  An exact band's
+    extrema are each atom's endpoint values, from one ``eval_many`` over
+    the band, folded with its certified critical entries: the extrema of
+    the one-cell sums of ``darboux_sums``, bit for bit.  Exact bands hold
+    monotone-hinted kernels and differentiable expression kernels.  The
+    atoms of a sampled band (callables, abs/min/max expressions, and atoms
+    whose isolation gave up) are sampled one by one on a refining grid
+    until successive estimates move at most ``tol``.  A failing kernel
+    raises KernelEvalError naming the lowest atom at fault.
     """
+    from .integrate import _make_bands, _representatives
+
     if not f.is_coordinatewise:
         raise ValueError("extrema requires a coordinatewise function")
     if f.dim != interval.dim:
         raise ValueError("dimension mismatch")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    lo = np.empty(f.dim)
-    hi = np.empty(f.dim)
-    method = "exact"
-    achieved = 0.0
-    for i, k in enumerate(f.kernels):
-        try:
-            m, big, how, delta = k.scalar_extrema(interval.lo[i], interval.hi[i], tol)
-        except ex.EvalDomainError as err:
-            raise KernelEvalError(i, err) from err
-        lo[i], hi[i] = m, big
-        if how == "sampled":
-            method = "sampled"
-            achieved = max(achieved, delta)
-    return ExtremaPair(m=Element(lo), M=Element(hi), method=method, tolerance=achieved)
+    lo, hi = interval.lo.data, interval.hi.data
+    rep = _representatives(f, lo, hi)
+    m, big = np.empty(f.dim), np.empty(f.dim)
+    sampled = []  # the achieved tolerance of each sampled atom
+
+    def run(band):
+        if band.sampled:
+            for i, a, b in zip(band.atoms.tolist(), band.lo, band.hi):
+                try:
+                    m[i], big[i], delta = _sampled_extrema(band.kernel, a, b, tol)
+                except ex.EvalDomainError as err:
+                    raise KernelEvalError(i, err) from err
+                if b > a:
+                    sampled.append(delta)
+            return
+        ends = _eval_atoms(band.kernel, np.stack([band.lo, band.hi], axis=1), band.atoms)
+        low, up = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
+        if band.entries is not None:
+            rows, _, vals = band.entries
+            np.minimum.at(low, rows, vals)
+            np.maximum.at(up, rows, vals)
+        m[band.atoms], big[band.atoms] = low, up
+
+    _each(run, *_make_bands(f, lo, hi, rep))
+    method = "sampled" if sampled else "exact"
+    achieved = max(sampled, default=0.0)
+    return ExtremaPair(m=Element(m[rep]), M=Element(big[rep]), method=method, tolerance=achieved)
+
+
+def _sampled_extrema(kernel: ScalarKernel, lo: float, hi: float, tol: float):
+    """(min, max, achieved) of the kernel over [lo, hi], sampled on a refining grid.
+
+    The grid doubles until the extrema move at most ``tol`` twice running,
+    or it reaches ``_EXTREMA_GRID_CAP`` points.  ``achieved`` is the larger
+    of the last change of the grid's extrema and the grid's resolution,
+    which is at least half the largest step between neighbouring samples.
+    A point interval is its one value, exactly.
+    """
+    if hi == lo:
+        v = kernel.eval(lo)
+        return v, v, 0.0
+    g, change, streak = _EXTREMA_GRID_START, np.inf, 0
+    vals = kernel.eval_many(np.linspace(lo, hi, g))
+    # Changes can stall at a fixed offset from the true extremum, so the
+    # criterion must hold twice running.
+    while g < _EXTREMA_GRID_CAP and streak < 2:
+        g = 2 * g - 1
+        m, big = float(vals.min()), float(vals.max())
+        vals = kernel.eval_many(np.linspace(lo, hi, g))
+        change = max(abs(float(vals.min()) - m), abs(float(vals.max()) - big))
+        streak = streak + 1 if change <= tol else 0
+    m, big = float(vals.min()), float(vals.max())
+    # Resolution-based residual: the worst quadratic deviation between
+    # grid points, from a second-difference curvature estimate, but at
+    # least half the largest step between neighbouring samples, which a
+    # kink between them (abs, min, max) can hide.
+    h = (hi - lo) / (g - 1)
+    curvature = float(np.abs(np.diff(vals, 2)).max()) / (h * h) if g >= 3 else 0.0
+    step = float(np.abs(np.diff(vals)).max())
+    resolution = max(0.5 * curvature * (0.5 * h) ** 2, 0.5 * step)
+    return m, big, float(max(change if np.isfinite(change) else 0.0, resolution))
 
 
 def continuity_modulus(
@@ -556,28 +627,21 @@ def continuity_modulus(
         prev = d
 
     grid = 1025
-    per_atom_vals = []
-    steps = []
-    for i, k in enumerate(f.kernels):
-        a, b = interval.lo[i], interval.hi[i]
-        ts = np.linspace(a, b, grid)
-        try:
-            per_atom_vals.append(k.eval_many(ts))
-        except ex.EvalDomainError as err:
-            raise KernelEvalError(i, err) from err
-        steps.append((b - a) / (grid - 1) if b > a else 0.0)
+    lo, hi = interval.lo.data, interval.hi.data
+    steps = (hi - lo) / (grid - 1)
+    ts = lo[:, None] + np.arange(grid) * steps[:, None]  # np.linspace's points, row by row
+    ts[:, -1] = hi
+    vals = f.eval_many(ts)
 
     out = []
     for d in deltas:
         mods = np.empty(f.dim)
-        for i in range(f.dim):
-            vals = per_atom_vals[i]
-            h = steps[i]
+        for i, h in enumerate(steps.tolist()):
             if h == 0.0:
                 mods[i] = 0.0
                 continue
             w = min(grid - 1, max(1, int(np.floor(d[i] / h + 1e-12))))
-            windows = np.lib.stride_tricks.sliding_window_view(vals, w + 1)
+            windows = np.lib.stride_tricks.sliding_window_view(vals[i], w + 1)
             mods[i] = float((windows.max(axis=1) - windows.min(axis=1)).max())
         out.append(Element(mods))
     return out

@@ -24,9 +24,14 @@ whose critical points cannot be isolated) widen the bracket by a measured
 two-resolution difference, and the result records that provenance.  A
 kernel unbounded near a point of its interval raises ``KernelEvalError``
 naming the point and the lowest atom at fault, as if the atoms ran one by
-one.  Non-integrable demo maps report ``converged=False`` with a stalling
-gap instead of raising.  Bands run one after another: a level's blocks (at
-most 2^13 cells) are too small for threads to pay for themselves.
+one.  One rule gives that, at every stage: a failure, in isolation
+(``_make_bands``) or in a level (``_refine``), is kept, only the atoms
+below it go on, and the lowest error of all bands is raised (``_each``).
+So an atom that fails only once summed is named before a higher atom
+whose isolation failed.  Non-integrable demo maps report
+``converged=False`` with a stalling gap instead of raising.  Bands run one
+after another: a level's blocks (at most 2^13 cells) are too small for
+threads to pay for themselves.
 """
 
 from __future__ import annotations
@@ -37,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels_fallback as _kernels
-from .expr import EvalDomainError
-from .functions import KernelEvalError, LatticeFunction, ScalarKernel
+from .functions import KernelEvalError, LatticeFunction, ScalarKernel, _each, _kernel_groups
 from .lattice import Element, OrderInterval, band_lt
 from .partitions import Partition, TaggedPartition, uniform_grid
 
@@ -189,6 +193,12 @@ class _Band:
             e_rows, ts, vals = at[keep], ts[keep], vals[keep]
         return (e_rows, ts, vals) if len(ts) else None
 
+    def below(self, atom: int) -> "_Band":
+        """The band of this band's atoms below ``atom``, of which it must hold one."""
+        rows = np.flatnonzero(self.atoms < atom)
+        atoms, lo, hi = self.atoms[rows], self.lo[rows], self.hi[rows]
+        return _Band(self.kernel, atoms, lo, hi, self.sampled, self._entries(rows))
+
 
 def _representatives(f: LatticeFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Each atom's representative: the lowest atom with its kernel object and interval bits.
@@ -205,8 +215,8 @@ def _representatives(f: LatticeFunction, lo: np.ndarray, hi: np.ndarray) -> np.n
     return np.array([first.setdefault(key, i) for i, key in enumerate(keys)])
 
 
-def _make_bands(f: LatticeFunction, lo: np.ndarray, hi: np.ndarray, rep=None) -> list[_Band]:
-    """The bands of a coordinatewise function over the intervals [lo[i], hi[i]].
+def _make_bands(f: LatticeFunction, lo: np.ndarray, hi: np.ndarray, rep=None):
+    """The bands of a coordinatewise function over the intervals [lo[i], hi[i]], and an error.
 
     Every atom gets a row, unless ``rep`` (from ``_representatives``) is
     given: then only the atoms that represent themselves do, one per
@@ -216,16 +226,28 @@ def _make_bands(f: LatticeFunction, lo: np.ndarray, hi: np.ndarray, rep=None) ->
     the lowest atom of its class, so it fails where that atom would, at the
     same t.  ``darboux_sums`` does not merge: its atoms can share endpoints
     and still have different breakpoints.
+
+    Returns (bands, error).  ``error`` is the KernelEvalError of the lowest
+    atom whose isolation found its kernel unbounded, or None.  Isolation
+    goes on for the atoms below it only, and the bands hold only those, as
+    ``_refine`` does within a band: the caller sums them and raises the
+    lower of their error and this one (``_each(fn, bands, error)``).
     """
     if f.dim != len(lo):
         raise ValueError("dimension mismatch")
     atoms = range(f.dim) if rep is None else np.flatnonzero(rep == np.arange(f.dim)).tolist()
-    groups: dict[int, tuple[ScalarKernel, list[int]]] = {}
-    for i in atoms:
-        kernel = f.kernels[i]
-        groups.setdefault(id(kernel), (kernel, []))[1].append(i)
-    found = _each(lambda group: _kernel_bands(*group, lo, hi), groups.values())
-    return [band for bands in found for band in bands]
+    bands, error, limit = [], None, f.dim
+    for kernel, group in _kernel_groups(f.kernels, atoms):
+        group = np.array(group)
+        while len(group := group[group < limit]):
+            try:
+                bands += _kernel_bands(kernel, group, lo, hi)
+                break
+            except KernelEvalError as err:
+                error, limit = err, err.atom
+    if error is not None:  # atoms are sorted in a band
+        bands = [band.below(limit) for band in bands if band.atoms[0] < limit]
+    return bands, error
 
 
 def _kernel_bands(kernel: ScalarKernel, atoms: list[int], lo, hi) -> list[_Band]:
@@ -250,26 +272,6 @@ def _kernel_bands(kernel: ScalarKernel, atoms: list[int], lo, hi) -> list[_Band]
     if failed.any():
         bands.append(_Band(kernel, atoms[failed], lo[failed], hi[failed], True))
     return bands
-
-
-def _each(fn, items) -> list:
-    """``fn`` over ``items``, in order.
-
-    Where calls raise KernelEvalError, the error of the lowest atom is
-    raised, as if the atoms had run one by one in atom order.
-    """
-
-    def call(item):
-        try:
-            return fn(item)
-        except KernelEvalError as err:
-            return err
-
-    out = [call(item) for item in items]
-    errors = [r for r in out if isinstance(r, KernelEvalError)]
-    if errors:
-        raise min(errors, key=lambda err: err.atom)
-    return out
 
 
 def _next_due(depth: int, lower, upper, scale, tol: float) -> np.ndarray:
@@ -375,7 +377,7 @@ def darboux_sums(f: LatticeFunction, p: Partition) -> DarbouxSums:
             grid = _kernels.GivenRows(points[band.atoms])
             lo[band.atoms], up[band.atoms] = band.sums(np.arange(len(band.atoms)), grid)[:2]
 
-        _each(run, _make_bands(f, mat[0], mat[-1]))
+        _each(run, *_make_bands(f, mat[0], mat[-1]))
         return DarbouxSums(lower=Element(lo), upper=Element(up))
     return _corner_darboux(f, p)
 
@@ -410,17 +412,9 @@ def riemann_sum(f: LatticeFunction, tagged: TaggedPartition) -> Element:
     if f.dim != p.dim:
         raise ValueError("dimension mismatch")
     if f.is_coordinatewise:
-        mat = p.matrix()
-        tags = np.stack([c.data for c in tagged.tags])
-        out = np.empty(f.dim)
-        for i, kernel in enumerate(f.kernels):
-            try:
-                vals = kernel.eval_many(tags[:, i])
-            except EvalDomainError as err:
-                raise KernelEvalError(i, err) from err
-            dx = np.diff(mat[:, i])
-            out[i] = np.add.accumulate(vals * dx)[-1]
-        return Element(out)
+        tags = np.stack([c.data for c in tagged.tags], axis=1)  # a row of tags per atom
+        products = f.eval_many(tags) * np.diff(p.matrix(), axis=0).T
+        return Element(np.add.accumulate(products, axis=1)[:, -1])
     total = np.zeros(f.dim)
     for (a, b), c in zip(zip(p.points, p.points[1:]), tagged.tags):
         total = total + f.eval(c).data * (b.data - a.data)
@@ -460,7 +454,7 @@ def integrate(
         return _integrate_probes(f, interval, sched)
     lo, hi = interval.lo.data, interval.hi.data
     rep = _representatives(f, lo, hi)
-    bands = _make_bands(f, lo, hi, rep)
+    bands, error = _make_bands(f, lo, hi, rep)
     value, lower, upper = np.empty(f.dim), np.empty(f.dim), np.empty(f.dim)
     closed = np.zeros(f.dim, dtype=bool)
 
@@ -471,7 +465,7 @@ def integrate(
             value[atoms], lower[atoms], upper[atoms], closed[atoms] = mid, lo, up, shut
         return depth
 
-    depth = max(_each(run, bands))
+    depth = max(_each(run, bands, error))
     value, lower, upper, closed = value[rep], lower[rep], upper[rep], closed[rep]
     method = "sampled" if any(band.sampled for band in bands) else "exact"
     return IntegralResult(

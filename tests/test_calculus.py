@@ -16,10 +16,10 @@ from ordercalc.calculus import (
     verify_ftc2,
     verify_substitution,
 )
-from ordercalc.functions import KernelEvalError, LatticeFunction, ScalarKernel
-from ordercalc.integrate import ToleranceSchedule, _Band, integrate, signed_integrate
+from ordercalc.functions import KernelEvalError, LatticeFunction, ScalarKernel, continuity_modulus, extrema
+from ordercalc.integrate import ToleranceSchedule, _Band, darboux_sums, integrate, riemann_sum, signed_integrate
 from ordercalc.lattice import Element, OrderInterval
-from ordercalc.partitions import uniform_grid
+from ordercalc.partitions import tag, uniform, uniform_grid
 
 
 def E(*coords):
@@ -177,7 +177,7 @@ def _antiderivative_alone(kernel, lo, hi, sched):
     s = 8 if kernel.strategy == "sampled" else 0
     ts = vals = np.empty(0)
     if kernel.strategy == "critical":
-        ts, vals = kernel.critical_points(lo, hi, enclose=True)
+        _, ts, vals, _ = kernel.critical_entries(np.array([lo]), np.array([hi]))
     xs = uniform_grid(lo, hi, 1 << depth)
     pl, pu = _level_products(kernel, xs, ts, vals, s)
     rl, ru = _stretch_running(pl), _stretch_running(pu)
@@ -728,6 +728,11 @@ def test_library_calls_print_nothing(capfd):
     g = LatticeFunction.coordinatewise("t^2/2", dim=2)
     verify_by_parts(G, g, G.derivative(), g.derivative(), UNIT2)
     mvt_integral_solve(sq, E(0, 0), E(1, 1), sched=sched)
+    extrema(f, UNIT2)
+    riemann_sum(f, tag(uniform(UNIT2, 8), "midpoint"))
+    continuity_modulus(f, UNIT2, [E(0.1, 0.1)])
+    numeric_derivative(f, E(0.5, 0.5), UNIT2)
+    darboux_sums(f, uniform(UNIT2, 8))
     with pytest.raises(KernelEvalError):
         integrate(LatticeFunction.coordinatewise("1/t"), interval((-1.0,), (1.0,)))
     assert capfd.readouterr().out == ""

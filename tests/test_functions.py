@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from helpers import adaptive_simpson
-from ordercalc.calculus import numeric_derivative
 from ordercalc.expr import EvalDomainError
 from ordercalc.functions import (
     ExtremaPair,
@@ -16,7 +15,8 @@ from ordercalc.functions import (
     extrema,
     lbp_check,
 )
-from ordercalc.integrate import integrate, riemann_sum
+from ordercalc.calculus import antiderivative, numeric_derivative
+from ordercalc.integrate import ToleranceSchedule, darboux_sums, integrate, riemann_sum, signed_integrate
 from ordercalc.lattice import Band, Element, OrderInterval
 from ordercalc.partitions import tag, uniform
 
@@ -52,6 +52,12 @@ def test_eval_reports_atom_index():
 
 _RECIPROCAL = ["t^2", "1/t"]
 
+# Kernels [A, B, A] where atoms 1 and 2 fail: the lowest atom at fault is
+# in the second kernel group, and the first group fails above it.
+_LATER_GROUP = ["1/(t - 0.5)", "1/t", "1/(t - 0.5)"]
+_LATER_BOX = interval((0.6, 0.0, 0.0), (1.0, 1.0, 1.0))
+_LATER_LOG = ["log(t - 0.4999)", "sqrt(t - 0.4999)", "log(t - 0.4999)"]
+
 
 @pytest.mark.parametrize(
     "call",
@@ -64,13 +70,96 @@ _RECIPROCAL = ["t^2", "1/t"]
             [ScalarKernel.identity(), ScalarKernel.from_callable(math.log)]
         ).eval(E(0.5, -1.0)),
         lambda: numeric_derivative(LatticeFunction.coordinatewise(["t", "log(t - 0.4999)"]), E(0.5, 0.5), UNIT2),
+        lambda: continuity_modulus(LatticeFunction.coordinatewise(_LATER_GROUP), _LATER_BOX, [E(0.1, 0.1, 0.1)]),
+        lambda: riemann_sum(LatticeFunction.coordinatewise(_LATER_GROUP), tag(uniform(_LATER_BOX, 4), "left")),
+        lambda: extrema(LatticeFunction.coordinatewise(_LATER_GROUP), _LATER_BOX),
+        lambda: numeric_derivative(
+            LatticeFunction.coordinatewise(_LATER_LOG), E(0.8, 0.5, 0.5), interval((0, 0, 0), (1, 1, 1))
+        ),
     ],
-    ids=["continuity_modulus", "riemann_sum", "extrema", "overflow", "callable", "numeric_derivative"],
+    ids=[
+        "continuity_modulus", "riemann_sum", "extrema", "overflow", "callable", "numeric_derivative",
+        "continuity_modulus-later-group", "riemann_sum-later-group", "extrema-later-group",
+        "numeric_derivative-later-group",
+    ],
 )
 def test_every_kernel_failure_names_its_atom(call):
     with pytest.raises(KernelEvalError) as info:
         call()
     assert info.value.atom == 1
+
+
+def test_eval_many_is_each_kernel_on_its_atoms_rows():
+    k = ScalarKernel.from_callable(lambda t: t * t - 1.0)
+    f = LatticeFunction.coordinatewise(["sin(t)", k, "sin(t)", "t^3 - t"])
+    ts = np.random.default_rng(3).uniform(-2.0, 2.0, (4, 9))
+    got = f.eval_many(ts)
+    for i, kernel in enumerate(f.kernels):
+        assert got[i].tobytes() == kernel.eval_many(ts[i]).tobytes()
+    with pytest.raises(ValueError):
+        f.eval_many(ts[:3])
+    with pytest.raises(ValueError):
+        LatticeFunction.swap().eval_many(ts[:2])
+
+
+def test_eval_many_names_the_first_point_at_fault_in_the_lowest_atom():
+    f = LatticeFunction.coordinatewise(["log(t)", "1/t", "log(t)"])
+    ts = np.array([[1.0, 2.0, 3.0], [1.0, 0.0, 2.0], [-1.0, 1.0, 1.0]])
+    with pytest.raises(KernelEvalError) as info:
+        f.eval_many(ts)
+    assert info.value.atom == 1 and "t=0.0" in str(info.value)
+    with pytest.raises(KernelEvalError) as info:
+        f.eval_many(np.array([[1.0, -2.0, -3.0], [1.0, 1.0, 2.0], [-1.0, 1.0, 1.0]]))
+    assert info.value.atom == 0 and "t=-2.0" in str(info.value)
+
+
+def test_grouped_paths_give_each_atom_its_result_alone():
+    # These paths evaluate a kernel's atoms together; each atom must read,
+    # bit for bit, as its kernel on its own interval alone.
+    k = ScalarKernel.from_callable(lambda t: math.sin(3.0 * t) + t * t)
+    f = LatticeFunction.coordinatewise(["t^3 - t", "abs(t - 0.3)", k, "t^3 - t", "sin(t)", k, "sin(t)"])
+    rng = np.random.default_rng(21)
+    lo = rng.uniform(-2.0, 0.0, f.dim)
+    hi = lo + rng.uniform(0.5, 2.0, f.dim)
+
+    def results(f, lo, hi):
+        box = OrderInterval(Element(lo), Element(hi))
+        pair = extrema(f, box, tol=1e-6)
+        return [
+            riemann_sum(f, tag(uniform(box, 9), "midpoint")).data,
+            continuity_modulus(f, box, [Element(0.1 * (hi - lo))])[0].data,
+            numeric_derivative(f, Element(lo + 0.4 * (hi - lo)), box).data,
+            pair.m.data,
+            pair.M.data,
+        ]
+
+    whole = results(f, lo, hi)
+    for i, kernel in enumerate(f.kernels):
+        alone = results(LatticeFunction.coordinatewise([kernel]), lo[i : i + 1], hi[i : i + 1])
+        assert [w[i : i + 1].tobytes() for w in whole] == [a.tobytes() for a in alone]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, box: integrate(f, box),
+        lambda f, box: signed_integrate(f, box.lo, box.hi),
+        lambda f, box: antiderivative(f, box, ToleranceSchedule(1e-3, 8)),
+        lambda f, box: darboux_sums(f, uniform(box, 4)),
+        lambda f, box: extrema(f, box),
+    ],
+    ids=["integrate", "signed_integrate", "antiderivative", "darboux_sums", "extrema"],
+)
+def test_failure_found_summing_beats_a_higher_isolation_failure(call):
+    # Atom 1's isolation finds 1/t unbounded; atom 0, abs(1/t), is sampled
+    # and fails only once summed.  The error is atom 0's, as it is alone.
+    box = interval((-1.0, -1.0), (1.0, 1.0))
+    with pytest.raises(KernelEvalError) as info:
+        call(LatticeFunction.coordinatewise(["abs(1/t)", "1/t"]), box)
+    with pytest.raises(KernelEvalError) as alone:
+        call(LatticeFunction.coordinatewise(["abs(1/t)"]), interval((-1.0,), (1.0,)))
+    assert info.value.atom == alone.value.atom == 0
+    assert str(info.value) == str(alone.value)
 
 
 def test_kernel_eval_raises_only_domain_errors_naming_t():
@@ -257,6 +346,36 @@ def test_sampled_extrema_tolerance_covers_kinks(kernel, lo, hi, true_min, true_m
     assert pair.method == "sampled"
     assert pair.m[0] - pair.tolerance <= true_min <= pair.m[0]
     assert pair.M[0] <= true_max <= pair.M[0] + pair.tolerance
+
+
+@pytest.mark.parametrize(
+    "kernel, lo, hi",
+    [
+        ("t^3 - t", -1.5, 0.9),
+        ("t^2", -1.0, 2.0),
+        ("sin(t)", 0.0, 4.0),
+        ("sin(t)", -0.3, 0.2),
+        # numpy's exp and libm's differ at this endpoint on some machines
+        ("exp(t)", -0.46528978295246626, 1.25),
+        ("log(t + 3)", -1.9847164968033724, 0.5),
+        (ScalarKernel.from_string("t^3 + t", monotone="increasing"), -1.25, 0.75),
+        (ScalarKernel.from_callable(math.atan, monotone="increasing"), -2.0, 3.0),
+    ],
+)
+def test_exact_extrema_are_the_one_cell_darboux_extrema(kernel, lo, hi):
+    # extrema and the one-cell Darboux sums take the same endpoint values
+    # and fold in the same critical entries, so m·(hi - lo) and M·(hi - lo)
+    # are the lower and upper sums, bit for bit.
+    rng = np.random.default_rng(14)
+    los = np.append(lo, rng.uniform(-2.0, 1.0, 20))
+    his = np.append(hi, los[1:] + rng.uniform(0.0, 2.0, 20))
+    f = LatticeFunction.coordinatewise([kernel], dim=len(los))
+    box = OrderInterval(Element(los), Element(his))
+    pair = extrema(f, box)
+    sums = darboux_sums(f, uniform(box, 1))
+    assert pair.method == "exact" and pair.tolerance == 0.0
+    assert np.array_equal(pair.m.data * (his - los), sums.lower.data)
+    assert np.array_equal(pair.M.data * (his - los), sums.upper.data)
 
 
 def test_extrema_pair_validation():

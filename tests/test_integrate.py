@@ -251,7 +251,7 @@ def _sweep(f, iv, sched):
     """
     value, lower, upper = np.empty(f.dim), np.empty(f.dim), np.empty(f.dim)
     last = np.full(f.dim, -1)
-    bands = _make_bands(f, iv.lo.data, iv.hi.data)
+    bands, error = _make_bands(f, iv.lo.data, iv.hi.data)  # bands below error's atom
     live = [(band, np.arange(len(band.atoms))) for band in bands]
     depth = 0
     for depth in range(sched.max_depth + 1):
@@ -267,12 +267,28 @@ def _sweep(f, iv, sched):
         live = still_open
         if not live:
             break
+    if error is not None:
+        raise error
     method = "sampled" if any(band.sampled for band in bands) else "exact"
     result = IntegralResult(
         Element(value), Element(lower), Element(upper), Element(upper - lower),
         depth, not live, sched, method,
     )
     return result, last
+
+
+def test_bands_stop_below_the_lowest_isolation_failure():
+    # Atom 2 holds the pole of 1/t.  The cubic's band, isolated first, is
+    # cut to atom 0 and its critical entries, and sin(t) is not isolated.
+    f = LatticeFunction.coordinatewise(["t^3 - t", "1/t", "1/t", "t^3 - t", "sin(t)"])
+    lo = np.array([-1.0, 0.5, -1.0, -1.0, -1.0])
+    hi = np.array([1.0, 2.0, 1.0, 1.0, 1.0])
+    bands, error = _make_bands(f, lo, hi)
+    assert error.atom == 2
+    assert sorted(a for band in bands for a in band.atoms.tolist()) == [0, 1]
+    cubic = next(band for band in bands if band.atoms.tolist() == [0])
+    whole, _ = _make_bands(LatticeFunction.coordinatewise(["t^3 - t"]), lo[:1], hi[:1])
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(cubic.entries, whole[0].entries))
 
 
 def _integrate_counting(f, iv, sched, monkeypatch):

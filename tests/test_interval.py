@@ -10,7 +10,9 @@ import pytest
 
 from helpers import adaptive_simpson, random_expr
 from ordercalc import expr as ex
+from ordercalc import _interval
 from ordercalc._interval import enclose
+from ordercalc._tape import OP_NEG
 from ordercalc.functions import KernelEvalError, LatticeFunction, ScalarKernel, extrema
 from ordercalc.integrate import ToleranceSchedule, integrate
 from ordercalc.lattice import Element, OrderInterval
@@ -61,6 +63,26 @@ def test_opcode_enclosure_contains_point_values(name):
             ts = np.concatenate(([a[i], b[i]], rng.uniform(a[i], b[i], 1000)))
             vals = ScalarKernel.from_string(src).eval_many(ts)
             assert np.all(e_lo[i] <= vals) and np.all(vals <= e_hi[i]), (src, a[i], b[i])
+
+
+def test_negated_constant_stays_a_point_with_the_same_bounds(monkeypatch):
+    # -2*t compiles to CONST 2, NEG, VAR, MUL: the negated constant must stay
+    # one object, so that the product takes its two-product path.
+    c = np.float64(2.0)
+    lo, hi = _interval._OPS[OP_NEG]((c, c))
+    assert lo is hi and lo == -2.0
+    a, b = np.array([-3.0, 1.0]), np.array([-2.0, 4.0])
+    lo, hi = _interval._OPS[OP_NEG]((a, b))
+    assert lo.tolist() == [2.0, -4.0] and hi.tolist() == [3.0, -1.0]
+    # Bounds as with a negated constant of two objects, inf and NaN pieces included.
+    a = np.array([-3.0, -1.0, 0.0, 0.5, -np.inf, 1.0, np.nan, -np.inf])
+    b = np.array([-2.0, 2.0, 0.0, 4.0, 1.0, np.inf, 1.0, np.inf])
+    progs = [ScalarKernel.from_string(src).program for src in ("-0.5*t^2 - t", "t*(-3)", "-2*sin(t)")]
+    got = [enclose(prog, a, b) for prog in progs]
+    monkeypatch.setitem(_interval._OPS, OP_NEG, lambda x: (-x[1], -x[0]))
+    for prog, (lo, hi) in zip(progs, got):
+        want_lo, want_hi = enclose(prog, a, b)
+        assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
 
 
 def test_sin_cos_enclosures_reach_their_peaks():
@@ -218,7 +240,7 @@ def test_band_isolation_gives_each_row_its_one_row_entries():
     assert not failed.any()
     assert np.all(np.diff(rows) >= 0)
     for r in range(len(lo)):
-        want_ts, want_vals = k.critical_points(lo[r], hi[r], enclose=True)
+        _, want_ts, want_vals, _ = k.critical_entries(lo[r : r + 1], hi[r : r + 1])
         assert ts[rows == r].tobytes() == want_ts.tobytes()
         assert vals[rows == r].tobytes() == want_vals.tobytes()
 
