@@ -227,7 +227,9 @@ def _narrow(slope, a: float, b: float, fa: float, fb: float, tol: float):
     Regula falsi with the Illinois weighting, kept tol/2 inside the bracket
     so that a zero near an end closes it; every third step bisects, so the
     width at least halves every three steps.  A zero value closes the
-    bracket on its point.
+    bracket on its point.  It is the one root refiner of the package:
+    ``isolate`` narrows the brackets of f' with it, and
+    ``calculus._bisect_root`` the mean-value bracket.
     """
     step, kept = 0, 0  # kept: the end retained last time, -1 for a, +1 for b
     while b - a > tol:
@@ -263,20 +265,19 @@ def isolate(f: Program, d1: Program, d2: Program, slope, lo, hi, tol, floor):
     evaluates f' at one point; ``tol`` and ``floor`` are per-row arrays.
     Rows are isolated ``_ROW_BLOCK`` at a time, every piece of a level in
     one array, and a row's result never depends on the other rows.
-    Returns ``(failed, (root_rows, roots), (rows, ts, vals))``:
+    Returns ``(failed, (rows, ts, vals))``:
 
     - ``failed[r]`` marks a row that would need more than ``_MAX_PIECES``
-      pieces in a level; it gets no roots and no entries.
-    - ``roots`` holds, for each row, every zero of f' at which f may have a
-      local extremum, each within ``tol``: exact zeros, the centres of
-      single-root brackets, and the centres of pieces left unresolved at
-      width ``floor``.
+      pieces in a level; it gets no entries.
     - ``(ts, vals)`` are (t, value) entries that bound f on every cell
-      holding one of them: f at an exact zero, f(c) +- sup|f''|*delta^2/2
-      at a bracket centre c of half-width delta, and f's own enclosure at
-      both ends of an unresolved piece.  Between them f is monotone, so
-      these entries and the cell endpoints bound f on every cell.  They
-      are sorted by row, then by t.
+      holding one of them: f at an exact zero of f', f(c) +-
+      sup|f''|*delta^2/2 at the centre c of a single-root bracket narrowed
+      to half-width delta <= tol/2, and f's own enclosure at both ends of
+      a piece left unresolved at width ``floor``.  Between them f is
+      monotone, so these entries and the cell endpoints bound f on every
+      cell, and every zero of f' at which f may have a local extremum
+      lies within ``tol`` of an entry's t, as ``floor <= tol``.  They are
+      sorted by row, then by t.
 
     Raises RowError, naming the lowest row at fault, with an EvalDomainError
     where f itself has no finite enclosure on an unresolved piece (a pole,
@@ -289,15 +290,10 @@ def isolate(f: Program, d1: Program, d2: Program, slope, lo, hi, tol, floor):
             found = _isolate_block(f, d1, d2, slope, lo[block], hi[block], tol[block], floor[block])
         except RowError as err:
             raise RowError(r0 + err.row, err.cause) from err.cause
-        for rows_first in found[1:]:
-            np.add(rows_first[0], r0, out=rows_first[0])
+        np.add(found[1][0], r0, out=found[1][0])
         parts.append(found)
-    failed, roots, entries = zip(*parts)
-    return (
-        np.concatenate(failed),
-        tuple(np.concatenate(x) for x in zip(*roots)),
-        tuple(np.concatenate(x) for x in zip(*entries)),
-    )
+    failed, entries = zip(*parts)
+    return np.concatenate(failed), tuple(np.concatenate(x) for x in zip(*entries))
 
 
 def _isolate_block(f: Program, d1: Program, d2: Program, slope, lo, hi, tol, floor):
@@ -351,14 +347,10 @@ def _isolate_block(f: Program, d1: Program, d2: Program, slope, lo, hi, tol, flo
             [tuple(x[~failed[part[0]]] for x in part) for part in found]
             for found in (exact, brackets, unresolved)
         )
-    root_rows, root_ts, e_rows, ts, tv = [], [], [], [], []
+    e_rows, ts, tv = [], [], []
     if exact:
         x_rows, x_ts = (np.concatenate(x) for x in zip(*exact))
-        root_rows.append(x_rows)
-        root_ts.append(x_ts)
-        e_rows.append(x_rows)
-        ts.append(x_ts)
-        tv.append(_run(f, x_ts))
+        e_rows, ts, tv = [x_rows], [x_ts], [_run(f, x_ts)]
     if brackets:
         b_rows, ba, bb, bfa, bfb, curv = (np.concatenate(x) for x in zip(*brackets))
         ends = zip(ba.tolist(), bb.tolist(), bfa.tolist(), bfb.tolist(), tol[b_rows].tolist())
@@ -371,8 +363,6 @@ def _isolate_block(f: Program, d1: Program, d2: Program, slope, lo, hi, tol, flo
             unresolved.append((b_rows[~taylor], ba[~taylor], bb[~taylor]))
         b_rows, c, err = b_rows[taylor], c[taylor], err[taylor]
         fc = _run(f, c)
-        root_rows.append(b_rows)
-        root_ts.append(c)
         e_rows += [b_rows, b_rows]
         ts += [c, c]
         tv += [fc - err, fc + err]  # rounded to nearest, like the endpoint values
@@ -385,18 +375,12 @@ def _isolate_block(f: Program, d1: Program, d2: Program, slope, lo, hi, tol, flo
             row, i = _first_of_lowest_row(u_rows, bad)
             t = float(0.5 * (ua[i] + ub[i]))
             errors.append((row, f"kernel has no finite bound near t={t!r}"))
-        root_rows.append(u_rows)
-        root_ts.append(0.5 * (ua + ub))
         e_rows += [u_rows] * 4
         ts += [ua, ua, ub, ub]
         tv += [f_lo, f_hi, f_lo, f_hi]
 
-    empty_rows = np.empty(0, dtype=np.int64)
-    roots = (empty_rows, np.empty(0))
-    if root_ts:
-        roots = (np.concatenate(root_rows), np.concatenate(root_ts))
     if not ts:
-        entries = (empty_rows, np.empty(0), np.empty(0))
+        entries = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
     else:
         e_rows, ts, tv = np.concatenate(e_rows), np.concatenate(ts), np.concatenate(tv)
         bad = ~np.isfinite(tv)
@@ -408,4 +392,4 @@ def _isolate_block(f: Program, d1: Program, d2: Program, slope, lo, hi, tol, flo
     if errors:
         row, message = min(errors, key=lambda e: e[0])  # a tie keeps the unresolved piece
         raise RowError(row, EvalDomainError(message))
-    return failed, roots, entries
+    return failed, entries

@@ -12,10 +12,12 @@ stretch, the last of them partial, to a kept running sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._interval import _narrow
 from ._kernels_fallback import STRETCH_CELLS, GivenRows, UniformRows
 from .expr import EvalDomainError
 from .functions import KernelEvalError, LatticeFunction, ScalarKernel, _each
@@ -44,7 +46,6 @@ __all__ = [
 # first; the stablest successive pair wins.
 _H_FACTORS = (1e-3, 1e-4, 1e-5)
 
-_MVT_MAX_BISECT = 60
 _MVT_SCAN_START = 65
 _MVT_SCAN_CAP = 4097
 
@@ -112,7 +113,8 @@ def numeric_derivative(f: LatticeFunction, x: Element, interval: OrderInterval) 
             break
     h = np.multiply.outer(scale, _H_FACTORS)  # each atom's steps, largest first
     points = x.data[:, None] + np.stack([h, -h], axis=2).reshape(f.dim, -1)  # x ± h, step by step
-    [vals] = _each(f.eval_many, [points], error)  # raises the lower of its error and ``error``
+    # one item holding every atom: raises the lower of its error and ``error``
+    [vals] = _each(f.eval_many, [points], error, lambda _: 0)
     est = (vals[:, 0::2] - vals[:, 1::2]) / (2.0 * h)
     out = est[np.arange(f.dim), np.argmin(np.abs(np.diff(est, axis=1)), axis=1) + 1]
     for i, sym in enumerate(syms):
@@ -251,12 +253,12 @@ def mvt_integral_solve(
 ) -> Element:
     """Solve (y - x) f(c) = integral from x to y, atom by atom.
 
-    Bisection on a bracketing grid; continuity of the kernels guarantees a
-    bracket exists (a scan failure signals a discontinuous kernel and
-    raises with the atom index).  Atoms with x_i = y_i return x_i.  Atoms
-    alike in kernel object and in the bits of x_i and y_i are solved once,
-    for the lowest of them (see ``integrate._representatives``), which
-    fails where that atom would.
+    A scan finds a sign change and ``_bisect_root`` narrows it; continuity
+    of the kernels guarantees a bracket exists (a scan failure signals a
+    discontinuous kernel and raises with the atom index).  Atoms with
+    x_i = y_i return x_i.  Atoms alike in kernel object and in the bits of
+    x_i and y_i are solved once, for the lowest of them (see
+    ``integrate._representatives``), which fails where that atom would.
     """
     _require_coordinatewise(f, "mvt_integral_solve")
     if x.dim != y.dim or x.dim != f.dim:
@@ -273,7 +275,7 @@ def mvt_integral_solve(
             c[i] = xi
             continue
         lo, hi = (xi, yi) if xi < yi else (yi, xi)
-        target = result.value[i]
+        target = float(result.value[i])
         slope = yi - xi
 
         def g(t: float) -> float:
@@ -290,10 +292,15 @@ def mvt_integral_solve(
 
 
 def _bisect_root(g, g_many, lo: float, hi: float, tol: float, atom: int) -> float:
-    """A root of ``g`` in [lo, hi]: scan with ``g_many``, then bisect with ``g``.
+    """A root of ``g`` in [lo, hi]: scan with ``g_many``, then narrow with ``g``.
 
-    ``atom`` names the atom in the errors raised here; the caller names it
-    when ``g`` or ``g_many`` raise EvalDomainError.
+    The scan grows its grid from ``_MVT_SCAN_START`` to ``_MVT_SCAN_CAP``
+    points until two neighbours change sign.  ``_interval._narrow``, the
+    refiner of the critical points, then shrinks that bracket to four ulps
+    of its larger end, and its midpoint is the root if ``g`` there is
+    within ``tol`` of 0.  ``atom`` names the atom in the errors raised
+    here; the caller names it when ``g`` or ``g_many`` raise
+    EvalDomainError.
     """
     points = _MVT_SCAN_START
     while True:
@@ -307,7 +314,6 @@ def _bisect_root(g, g_many, lo: float, hi: float, tol: float, atom: int) -> floa
         sign_change = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
         if len(sign_change):
             j = int(sign_change[0])
-            a, b, va = float(ts[j]), float(ts[j + 1]), float(vals[j])
             break
         if points >= _MVT_SCAN_CAP:
             raise ArithmeticError(
@@ -316,20 +322,14 @@ def _bisect_root(g, g_many, lo: float, hi: float, tol: float, atom: int) -> floa
             )
         points = 4 * (points - 1) + 1
 
+    a, b = float(ts[j]), float(ts[j + 1])
+    a, b = _narrow(g, a, b, float(vals[j]), float(vals[j + 1]), 4.0 * math.ulp(max(abs(a), abs(b))))
     mid = 0.5 * (a + b)
-    for _ in range(_MVT_MAX_BISECT):
-        mid = 0.5 * (a + b)
-        vm = g(mid)
-        if abs(vm) <= tol or a == mid or b == mid:
-            break
-        if va * vm < 0.0:
-            b = mid
-        else:
-            a, va = mid, vm
-    if abs(g(mid)) > tol:
+    residual = abs(g(mid))
+    if residual > tol:
         # A sign change whose residual will not close is a jump, not a root.
         raise ArithmeticError(
-            f"mean-value residual stuck at {abs(g(mid))!r} in atom {atom}; "
+            f"mean-value residual stuck at {residual!r} in atom {atom}; "
             "kernel looks discontinuous"
         )
     return mid

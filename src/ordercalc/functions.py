@@ -169,26 +169,24 @@ class ScalarKernel:
         return self._derivative or None
 
     def critical_points(self, lo: float, hi: float) -> np.ndarray:
-        """Zeros of the derivative in [lo, hi], isolated with interval enclosures.
+        """The sorted distinct t of the one-row ``critical_entries`` on [lo, hi].
 
         Every zero of f' at which f may have a local extremum lies within
-        ``_BISECT_TOL * max(1, |lo|, |hi|)`` of a returned point, unless
-        EvalDomainError is raised because f itself is unbounded near one, or
-        IsolationError because f' vanishes (to the evaluator's resolution) on
-        too many pieces to isolate.  It isolates as ``critical_entries`` does
-        for one row.
+        ``_BISECT_TOL * max(1, |lo|, |hi|)`` of a returned point: a zero of
+        f', the centre of a narrowed bracket, or an end of a piece left
+        unresolved at the floor.  Raises EvalDomainError where f itself is
+        unbounded near one, and IsolationError where f' vanishes (to the
+        evaluator's resolution) on too many pieces to isolate.
         """
-        if hi <= lo or self.derivative() is None:
-            return np.empty(0)
         try:
-            failed, (_, roots), _ = self._isolate(np.array([lo]), np.array([hi]))
+            _, ts, _, failed = self.critical_entries(np.array([lo]), np.array([hi]))
         except RowError as err:
             raise err.cause from None
         if failed[0]:
             raise IsolationError(
                 f"derivative not resolved on [{lo!r}, {hi!r}] within {_MAX_PIECES} pieces"
             )
-        return np.unique(roots)
+        return np.unique(ts)
 
     def critical_entries(self, lo: np.ndarray, hi: np.ndarray):
         """The critical (t, value) entries of every row [lo[r], hi[r]], in one pass.
@@ -207,7 +205,7 @@ class ScalarKernel:
         if self.derivative() is None or not len(live):
             return np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), failed
         try:
-            failed[live], _, (rows, ts, vals) = self._isolate(lo[live], hi[live])
+            failed[live], (rows, ts, vals) = self._isolate(lo[live], hi[live])
         except RowError as err:
             raise RowError(int(live[err.row]), err.cause) from err.cause
         return live[rows], ts, vals, failed
@@ -362,7 +360,7 @@ class LatticeFunction:
             kernel, atoms = group
             out[atoms] = _eval_atoms(kernel, ts[atoms], atoms)
 
-        _each(run, _kernel_groups(self.kernels, range(self.dim)))
+        _each(run, _kernel_groups(self.kernels, range(self.dim)), lowest=lambda group: group[1][0])
         return out
 
     # -- pointwise algebra (expression kernels only) ---------------------------
@@ -422,24 +420,25 @@ def _kernel_groups(kernels, atoms) -> list[tuple[ScalarKernel, list[int]]]:
     return list(groups.values())
 
 
-def _each(fn, items, error: KernelEvalError | None = None) -> list:
-    """``fn`` over ``items``, in order.
+def _each(fn, items, error: KernelEvalError | None = None, lowest=lambda band: band.atoms[0]):
+    """``fn`` over ``items``, in order; ``lowest(item)`` is an item's lowest atom.
 
     Where calls raise KernelEvalError, or ``error`` is given, the error of
     the lowest atom is raised, as if the atoms had run one by one in atom
-    order.
+    order.  Once an error is kept, an item whose atoms all lie above it is
+    not run: it could not raise a lower one.
     """
-
-    def call(item):
+    out = []
+    for item in items:
+        if error is not None and lowest(item) > error.atom:
+            continue
         try:
-            return fn(item)
+            out.append(fn(item))
         except KernelEvalError as err:
-            return err
-
-    out = [call(item) for item in items]
-    errors = [r for r in out if isinstance(r, KernelEvalError)] + ([error] if error else [])
-    if errors:
-        raise min(errors, key=lambda err: err.atom)
+            if error is None or err.atom <= error.atom:  # a tie goes to the call
+                error = err
+    if error is not None:
+        raise error
     return out
 
 

@@ -26,7 +26,8 @@ kernel unbounded near a point of its interval raises ``KernelEvalError``
 naming the point and the lowest atom at fault, as if the atoms ran one by
 one.  One rule gives that, at every stage: a failure, in isolation
 (``_make_bands``) or in a level (``_refine``), is kept, only the atoms
-below it go on, and the lowest error of all bands is raised (``_each``).
+below it go on, no band wholly above it is summed, and the lowest error
+of all bands is raised (``_each``).
 So an atom that fails only once summed is named before a higher atom
 whose isolation failed.  Non-integrable demo maps report
 ``converged=False`` with a stalling gap instead of raising.  Bands run one

@@ -467,6 +467,45 @@ def test_mvt_scan_failure_names_its_atom():
     assert info.value.atom == 1
 
 
+def _scan_sizes(monkeypatch) -> list[int]:
+    """The grid size of every scan ``_bisect_root`` makes, recorded as it runs."""
+    sizes = []
+    solve = calculus._bisect_root
+
+    def recorded(g, g_many, *args, atom):
+        def scan(ts):
+            sizes.append(len(ts))
+            return g_many(ts)
+
+        return solve(g, scan, *args, atom=atom)
+
+    monkeypatch.setattr(calculus, "_bisect_root", recorded)
+    return sizes
+
+
+def test_mvt_scan_grows_past_a_bump_between_its_points(monkeypatch):
+    # A bump of width 1e-3 centred at 1/128, midway between two points of
+    # the first 65-point grid: there g < 0 at every point, and the 257-point
+    # grid, which holds 1/128, finds the sign change.
+    sizes = _scan_sizes(monkeypatch)
+    f = LatticeFunction.coordinatewise("exp(-((t - 0.0078125)/0.001)^2)")
+    sched = ToleranceSchedule(1e-6, 24)
+    c = mvt_integral_solve(f, E(0.0), E(1.0), sched=sched)
+    assert sizes == [65, 257]
+    assert abs(c[0] - 0.0078125) < 0.003
+    assert abs(f.eval(c)[0] - signed_integrate(f, E(0.0), E(1.0), sched).value[0]) <= 1e-10
+
+
+def test_mvt_scan_without_a_bracket_gives_up_at_4097_points(monkeypatch):
+    # A bump of width 1e-6 centred at 1/8192, off every grid the scan makes:
+    # g is the same negative number at every point it samples.
+    sizes = _scan_sizes(monkeypatch)
+    f = LatticeFunction.coordinatewise(["t", "exp(-((t - 0.0001220703125)/1e-6)^2)"])
+    with pytest.raises(ArithmeticError, match="no bracket for the mean-value point in atom 1"):
+        mvt_integral_solve(f, E(0.0, 0.0), E(1.0, 1.0), sched=ToleranceSchedule(0.1, 2))
+    assert sizes == [65, 65, 257, 1025, 4097]  # atom 0, t, brackets at once
+
+
 def test_mvt_solves_alike_atoms_once(monkeypatch):
     solved = []
     bisect = calculus._bisect_root
@@ -477,7 +516,7 @@ def test_mvt_solves_alike_atoms_once(monkeypatch):
 
     monkeypatch.setattr(calculus, "_bisect_root", recorded)
     c = mvt_integral_solve(LatticeFunction.coordinatewise("t^2", dim=2), E(0, 0), E(1, 1))
-    assert solved == [0]  # one scan and one bisection for both atoms
+    assert solved == [0]  # one scan and one narrowing for both atoms
     alone = mvt_integral_solve(LatticeFunction.coordinatewise("t^2"), E(0), E(1))
     assert c.data.tobytes() == np.repeat(alone.data, 2).tobytes()
     # Alike failing atoms 1 and 3 (atom 2 has another kernel object): the

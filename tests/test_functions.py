@@ -162,6 +162,33 @@ def test_failure_found_summing_beats_a_higher_isolation_failure(call):
     assert str(info.value) == str(alone.value)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, box: integrate(f, box, ToleranceSchedule(1e-3, 12)),
+        lambda f, box: antiderivative(f, box, ToleranceSchedule(1e-3, 12)),
+        lambda f, box: darboux_sums(f, uniform(box, 4)),
+        lambda f, box: extrema(f, box),
+    ],
+    ids=["integrate", "antiderivative", "darboux_sums", "extrema"],
+)
+def test_a_failure_skips_the_bands_above_it(call):
+    # Atom 0, a callable 1/t, fails at t = 0 as soon as it is summed.  Atom
+    # 1's band lies wholly above it and could not name a lower atom, so its
+    # kernel is never called.
+    calls = []
+
+    def recorded(t):
+        calls.append(t)
+        return math.sin(t)
+
+    kernels = [ScalarKernel.from_callable(lambda t: 1.0 / t), ScalarKernel.from_callable(recorded)]
+    with pytest.raises(KernelEvalError) as info:
+        call(LatticeFunction.coordinatewise(kernels), interval((-1.0, 0.0), (1.0, 300.0)))
+    assert info.value.atom == 0 and "t=0.0" in str(info.value)
+    assert calls == []
+
+
 def test_kernel_eval_raises_only_domain_errors_naming_t():
     for kernel, t in [
         (ScalarKernel.from_string("t*1e308*10"), 0.5),
@@ -288,6 +315,13 @@ def test_extrema_degenerate_atom():
     assert pair.m[1] == pair.M[1] == 2.0**2 - 2.0
 
 
+def test_sampled_extrema_of_a_point_interval_are_its_value():
+    f = LatticeFunction.coordinatewise(["abs(t)", ScalarKernel.from_callable(math.exp)])
+    pair = extrema(f, interval((-0.5, 1.0), (-0.5, 1.0)))
+    assert pair.m == pair.M == E(0.5, math.e)
+    assert pair.method == "exact" and pair.tolerance == 0.0  # no atom was sampled
+
+
 def test_extrema_rejects_general_maps():
     with pytest.raises(ValueError):
         extrema(LatticeFunction.swap(), UNIT2)
@@ -407,6 +441,12 @@ def test_continuity_modulus_constant_and_validation():
         continuity_modulus(f, UNIT2, [E(0.1, 0.1), E(0.2, 0.2)])
     with pytest.raises(ValueError):
         continuity_modulus(LatticeFunction.swap(), UNIT2, [E(0.1, 0.1)])
+
+
+def test_continuity_modulus_of_a_zero_width_atom_is_zero():
+    f = LatticeFunction.coordinatewise("t^2", dim=2)
+    [mod] = continuity_modulus(f, interval((0.0, 0.5), (1.0, 0.5)), [E(0.1, 0.1)])
+    assert mod[1] == 0.0 and mod[0] == pytest.approx(0.19, abs=5e-3)
 
 
 def test_continuity_modulus_descending_deltas():

@@ -108,6 +108,13 @@ def test_riemann_left_tags_quarter_grid():
     assert riemann_sum(f, tagged) == E(0.21875)
 
 
+def test_riemann_sum_of_a_general_map_tags_each_cell():
+    # The swap (x, y) -> (y, x) at the midpoints of [0, 1] x [0, 2] cut in
+    # four: atom 0 sums the y tags over widths 1/4, atom 1 the x tags over 1/2.
+    tagged = tag(uniform(interval((0, 0), (1, 2)), 4), "midpoint")
+    assert riemann_sum(LatticeFunction.swap(), tagged) == E(1.0, 1.0)
+
+
 # -- integrate ------------------------------------------------------------------
 
 def test_integrate_identity_kernel():

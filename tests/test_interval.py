@@ -12,6 +12,7 @@ from helpers import adaptive_simpson, random_expr
 from ordercalc import expr as ex
 from ordercalc import _interval
 from ordercalc._interval import enclose
+from ordercalc._kernels_fallback import _run
 from ordercalc._tape import OP_NEG
 from ordercalc.functions import KernelEvalError, LatticeFunction, ScalarKernel, extrema
 from ordercalc.integrate import ToleranceSchedule, integrate
@@ -178,6 +179,60 @@ def test_no_extremum_missed_on_random_smooth_kernels():
         scale = 8 * eps * np.abs(vals).max()
         assert pair.m[0] - scale <= vals.min() and vals.max() <= pair.M[0] + scale
     assert exact >= 25 and with_crit >= 5
+
+
+# The interval enclosure of its derivative, 3(t - 0.3)^2 written as a sum
+# of products, dips below 0 across 0.3, so a piece there stays unresolved.
+UNRESOLVED = "(t - 0.3)^2 * (t - 0.3)"
+
+
+def test_critical_points_are_the_one_row_critical_entries():
+    # The kernels and boxes of the test above, and one that leaves an
+    # unresolved piece, whose two ends are both returned.
+    rng = random.Random(2604)
+    box_rng = np.random.default_rng(2604)
+    cases = [(ScalarKernel.from_string(UNRESOLVED), -1.0, 1.0)]
+    while len(cases) < 51:
+        e = random_expr(rng, depth=5, smooth_only=True)
+        if isinstance(ex.differentiate(e), ex.Const):
+            continue
+        lo = float(box_rng.uniform(-2.0, 1.0))
+        cases.append((ScalarKernel.from_expr(e), lo, lo + float(box_rng.uniform(0.1, 2.0))))
+    checked = 0
+    for k, lo, hi in cases:
+        try:
+            points = k.critical_points(lo, hi)
+        except (ex.EvalDomainError, _interval.IsolationError):
+            continue
+        checked += 1
+        _, ts, _, _ = k.critical_entries(np.array([lo]), np.array([hi]))
+        assert points.tobytes() == np.unique(ts).tobytes(), (k, lo, hi)
+        # every sign change of f' on a fine grid lies within tol of a point
+        grid = np.linspace(lo, hi, 4001)
+        slope = _run(k.derivative().program, grid)  # NaN where undefined, never raises
+        tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+        for j in np.flatnonzero(np.sign(slope[:-1]) * np.sign(slope[1:]) < 0):
+            near = (points >= grid[j] - tol) & (points <= grid[j + 1] + tol)
+            assert near.any(), (k, lo, hi, grid[j])
+    assert checked >= 30
+    ends = ScalarKernel.from_string(UNRESOLVED).critical_points(-1.0, 1.0)
+    assert len(ends) == 2 and ends[0] < 0.3 < ends[1] and ends[1] - ends[0] <= 1e-12
+
+
+def test_critical_points_of_an_empty_interval_are_none():
+    k = ScalarKernel.from_string("t^3 - t")
+    assert len(k.critical_points(0.5, 0.5)) == len(k.critical_points(1.0, -1.0)) == 0
+
+
+def test_critical_points_of_an_unbounded_kernel_raise_its_domain_error():
+    with pytest.raises(ex.EvalDomainError, match="no finite bound near t=0.3"):
+        ScalarKernel.from_string("1/(t - 0.3)").critical_points(0.0, 1.0)
+
+
+def test_critical_points_past_the_piece_budget_raise_isolation_error():
+    k = ScalarKernel.from_string("sin(t)^2 + cos(t)^2")  # f' is 0 but not syntactically so
+    with pytest.raises(_interval.IsolationError, match="within 4096 pieces"):
+        k.critical_points(0.0, 1.0)
 
 
 def test_singular_kernel_fails_fast_naming_atom_and_point():
