@@ -8,9 +8,15 @@ summed in one of two orders, chosen by the kind of grid:
 
 - ``UniformRows`` (every refinement level of ``integrate``): a row is cut
   into stretches of ``STRETCH_CELLS`` cells (a row shorter than that is one
-  stretch).  Each stretch's products are summed by one pairwise reduction,
-  and the stretch subtotals are added left to right, so the running sum at
-  the end of each stretch is a prefix of the level's own total.  The
+  stretch), and the stretch subtotals are added left to right, so the
+  running sum at the end of each stretch is a prefix of the level's own
+  total.  A row long enough to be summed alone, a block at a time, sums
+  each stretch of a block that holds none of its entries from its point
+  values: f is monotone there, so its Darboux sums are Riemann sums tagged
+  at an end, step·(inner values + the lesser or greater end value), with
+  the inner values summed by one pairwise reduction.  Every other stretch
+  (in a block that holds an entry, on a shorter row, or of a sampled pass)
+  sums its per-cell products m·Δx by one pairwise reduction.  The
   reductions vectorise, where a running sum over cells cannot, and the
   rounding-error bound grows with log2(STRETCH_CELLS) plus the number of
   stretches instead of with the number of cells.  A grid built with
@@ -24,8 +30,9 @@ summed in one of two orders, chosen by the kind of grid:
   makes a cell of zero width (a repeated point) add exactly nothing.
 
 In either order a row's blocks are the same whether it is summed alone or
-in a band (whole short rows, or the same parts of a long row), so its
-sums are bit for bit the same both ways.  The entry points (``darboux_*``
+in a band (whole short rows, or the same parts of a long row), and how a
+block of a row is summed depends on that row alone, so its sums are bit
+for bit the same both ways.  The entry points (``darboux_*``
 for sums, ``prefix_*`` for per-cell running sums, and the ``_fn`` twins
 of both for callables) sum a whole band, or one row given as a 1-D
 breakpoint array.  No library path calls the ``prefix_*`` entry points any
@@ -94,9 +101,9 @@ _OPS = {
 # chunks of a long row start on block boundaries.
 BLOCK_CELLS = 1 << 13
 
-# Uniform levels sum each stretch of this many cells pairwise and add the
-# stretch subtotals left to right.  It divides BLOCK_CELLS, so no stretch
-# straddles two blocks.  An antiderivative keeps one running L and U per
+# Uniform levels sum each stretch of this many cells pairwise, its point
+# values or its products, and add the stretch subtotals left to right.  It
+# divides BLOCK_CELLS, so no stretch straddles two blocks.  An antiderivative keeps one running L and U per
 # stretch of its closing level, and a read sums at most this many cells,
 # so the length trades the time of a read against kept memory.  Measured
 # on the calculus workload's antiderivative (2 vCPUs, numpy 2.4.6), reads
@@ -198,6 +205,7 @@ class UniformRows(_Rows):
     A block's points are formed by ``grid_points``, as in ``uniform_grid``,
     from one index row 0, 1, ..., BLOCK_CELLS kept for the grid: c0 + k is
     an integer, exact in float64, so the points are bit for bit the same.
+    ``step`` holds each row's (hi - lo)/n, on a trailing axis of length 1.
     With ``running``, each sum over the grid writes ``running``, a (2, rows,
     stretches) array of each row's running L and U at the end of each
     stretch; the last is the row's total.  A sampled sum writes it twice,
@@ -209,7 +217,7 @@ class UniformRows(_Rows):
         self.hi = hi
         self.rows, self.n = len(lo), n
         self._lo, self._hi = lo[:, None], hi[:, None]
-        self._step = (self._hi - self._lo) / max(n, 1)  # with no cells, never used
+        self.step = (self._hi - self._lo) / max(n, 1)  # with no cells, never used
         self._index = np.arange(min(n, BLOCK_CELLS) + 1, dtype=np.float64)
         self.running = np.zeros((2, self.rows, -(-n // STRETCH_CELLS))) if running else None
 
@@ -218,22 +226,59 @@ class UniformRows(_Rows):
         if c0:
             ks = ks + c0
         r = slice(r0, r1)
-        return grid_points(ks, self._lo[r], self._hi[r], self._step[r], c0 == 0, c1 == self.n)
+        return grid_points(ks, self._lo[r], self._hi[r], self.step[r], c0 == 0, c1 == self.n)
+
+    def cells(self, rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """The cell of each point ``ts[i]`` in its row ``rows[i]``: clip(searchsorted(row, t, "right") - 1, 0, n - 1).
+
+        That is the last point at most t.  It is bisected for between a, a
+        point at most t (or 0), and b, a point above t (or n + 1), which
+        start at k = floor((t - lo)/step) and k + 1 and widen, doubling
+        their reach, until they hold; so a run of repeated points (a step
+        below the spacing of the floats) costs a few more steps, not one
+        per point.  Points are formed as ``grid_points`` forms them,
+        min(k·step + lo, hi); point n may read below hi, which the clip to
+        n - 1 makes harmless.
+        """
+        if self.n == 1:  # rows of one cell, as on every level 0
+            return np.zeros(len(ts), dtype=np.int64)
+        lo, hi, step, n = self.lo[rows], self.hi[rows], self.step[rows, 0], self.n
+
+        def above(k):  # whether point k lies above t
+            return np.minimum(k * step + lo, hi) > ts
+
+        with np.errstate(all="ignore"):  # a row of zero width has no estimate: NaN reads 0
+            a = np.fmin(np.fmax(np.floor((ts - lo) / step), 0.0), n)
+        b, reach = a + 1, 1.0
+        while True:
+            low, high = above(a) & (a > 0), ~above(b) & (b <= n)
+            if not (low | high).any():
+                break
+            a = np.where(low, np.maximum(a - reach, 0), a)
+            b = np.where(high, np.minimum(b + reach, n + 1), b)
+            reach *= 2
+        while reach > 1 and (b - a > 1).any():
+            mid = np.floor(0.5 * (a + b))
+            up = ~above(mid)
+            a, b = np.where(up, mid, a), np.where(up, b, mid)
+        return np.minimum(a, n - 1).astype(np.int64)
 
     def ends(self) -> np.ndarray:
         """Each row's points at its stretch ends: cells 0, STRETCH_CELLS, ..., and n."""
         ks = np.append(np.arange(0, self.n, STRETCH_CELLS, dtype=np.float64), self.n)
-        return grid_points(ks, self._lo, self._hi, self._step, True, True)
+        return grid_points(ks, self._lo, self._hi, self.step, True, True)
 
 
 def _entry_cells(xs: np.ndarray, ts: np.ndarray, starts: list, first: bool, last: bool):
-    """The cell of each point t in a block of rows, counted from the block's first cell.
+    """The cell of each point t in a block of given rows, counted from the block's first cell.
 
     Row r of the block holds points ``starts[r]:starts[r + 1]``.  A point's
     cell in its whole row is clip(searchsorted(row, t, "right") - 1, 0,
     n - 1); the block holds a stretch of each row, so points left of it
     read -1 and points right of it read its width, except beyond the row's
     own ends (in the ``first`` and ``last`` block), where the clip applies.
+    ``UniformRows.cells`` finds the same cells from the grid's formula,
+    for a whole level at once.
     """
     cells = np.empty(len(ts), dtype=np.int64)
     for r, (a, b) in enumerate(zip(starts, starts[1:])):
@@ -245,6 +290,66 @@ def _entry_cells(xs: np.ndarray, ts: np.ndarray, starts: list, first: bool, last
     if last:
         np.minimum(cells, xs.shape[1] - 2, out=cells)
     return cells
+
+
+def _products(v: np.ndarray, xs: np.ndarray, at=None, vals=None) -> np.ndarray:
+    """The (2, rows, cells) products m·Δx of rows of points ``xs`` with values ``v``.
+
+    m is the least and the greatest of each cell's endpoint values, folded
+    with the entry values ``vals`` at ``at`` = (rows, cells) when given.
+    """
+    mb = np.empty((2, v.shape[0], v.shape[1] - 1))
+    np.minimum(v[:, :-1], v[:, 1:], out=mb[0])
+    np.maximum(v[:, :-1], v[:, 1:], out=mb[1])
+    if at is not None:
+        np.minimum.at(mb[0], at, vals)
+        np.maximum.at(mb[1], at, vals)
+    np.multiply(mb, xs[:, 1:] - xs[:, :-1], out=mb)
+    return mb
+
+
+def _stretch_reductions(mb: np.ndarray, out: np.ndarray) -> None:
+    """The products ``mb`` (2, rows, cells) summed by one pairwise reduction per stretch, into ``out``."""
+    g = STRETCH_CELLS
+    whole = mb.shape[2] // g
+    if whole:
+        np.add.reduce(mb[..., : whole * g].reshape(2, mb.shape[1], whole, g), axis=3, out=out[..., :whole])
+    if mb.shape[2] % g:  # a short last stretch, or a row shorter than one
+        np.add.reduce(mb[..., whole * g :], axis=2, out=out[..., -1])
+
+
+def _stretch_sums(v: np.ndarray, xs: np.ndarray, step: np.ndarray, at, vals, out: np.ndarray) -> bool:
+    """The L and U of each stretch of a block of one row of a uniform level, into ``out``.
+
+    ``out`` is (2, 1, stretches).  A block that holds none of its row's
+    entries has f monotone on every stretch, and a stretch of c cells with
+    points p_0 ... p_c has L = step·(f(p_1) + ... + f(p_(c-1)) +
+    min(f(p_0), f(p_c))) and U the same with max: its Darboux sums are
+    Riemann sums tagged at an end.  Its inner values are summed by one
+    pairwise reduction.  A block that holds an entry (at ``at`` = (rows,
+    cells), values ``vals``), or whose point sums are not finite, sums its
+    products m·Δx instead, a pairwise reduction per stretch.  Returns
+    whether every sum in ``out`` is finite.
+    """
+    if at is None:
+        g = STRETCH_CELLS
+        m = v.shape[1] - 1
+        whole = m // g  # whole stretches, then a short last one if m % g
+        inner = np.empty(out.shape[1:])
+        if whole:
+            np.add.reduce(v[:, : whole * g].reshape(len(v), whole, g)[..., 1:], axis=2, out=inner[:, :whole])
+        if m % g:
+            np.add.reduce(v[:, whole * g + 1 : m], axis=1, out=inner[:, -1])
+        ends = v[:, ::g] if m % g == 0 else np.concatenate((v[:, ::g], v[:, -1:]), axis=1)
+        first, last = ends[:, :-1], ends[:, 1:]
+        np.minimum(first, last, out=out[0])
+        np.maximum(first, last, out=out[1])
+        out += inner
+        out *= step
+        if np.isfinite(out).all():
+            return True
+    _stretch_reductions(_products(v, xs, at, vals), out)
+    return bool(np.isfinite(out).all())
 
 
 def _sampled_minmax(prog: Program | None, xs: np.ndarray, s: int, evalf, row0: int):
@@ -264,16 +369,34 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
     ``s == 0`` takes each cell's extrema at its endpoints, folded with the
     ``entries`` (row, t, value), sorted by row, that fall in it; ``s > 0``
     samples ``s`` subintervals per cell.  Cells are evaluated in blocks of
-    at most ``BLOCK_CELLS``, several short rows or part of one long row at a
-    time.  The products of a ``UniformRows`` block are summed by one
-    pairwise reduction per stretch of ``STRETCH_CELLS`` cells, and once all
-    of a row's stretch subtotals are in, they are added left to right, in
-    ``grid.running`` when the grid keeps them.  Every other grid
-    accumulates left to right within chunks of ``CHUNK_CELLS`` cells, a
-    chunk's running sums carrying over from one block to the next; prefixes
-    need that order, and it makes a repeated point add exactly nothing.  A
-    non-finite kernel value or an overflowing product makes a block's sums
-    (or, for rows of one block, their running sums) non-finite, so the
+    at most ``BLOCK_CELLS``, several short rows or part of one long row at
+    a time.  A ``UniformRows`` block is summed by stretches of
+    ``STRETCH_CELLS`` cells, and once all of a row's stretch subtotals are
+    in, they are added left to right, in ``grid.running`` when the grid
+    keeps them.  With ``s == 0``, on rows of more than BLOCK_CELLS/2 cells
+    (summed alone, a block at a time), a block that holds no entry of its
+    row sums each stretch from its point values (``_stretch_sums``): this
+    assumes f monotone between a row's entries, which certified entries
+    and monotone hints give.  A block holding an entry, or whose point sums
+    are not finite (a sum of large values can overflow where the products
+    m·Δx do not), a block of several shorter rows, and every block of a
+    sampled pass sum their products, a pairwise reduction per stretch.
+    (Point sums for some rows of a block and products for the others cost
+    more array operations than they save: measured on the benchmark's
+    ``wide`` workload, 2 vCPUs and numpy 2.4.6, that was about 15% slower.)  Every other grid accumulates
+    left to right within chunks of ``CHUNK_CELLS`` cells, a chunk's running
+    sums carrying over from one block to the next; prefixes need that
+    order, and it makes a repeated point add exactly nothing.
+
+    Rounding that the point sums add to that of the products' order (no
+    bracket counts either yet): each cell's float width is replaced by the
+    row's step, which adds at most about ulp(max|x|)·(TV f + 2·sup|f|) to
+    a row's L or U; and float values on a stretch where f is monotone need
+    not be monotone, so an end value can miss a cell's float extremum by
+    the evaluation error.
+
+    A non-finite kernel value or an overflowing product makes a block's
+    sums (or, for rows of one block, their running sums) non-finite, so the
     block is examined only then, and its lowest such row raises RowError
     (see ``_non_finite``) instead of numpy warning of the overflow.  A row
     of several blocks whose running sum overflows only across stretches is
@@ -286,15 +409,18 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
     """
     rows, n = grid.rows, grid.n
     pairwise = isinstance(grid, UniformRows) and prefix is None
+    per_block = max(1, BLOCK_CELLS // max(n, 1))
+    width = max(1, min(n, BLOCK_CELLS))  # with no cells, no blocks
+    points = pairwise and s == 0 and per_block == 1  # blocks without entries summed from point values
     i0 = i1 = 0
     if entries is not None and len(entries[1]):
         e_rows, e_ts, e_vals = entries
         e_starts = np.searchsorted(e_rows, np.arange(rows + 1)).tolist()  # of each row's entries
+        if pairwise:
+            e_cells = grid.cells(e_rows, e_ts)
     else:  # no entries, or an empty list of them
         entries = None
     totals = np.zeros((2, rows))  # lower and upper
-    per_block = max(1, BLOCK_CELLS // max(n, 1))
-    width = max(1, min(n, BLOCK_CELLS))  # with no cells, no blocks
 
     for r0 in range(0, rows, per_block):
         r1 = min(r0 + per_block, rows)
@@ -303,38 +429,42 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
             run = np.empty((2, r1 - r0, -(-n // STRETCH_CELLS))) if run is None else run[:, r0:r1]
         if entries is not None:  # the block's entries
             i0, i1 = e_starts[r0], e_starts[r1]
-            b_rows, b_ts, b_vals = e_rows[i0:i1], e_ts[i0:i1], e_vals[i0:i1]
+            b_rows, b_vals = e_rows[i0:i1], e_vals[i0:i1]
             if r0:
                 b_rows = b_rows - r0
-            starts = [i - i0 for i in e_starts[r0 : r1 + 1]]
+            if pairwise:
+                b_cells = e_cells[i0:i1]
+            else:
+                b_ts, starts = e_ts[i0:i1], [i - i0 for i in e_starts[r0 : r1 + 1]]
         for c0 in range(0, n, width):
             c1 = min(c0 + width, n)
             xs = grid.block(r0, r1, c0, c1)
-            if s == 0:  # cell minima and maxima, as one (2, rows, cells) array
+            at = vals = mb = None
+            checked = False  # whether ``seen`` is known finite
+            if s == 0:
                 pts, v = xs, _values(prog, xs, evalf, r0)
-                mb = np.empty((2, r1 - r0, c1 - c0))
-                np.minimum(v[:, :-1], v[:, 1:], out=mb[0])
-                np.maximum(v[:, :-1], v[:, 1:], out=mb[1])
-                if i1 > i0:
+                if i1 > i0 and pairwise:  # a long row's entries, sorted by cell, fall in blocks in turn
+                    sel = slice(*np.searchsorted(b_cells, (c0, c1))) if n > width else slice(None)
+                    if len(b_cells[sel]):
+                        at, vals = (b_rows[sel], b_cells[sel] - c0), b_vals[sel]
+                elif i1 > i0:  # the block's entries, at (row, cell) of the block
                     cells = _entry_cells(xs, b_ts, starts, c0 == 0, c1 == n)
                     sel = slice(None) if n == width else (cells >= 0) & (cells < c1 - c0)
-                    at = (b_rows[sel], cells[sel])
-                    np.minimum.at(mb[0], at, b_vals[sel])
-                    np.maximum.at(mb[1], at, b_vals[sel])
+                    at, vals = (b_rows[sel], cells[sel]), b_vals[sel]
+                if not points:
+                    mb = _products(v, xs, at, vals)
             else:
                 pts, v, mb = _sampled_minmax(prog, xs, s, evalf, r0)
-            np.multiply(mb, xs[:, 1:] - xs[:, :-1], out=mb)
+                np.multiply(mb, xs[:, 1:] - xs[:, :-1], out=mb)
             if pairwise:
                 k0, k1 = c0 // STRETCH_CELLS, -(-c1 // STRETCH_CELLS)  # the block's stretches
-                whole = (c1 - c0) // STRETCH_CELLS
-                if whole:
-                    cells = mb[..., : whole * STRETCH_CELLS].reshape(2, r1 - r0, whole, -1)
-                    np.add.reduce(cells, axis=3, out=run[..., k0 : k0 + whole])
-                if k0 + whole < k1:  # a short last stretch, or a row shorter than one
-                    np.add.reduce(mb[..., whole * STRETCH_CELLS :], axis=2, out=run[..., k1 - 1])
                 seen = run[..., k0:k1]
+                if points:  # a long row's ``seen`` stays the sums found finite there
+                    checked = _stretch_sums(v, xs, grid.step[r0:r1], at, vals, seen) and n > width
+                else:
+                    _stretch_reductions(mb, seen)
                 if n <= width:  # the rows' only block: make ``seen`` their running sums
-                    np.add.accumulate(run, axis=2, out=run)
+                    _running(run)
             else:
                 if c0 % CHUNK_CELLS:  # the chunk's sums so far lead this block's
                     mb[:, :, 0] += acc[:, :, -1]
@@ -345,10 +475,11 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
                 if c1 % CHUNK_CELLS == 0 or c1 == n:  # the chunk ends here
                     sums, seen = seen, totals[:, r0:r1]
                     seen += sums
-            if not np.isfinite(seen).all():  # a finite total has finite terms
+            if not checked and not np.isfinite(seen).all():  # a finite total has finite terms
+                mb = _products(v, xs, at, vals) if mb is None else mb
                 _non_finite(seen, v, pts, mb, xs, pairwise, r0)
         if pairwise and n > width:  # one row in blocks: add its stretch subtotals left to right
-            bad = ~np.isfinite(np.add.accumulate(run, axis=2, out=run)[:, 0]).all(axis=0)
+            bad = ~np.isfinite(_running(run)[:, 0]).all(axis=0)
             if bad[-1]:  # it overflowed across stretches: name the block where it did
                 c0 = int(np.argmax(bad)) * STRETCH_CELLS // width * width
                 raise _overflow(r0, *grid.block(r0, r0 + 1, c0, c0 + 1)[0])
@@ -356,6 +487,17 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
             totals[:, r0:r1] = run[..., -1]
 
     return totals
+
+
+def _running(run: np.ndarray) -> np.ndarray:
+    """Add the (2, rows, stretches) subtotals ``run`` left to right from 0, in place.
+
+    Starting from 0 turns a leading -0.0 (a point sum over a row of zero
+    width) into 0.0, as the reductions of products, which start from 0,
+    give.
+    """
+    run[..., :1] += 0.0
+    return np.add.accumulate(run, axis=2, out=run)
 
 
 def _non_finite(seen, v, pts, mb, xs, pairwise: bool, r0: int):

@@ -285,20 +285,22 @@ def mvt_integral_solve(
             return slope * kernel.eval_many(ts) - target
 
         try:
-            c[i] = _bisect_root(g, g_many, lo, hi, tol, atom=i)
+            c[i] = _bisect_root(g, g_many, lo, hi, tol, target, atom=i)
         except EvalDomainError as err:
             raise KernelEvalError(i, err) from err
     return Element(c[rep])
 
 
-def _bisect_root(g, g_many, lo: float, hi: float, tol: float, atom: int) -> float:
-    """A root of ``g`` in [lo, hi]: scan with ``g_many``, then narrow with ``g``.
+def _bisect_root(g, g_many, lo: float, hi: float, tol: float, target: float, atom: int) -> float:
+    """A root of ``g`` = slope·f - ``target`` in [lo, hi]: scan with ``g_many``, then narrow with ``g``.
 
     The scan grows its grid from ``_MVT_SCAN_START`` to ``_MVT_SCAN_CAP``
     points until two neighbours change sign.  ``_interval._narrow``, the
     refiner of the critical points, then shrinks that bracket to four ulps
-    of its larger end, and its midpoint is the root if ``g`` there is
-    within ``tol`` of 0.  ``atom`` names the atom in the errors raised
+    of its larger end, and its midpoint is the root if |g| there is at most
+    tol·max(1, |target|) plus four ulps of |g| + |target|, which bounds
+    |slope·f| there: g rounds at the ulps of its terms, so an absolute
+    ``tol`` alone would refuse the root of a large integral.  ``atom`` names the atom in the errors raised
     here; the caller names it when ``g`` or ``g_many`` raise
     EvalDomainError.
     """
@@ -326,7 +328,7 @@ def _bisect_root(g, g_many, lo: float, hi: float, tol: float, atom: int) -> floa
     a, b = _narrow(g, a, b, float(vals[j]), float(vals[j + 1]), 4.0 * math.ulp(max(abs(a), abs(b))))
     mid = 0.5 * (a + b)
     residual = abs(g(mid))
-    if residual > tol:
+    if residual > tol * max(1.0, abs(target)) + 4.0 * math.ulp(residual + abs(target)):
         # A sign change whose residual will not close is a jump, not a root.
         raise ArithmeticError(
             f"mean-value residual stuck at {residual!r} in atom {atom}; "

@@ -94,8 +94,10 @@ def uniform_grid(lo, hi, n: int) -> np.ndarray:
     with ``grid_points``, as this function does, so uniform partitions and
     refinement levels share identical points.  Their sums may still differ
     in the last bits: ``integrate`` sums each stretch of a level by one
-    pairwise reduction, while ``darboux_sums(f, uniform(...))`` sums the
-    partition's given points left to right.
+    pairwise reduction, on long rows from its point values times the row's
+    step where the kernel is monotone there, while ``darboux_sums(f,
+    uniform(...))`` sums each cell's products with its own width, left to
+    right.
     """
     lo = np.asarray(lo, dtype=np.float64)[..., None]
     hi = np.asarray(hi, dtype=np.float64)[..., None]

@@ -1,4 +1,4 @@
-"""Shared test oracles: adaptive Simpson quadrature and a random AST generator.
+"""Shared test oracles: adaptive Simpson quadrature, a random AST generator and a level's stretch sums.
 
 The quadrature oracle is deliberately independent of the package's own
 summation machinery (plain Python floats, recursive Simpson with Richardson
@@ -11,6 +11,8 @@ import math
 import os
 import random
 from pathlib import Path
+
+import numpy as np
 
 import ordercalc
 from ordercalc import expr as ex
@@ -28,6 +30,37 @@ def with_package_path(env) -> dict:
     env = dict(env)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     return env
+
+
+def stretch_subtotals(v, xs, lows, ups, ts, g: int, block: int) -> np.ndarray:
+    """A uniform level's (L, U) subtotal per stretch of g cells, written plainly, as (2, stretches).
+
+    ``v`` holds the kernel's values at the level's points ``xs``, ``lows``
+    and ``ups`` each cell's products min·dx and max·dx, and ``ts`` the
+    points of the critical entries.  A row of more than block/2 cells is
+    summed alone, a block of ``block`` cells at a time.  There a block that
+    holds no entry sums each stretch as step * (its inner values + the
+    least or greatest of its end values), its inner values by one
+    reduction, unless one of those sums is not finite.  Every other
+    stretch, on a shorter row or in a block that holds an entry, sums its
+    products by one reduction.
+    """
+    n = len(xs) - 1
+    step = (xs[-1] - xs[0]) / n
+    held = np.clip(np.searchsorted(xs, ts, side="right") - 1, 0, n - 1)
+    out = []
+    for b0 in range(0, n, block):
+        b1 = min(b0 + block, n)
+        starts = range(b0, b1, g)
+        sums = []
+        for c0 in starts:
+            c1 = min(c0 + g, b1)
+            inner = np.add.reduce(v[c0 + 1 : c1])
+            sums.append([step * (inner + end) for end in (min(v[c0], v[c1]), max(v[c0], v[c1]))])
+        if 2 * n <= block or ((held >= b0) & (held < b1)).any() or not np.isfinite(sums).all():
+            sums = [[np.add.reduce(p[c0 : min(c0 + g, b1)]) for p in (lows, ups)] for c0 in starts]
+        out += sums
+    return np.array(out).T.reshape(2, -1)
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import adaptive_simpson
+from helpers import adaptive_simpson, stretch_subtotals
 from ordercalc import _kernels_fallback as K
 from ordercalc import calculus
 from ordercalc.calculus import (
@@ -133,13 +133,18 @@ def test_antiderivative_lipschitz_bound():
 G = K.STRETCH_CELLS
 
 
-def _stretch_running(prods):
-    """Running sums at the stretch ends, written plainly: one reduction per stretch, added left to right."""
+def _running(subtotals):
+    """Running sums at the stretch ends, written plainly: the stretch subtotals added left to right."""
     total, out = 0.0, []
-    for c0 in range(0, len(prods), G):
-        total = total + np.add.reduce(prods[c0 : c0 + G])
+    for sub in subtotals:
+        total = total + sub
         out.append(total)
     return np.array(out)
+
+
+def _reductions(prods):
+    """One reduction of the products per stretch: a sampled level's subtotals."""
+    return [np.add.reduce(prods[c0 : c0 + G]) for c0 in range(0, len(prods), G)]
 
 
 def _level_products(kernel, xs, ts, vals, s):
@@ -162,9 +167,10 @@ def _antiderivative_alone(kernel, lo, hi, sched):
     """One atom's antiderivative built alone, written plainly; returns a reader and its depth.
 
     The depth is that of ``integrate`` of the kernel alone.  At that level
-    the running L and U at each stretch end are the stretch reductions
-    added left to right (the 2s pass of a sampled kernel, widened by the
-    difference from the s pass).  A read at x in cell j of stretch k is the
+    the running L and U at each stretch end are the stretch subtotals added
+    left to right: ``helpers.stretch_subtotals`` for an exact kernel, the
+    stretch reductions of the products for a sampled one (the 2s pass,
+    widened by the difference from the s pass).  A read at x in cell j of stretch k is the
     running sum at the end of stretch k - 1 plus one left-to-right sum of
     the products of the cells of stretch k before j and of the partial cell
     [x_j, x].  The partial cell's extrema are its endpoints', folded with
@@ -180,11 +186,13 @@ def _antiderivative_alone(kernel, lo, hi, sched):
         _, ts, vals, _ = kernel.critical_entries(np.array([lo]), np.array([hi]))
     xs = uniform_grid(lo, hi, 1 << depth)
     pl, pu = _level_products(kernel, xs, ts, vals, s)
-    rl, ru = _stretch_running(pl), _stretch_running(pu)
-    wl = wu = 0.0
     if s:
+        rl, ru = _running(_reductions(pl)), _running(_reductions(pu))
         ql, qu = _level_products(kernel, xs, ts, vals, s // 2)
-        wl, wu = abs(rl[-1] - _stretch_running(ql)[-1]), abs(ru[-1] - _stretch_running(qu)[-1])
+        wl, wu = abs(rl[-1] - _running(_reductions(ql))[-1]), abs(ru[-1] - _running(_reductions(qu))[-1])
+    else:
+        rl, ru = map(_running, stretch_subtotals(kernel.eval_many(xs), xs, pl, pu, ts, G, K.BLOCK_CELLS))
+        wl = wu = 0.0
 
     def read(x):
         if x == hi:
@@ -407,6 +415,14 @@ def test_mvt_square_kernel_hits_inverse_sqrt3():
     f = LatticeFunction.coordinatewise("t^2", dim=2)
     c = mvt_integral_solve(f, E(0, 0), E(1, 1))
     assert np.allclose(c.data, 3 ** (-0.5), atol=1e-6)
+
+
+def test_mvt_accepts_a_root_by_a_residual_scaled_to_its_terms():
+    # g = (y - x)·f(c) - ∫f rounds at ulp(∫f) ≈ 1.16e-10 on [1000, 1001],
+    # above the absolute tol of 1e-10; the residual test scales with |∫f|.
+    f = LatticeFunction.coordinatewise("t^2")
+    c = mvt_integral_solve(f, E(1000.0), E(1001.0))
+    assert abs(c[0] - math.sqrt((1001.0**3 - 1000.0**3) / 3)) <= 1e-6
 
 
 def test_mvt_constant_kernel_returns_midpoint():

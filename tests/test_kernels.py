@@ -9,9 +9,11 @@ import pytest
 from ordercalc import _kernels_fallback as K
 from ordercalc._kernels_fallback import CHUNK_CELLS
 from ordercalc.functions import KernelEvalError, LatticeFunction, ScalarKernel
-from ordercalc.integrate import integrate
+from ordercalc.integrate import ToleranceSchedule, integrate
 from ordercalc.lattice import Element, OrderInterval
 from ordercalc.partitions import uniform_grid
+
+from helpers import stretch_subtotals
 
 
 def _products(prog, xs, crit_ts, crit_vals):
@@ -37,13 +39,17 @@ def _reference_sums(prog, xs, crit_ts, crit_vals):
     return float(lo), float(up)
 
 
-def _pairwise_reference(prog, xs, crit_ts, crit_vals):
-    """The uniform-rows order written plainly: one reduction per STRETCH_CELLS stretch, added left to right."""
+def _stretch_subtotals(prog, xs, crit_ts, crit_vals):
+    """The uniform-rows order written plainly: each STRETCH_CELLS stretch's (L, U), as (2, stretches)."""
     m, big = _products(prog, xs, crit_ts, crit_vals)
+    return stretch_subtotals(K.eval_many(prog, xs), xs, m, big, crit_ts, K.STRETCH_CELLS, K.BLOCK_CELLS)
+
+
+def _pairwise_reference(prog, xs, crit_ts, crit_vals):
+    """The uniform-rows total: the stretch subtotals added left to right."""
     lo = up = 0.0
-    for c0 in range(0, len(m), K.STRETCH_CELLS):
-        lo = lo + np.add.reduce(m[c0 : c0 + K.STRETCH_CELLS])
-        up = up + np.add.reduce(big[c0 : c0 + K.STRETCH_CELLS])
+    for sub_lo, sub_up in _stretch_subtotals(prog, xs, crit_ts, crit_vals).T:
+        lo, up = lo + sub_lo, up + sub_up
     return float(lo), float(up)
 
 
@@ -97,14 +103,74 @@ def test_uniform_rows_keep_the_running_sums_at_stretch_ends(n):
     for r in range(len(lo)):
         sel = e_rows == r
         xs = uniform_grid(lo[r], hi[r], n)
-        for side, prods in enumerate(_products(k.program, xs, e_ts[sel], e_vals[sel])):
+        subtotals = _stretch_subtotals(k.program, xs, e_ts[sel], e_vals[sel])
+        for side in range(2):
             total, want = 0.0, []
-            for c0 in range(0, n, g):
-                total = total + np.add.reduce(prods[c0 : c0 + g])
+            for sub in subtotals[side]:
+                total = total + sub
                 want.append(total)
             assert grid.running[side, r].tobytes() == np.array(want).tobytes(), (r, side)
             assert grid.running[side, r, -1] == got[side][r]
         assert grid.ends()[r].tobytes() == xs[list(range(0, n, g)) + [n]].tobytes(), r
+
+
+@pytest.mark.parametrize("n", [300, 3 * K.STRETCH_CELLS, K.BLOCK_CELLS + 300, 2 * K.BLOCK_CELLS])
+def test_point_sums_fold_each_stretch_that_holds_an_entry(n):
+    # Entries in several stretches: at a stretch's end point (so in the
+    # first cell of the next stretch), at the first point of the second
+    # block, inside a cell, and at hi, besides the kernel's own.  Rows of
+    # whole stretches, and of whole stretches and a short last one, in
+    # blocks of several rows (all summed by products) and in blocks of one
+    # long row (point sums, but by products in a block holding an entry).
+    g = K.STRETCH_CELLS
+    lo = np.array([-1.0, 0.25, -2.0])
+    hi = np.array([1.0, 1.75, 0.5])
+    k, (e_rows, e_ts, e_vals) = _band("t^3 - t", lo, hi)
+    rows, ts = [e_rows], [e_ts]
+    for r in range(len(lo)):
+        xs = uniform_grid(lo[r], hi[r], n)
+        at = [xs[c] for c in (g, 2 * g, K.BLOCK_CELLS, n) if c <= n] + [0.5 * (xs[g + 3] + xs[g + 4])]
+        rows.append(np.full(len(at), r))
+        ts.append(np.array(at))
+    e_rows, e_ts = np.concatenate(rows), np.concatenate(ts)
+    order = np.lexsort((e_ts, e_rows))
+    e_rows, e_ts = e_rows[order], e_ts[order]
+    e_vals = K.eval_many(k.program, e_ts) + 0.5  # above the cell's values, so folding shows in U
+    grid = K.UniformRows(lo, hi, n)
+    got = K.darboux_critical(k.program, grid, e_ts, e_vals, e_rows)
+    plain = K.darboux_endpoint(k.program, grid)
+    for r in range(len(lo)):
+        sel = e_rows == r
+        xs = uniform_grid(lo[r], hi[r], n)
+        assert (got[0][r], got[1][r]) == _pairwise_reference(k.program, xs, e_ts[sel], e_vals[sel]), r
+        assert got[1][r] > plain[1][r], r
+        alone = K.darboux_critical(k.program, K.UniformRows(lo[r : r + 1], hi[r : r + 1], n), e_ts[sel], e_vals[sel], np.zeros(sel.sum(), int))
+        assert (got[0][r], got[1][r]) == (alone[0][0], alone[1][0]), r
+
+
+def test_monotone_callable_point_sums_over_several_stretches():
+    # A monotone-hinted callable is summed from its point values on every
+    # stretch of a level whose rows are summed alone, a block at a time (a
+    # short last stretch included), and by products on shorter rows.
+    evalf = ScalarKernel.from_callable(math.atan, monotone="increasing").eval_many
+    lo, hi = np.array([-2.0, 0.5, 1.0]), np.array([3.0, 0.75, 1.0])
+    for n in (5 * K.STRETCH_CELLS, K.BLOCK_CELLS // 2 + 17, K.BLOCK_CELLS + 600):
+        got = K.darboux_endpoint_fn(evalf, K.UniformRows(lo, hi, n))
+        for r in range(len(lo)):
+            xs = uniform_grid(lo[r], hi[r], n)
+            v = evalf(xs)
+            m, big = np.minimum(v[:-1], v[1:]) * np.diff(xs), np.maximum(v[:-1], v[1:]) * np.diff(xs)
+            subtotals = stretch_subtotals(v, xs, m, big, [], K.STRETCH_CELLS, K.BLOCK_CELLS)
+            want = [0.0, 0.0]
+            for side in range(2):
+                for sub in subtotals[side]:
+                    want[side] = want[side] + sub
+            assert (got[0][r], got[1][r]) == tuple(want), (n, r)
+            alone = K.darboux_endpoint_fn(evalf, K.UniformRows(lo[r : r + 1], hi[r : r + 1], n))
+            assert (got[0][r], got[1][r]) == (alone[0][0], alone[1][0]), (n, r)
+            if hi[r] > lo[r]:  # a true bracket of the integral
+                exact = hi[r] * math.atan(hi[r]) - lo[r] * math.atan(lo[r]) - 0.5 * math.log((1 + hi[r] ** 2) / (1 + lo[r] ** 2))
+                assert got[0][r] <= exact <= got[1][r], (n, r)
 
 
 @pytest.mark.parametrize("n", [1, 4096, 2**13 + 5, 2 * CHUNK_CELLS + 2**11])
@@ -256,6 +322,19 @@ def test_overflowing_products_raise_without_warnings():
                     call(prog, grid)
 
 
+def test_point_sums_that_overflow_fall_back_to_the_products():
+    # Near exp's overflow a stretch's sum of values passes the float range
+    # while the products m·Δx stay finite: those stretches are summed cell
+    # by cell, so the level converges, as with products everywhere.
+    f = LatticeFunction.coordinatewise(["exp(t)"])
+    box = OrderInterval(Element([708.0]), Element([709.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = integrate(f, box, ToleranceSchedule(1e-6, 24))
+    assert r.converged and r.depth == 20
+    assert r.lower[0] <= math.exp(709.0) - math.exp(708.0) <= r.upper[0]
+
+
 @pytest.mark.parametrize("n", [1, 7, K.BLOCK_CELLS, 3 * K.BLOCK_CELLS + 5])
 def test_uniform_rows_blocks_equal_uniform_grid(n):
     # Blocks are built from one cached index row; every block, the last
@@ -288,6 +367,23 @@ def test_entry_cells_match_a_search_of_the_whole_row():
             inside = (want >= c0) & (want < c1)
             assert np.array_equal(got[inside], want[inside] - c0)
             assert not ((got[~inside] >= 0) & (got[~inside] < c1 - c0)).any()
+
+
+@pytest.mark.parametrize("n", [1, 1000, 2**20])
+def test_uniform_cells_match_a_search_of_the_whole_row(n):
+    # UniformRows.cells, bisecting about floor((t - lo)/step) against the
+    # row's points, gives each point the cell a search of the whole row
+    # finds, past runs of repeated points (of about 30 and 16000 points on
+    # [1e16, 1e16 + 64]), on a row of zero width and beyond the row's ends.
+    rng = np.random.default_rng(8)
+    lo = np.array([-1.0, 0.0, 1e16, 3.0, 3.0, -2.5e-300])
+    hi = np.array([1.0, 1e-300, 1e16 + 64.0, 3.0 + 1e-12, 3.0, 7e-301])
+    grid = K.UniformRows(lo, hi, n)
+    for r in range(len(lo)):
+        row = uniform_grid(lo[r], hi[r], n)
+        ts = np.concatenate([rng.choice(row, 30), rng.uniform(lo[r], hi[r], 16), [lo[r], hi[r], lo[r] - 1, hi[r] + 1]])
+        want = np.clip(np.searchsorted(row, ts, side="right") - 1, 0, n - 1)
+        assert np.array_equal(grid.cells(np.full(len(ts), r), ts), want), r
 
 
 C1 = 1.0 + 100 / 8192  # grid points of [0, 3] and [C1 - 0.5, C1 + 2.5] at 3 * 2^13 cells
