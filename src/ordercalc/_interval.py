@@ -229,7 +229,7 @@ def _narrow(slope, a: float, b: float, fa: float, fb: float, tol: float):
     width at least halves every three steps.  A zero value closes the
     bracket on its point.  It is the one root refiner of the package:
     ``isolate`` narrows the brackets of f' with it, and
-    ``calculus._bisect_root`` the mean-value bracket.
+    ``calculus._mvt_root`` the mean-value bracket.
     """
     step, kept = 0, 0  # kept: the end retained last time, -1 for a, +1 for b
     while b - a > tol:

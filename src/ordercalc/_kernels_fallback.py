@@ -75,8 +75,9 @@ from .partitions import grid_points
 
 NAME = "numpy"
 
-# The numpy evaluator's op table.  ``^`` is ``expr._ipow``, the scalar
-# evaluator's own routine, so scalar and array values agree bit for bit.
+# The numpy evaluator's op table.  ``^`` is ``expr._ipow``, which the float
+# op table behind ``expr.eval_expr`` shares, so scalar and array values agree
+# bit for bit.
 _OPS = {
     OP_NEG: np.negative,
     OP_ADD: np.add,

@@ -5,12 +5,17 @@ argument is the constant, an ``np.float64``, for ``OP_CONST``, the integer
 exponent for ``OP_POW``, and None for every other opcode.  ``run`` alone
 steps through programs: it holds the stack discipline, each opcode's arity
 and which steps read their argument.  Each evaluator is its own op table
-from opcode to function: the numpy one (``_kernels_fallback._run``) over
-arrays of points, the interval one (``_interval.enclose``) over pairs of
-arrays of bounds.  A constant stays an ``np.float64`` so that both
-evaluators get numpy scalars from it: ``enclose`` holds it as one object
-for both bounds, and a comparison of it gives a numpy bool, which ``~``
-negates (on a Python bool, ``~True`` is -2).
+from opcode to function: the float one (``expr._FLOAT_OPS``, behind
+``expr.eval_expr``) at one point, the numpy one (``_kernels_fallback._run``)
+over arrays of points, and the interval one (``_interval.enclose``) over
+pairs of arrays of bounds.  A constant stays an ``np.float64`` so that the
+array evaluators get numpy scalars from it: ``enclose`` holds it as one
+object for both bounds, and a comparison of it gives a numpy bool, which
+``~`` negates (on a Python bool, ``~True`` is -2).  The float table gets it
+as a Python float.
+
+``expr`` imports this module to run programs, so this module reaches the
+AST classes only inside ``compile_expr``.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import expr as ex
 
 # Opcodes of the stack program.
 OP_CONST = 0
@@ -42,8 +45,6 @@ OP_MAX2 = 15
 # Opcodes that pop two values; OP_CONST and OP_VAR pop none, the rest one.
 _BINARY = frozenset({OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_MIN2, OP_MAX2})
 
-_BINARY_OPS = {ex.Add: OP_ADD, ex.Sub: OP_SUB, ex.Mul: OP_MUL, ex.Div: OP_DIV}
-
 _CALL_OPS = {
     "sin": OP_SIN,
     "cos": OP_COS,
@@ -61,7 +62,11 @@ class Program:
     steps: tuple  # (opcode, argument) pairs, in postfix order
 
 
-def compile_expr(e: ex.Expr) -> Program:
+def compile_expr(e) -> Program:
+    """The program of the ``expr.Expr`` AST ``e``."""
+    from . import expr as ex
+
+    binary_ops = {ex.Add: OP_ADD, ex.Sub: OP_SUB, ex.Mul: OP_MUL, ex.Div: OP_DIV}
     steps: list[tuple] = []
 
     def emit(node: ex.Expr) -> None:
@@ -72,10 +77,10 @@ def compile_expr(e: ex.Expr) -> Program:
         elif isinstance(node, ex.Neg):
             emit(node.arg)
             steps.append((OP_NEG, None))
-        elif type(node) in _BINARY_OPS:
+        elif type(node) in binary_ops:
             emit(node.lhs)
             emit(node.rhs)
-            steps.append((_BINARY_OPS[type(node)], None))
+            steps.append((binary_ops[type(node)], None))
         elif isinstance(node, ex.Pow):
             emit(node.base)
             steps.append((OP_POW, node.exponent))

@@ -253,9 +253,10 @@ def mvt_integral_solve(
 ) -> Element:
     """Solve (y - x) f(c) = integral from x to y, atom by atom.
 
-    A scan finds a sign change and ``_bisect_root`` narrows it; continuity
-    of the kernels guarantees a bracket exists (a scan failure signals a
-    discontinuous kernel and raises with the atom index).  Atoms with
+    ``_mvt_root`` scans for a sign change and narrows it with
+    ``_interval._narrow``; continuity of the kernels guarantees a bracket
+    exists (a scan failure signals a discontinuous kernel and raises with
+    the atom index).  Atoms with
     x_i = y_i return x_i.  Atoms alike in kernel object and in the bits of
     x_i and y_i are solved once, for the lowest of them (see
     ``integrate._representatives``), which fails where that atom would.
@@ -285,24 +286,26 @@ def mvt_integral_solve(
             return slope * kernel.eval_many(ts) - target
 
         try:
-            c[i] = _bisect_root(g, g_many, lo, hi, tol, target, atom=i)
+            c[i] = _mvt_root(g, g_many, lo, hi, tol, target, atom=i)
         except EvalDomainError as err:
             raise KernelEvalError(i, err) from err
     return Element(c[rep])
 
 
-def _bisect_root(g, g_many, lo: float, hi: float, tol: float, target: float, atom: int) -> float:
-    """A root of ``g`` = slope·f - ``target`` in [lo, hi]: scan with ``g_many``, then narrow with ``g``.
+def _mvt_root(g, g_many, lo: float, hi: float, tol: float, target: float, atom: int) -> float:
+    """The mean-value point: a root of ``g`` = slope·f - ``target`` in [lo, hi].
 
-    The scan grows its grid from ``_MVT_SCAN_START`` to ``_MVT_SCAN_CAP``
-    points until two neighbours change sign.  ``_interval._narrow``, the
-    refiner of the critical points, then shrinks that bracket to four ulps
-    of its larger end, and its midpoint is the root if |g| there is at most
-    tol·max(1, |target|) plus four ulps of |g| + |target|, which bounds
-    |slope·f| there: g rounds at the ulps of its terms, so an absolute
-    ``tol`` alone would refuse the root of a large integral.  ``atom`` names the atom in the errors raised
-    here; the caller names it when ``g`` or ``g_many`` raise
-    EvalDomainError.
+    A scan with ``g_many`` grows its grid from ``_MVT_SCAN_START`` to
+    ``_MVT_SCAN_CAP`` points until two neighbours change sign.
+    ``_interval._narrow``, the refiner of the critical points, then shrinks
+    that bracket with ``g`` to four ulps of its larger end, and its midpoint
+    is the root if |g| there is at most tol·max(1, |target|) plus four ulps
+    of |g| + |target|, which bounds |slope·f| there: g rounds at the ulps of
+    its terms, so an absolute ``tol`` alone would refuse the root of a large
+    integral.  ``g`` and ``g_many`` evaluate f alike (``ScalarKernel.eval``
+    and ``eval_many``), so the scan and the narrowing agree on f's domain.
+    ``atom`` names the atom in the errors raised here; the caller names it
+    when ``g`` or ``g_many`` raise EvalDomainError.
     """
     points = _MVT_SCAN_START
     while True:

@@ -1,4 +1,4 @@
-"""Scalar kernel expressions: parsing, evaluation, symbolic derivatives, printing.
+"""Scalar kernel expressions: parsing, evaluation at a point, symbolic derivatives, printing.
 
 Expressions are univariate in ``t``.  Grammar (whitespace insignificant)::
 
@@ -16,7 +16,10 @@ Expressions are univariate in ``t``.  Grammar (whitespace insignificant)::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+
+from . import _tape
 
 __all__ = [
     "Expr",
@@ -55,12 +58,7 @@ class ExprSyntaxError(ValueError):
 
 
 class EvalDomainError(ArithmeticError):
-    """Raised when evaluation leaves the real domain (1/0, log(-1), ...)."""
-
-    def __init__(self, message: str, pos: int | None = None):
-        self.pos = pos
-        where = "" if pos is None else f" at offset {pos}"
-        super().__init__(f"{message}{where}")
+    """Raised when a kernel is not finite at a point (1/0, log(-1), ...); the message names it."""
 
 
 class NonDifferentiableError(ValueError):
@@ -69,9 +67,7 @@ class NonDifferentiableError(ValueError):
 
 @dataclass(frozen=True)
 class Expr:
-    # Source offset; ignored by equality so that printing round-trips
-    # structurally even though positions are lost.
-    pos: int | None = field(default=None, compare=False, kw_only=True)
+    pass
 
 
 @dataclass(frozen=True)
@@ -220,35 +216,35 @@ class _Parser:
     def expr(self) -> Expr:
         e = self.term()
         while True:
-            kind, text, pos = self.peek()
+            kind, text, _ = self.peek()
             if kind == _T_OP and text in "+-":
                 self.advance()
                 rhs = self.term()
-                e = (Add if text == "+" else Sub)(e, rhs, pos=pos)
+                e = (Add if text == "+" else Sub)(e, rhs)
             else:
                 return e
 
     def term(self) -> Expr:
         e = self.factor()
         while True:
-            kind, text, pos = self.peek()
+            kind, text, _ = self.peek()
             if kind == _T_OP and text in "*/":
                 self.advance()
                 rhs = self.factor()
-                e = (Mul if text == "*" else Div)(e, rhs, pos=pos)
+                e = (Mul if text == "*" else Div)(e, rhs)
             else:
                 return e
 
     def factor(self) -> Expr:
-        kind, text, pos = self.peek()
+        kind, text, _ = self.peek()
         if kind == _T_OP and text == "-":
             self.advance()
-            return Neg(self.factor(), pos=pos)
+            return Neg(self.factor())
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
-        kind, text, pos = self.peek()
+        kind, text, _ = self.peek()
         if kind == _T_OP and text == "^":
             self.advance()
             sign = 1
@@ -260,18 +256,18 @@ class _Parser:
             if kind != _T_NUM or any(ch in text for ch in ".eE"):
                 raise ExprSyntaxError(f"got {text or 'end of input'!r}", pos, {"integer"})
             self.advance()
-            return Pow(base, sign * int(text), pos=pos)
+            return Pow(base, sign * int(text))
         return base
 
     def atom(self) -> Expr:
         kind, text, pos = self.peek()
         if kind == _T_NUM:
             self.advance()
-            return Const(float(text), pos=pos)
+            return Const(float(text))
         if kind == _T_IDENT:
             self.advance()
             if text == "t":
-                return Var(pos=pos)
+                return Var()
             if text in KNOWN_CALLS:
                 self.expect_op("(")
                 args = [self.expr()]
@@ -285,7 +281,7 @@ class _Parser:
                     raise ExprSyntaxError(
                         f"{text} takes {want} argument(s)", pos, {f"{want} argument(s)"}
                     )
-                return Call(text, tuple(args), pos=pos)
+                return Call(text, tuple(args))
             raise ExprSyntaxError(
                 f"unknown name {text!r}", pos, {"t"} | set(KNOWN_CALLS)
             )
@@ -307,69 +303,30 @@ def parse(src: str) -> Expr:
 
 
 # --------------------------------------------------------------------------
-# Evaluation
+# Evaluation at a point
 # --------------------------------------------------------------------------
 
-def eval_expr(e: Expr, t: float) -> float:
-    """Evaluate at a scalar ``t``; domain violations raise :class:`EvalDomainError`."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return float(t)
-    if isinstance(e, Neg):
-        return -eval_expr(e.arg, t)
-    if isinstance(e, Add):
-        return eval_expr(e.lhs, t) + eval_expr(e.rhs, t)
-    if isinstance(e, Sub):
-        return eval_expr(e.lhs, t) - eval_expr(e.rhs, t)
-    if isinstance(e, Mul):
-        return eval_expr(e.lhs, t) * eval_expr(e.rhs, t)
-    if isinstance(e, Div):
-        denom = eval_expr(e.rhs, t)
-        if denom == 0.0:
-            raise EvalDomainError("division by zero", e.pos)
-        return eval_expr(e.lhs, t) / denom
-    if isinstance(e, Pow):
-        base = eval_expr(e.base, t)
-        if e.exponent < 0 and base == 0.0:
-            raise EvalDomainError("zero raised to a negative power", e.pos)
-        try:
-            return _ipow(base, e.exponent)
-        except ZeroDivisionError:  # the positive power underflowed to 0
-            raise EvalDomainError("negative power overflows", e.pos) from None
-    if isinstance(e, Call):
-        a = eval_expr(e.args[0], t)
-        try:
-            if e.name == "sin":
-                return math.sin(a)
-            if e.name == "cos":
-                return math.cos(a)
-            if e.name == "exp":
-                return math.exp(a)
-            if e.name == "log":
-                if a <= 0.0:
-                    raise EvalDomainError("log of a non-positive value", e.pos)
-                return math.log(a)
-            if e.name == "abs":
-                return abs(a)
-            if e.name == "sqrt":
-                if a < 0.0:
-                    raise EvalDomainError("sqrt of a negative value", e.pos)
-                return math.sqrt(a)
-            b = eval_expr(e.args[1], t)
-            return min(a, b) if e.name == "min" else max(a, b)
-        except OverflowError:
-            raise EvalDomainError("overflow", e.pos) from None
-    raise TypeError(f"not an expression node: {e!r}")
+def eval_expr(prog: _tape.Program, t: float) -> float:
+    """The value of the compiled ``prog`` at a scalar ``t``; inf or NaN where it leaves the domain.
+
+    ``_tape.run`` steps through the program over Python floats with
+    ``_FLOAT_OPS``, so a point's value is the one a one-point
+    ``_kernels_fallback.eval_many`` computes, bit for bit wherever neither
+    takes sin, cos, exp or log (libm and numpy may differ in the last bit).
+    It is the only scalar path: ``ScalarKernel.eval`` calls it and raises
+    on a value that is not finite.
+    """
+    return _tape.run(prog, float(t), float, _FLOAT_OPS)
 
 
 def _ipow(x, e: int):
     """``x`` to the integer power ``e`` by binary exponentiation; ``x`` a float or an array.
 
-    The one ``^`` of both point evaluators: ``eval_expr`` calls it on a
-    float and the numpy evaluator on an array, so scalar and array values
-    agree bit for bit.  Exponent 0 gives ``x**0``, which is 1 (ones for an
-    array) even where x is not finite.
+    The one ``^`` of both point op tables: ``_FLOAT_OPS`` calls it on a
+    float and the numpy table on an array, so scalar and array values agree
+    bit for bit.  Exponent 0 gives ``x**0``, which is 1 (ones for an array)
+    even where x is not finite.  On a float, a negative power that is 1/0
+    raises ZeroDivisionError here, and ``_FLOAT_OPS`` gives numpy's ±inf.
     """
     if e == 0:
         return x**0
@@ -383,6 +340,42 @@ def _ipow(x, e: int):
         if n:
             base = base * base
     return 1.0 / acc if e < 0 else acc
+
+
+def _fdiv(x: float, y: float) -> float:
+    try:
+        return x / y
+    except ZeroDivisionError:  # x / ±0 is ±inf, and NaN where x is 0 or NaN
+        return x * math.copysign(math.inf, y)
+
+
+def _fexp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+# The float op table: numpy's IEEE results where Python raises.  Python's
+# float +, -, * and abs already round and overflow as numpy's do.  _ipow(x, e)
+# for e < 0 is 1.0 / _ipow(x, -e), step for step.  min and max propagate NaN,
+# and a tie gives the second operand (its zero's sign), as np.minimum does.
+_FLOAT_OPS = {
+    _tape.OP_NEG: operator.neg,
+    _tape.OP_ADD: operator.add,
+    _tape.OP_SUB: operator.sub,
+    _tape.OP_MUL: operator.mul,
+    _tape.OP_DIV: _fdiv,
+    _tape.OP_POW: lambda x, e: _fdiv(1.0, _ipow(x, -e)) if e < 0 else _ipow(x, e),
+    _tape.OP_SIN: lambda x: math.sin(x) if math.isfinite(x) else math.nan,
+    _tape.OP_COS: lambda x: math.cos(x) if math.isfinite(x) else math.nan,
+    _tape.OP_EXP: _fexp,
+    _tape.OP_LOG: lambda x: math.log(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan,
+    _tape.OP_ABS: abs,
+    _tape.OP_SQRT: lambda x: math.sqrt(x) if x >= 0.0 else math.nan,
+    _tape.OP_MIN2: lambda x, y: x if x < y or x != x else y,
+    _tape.OP_MAX2: lambda x, y: x if x > y or x != x else y,
+}
 
 
 # --------------------------------------------------------------------------

@@ -119,17 +119,25 @@ class ScalarKernel:
         return self._program
 
     def eval(self, t: float) -> float:
-        """k(t); a failure or a value that is not finite raises EvalDomainError naming t."""
+        """k(t); a value that is not finite raises EvalDomainError naming t.
+
+        An expression runs its ``program`` through ``expr.eval_expr``, which
+        computes as ``eval_many`` does, so both give one domain verdict: a
+        value is refused only when the result is inf or NaN, not when a
+        step on the way to it is (``min(-t^2, 1/(t - t))`` is -t^2 at every t).
+        A callable's own ValueError or ArithmeticError is refused too, as
+        ``EvalDomainError`` naming t.
+        """
         try:
-            v = ex.eval_expr(self.expr, t) if self.expr is not None else float(self.func(t))
-        except (ValueError, ArithmeticError) as err:
+            v = ex.eval_expr(self.program, t) if self.expr is not None else float(self.func(t))
+        except (ValueError, ArithmeticError) as err:  # a callable's own error
             raise ex.EvalDomainError(f"kernel evaluation failed at t={float(t)!r}: {err}") from err
         if not math.isfinite(v):
             raise ex.EvalDomainError(f"kernel evaluation left the real domain at t={float(t)!r}")
         return v
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
-        """k at every point of ``ts``; fails as ``eval`` does, naming the first t at fault."""
+        """k at every point of ``ts``; fails where ``eval`` does, naming the first t at fault."""
         ts = np.asarray(ts, dtype=np.float64)
         if self.expr is not None:
             try:
@@ -348,8 +356,9 @@ class LatticeFunction:
 
         One ``ScalarKernel.eval_many`` call per kernel object.  A failure
         raises KernelEvalError for the lowest atom at fault, naming the first
-        point at fault in its row, as if the atoms ran one by one.  ``eval``
-        stays scalar: at one point per atom it is the faster.
+        point at fault in its row, as if the atoms ran one by one.  A value
+        is at fault where it is not finite, as in ``eval``, which gives the
+        same verdict at one point per atom and is the faster there.
         """
         ts = np.asarray(ts, dtype=np.float64)
         if not self.is_coordinatewise or len(ts) != self.dim:

@@ -1,8 +1,9 @@
-"""Shared test oracles: adaptive Simpson quadrature, a random AST generator and a level's stretch sums.
+"""Shared test oracles: a tree-walking evaluator, adaptive Simpson quadrature, a random AST generator and a level's stretch sums.
 
-The quadrature oracle is deliberately independent of the package's own
-summation machinery (plain Python floats, recursive Simpson with Richardson
-acceleration).
+The evaluator and the quadrature oracle are deliberately independent of the
+package's own machinery: ``reference_eval`` walks the AST with plain Python
+floats instead of running a compiled program, and the quadrature is
+recursive Simpson with Richardson acceleration.
 """
 
 from __future__ import annotations
@@ -61,6 +62,51 @@ def stretch_subtotals(v, xs, lows, ups, ts, g: int, block: int) -> np.ndarray:
             sums = [[np.add.reduce(p[c0 : min(c0 + g, b1)]) for p in (lows, ups)] for c0 in starts]
         out += sums
     return np.array(out).T.reshape(2, -1)
+
+
+_UNARY = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log, "abs": abs, "sqrt": math.sqrt}
+
+
+def reference_eval(e: ex.Expr, t: float) -> float:
+    """The value of the AST ``e`` at ``t``, walking the tree with ``math``.
+
+    Stricter than the package: any step that leaves the real domain
+    (division by zero, log of a non-positive value, sqrt of a negative one,
+    an overflowing exp, a negative power that underflows to 1/0) raises
+    EvalDomainError, even where a later step would make the value finite.
+    """
+    if isinstance(e, ex.Const):
+        return e.value
+    if isinstance(e, ex.Var):
+        return float(t)
+    if isinstance(e, ex.Neg):
+        return -reference_eval(e.arg, t)
+    if isinstance(e, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
+        a, b = reference_eval(e.lhs, t), reference_eval(e.rhs, t)
+        if isinstance(e, ex.Add):
+            return a + b
+        if isinstance(e, ex.Sub):
+            return a - b
+        if isinstance(e, ex.Mul):
+            return a * b
+        if b == 0.0:
+            raise ex.EvalDomainError("division by zero")
+        return a / b
+    if isinstance(e, ex.Pow):
+        base = reference_eval(e.base, t)
+        try:
+            return ex._ipow(base, e.exponent)
+        except ZeroDivisionError:
+            raise ex.EvalDomainError("a negative power that is 1/0") from None
+    if isinstance(e, ex.Call):
+        args = [reference_eval(a, t) for a in e.args]
+        if e.name in ("min", "max"):
+            return min(args) if e.name == "min" else max(args)
+        try:
+            return _UNARY[e.name](args[0])
+        except (ValueError, OverflowError) as err:
+            raise ex.EvalDomainError(f"{e.name}({args[0]!r}): {err}") from None
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:

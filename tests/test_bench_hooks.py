@@ -1,4 +1,4 @@
-"""The benchmark's layer hooks (``bench/tracing.py``) still find the entry points level sums go through."""
+"""The benchmark's layer hooks (``bench/tracing.py``) still find the entry points level sums and point values go through."""
 
 import sys
 from pathlib import Path
@@ -25,7 +25,10 @@ def test_every_hook_resolves_and_level_sums_run_through_the_hooked_entry_points(
     with tracer.installed():
         assert tracer.missing == []
         traced = integrate(f, box)
+        before = tracer.count["expr.eval_expr"]
+        f.eval(Element([0.5, 1.5]))  # one scalar evaluation per atom
     assert tracer.count["kernels.critical"] > 0
     assert tracer.count["kernels.endpoint"] > 0
+    assert tracer.count["expr.eval_expr"] == before + 2 > 0
     assert (K.darboux_critical, K.darboux_endpoint) == originals  # restored on leaving
     assert np.array_equal(traced.value.data, integrate(f, box).value.data)

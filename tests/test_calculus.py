@@ -483,10 +483,24 @@ def test_mvt_scan_failure_names_its_atom():
     assert info.value.atom == 1
 
 
+# 1/t for t > 0: the inf of 45.9375 / (t - t) is absorbed by min.
+ABSORBED_INF = "-t / min(-t^2, 5.25 * 8.75 / (t - t))"
+
+
+def test_mvt_and_by_parts_take_a_kernel_whose_inf_is_absorbed():
+    # The narrowing and the verifiers' point values evaluate the kernel as
+    # its integral does, so neither refuses a point its integral accepts.
+    f = LatticeFunction.coordinatewise([ABSORBED_INF])
+    c = mvt_integral_solve(f, E(0.2), E(0.6), sched=ToleranceSchedule(1e-4, 20))
+    assert abs(c[0] - 0.4 / math.log(3.0)) < 1e-4
+    logs, ts, ones = (LatticeFunction.coordinatewise([src]) for src in ("log(t)", "t", "1"))
+    assert verify_by_parts(logs, ts, f, ones, interval((0.2,), (0.6,))).passed
+
+
 def _scan_sizes(monkeypatch) -> list[int]:
-    """The grid size of every scan ``_bisect_root`` makes, recorded as it runs."""
+    """The grid size of every scan ``_mvt_root`` makes, recorded as it runs."""
     sizes = []
-    solve = calculus._bisect_root
+    solve = calculus._mvt_root
 
     def recorded(g, g_many, *args, atom):
         def scan(ts):
@@ -495,7 +509,7 @@ def _scan_sizes(monkeypatch) -> list[int]:
 
         return solve(g, scan, *args, atom=atom)
 
-    monkeypatch.setattr(calculus, "_bisect_root", recorded)
+    monkeypatch.setattr(calculus, "_mvt_root", recorded)
     return sizes
 
 
@@ -524,13 +538,13 @@ def test_mvt_scan_without_a_bracket_gives_up_at_4097_points(monkeypatch):
 
 def test_mvt_solves_alike_atoms_once(monkeypatch):
     solved = []
-    bisect = calculus._bisect_root
+    solve = calculus._mvt_root
 
     def recorded(*args, atom):
         solved.append(atom)
-        return bisect(*args, atom=atom)
+        return solve(*args, atom=atom)
 
-    monkeypatch.setattr(calculus, "_bisect_root", recorded)
+    monkeypatch.setattr(calculus, "_mvt_root", recorded)
     c = mvt_integral_solve(LatticeFunction.coordinatewise("t^2", dim=2), E(0, 0), E(1, 1))
     assert solved == [0]  # one scan and one narrowing for both atoms
     alone = mvt_integral_solve(LatticeFunction.coordinatewise("t^2"), E(0), E(1))

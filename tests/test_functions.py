@@ -558,3 +558,12 @@ def test_callable_kernels_fail_alike_through_eval_and_eval_many():
     with pytest.raises(KernelEvalError) as info:
         integrate(LatticeFunction.coordinatewise([k]), interval((0,), (1,)))
     assert info.value.atom == 0
+
+
+def test_scalar_eval_is_one_point_eval_many_bit_for_bit_where_an_inf_is_absorbed():
+    # 45.9375 / (t - t) is inf, and min(-t^2, inf) absorbs it: both
+    # evaluators give -0.4 / -0.16000000000000003 = 2.4999999999999996.
+    f = LatticeFunction.coordinatewise(["-t / min(-t^2, 5.25 * 8.75 / (t - t))"])
+    got = f.eval(Element([0.4])).data
+    assert got.tobytes() == f.eval_many(np.array([[0.4]]))[:, 0].tobytes()
+    assert got[0] == 2.4999999999999996

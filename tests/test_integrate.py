@@ -4,10 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from helpers import adaptive_simpson, random_expr
+from helpers import adaptive_simpson, random_expr, reference_eval
 from ordercalc import expr as ex
 from ordercalc.calculus import antiderivative
-from ordercalc.expr import eval_expr, parse
+from ordercalc.expr import parse
 from ordercalc.functions import KernelEvalError, LatticeFunction, ScalarKernel
 from ordercalc.integrate import (
     DarbouxSums,
@@ -439,7 +439,7 @@ def test_integrate_matches_simpson_oracle_spot():
         f = LatticeFunction.coordinatewise(src, dim=1)
         got = integrate(f, interval((a,), (b,))).value[0]
         expr = parse(src)
-        want = adaptive_simpson(lambda t: eval_expr(expr, t), a, b)
+        want = adaptive_simpson(lambda t: reference_eval(expr, t), a, b)
         assert got == pytest.approx(want, abs=1e-6 * (1 + abs(want)))
 
 
