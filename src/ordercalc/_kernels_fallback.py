@@ -42,8 +42,11 @@ which alone steps through programs; this module supplies only the numpy
 evaluator's op table, ``_OPS``.  ``BLOCK_CELLS``, ``STRETCH_CELLS`` and
 ``CHUNK_CELLS`` are defined here, beside the one loop that reads them.
 Stretches and chunks fix the summation order, which this module owns, and
-the tape format has no part in it; blocks fix only how many cells are
-evaluated at once, as no stretch or chunk straddles two.
+the tape format has no part in it.  Blocks fix the bits too: whether a row
+of a uniform level is point-summed (more than BLOCK_CELLS/2 cells), and
+which of its blocks hold an entry and so sum their products, both depend
+on ``BLOCK_CELLS``.  A retune of it moves bits, so it must re-check that
+every atom's closing depth is unchanged.
 """
 
 from __future__ import annotations
@@ -99,14 +102,17 @@ _OPS = {
 # below glibc's 128 KiB mmap threshold, so a block's temporaries come from
 # the heap: at 2^15 cells they were fresh mappings, and the oracle workload
 # took 36-97k page faults a pass instead of 3.  It divides CHUNK_CELLS, so
-# chunks of a long row start on block boundaries.
+# chunks of a long row start on block boundaries.  It also decides which
+# rows and blocks of a uniform level are point-summed, so it moves bits
+# (see the module docstring).
 BLOCK_CELLS = 1 << 13
 
 # Uniform levels sum each stretch of this many cells pairwise, its point
 # values or its products, and add the stretch subtotals left to right.  It
-# divides BLOCK_CELLS, so no stretch straddles two blocks.  An antiderivative keeps one running L and U per
-# stretch of its closing level, and a read sums at most this many cells,
-# so the length trades the time of a read against kept memory.  Measured
+# divides BLOCK_CELLS, so no stretch straddles two blocks.  An
+# antiderivative keeps one running L and U per stretch of its closing
+# level, and a read sums at most this many cells, so the length trades the
+# time of a read against kept memory.  Measured
 # on the calculus workload's antiderivative (2 vCPUs, numpy 2.4.6), reads
 # cost the same at 64 and 256 cells and about 1.3-1.5 times as much at
 # 4096, while the kept sums shrink fourfold from 64 to 256.
@@ -384,10 +390,11 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
     sampled pass sum their products, a pairwise reduction per stretch.
     (Point sums for some rows of a block and products for the others cost
     more array operations than they save: measured on the benchmark's
-    ``wide`` workload, 2 vCPUs and numpy 2.4.6, that was about 15% slower.)  Every other grid accumulates
-    left to right within chunks of ``CHUNK_CELLS`` cells, a chunk's running
-    sums carrying over from one block to the next; prefixes need that
-    order, and it makes a repeated point add exactly nothing.
+    ``wide`` workload, 2 vCPUs and numpy 2.4.6, that was about 15% slower.)
+    Every other grid accumulates left to right within chunks of
+    ``CHUNK_CELLS`` cells, a chunk's running sums carrying over from one
+    block to the next; prefixes need that order, and it makes a repeated
+    point add exactly nothing.
 
     Rounding that the point sums add to that of the products' order (no
     bracket counts either yet): each cell's float width is replaced by the

@@ -182,11 +182,12 @@ class _CumulativeGrid:
 def _band_grids(band, sched: ToleranceSchedule) -> list[_CumulativeGrid]:
     """The cumulative grids of a band's atoms, in row order.
 
-    The band is refined by ``_refine`` on ``integrate``'s own levels, each
-    keeping its rows' running sums at their stretch ends.  A row keeps
-    those of the level at which it stopped: where its bracket closed, or
-    ``max_depth``.  So each atom stops at ``integrate``'s depth, with its
-    sums, and fails where ``integrate`` fails.
+    The band is refined by ``_refine`` on ``integrate``'s own levels,
+    probe levels included (each at most 2^-5 of the cost of a row's due
+    level), each keeping its rows' running sums at their stretch ends.  A
+    row keeps those of the level at which it stopped: where its bracket
+    closed, or ``max_depth``.  So each atom stops at ``integrate``'s depth,
+    with its sums, and fails where ``integrate`` fails.
     """
     grids: list = [None] * len(band.atoms)
 

@@ -310,8 +310,9 @@ def test_antiderivative_brackets_at_hi_are_integrates():
 
 def test_antiderivative_passes_skip_to_the_closing_depth(monkeypatch):
     # The antiderivative sums exactly the levels integrate sums: each band
-    # at depth 0, then at each depth the skip bound allows, up to the depth
-    # at which it closes; the sin(t) and t^3 - t atoms close at 20.
+    # at depth 0, then at its probe level, then at each depth the skip
+    # bound allows, up to the depth at which it closes; the sin(t) and
+    # t^3 - t atoms are probed at 14 and close at 20.
     calls = []
     sums = _Band.sums
 
@@ -340,7 +341,7 @@ def test_antiderivative_passes_skip_to_the_closing_depth(monkeypatch):
     ]
     for f, iv, sched in cases:
         assert levels(antiderivative, f, iv, sched) == levels(integrate, f, iv, sched)
-    assert levels(antiderivative, *cases[0]) == [(0, [0]), (19, [0]), (20, [0]), (0, [1]), (19, [1]), (20, [1])]
+    assert levels(antiderivative, *cases[0]) == [(0, [0]), (14, [0]), (20, [0]), (0, [1]), (14, [1]), (20, [1])]
     assert [d for d, _ in levels(antiderivative, *cases[2])] == list(range(14))
 
 

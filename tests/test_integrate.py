@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -13,8 +14,10 @@ from ordercalc.integrate import (
     DarbouxSums,
     IntegralResult,
     ToleranceSchedule,
+    _SKIP_SLACK,
     _Band,
     _make_bands,
+    _refine,
     darboux_sums,
     integrate,
     riemann_sum,
@@ -415,11 +418,90 @@ def test_skip_equals_sweep_when_atoms_stop_at_max_depth(monkeypatch):
 
 def test_an_exact_atom_is_summed_at_level_0_and_its_closing_depth(monkeypatch):
     # t^2 on [1, 2]: gap_d = 3·2^-d, and the bound from level 0 lands on
-    # the first d with 3·2^-d <= 1e-6·(1 + 7/3).
+    # the first d with 3·2^-d <= 1e-6·(1 + 7/3).  The atom is probed 5
+    # levels below that, from where the bound lands on the same depth.
     f = LatticeFunction.coordinatewise("t^2", dim=1)
     r, calls = _integrate_counting(f, interval((1.0,), (2.0,)), ToleranceSchedule(), monkeypatch)
     assert r.converged and r.depth == 20
-    assert calls == [(0, [0]), (20, [0])]
+    assert calls == [(0, [0]), (15, [0]), (20, [0])]
+
+
+def _assert_exact_atoms_sum_a_probe_and_their_closing_level(f, iv, sched):
+    """After depth 0, each exact atom that closes is summed at its probe and closing levels.
+
+    So its cells total at most (1 + 2^-5)·2^close + 1.  A level between
+    them is allowed only where the skip bound, which covers rounding,
+    landed on a level whose gap missed the close test by no more than that
+    slack (see ``_next_due``).  Returns the number of atoms that close and
+    of such levels.
+    """
+    closed = missed = 0
+    bands, _ = _make_bands(f, iv.lo.data, iv.hi.data)
+    for band in (band for band in bands if not band.sampled):
+        levels = {}
+        try:
+            for depth, rows, (mid, lower, upper, shut), _ in _refine(band, np.arange(len(band.atoms)), sched):
+                for r, *level in zip(rows.tolist(), mid, lower, upper, shut):
+                    levels.setdefault(r, []).append((depth, *level))
+        except KernelEvalError:  # the rows below the failing atom were refined in full
+            pass
+        for row in (row for row in levels.values() if row[-1][4]):
+            depths = [d for d, *_ in row]
+            scale = max(abs(row[0][2]), abs(row[0][3]))
+            for (_, _, lo, up, _), (d, mid, lower, upper, _) in zip(row[1:-2], row[2:-1]):
+                slack = _SKIP_SLACK * (1.0 + sched.tol) * (up - lo + scale)
+                assert upper - lower <= sched.tol * (1.0 + abs(mid)) + slack, depths
+                depths.remove(d)
+                missed += 1
+            assert depths[0] == 0 and len(depths) <= 3, depths
+            assert sum(2**d for d in depths) <= (1 + 2**-5) * 2 ** depths[-1] + 1, depths
+            closed += 1
+    return closed, missed
+
+
+def test_exact_atoms_sum_a_probe_and_their_closing_level():
+    # The draws of test_skip_equals_sweep_on_the_acceptance_draws.  One
+    # atom, 3*t^2 - 2*t on [-0.611, 0.068], sums levels 0, 15, 20 and 21:
+    # its gap at 20 misses the close test by 0.06%, inside the slack.
+    kernels = ["t", "t^2", "t^3", "sin(t)", "exp(t)", "3*t^2 - 2*t"]
+    rng = np.random.default_rng(777)
+    counts = np.zeros(2, dtype=int)
+    for _ in range(20):
+        dim = int(rng.integers(1, 4))
+        sources = [kernels[int(rng.integers(0, len(kernels)))] for _ in range(dim)]
+        lo = rng.uniform(-2.0, 1.0, dim)
+        hi = lo + rng.uniform(0.1, 2.0, dim)
+        f = LatticeFunction.coordinatewise(sources, dim=dim)
+        iv = interval(tuple(lo), tuple(hi))
+        counts += _assert_exact_atoms_sum_a_probe_and_their_closing_level(f, iv, ToleranceSchedule(1e-6, 24))
+    assert counts.tolist() == [42, 1]
+    # The kernels and boxes of test_skip_equals_sweep_on_random_smooth_kernels.
+    for sched, want in [(ToleranceSchedule(1e-4, 14), [70, 0]), (ToleranceSchedule(1e-6, 16), [14, 0])]:
+        rng = random.Random(2604)
+        box_rng = np.random.default_rng(2604)
+        kernels, counts = 0, np.zeros(2, dtype=int)
+        while kernels < 50:
+            e = random_expr(rng, depth=5, smooth_only=True)
+            if isinstance(ex.differentiate(e), ex.Const):
+                continue
+            kernels += 1
+            a = float(box_rng.uniform(-2.0, 1.0))
+            b = a + float(box_rng.uniform(0.1, 2.0))
+            iv = interval((a, a, a + 0.25 * (b - a)), (b, 0.5 * (a + b), b))
+            f = LatticeFunction.coordinatewise(ScalarKernel.from_expr(e), dim=3)
+            counts += _assert_exact_atoms_sum_a_probe_and_their_closing_level(f, iv, sched)
+        assert counts.tolist() == want  # of 150 atoms; the rest fail, are sampled or stop at max_depth
+
+
+def test_max_depth_must_be_an_integer():
+    # A max_depth of 2.5 made integrate loop forever, and True read as 1.
+    for bad in (2.5, 3.0, True, np.True_, "12"):
+        with pytest.raises(TypeError, match="max_depth must be an integer"):
+            ToleranceSchedule(1e-3, bad)
+    sched = ToleranceSchedule(1e-3, np.int64(12))
+    assert type(sched.max_depth) is int and sched == ToleranceSchedule(1e-3, 12)
+    r = integrate(LatticeFunction.coordinatewise(["t^2"]), interval((0,), (1,)), sched)
+    assert json.loads(json.dumps(r.to_dict()))["max_depth"] == 12
 
 
 def test_integrate_result_serialization():
