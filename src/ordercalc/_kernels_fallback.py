@@ -3,8 +3,10 @@
 Every sum runs through ``_sum_cells``, which takes rows of breakpoints (one
 row per atom of a band, all with the same number of cells) and evaluates
 them in blocks of at most ``BLOCK_CELLS`` cells: several whole rows while
-rows are that short, otherwise one part of one row at a time.  Rows are
-summed in one of two orders, chosen by the kind of grid:
+rows are that short, otherwise one part of one row at a time.  Every kind
+of grid places its critical entries by one rule, ``cells``: each entry goes
+to the cell a search of its whole row finds.  Rows are summed in one of
+two orders, chosen by the kind of grid:
 
 - ``UniformRows`` (every refinement level of ``integrate``): a row is cut
   into stretches of ``STRETCH_CELLS`` cells (a row shorter than that is one
@@ -19,15 +21,16 @@ summed in one of two orders, chosen by the kind of grid:
   sums its per-cell products m·Δx by one pairwise reduction.  The
   reductions vectorise, where a running sum over cells cannot, and the
   rounding-error bound grows with log2(STRETCH_CELLS) plus the number of
-  stretches instead of with the number of cells.  A grid built with
-  ``running=True`` keeps those stretch running sums: they are what an
-  antiderivative reads.
+  stretches instead of with the number of cells.  Every grid keeps those
+  stretch running sums in ``running``: they are what an antiderivative
+  reads.
 - ``GivenRows`` and 1-D breakpoint arrays (explicit partitions, the reads of
   an antiderivative within a stretch, and the ``prefix_*`` calls): each row
-  accumulates left to right within a chunk of ``CHUNK_CELLS`` cells, from
-  zero, carrying the running sum from block to block, and then over the
-  chunk subtotals.  Prefixes are that running sum, and the sequential order
-  makes a cell of zero width (a repeated point) add exactly nothing.
+  is summed left to right over the whole row, each block's running sum
+  starting from the row's running sum so far.  Prefixes are that running
+  sum, its error is at most γ_(n-1)·Σ|m·Δx| for a row of n cells, and the
+  sequential order makes a cell of zero width (a repeated point) add
+  exactly nothing.
 
 In either order a row's blocks are the same whether it is summed alone or
 in a band (whole short rows, or the same parts of a long row), and how a
@@ -39,14 +42,14 @@ breakpoint array.  No library path calls the ``prefix_*`` entry points any
 more; they are kept for the benchmark, which times and traces them.
 ``_run`` evaluates a program over arrays of points through ``_tape.run``,
 which alone steps through programs; this module supplies only the numpy
-evaluator's op table, ``_OPS``.  ``BLOCK_CELLS``, ``STRETCH_CELLS`` and
-``CHUNK_CELLS`` are defined here, beside the one loop that reads them.
-Stretches and chunks fix the summation order, which this module owns, and
-the tape format has no part in it.  Blocks fix the bits too: whether a row
-of a uniform level is point-summed (more than BLOCK_CELLS/2 cells), and
-which of its blocks hold an entry and so sum their products, both depend
-on ``BLOCK_CELLS``.  A retune of it moves bits, so it must re-check that
-every atom's closing depth is unchanged.
+evaluator's op table, ``_OPS``.  ``BLOCK_CELLS`` and ``STRETCH_CELLS`` are
+defined here, beside the one loop that reads them.  Stretches fix the
+summation order of uniform levels, which this module owns, and the tape
+format has no part in it.  Blocks fix the bits too: whether a row of a
+uniform level is point-summed (more than BLOCK_CELLS/2 cells), and which of
+its blocks hold an entry and so sum their products, both depend on
+``BLOCK_CELLS``.  A retune of it moves bits, so it must re-check that every
+atom's closing depth is unchanged.
 """
 
 from __future__ import annotations
@@ -101,10 +104,9 @@ _OPS = {
 # Cells evaluated at once.  An array of this many float64 (64 KiB) stays
 # below glibc's 128 KiB mmap threshold, so a block's temporaries come from
 # the heap: at 2^15 cells they were fresh mappings, and the oracle workload
-# took 36-97k page faults a pass instead of 3.  It divides CHUNK_CELLS, so
-# chunks of a long row start on block boundaries.  It also decides which
-# rows and blocks of a uniform level are point-summed, so it moves bits
-# (see the module docstring).
+# took 36-97k page faults a pass instead of 3.  It also decides which rows
+# and blocks of a uniform level are point-summed, so it moves bits (see the
+# module docstring).
 BLOCK_CELLS = 1 << 13
 
 # Uniform levels sum each stretch of this many cells pairwise, its point
@@ -117,15 +119,6 @@ BLOCK_CELLS = 1 << 13
 # cost the same at 64 and 256 cells and about 1.3-1.5 times as much at
 # 4096, while the kept sums shrink fourfold from 64 to 256.
 STRETCH_CELLS = 1 << 8
-
-# Given rows (explicit partitions, 1-D breakpoint arrays, the reads of an
-# antiderivative and every prefix sum) accumulate left to right within
-# chunks of this many cells (from zero) and left to right over the chunk
-# subtotals: prefixes are that running sum, and it makes a repeated point
-# add exactly nothing.  A row's chunks start at multiples of CHUNK_CELLS
-# whether it is summed alone or with other rows, so its sums do not depend
-# on the block.  Uniform levels do not use it: they sum by stretches.
-CHUNK_CELLS = 1 << 18
 
 
 class RowError(ValueError):
@@ -205,6 +198,18 @@ class GivenRows(_Rows):
     def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
         return self.xs[r0:r1, c0 : c1 + 1]
 
+    def cells(self, rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """The cell of each point ``ts[i]`` in its row ``rows[i]``: clip(searchsorted(row, t, "right") - 1, 0, n - 1).
+
+        That is the last point at most t, found by one search of each row
+        that holds a point.
+        """
+        cells = np.empty(len(ts), dtype=np.int64)
+        for r in np.unique(rows).tolist():
+            at = rows == r
+            cells[at] = self.xs[r].searchsorted(ts[at], "right")
+        return np.clip(cells - 1, 0, self.n - 1)
+
 
 class UniformRows(_Rows):
     """Row r holds the points of ``uniform_grid(lo[r], hi[r], n)``, built a block at a time.
@@ -213,20 +218,21 @@ class UniformRows(_Rows):
     from one index row 0, 1, ..., BLOCK_CELLS kept for the grid: c0 + k is
     an integer, exact in float64, so the points are bit for bit the same.
     ``step`` holds each row's (hi - lo)/n, on a trailing axis of length 1.
-    With ``running``, each sum over the grid writes ``running``, a (2, rows,
-    stretches) array of each row's running L and U at the end of each
-    stretch; the last is the row's total.  A sampled sum writes it twice,
-    and its finer pass, the one it reports, writes last.
+    Each sum over the grid writes ``running``, a (2, rows, stretches) array
+    of each row's running L and U at the end of each stretch; the last is
+    the row's total.  A sampled sum writes it twice, and its finer pass, the
+    one it reports, writes last.  A prefix sum, which runs in the order of
+    given rows, does not write it.
     """
 
-    def __init__(self, lo: np.ndarray, hi: np.ndarray, n: int, running: bool = False):
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, n: int):
         self.lo = lo
         self.hi = hi
         self.rows, self.n = len(lo), n
         self._lo, self._hi = lo[:, None], hi[:, None]
         self.step = (self._hi - self._lo) / max(n, 1)  # with no cells, never used
         self._index = np.arange(min(n, BLOCK_CELLS) + 1, dtype=np.float64)
-        self.running = np.zeros((2, self.rows, -(-n // STRETCH_CELLS))) if running else None
+        self.running = np.zeros((2, self.rows, -(-n // STRETCH_CELLS)))
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
         ks = self._index[: c1 - c0 + 1]
@@ -274,29 +280,6 @@ class UniformRows(_Rows):
         """Each row's points at its stretch ends: cells 0, STRETCH_CELLS, ..., and n."""
         ks = np.append(np.arange(0, self.n, STRETCH_CELLS, dtype=np.float64), self.n)
         return grid_points(ks, self._lo, self._hi, self.step, True, True)
-
-
-def _entry_cells(xs: np.ndarray, ts: np.ndarray, starts: list, first: bool, last: bool):
-    """The cell of each point t in a block of given rows, counted from the block's first cell.
-
-    Row r of the block holds points ``starts[r]:starts[r + 1]``.  A point's
-    cell in its whole row is clip(searchsorted(row, t, "right") - 1, 0,
-    n - 1); the block holds a stretch of each row, so points left of it
-    read -1 and points right of it read its width, except beyond the row's
-    own ends (in the ``first`` and ``last`` block), where the clip applies.
-    ``UniformRows.cells`` finds the same cells from the grid's formula,
-    for a whole level at once.
-    """
-    cells = np.empty(len(ts), dtype=np.int64)
-    for r, (a, b) in enumerate(zip(starts, starts[1:])):
-        if a < b:
-            cells[a:b] = xs[r].searchsorted(ts[a:b], "right")
-    cells -= 1
-    if first:
-        np.maximum(cells, 0, out=cells)
-    if last:
-        np.minimum(cells, xs.shape[1] - 2, out=cells)
-    return cells
 
 
 def _products(v: np.ndarray, xs: np.ndarray, at=None, vals=None) -> np.ndarray:
@@ -374,27 +357,29 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
     """Shared summation for all Darboux strategies, over every row of ``grid``.
 
     ``s == 0`` takes each cell's extrema at its endpoints, folded with the
-    ``entries`` (row, t, value), sorted by row, that fall in it; ``s > 0``
-    samples ``s`` subintervals per cell.  Cells are evaluated in blocks of
-    at most ``BLOCK_CELLS``, several short rows or part of one long row at
-    a time.  A ``UniformRows`` block is summed by stretches of
-    ``STRETCH_CELLS`` cells, and once all of a row's stretch subtotals are
-    in, they are added left to right, in ``grid.running`` when the grid
-    keeps them.  With ``s == 0``, on rows of more than BLOCK_CELLS/2 cells
-    (summed alone, a block at a time), a block that holds no entry of its
-    row sums each stretch from its point values (``_stretch_sums``): this
-    assumes f monotone between a row's entries, which certified entries
-    and monotone hints give.  A block holding an entry, or whose point sums
-    are not finite (a sum of large values can overflow where the products
-    m·Δx do not), a block of several shorter rows, and every block of a
-    sampled pass sum their products, a pairwise reduction per stretch.
-    (Point sums for some rows of a block and products for the others cost
-    more array operations than they save: measured on the benchmark's
-    ``wide`` workload, 2 vCPUs and numpy 2.4.6, that was about 15% slower.)
-    Every other grid accumulates left to right within chunks of
-    ``CHUNK_CELLS`` cells, a chunk's running sums carrying over from one
-    block to the next; prefixes need that order, and it makes a repeated
-    point add exactly nothing.
+    ``entries`` (row, t, value), sorted by row and within a row by t, that
+    fall in it; ``s > 0`` samples ``s`` subintervals per cell.  Each entry's
+    cell is found once, by ``grid.cells``, and a block takes the entries of
+    its rows, or for a long row those whose cells it holds.  Cells are
+    evaluated in blocks of at most ``BLOCK_CELLS``, several short rows or
+    part of one long row at a time.  A ``UniformRows`` block is summed by
+    stretches of ``STRETCH_CELLS`` cells, and once all of a row's stretch
+    subtotals are in, they are added left to right, in ``grid.running``.
+    With ``s == 0``, on rows of more than BLOCK_CELLS/2 cells (summed
+    alone, a block at a time), a block that holds no entry of its row sums
+    each stretch from its point values (``_stretch_sums``): this assumes f
+    monotone between a row's entries, which certified entries and monotone
+    hints give.  A block holding an entry, or whose point sums are not
+    finite (a sum of large values can overflow where the products m·Δx do
+    not), a block of several shorter rows, and every block of a sampled
+    pass sum their products, a pairwise reduction per stretch.  (Point sums
+    for some rows of a block and products for the others cost more array
+    operations than they save: measured on the benchmark's ``wide``
+    workload, 2 vCPUs and numpy 2.4.6, that was about 15% slower.)  Every
+    other grid, and every prefix sum, adds each row's products left to
+    right, a block's running sums starting from the row's running sum so
+    far, added to the block's first product; prefixes need that order, and
+    it makes a repeated point add exactly nothing.
 
     Rounding that the point sums add to that of the products' order (no
     bracket counts either yet): each cell's float width is replaced by the
@@ -406,10 +391,11 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
     A non-finite kernel value or an overflowing product makes a block's
     sums (or, for rows of one block, their running sums) non-finite, so the
     block is examined only then, and its lowest such row raises RowError
-    (see ``_non_finite``) instead of numpy warning of the overflow.  A row
-    of several blocks whose running sum overflows only across stretches is
-    named once its last block is summed, at the first cell of the block in
-    which it overflowed.
+    (see ``_non_finite``) instead of numpy warning of the overflow.  Summed
+    left to right, that names the cell at which a row's running sum
+    overflowed.  A uniform row of several blocks whose running sum
+    overflows only across stretches is named once its last block is
+    summed, at the first cell of the block in which it overflowed.
     Returns the row totals as a (2, rows) array (L, U); a (2, rows, n)
     ``prefix`` array, when given, receives each row's running sums, the
     last of which is its total.  ``evalf`` substitutes a callable for the
@@ -424,26 +410,18 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
     if entries is not None and len(entries[1]):
         e_rows, e_ts, e_vals = entries
         e_starts = np.searchsorted(e_rows, np.arange(rows + 1)).tolist()  # of each row's entries
-        if pairwise:
-            e_cells = grid.cells(e_rows, e_ts)
+        e_cells = grid.cells(e_rows, e_ts)
     else:  # no entries, or an empty list of them
         entries = None
-    totals = np.zeros((2, rows))  # lower and upper
+    totals = np.zeros((2, rows))  # lower and upper; left to right, the running sums so far
 
     for r0 in range(0, rows, per_block):
         r1 = min(r0 + per_block, rows)
         if pairwise:  # the rows' stretch subtotals, then their running sums
-            run = grid.running
-            run = np.empty((2, r1 - r0, -(-n // STRETCH_CELLS))) if run is None else run[:, r0:r1]
+            run = grid.running[:, r0:r1]
         if entries is not None:  # the block's entries
             i0, i1 = e_starts[r0], e_starts[r1]
-            b_rows, b_vals = e_rows[i0:i1], e_vals[i0:i1]
-            if r0:
-                b_rows = b_rows - r0
-            if pairwise:
-                b_cells = e_cells[i0:i1]
-            else:
-                b_ts, starts = e_ts[i0:i1], [i - i0 for i in e_starts[r0 : r1 + 1]]
+            b_rows, b_cells, b_vals = e_rows[i0:i1] - r0, e_cells[i0:i1], e_vals[i0:i1]
         for c0 in range(0, n, width):
             c1 = min(c0 + width, n)
             xs = grid.block(r0, r1, c0, c1)
@@ -451,14 +429,10 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
             checked = False  # whether ``seen`` is known finite
             if s == 0:
                 pts, v = xs, _values(prog, xs, evalf, r0)
-                if i1 > i0 and pairwise:  # a long row's entries, sorted by cell, fall in blocks in turn
+                if i1 > i0:  # a long row's entries, sorted by cell, fall in blocks in turn
                     sel = slice(*np.searchsorted(b_cells, (c0, c1))) if n > width else slice(None)
                     if len(b_cells[sel]):
                         at, vals = (b_rows[sel], b_cells[sel] - c0), b_vals[sel]
-                elif i1 > i0:  # the block's entries, at (row, cell) of the block
-                    cells = _entry_cells(xs, b_ts, starts, c0 == 0, c1 == n)
-                    sel = slice(None) if n == width else (cells >= 0) & (cells < c1 - c0)
-                    at, vals = (b_rows[sel], cells[sel]), b_vals[sel]
                 if not points:
                     mb = _products(v, xs, at, vals)
             else:
@@ -473,16 +447,12 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
                     _stretch_reductions(mb, seen)
                 if n <= width:  # the rows' only block: make ``seen`` their running sums
                     _running(run)
-            else:
-                if c0 % CHUNK_CELLS:  # the chunk's sums so far lead this block's
-                    mb[:, :, 0] += acc[:, :, -1]
+            else:  # left to right, from the rows' running sums so far
+                mb[:, :, 0] += totals[:, r0:r1]
                 acc = np.add.accumulate(mb, axis=2, out=mb)
-                seen = acc[:, :, -1]
+                seen = totals[:, r0:r1] = acc[:, :, -1]
                 if prefix is not None:
-                    prefix[:, r0:r1, c0:c1] = totals[:, r0:r1, None] + acc
-                if c1 % CHUNK_CELLS == 0 or c1 == n:  # the chunk ends here
-                    sums, seen = seen, totals[:, r0:r1]
-                    seen += sums
+                    prefix[:, r0:r1, c0:c1] = acc
             if not checked and not np.isfinite(seen).all():  # a finite total has finite terms
                 mb = _products(v, xs, at, vals) if mb is None else mb
                 _non_finite(seen, v, pts, mb, xs, pairwise, r0)
@@ -512,12 +482,11 @@ def _non_finite(seen, v, pts, mb, xs, pairwise: bool, r0: int):
     """Raise RowError for the lowest row of a block whose sums are not finite.
 
     ``seen`` holds the block's rows' sums: their stretch subtotals or
-    running sums (``pairwise``), or their totals so far or their chunk's
-    running sums.  Names the row's first non-finite value (``v`` at
-    ``pts``), or else the first cell at which the running sum of its
-    products m·Δx (``mb``, or already their running sums unless
-    ``pairwise``) overflowed; if none did, a partial sum overflowed, at the
-    block's first cell.
+    running sums (``pairwise``), or their running sums so far.  Names the
+    row's first non-finite value (``v`` at ``pts``), or else the first cell
+    at which the running sum of its products m·Δx (``mb``, or already their
+    running sums unless ``pairwise``) overflowed; if none did, a partial sum
+    overflowed, at the block's first cell.
     """
     r = int(np.argmax(~np.isfinite(seen).reshape(2, len(v), -1).all(axis=(0, 2))))
     _check_finite(v[r : r + 1], pts[r : r + 1], r0 + r)
@@ -571,10 +540,12 @@ def _result(xs, parts):
 
 
 def _entries(crit_ts, crit_vals, crit_rows):
+    """The entries (rows, ts, vals), ordered by row and within a row by t."""
     crit_ts = np.asarray(crit_ts, dtype=np.float64)
     if crit_rows is None:
         crit_rows = np.zeros(len(crit_ts), dtype=np.int64)
-    return crit_rows, crit_ts, np.asarray(crit_vals, dtype=np.float64)
+    order = np.lexsort((crit_ts, crit_rows))  # stable: sorted entries keep their order
+    return np.asarray(crit_rows)[order], crit_ts[order], np.asarray(crit_vals, dtype=np.float64)[order]
 
 
 def _prefixes(prog: Program | None, xs, entries=None, s: int = 0, evalf=None):
@@ -595,7 +566,9 @@ def darboux_endpoint(prog: Program, xs):
 def darboux_critical(prog: Program, xs, crit_ts, crit_vals, crit_rows=None):
     """Endpoint extrema folded with the critical (t, value) entries of each cell.
 
-    In a band, entry i belongs to row ``crit_rows[i]``; rows are sorted.
+    In a band, entry i belongs to row ``crit_rows[i]``.  Entries may come in
+    any order: they are sorted by (row, t) first, which moves no bit, as
+    the min and max folds commute.
     """
     entries = _entries(crit_ts, crit_vals, crit_rows)
     return _result(xs, _sum_cells(prog, _rows(xs), entries))

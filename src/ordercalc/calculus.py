@@ -134,25 +134,25 @@ def numeric_derivative(f: LatticeFunction, x: Element, interval: OrderInterval) 
 class _CumulativeGrid:
     """Row ``row`` of ``band`` at the level where its bracket closed, kept by stretch.
 
-    ``level`` is that level, one row of n uniform cells; ``running`` holds
-    the running lower and upper sums at the end of each of its stretches of
-    ``STRETCH_CELLS`` cells (``ends`` are the level's points there), the
-    last being the row's total; ``widen_l`` and ``widen_u`` are the level's
-    sampled widenings.  A read at x inside stretch k adds to the running
-    sum at the end of stretch k - 1 one left-to-right sum, by ``band.sums``,
-    over the level's own points of stretch k up to x, with x itself as the
-    end of its partial cell.  A read exactly at a stretch end, hi included,
-    is the running sum kept there, so the bracket at hi is ``integrate``'s,
-    bit for bit.  Reads in one stretch share its leading running sum and
-    its cells' products, so the grid errors of nearby reads cancel in their
-    differences.  Queries are read-only.
+    ``level`` is that level, one row of n uniform cells, and its
+    ``running`` holds the running lower and upper sums at the end of each
+    of its stretches of ``STRETCH_CELLS`` cells (``ends`` are the level's
+    points there), the last being the row's total; ``widen_l`` and
+    ``widen_u`` are the level's sampled widenings.  A read at x inside
+    stretch k adds to the running sum at the end of stretch k - 1 one
+    left-to-right sum, by ``band.sums``, over the level's own points of
+    stretch k up to x, with x itself as the end of its partial cell.  A
+    read exactly at a stretch end, hi included, is the running sum kept
+    there, so the bracket at hi is ``integrate``'s, bit for bit.  Reads in
+    one stretch share its leading running sum and its cells' products, so
+    the grid errors of nearby reads cancel in their differences.  Queries
+    are read-only.
     """
 
     band: object
     row: int
     level: UniformRows
     ends: np.ndarray
-    running: np.ndarray
     widen_l: float
     widen_u: float
 
@@ -161,7 +161,7 @@ class _CumulativeGrid:
         if not (lo <= x <= hi):
             raise ValueError(f"antiderivative queried outside its interval: {x!r}")
         k = int(self.ends.searchsorted(x, "right")) - 1
-        low, up = self.running[:, k - 1] if k else (0.0, 0.0)
+        low, up = self.level.running[:, 0, k - 1] if k else (0.0, 0.0)
         if self.ends[k] < x:  # inside stretch k: its cells up to x, the last one cut at x
             c0 = k * STRETCH_CELLS
             xs = self.level.block(0, 1, c0, min(c0 + STRETCH_CELLS, self.level.n))
@@ -184,25 +184,20 @@ def _band_grids(band, sched: ToleranceSchedule) -> list[_CumulativeGrid]:
 
     The band is refined by ``_refine`` on ``integrate``'s own levels,
     probe levels included (each at most 2^-5 of the cost of a row's due
-    level), each keeping its rows' running sums at their stretch ends.  A
-    row keeps those of the level at which it stopped: where its bracket
-    closed, or ``max_depth``.  So each atom stops at ``integrate``'s depth,
-    with its sums, and fails where ``integrate`` fails.
+    level), each pass's level holding its rows' running sums at their
+    stretch ends.  A row keeps those of the level at which it stopped:
+    where its bracket closed, or ``max_depth``.  So each atom stops at
+    ``integrate``'s depth, with its sums, and fails where ``integrate``
+    fails.
     """
     grids: list = [None] * len(band.atoms)
-
-    def measure(rows, depth):
-        level = UniformRows(band.lo[rows], band.hi[rows], 1 << depth, running=True)
-        return (*band.sums(rows, level), level)
-
-    passes = _refine(band, np.arange(len(band.atoms)), sched, measure)
-    for depth, rows, (_, _, _, shut), (*sums, level) in passes:
+    for depth, rows, (_, _, _, shut), level, sums in _refine(band, np.arange(len(band.atoms)), sched):
         for i in np.flatnonzero(shut | (depth >= sched.max_depth)):
             r = int(rows[i])
             one = UniformRows(band.lo[r : r + 1], band.hi[r : r + 1], level.n)
-            running, widen = level.running[:, i].copy(), (float(sums[2][i]), float(sums[3][i]))
-            grids[r] = _CumulativeGrid(band, r, one, one.ends()[0], running, *widen)
-        del sums, level  # before the next, larger, pass
+            one.running[:, 0] = level.running[:, i]
+            grids[r] = _CumulativeGrid(band, r, one, one.ends()[0], float(sums[2][i]), float(sums[3][i]))
+        del level, sums  # before the next, larger, pass
     return grids
 
 

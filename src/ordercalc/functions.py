@@ -648,7 +648,7 @@ def continuity_modulus(
             if h == 0.0:
                 mods[i] = 0.0
                 continue
-            w = min(grid - 1, max(1, int(np.floor(d[i] / h + 1e-12))))
+            w = math.floor(min(grid - 1, max(1, d[i] / h + 1e-12)))  # clamped first: d/h can overflow
             windows = np.lib.stride_tricks.sliding_window_view(vals[i], w + 1)
             mods[i] = float((windows.max(axis=1) - windows.min(axis=1)).max())
         out.append(Element(mods))

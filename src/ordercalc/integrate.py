@@ -194,8 +194,9 @@ class _Band:
             raise KernelEvalError(int(self.atoms[rows[err.row]]), err.cause) from err.cause
 
     def level(self, rows: np.ndarray, n: int):
-        """Level sums of ``rows`` over n uniform cells each."""
-        return self.sums(rows, _kernels.UniformRows(self.lo[rows], self.hi[rows], n))
+        """The level of ``rows`` over n uniform cells each, holding their running sums, and its sums."""
+        level = _kernels.UniformRows(self.lo[rows], self.hi[rows], n)
+        return level, self.sums(rows, level)
 
     def _entries(self, rows: np.ndarray, part=None):
         """The entries of ``rows`` (or of ``part``), renumbered to their positions; None if none."""
@@ -248,10 +249,17 @@ def _make_bands(f: LatticeFunction, lo: np.ndarray, hi: np.ndarray, rep=None):
     atom whose isolation found its kernel unbounded, or None.  Isolation
     goes on for the atoms below it only, and the bands hold only those, as
     ``_refine`` does within a band: the caller sums them and raises the
-    lower of their error and this one (``_each(fn, bands, error)``).
+    lower of their error and this one (``_each(fn, bands, error)``).  An
+    interval wider than the float range, whose width hi - lo overflows, has
+    no cells to sum: the lowest such atom raises ValueError first.
     """
     if f.dim != len(lo):
         raise ValueError("dimension mismatch")
+    with np.errstate(over="ignore"):
+        wide = np.flatnonzero(~np.isfinite(hi - lo))
+    if len(wide):
+        i = int(wide[0])
+        raise ValueError(f"atom {i}: the interval [{float(lo[i])!r}, {float(hi[i])!r}] is wider than the float range")
     atoms = range(f.dim) if rep is None else np.flatnonzero(rep == np.arange(f.dim)).tolist()
     bands, error, limit = [], None, f.dim
     for kernel, group in _kernel_groups(f.kernels, atoms):
@@ -327,33 +335,32 @@ def _next_due(depth: int, lower, upper, scale, tol: float) -> np.ndarray:
     return depth + k
 
 
-def _refine(band: _Band, rows: np.ndarray, sched: ToleranceSchedule, measure=None):
+def _refine(band: _Band, rows: np.ndarray, sched: ToleranceSchedule):
     """Refine ``rows`` of ``band`` until each closes; yield each pass.
 
-    ``measure(rows, depth)`` sums ``rows`` over the 2^depth uniform cells
-    of that level and returns their L, U, widen_L and widen_U, then
-    anything else the caller keeps; by default it is ``band.level``, which
-    returns those four only.  Each pass yields (depth, rows, (mid,
-    lower, upper, shut), found), where ``found`` is what ``measure``
-    returned and a row is shut when its widened bracket has
-    gap <= tol*(1+|mid|).  Every row is summed at depth 0.  After that an
-    open row of a sampled band steps by 1, and one of an exact band moves
-    to ``_next_due``, clamped to ``max_depth``, with S taken from the
-    depth-0 pass.  From depth 0 only, an exact row whose due depth e is at
-    most ``max_depth`` and above ``_PROBE_OFFSET`` is summed first at the
-    probe level e - ``_PROBE_OFFSET``, below its first closing depth, and
-    moves to ``_next_due`` from there.  The probe adds at most one level
-    per row, costing at most 2^-5 of its due level (and so of the level it
-    closes at), and at most one pass per distinct due depth of a band.  A row
-    stops when it shuts or reaches ``max_depth``; each row's depths
-    therefore do not depend on the other rows.
+    Each pass sums the rows due at its depth by ``band.level`` over the
+    2^depth uniform cells of that level, and yields (depth, rows, (mid,
+    lower, upper, shut), level, sums): ``level`` is the ``UniformRows``
+    summed, holding the rows' running sums at its stretch ends, ``sums``
+    their L, U, widen_L and widen_U, and a row is shut when its widened
+    bracket has gap <= tol*(1+|mid|).  Every row is summed at depth 0.
+    After that an open row of a sampled band steps by 1, and one of an
+    exact band moves to ``_next_due``, clamped to ``max_depth``, with S
+    taken from the depth-0 pass.  From depth 0 only, an exact row whose due
+    depth e is at most ``max_depth`` and above ``_PROBE_OFFSET`` is summed
+    first at the probe level e - ``_PROBE_OFFSET``, below its first closing
+    depth, and moves to ``_next_due`` from there.  The probe adds at most
+    one level per row, costing at most 2^-5 of its due level (and so of
+    the level it closes at), and at most one pass per distinct due depth of
+    a band.  A row stops when it shuts or reaches ``max_depth``; each row's
+    depths therefore do not depend on the other rows.
 
-    Error rule: when ``measure`` raises ``KernelEvalError`` for atom a, the
+    Error rule: when a level raises ``KernelEvalError`` for atom a, the
     error is kept and only the rows of atoms below a are refined further,
     from the depth that failed.  At the end the last kept error, that of
     the lowest atom at fault, is raised, as if the atoms ran one by one; an
     error may thus take as long as refining the atoms below it.  Callers
-    must hold no part of ``found`` across the next pass.
+    must hold neither ``level`` nor ``sums`` across the next pass.
     """
     due = np.zeros(len(rows), dtype=np.int64)
     scale = np.zeros(len(rows))  # S, from the first pass on
@@ -362,16 +369,16 @@ def _refine(band: _Band, rows: np.ndarray, sched: ToleranceSchedule, measure=Non
         depth = int(due.min())
         now = due == depth
         try:
-            found = measure(rows[now], depth) if measure else band.level(rows[now], 1 << depth)
+            level, sums = band.level(rows[now], 1 << depth)
         except KernelEvalError as err:
             error, below = err, band.atoms[rows] < err.atom
             rows, due, scale = rows[below], due[below], scale[below]
             continue
-        mid = 0.5 * (found[0] + found[1])
-        lower, upper = found[0] - found[2], found[1] + found[3]
+        mid = 0.5 * (sums[0] + sums[1])
+        lower, upper = sums[0] - sums[2], sums[1] + sums[3]
         shut = upper - lower <= sched.tol * (1.0 + np.abs(mid))
-        yield depth, rows[now], (mid, lower, upper, shut), found
-        del found  # before the next, larger, pass
+        yield depth, rows[now], (mid, lower, upper, shut), level, sums
+        del level, sums  # before the next, larger, pass
         go = ~shut & (depth < sched.max_depth)
         if depth == 0:  # the first pass, where every row is due
             scale = np.maximum(np.abs(lower), np.abs(upper))
@@ -494,7 +501,7 @@ def integrate(
 
     def run(band) -> int:
         """Refine ``band``, keeping each atom's last bracket; the deepest level summed."""
-        for depth, rows, (mid, lo, up, shut), _ in _refine(band, np.arange(len(band.atoms)), sched):
+        for depth, rows, (mid, lo, up, shut), _, _ in _refine(band, np.arange(len(band.atoms)), sched):
             atoms = band.atoms[rows]
             value[atoms], lower[atoms], upper[atoms], closed[atoms] = mid, lo, up, shut
         return depth

@@ -233,11 +233,12 @@ def _assert_antiderivative_is_per_atom(f, iv, sched, critical=()):
     for i, (read, depth) in enumerate(refs):
         grid = F.kernels[i].func.__self__
         assert grid.level.n == 1 << depth, i
-        assert _bits(*grid.running[0]) == _bits(*read.running[0]), i
-        assert _bits(*grid.running[1]) == _bits(*read.running[1]), i
+        assert _bits(*grid.level.running[0, 0]) == _bits(*read.running[0]), i
+        assert _bits(*grid.level.running[1, 0]) == _bits(*read.running[1]), i
         assert _bits(*grid.bracket(hi[i])) == _bits(whole.lower[i], whole.upper[i]), i
         for m in range(1, len(grid.ends)):  # a read at a stretch end is the running sum kept there
-            low, up = grid.running[0][m - 1] - grid.widen_l, grid.running[1][m - 1] + grid.widen_u
+            run = grid.level.running[:, 0, m - 1]
+            low, up = run[0] - grid.widen_l, run[1] + grid.widen_u
             assert _bits(*grid.bracket(grid.ends[m])) == _bits(low, up), (i, m)
     rng = np.random.default_rng(0)
     points = [lo, hi] + [lo + u * (hi - lo) for u in rng.uniform(0.0, 1.0, (40, f.dim))]

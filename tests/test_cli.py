@@ -143,6 +143,13 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1
 
 
+def test_interval_wider_than_the_float_range_exits_one(capsys):
+    code, out, err = run_cli(
+        "integrate", "--dim", "1", "--lo=-1e308", "--hi", "1e308", "--kernel", "t", capsys=capsys,
+    )
+    assert code == 1 and out == "" and "wider than the float range" in err
+
+
 _BASE_ARGS = {
     "integrate": ["integrate", "--kernel", "t", "--lo", "0", "--hi", "1"],
     "signed-integrate": ["signed-integrate", "--kernel", "t", "--a", "0", "--b", "1"],

@@ -18,7 +18,7 @@ from ordercalc.functions import (
 from ordercalc.calculus import antiderivative, numeric_derivative
 from ordercalc.integrate import ToleranceSchedule, darboux_sums, integrate, riemann_sum, signed_integrate
 from ordercalc.lattice import Band, Element, OrderInterval
-from ordercalc.partitions import tag, uniform
+from ordercalc.partitions import Partition, tag, uniform
 
 
 def E(*coords):
@@ -431,6 +431,12 @@ def test_continuity_modulus_square():
     assert mod[0] == pytest.approx(0.19, abs=5e-3)
 
 
+def test_continuity_modulus_on_a_narrow_interval():
+    # Cells of 1e-310/1024 make d/h overflow; the window is clamped to the grid first.
+    f = LatticeFunction.coordinatewise("t^2", dim=1)
+    assert continuity_modulus(f, interval((0.0,), (1e-310,)), [E(1.0)]) == [E(0.0)]
+
+
 def test_continuity_modulus_constant_and_validation():
     f = LatticeFunction.coordinatewise(ScalarKernel.constant(3.0), dim=2)
     [mod] = continuity_modulus(f, UNIT2, [E(0.5, 0.5)])
@@ -567,3 +573,22 @@ def test_scalar_eval_is_one_point_eval_many_bit_for_bit_where_an_inf_is_absorbed
     got = f.eval(Element([0.4])).data
     assert got.tobytes() == f.eval_many(np.array([[0.4]]))[:, 0].tobytes()
     assert got[0] == 2.4999999999999996
+
+
+# -- intervals wider than the float range ------------------------------------------
+
+def test_an_interval_wider_than_the_float_range_fails_fast():
+    # hi - lo overflows for atom 1 (and atom 2): every entry point that sums
+    # or isolates over the interval names the lowest such atom and its
+    # bounds, before any kernel is evaluated and without a warning.
+    f = LatticeFunction.coordinatewise(["t", "t^2", "sin(t)"])
+    box = interval((0.0, -1e308, -1.5e308), (1.0, 1e308, 1e308))
+    calls = [
+        lambda: integrate(f, box),
+        lambda: antiderivative(f, box),
+        lambda: extrema(f, box),
+        lambda: darboux_sums(f, Partition((box.lo, box.hi), box)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"atom 1: the interval \[-1e\+308, 1e\+308\] is wider than the float range"):
+            call()

@@ -267,7 +267,7 @@ def _sweep(f, iv, sched):
     for depth in range(sched.max_depth + 1):
         still_open = []
         for band, rows in live:
-            lo, up, widen_lo, widen_up = band.level(rows, 1 << depth)
+            _, (lo, up, widen_lo, widen_up) = band.level(rows, 1 << depth)
             mid, lo, up = 0.5 * (lo + up), lo - widen_lo, up + widen_up
             atoms = band.atoms[rows]
             value[atoms], lower[atoms], upper[atoms], last[atoms] = mid, lo, up, depth
@@ -440,7 +440,7 @@ def _assert_exact_atoms_sum_a_probe_and_their_closing_level(f, iv, sched):
     for band in (band for band in bands if not band.sampled):
         levels = {}
         try:
-            for depth, rows, (mid, lower, upper, shut), _ in _refine(band, np.arange(len(band.atoms)), sched):
+            for depth, rows, (mid, lower, upper, shut), _, _ in _refine(band, np.arange(len(band.atoms)), sched):
                 for r, *level in zip(rows.tolist(), mid, lower, upper, shut):
                     levels.setdefault(r, []).append((depth, *level))
         except KernelEvalError:  # the rows below the failing atom were refined in full

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from ordercalc import _kernels_fallback as K
-from ordercalc._kernels_fallback import CHUNK_CELLS
 from ordercalc.functions import KernelEvalError, LatticeFunction, ScalarKernel
 from ordercalc.integrate import ToleranceSchedule, integrate
 from ordercalc.lattice import Element, OrderInterval
@@ -29,14 +28,8 @@ def _products(prog, xs, crit_ts, crit_vals):
 
 
 def _reference_sums(prog, xs, crit_ts, crit_vals):
-    """The given-rows order written plainly: left to right in chunks of CHUNK_CELLS cells."""
-    m, big = _products(prog, xs, crit_ts, crit_vals)
-    lo = up = 0.0
-    for c0 in range(0, len(m), CHUNK_CELLS):
-        chunk = slice(c0, c0 + CHUNK_CELLS)
-        lo = lo + np.add.accumulate(m[chunk])[-1]
-        up = up + np.add.accumulate(big[chunk])[-1]
-    return float(lo), float(up)
+    """The given-rows order written plainly: left to right over the whole row, from 0."""
+    return tuple(float(np.add.accumulate(np.append(0.0, p))[-1]) for p in _products(prog, xs, crit_ts, crit_vals))
 
 
 def _stretch_subtotals(prog, xs, crit_ts, crit_vals):
@@ -60,10 +53,10 @@ def _band(src, lo, hi):
     return k, (rows, ts, vals)
 
 
-@pytest.mark.parametrize("n", [1, 2**12, 2**13 + 5, 2 * CHUNK_CELLS + 2**11])
+@pytest.mark.parametrize("n", [1, 2**12, 2**13 + 5, 2**19 + 2**11])
 def test_uniform_rows_equal_one_row_sums(n):
-    # Blocks of many short rows, and long rows in several blocks and chunks
-    # with critical entries on both sides of a block and a chunk boundary.
+    # Blocks of many short rows, and long rows in several blocks with
+    # critical entries on both sides of a block boundary.
     lo = np.array([-1.0, -0.3, 0.5, 0.2, -2.0])
     hi = np.array([1.0, 0.9, 0.5, 1.7, 0.3])
     k, entries = _band("t^3 - t", lo, hi)
@@ -90,13 +83,13 @@ def test_uniform_rows_equal_one_row_sums(n):
 
 @pytest.mark.parametrize("n", [1, 3 * K.STRETCH_CELLS, 2**13 + 5, 2**14])
 def test_uniform_rows_keep_the_running_sums_at_stretch_ends(n):
-    # A grid built with running=True keeps, per row, the running sums of the
-    # reference order at each stretch end (a short last stretch included),
-    # the last being the row's total; ends() are the level's points there.
+    # A grid keeps, per row, the running sums of the reference order at
+    # each stretch end (a short last stretch included), the last being the
+    # row's total; ends() are the level's points there.
     lo = np.array([-1.0, -0.3, 0.5, 0.2])
     hi = np.array([1.0, 0.9, 0.5, 1.7])
     k, (e_rows, e_ts, e_vals) = _band("t^3 - t", lo, hi)
-    grid = K.UniformRows(lo, hi, n, running=True)
+    grid = K.UniformRows(lo, hi, n)
     got = K.darboux_critical(k.program, grid, e_ts, e_vals, e_rows)
     g = K.STRETCH_CELLS
     assert grid.running.shape == (2, len(lo), -(-n // g))
@@ -173,7 +166,7 @@ def test_monotone_callable_point_sums_over_several_stretches():
                 assert got[0][r] <= exact <= got[1][r], (n, r)
 
 
-@pytest.mark.parametrize("n", [1, 4096, 2**13 + 5, 2 * CHUNK_CELLS + 2**11])
+@pytest.mark.parametrize("n", [1, 4096, 2**13 + 5, 2**19 + 2**11])
 def test_uniform_level_sums_within_the_sequential_error_bound(n):
     # |sum - fsum| <= gamma_{n-1} * sum |m_k dx_k|, the bound of a left-to-right sum.
     u = 2.0**-53
@@ -284,14 +277,14 @@ def test_totals_overflowing_across_blocks_name_the_lowest_row():
             K.darboux_endpoint(prog, grid)
         assert info.value.row == 1 and isinstance(info.value.cause, OverflowError)
         assert f"[1.0, {1.0 + 1.0 / K.BLOCK_CELLS!r}]" in str(info.value)
-        # Left to right, the total is taken once per chunk: the row is
-        # named at the first cell of the block that ends its second chunk.
-        n = 3 * CHUNK_CELLS
+        # Left to right, the row is named at the cell where its running sum
+        # overflowed: each cell adds 1e308·2^-18, and the float range ends
+        # after 1.7976931348623157·2^18 ≈ 471254.47 of them, in cell 471254.
+        n = 3 * 2**18
         with pytest.raises(K.RowError) as info:
             K.prefix_endpoint(prog, uniform_grid(0.0, 3.0, n))
         assert isinstance(info.value.cause, OverflowError)
-        t = 3.0 * (2 * CHUNK_CELLS - K.BLOCK_CELLS) / n
-        assert f"[{t!r}, " in str(info.value)
+        assert f"[{471254 * 2.0**-18!r}, {471255 * 2.0**-18!r}]" in str(info.value)
 
 
 def test_short_rows_overflowing_across_stretches_name_the_lowest_row():
@@ -353,37 +346,44 @@ def test_uniform_rows_blocks_equal_uniform_grid(n):
             assert got.tobytes() == uniform_grid(lo[r0:r1], hi[r0:r1], n)[:, c0 : c1 + 1].tobytes()
 
 
-def test_entry_cells_match_a_search_of_the_whole_row():
-    # Each block of a row places a point in the cell a search of the whole
-    # row finds, or outside the block when that cell is in another block.
-    rng = np.random.default_rng(7)
-    n = 1000
-    for lo, hi in [(-1.0, 1.0), (0.0, 1e-300), (1e16, 1e16 + 64.0), (3.0, 3.0 + 1e-12)]:
-        row = uniform_grid(lo, hi, n)  # repeated points in the last three
-        ts = np.concatenate([rng.choice(row, 30), rng.uniform(lo, hi, 16), [lo, hi, lo - 1, hi + 1]])
-        want = np.clip(np.searchsorted(row, ts, side="right") - 1, 0, n - 1)
-        for c0, c1 in [(0, n), (0, 300), (300, 700), (700, n)]:
-            got = K._entry_cells(row[None, c0 : c1 + 1], ts, [0, len(ts)], c0 == 0, c1 == n)
-            inside = (want >= c0) & (want < c1)
-            assert np.array_equal(got[inside], want[inside] - c0)
-            assert not ((got[~inside] >= 0) & (got[~inside] < c1 - c0)).any()
-
-
+@pytest.mark.parametrize("kind", [K.UniformRows, K.GivenRows])
 @pytest.mark.parametrize("n", [1, 1000, 2**20])
-def test_uniform_cells_match_a_search_of_the_whole_row(n):
-    # UniformRows.cells, bisecting about floor((t - lo)/step) against the
-    # row's points, gives each point the cell a search of the whole row
-    # finds, past runs of repeated points (of about 30 and 16000 points on
-    # [1e16, 1e16 + 64]), on a row of zero width and beyond the row's ends.
+def test_grid_cells_match_a_search_of_the_whole_row(kind, n):
+    # Each kind of grid gives each point the cell a search of the whole row
+    # finds: UniformRows.cells by bisecting about floor((t - lo)/step)
+    # against the row's points, past runs of repeated points (of about 30
+    # and 16000 points on [1e16, 1e16 + 64]), on a row of zero width and
+    # beyond the row's ends; GivenRows.cells by searching each row.
     rng = np.random.default_rng(8)
     lo = np.array([-1.0, 0.0, 1e16, 3.0, 3.0, -2.5e-300])
     hi = np.array([1.0, 1e-300, 1e16 + 64.0, 3.0 + 1e-12, 3.0, 7e-301])
-    grid = K.UniformRows(lo, hi, n)
+    grid = K.UniformRows(lo, hi, n) if kind is K.UniformRows else K.GivenRows(uniform_grid(lo, hi, n))
+    want, rows, ts = [], [], []
     for r in range(len(lo)):
         row = uniform_grid(lo[r], hi[r], n)
-        ts = np.concatenate([rng.choice(row, 30), rng.uniform(lo[r], hi[r], 16), [lo[r], hi[r], lo[r] - 1, hi[r] + 1]])
-        want = np.clip(np.searchsorted(row, ts, side="right") - 1, 0, n - 1)
-        assert np.array_equal(grid.cells(np.full(len(ts), r), ts), want), r
+        t = np.concatenate([rng.choice(row, 30), rng.uniform(lo[r], hi[r], 16), [lo[r], hi[r], lo[r] - 1, hi[r] + 1]])
+        want.append(np.clip(np.searchsorted(row, t, side="right") - 1, 0, n - 1))
+        rows.append(np.full(len(t), r))
+        ts.append(t)
+        assert np.array_equal(grid.cells(rows[-1], t), want[-1]), r
+    order = rng.permutation(sum(map(len, ts)))  # all rows at once, in any order
+    got = grid.cells(np.concatenate(rows)[order], np.concatenate(ts)[order])
+    assert np.array_equal(got, np.concatenate(want)[order])
+
+
+@pytest.mark.parametrize("n", [64, 4 * K.BLOCK_CELLS])
+@pytest.mark.parametrize("kind", [K.UniformRows, K.GivenRows])
+def test_entries_in_any_order_sum_as_sorted(kind, n):
+    # Entries are ordered by (row, t) before they are placed, so shuffled
+    # entries sum bit for bit as sorted ones, on a long row in blocks and
+    # on short rows sharing a block.
+    lo, hi = np.array([0.0, -1.0, 0.5]), np.array([3.0, 2.0, 0.9])
+    k, (rows, ts, vals) = _band("sin(40*t)", lo, hi)
+    grid = K.UniformRows(lo, hi, n) if kind is K.UniformRows else K.GivenRows(uniform_grid(lo, hi, n))
+    want = K.darboux_critical(k.program, grid, ts, vals, rows)
+    p = np.random.default_rng(9).permutation(len(ts))
+    got = K.darboux_critical(k.program, grid, ts[p], vals[p], rows[p])
+    assert got.tobytes() == want.tobytes()
 
 
 C1 = 1.0 + 100 / 8192  # grid points of [0, 3] and [C1 - 0.5, C1 + 2.5] at 3 * 2^13 cells
