@@ -1,12 +1,13 @@
 """Numpy evaluation of stack programs and their Darboux sums over rows of cells.
 
 Every sum runs through ``_sum_cells``, which takes rows of breakpoints (one
-row per atom of a band, all with the same number of cells) and evaluates
-them in blocks of at most ``BLOCK_CELLS`` cells: several whole rows while
-rows are that short, otherwise one part of one row at a time.  Every kind
-of grid places its critical entries by one rule, ``cells``: each entry goes
-to the cell a search of its whole row finds.  Rows are summed in one of
-two orders, chosen by the kind of grid:
+row per atom of a band, all with the same number of cells).  It decides how
+to sum them in blocks of at most ``BLOCK_CELLS`` cells, and evaluates them
+in chunks of at most ``CHUNK_CELLS`` cells, whole blocks each: several
+whole rows while rows are short, otherwise one part of one row at a time.
+Every kind of grid places its critical entries by one rule, ``cells``: each
+entry goes to the cell a search of its whole row finds.  Rows are summed in
+one of two orders, chosen by the kind of grid:
 
 - ``UniformRows`` (every refinement level of ``integrate``): a row is cut
   into stretches of ``STRETCH_CELLS`` cells (a row shorter than that is one
@@ -14,7 +15,7 @@ two orders, chosen by the kind of grid:
   running sum at the end of each stretch is a prefix of the level's own
   total.  A row long enough to be summed alone, a block at a time, sums
   each stretch of a block that holds none of its entries from its point
-  values: f is monotone there, so its Darboux sums are Riemann sums tagged
+  values (one reduction for a whole chunk): f is monotone there, so its Darboux sums are Riemann sums tagged
   at an end, step·(inner values + the lesser or greater end value), with
   the inner values summed by one pairwise reduction.  Every other stretch
   (in a block that holds an entry, on a shorter row, or of a sampled pass)
@@ -26,7 +27,7 @@ two orders, chosen by the kind of grid:
   reads.
 - ``GivenRows`` and 1-D breakpoint arrays (explicit partitions, the reads of
   an antiderivative within a stretch, and the ``prefix_*`` calls): each row
-  is summed left to right over the whole row, each block's running sum
+  is summed left to right over the whole row, each chunk's running sum
   starting from the row's running sum so far.  Prefixes are that running
   sum, its error is at most γ_(n-1)·Σ|m·Δx| for a row of n cells, and the
   sequential order makes a cell of zero width (a repeated point) add
@@ -40,21 +41,26 @@ for sums, ``prefix_*`` for per-cell running sums, and the ``_fn`` twins
 of both for callables) sum a whole band, or one row given as a 1-D
 breakpoint array.  No library path calls the ``prefix_*`` entry points any
 more; they are kept for the benchmark, which times and traces them.
-``_run`` evaluates a program over arrays of points through ``_tape.run``,
-which alone steps through programs; this module supplies only the numpy
-evaluator's op table, ``_OPS``.  ``BLOCK_CELLS`` and ``STRETCH_CELLS`` are
+Programs are evaluated over arrays of points through ``_tape.run``, which
+alone steps through programs; this module supplies the numpy evaluator's op
+table, ``_OPS``, and ``_IN_PLACE``, the same table writing each result into
+a buffer of ``_Buffers``: a sum allocates those once a call, and every chunk
+reuses them.  ``BLOCK_CELLS``, ``CHUNK_CELLS`` and ``STRETCH_CELLS`` are
 defined here, beside the one loop that reads them.  Stretches fix the
 summation order of uniform levels, which this module owns, and the tape
 format has no part in it.  Blocks fix the bits too: whether a row of a
 uniform level is point-summed (more than BLOCK_CELLS/2 cells), and which of
 its blocks hold an entry and so sum their products, both depend on
 ``BLOCK_CELLS``.  A retune of it moves bits, so it must re-check that every
-atom's closing depth is unchanged.
+atom's closing depth is unchanged.  Chunks fix only the evaluation (how
+many points a program runs on at once, and how large the buffers are):
+``CHUNK_CELLS`` moves no bit.
 """
 
 from __future__ import annotations
 
-from functools import partial
+import threading
+from functools import cache, partial
 
 import numpy as np
 
@@ -81,9 +87,9 @@ from .partitions import grid_points
 
 NAME = "numpy"
 
-# The numpy evaluator's op table.  ``^`` is ``expr._ipow``, which the float
-# op table behind ``expr.eval_expr`` shares, so scalar and array values agree
-# bit for bit.
+# The numpy evaluator's op table, out of place; ``_IN_PLACE`` below is the
+# form that runs.  ``^`` is ``expr._ipow``, which the float op table behind
+# ``expr.eval_expr`` shares, so scalar and array values agree bit for bit.
 _OPS = {
     OP_NEG: np.negative,
     OP_ADD: np.add,
@@ -101,13 +107,23 @@ _OPS = {
     OP_MAX2: np.maximum,
 }
 
-# Cells evaluated at once.  An array of this many float64 (64 KiB) stays
-# below glibc's 128 KiB mmap threshold, so a block's temporaries come from
-# the heap: at 2^15 cells they were fresh mappings, and the oracle workload
-# took 36-97k page faults a pass instead of 3.  It also decides which rows
-# and blocks of a uniform level are point-summed, so it moves bits (see the
-# module docstring).
+# Cells whose sums are decided together.  A row of a uniform level is
+# point-summed when it has more than BLOCK_CELLS/2 cells; each block of such
+# a row that holds an entry, or whose point sums are not finite, sums its
+# products instead; and a long row whose running sum overflows only across
+# stretches is named at the first cell of the block where it did.  So blocks
+# fix the bits, and a retune of this moves them (see the module docstring).
 BLOCK_CELLS = 1 << 13
+
+# Cells evaluated at once, in whole blocks: one part of a long row, or as
+# many whole rows as fit.  Chunks fix only the evaluation, never the bits.
+# A sum allocates its buffers once, for its first (largest) chunk, and every
+# later chunk reuses them; a sampled pass evaluates s + 1 points a cell, so
+# its chunks are one block.  Measured in-process on the benchmark's oracle
+# workload (2 vCPUs, numpy 2.4.6), a pass took 0.62-0.64 of the time of
+# per-block evaluation at 2^15 cells and 0.77-0.82 at 2^14; a call's one
+# allocation, five arrays of its first chunk, is 1.25 MiB at 2^15.
+CHUNK_CELLS = 1 << 15
 
 # Uniform levels sum each stretch of this many cells pairwise, its point
 # values or its products, and add the stretch subtotals left to right.  It
@@ -130,6 +146,142 @@ class RowError(ValueError):
         self.cause = cause
 
 
+def _constant(c):
+    return c
+
+
+class _Buffers:
+    """The buffers the numpy op table writes into, reused from one chunk of points to the next.
+
+    ``run(prog, ts)`` evaluates a program at the points ``ts`` through
+    ``_tape.run`` with ``_IN_PLACE``, which writes into buffers that
+    ``take`` hands out.  The constructor makes one allocation of ``count``
+    arrays of ``shape``, that of the first (largest) chunk's points or
+    samples.  The first holds the points of each chunk (``points``), the
+    next two the values (enough for t^3 - t, and for every kernel of the
+    benchmark), and the last two, when there are five, the products m·Δx
+    (``scratch``).  A sum makes one a call, so the allocator can hand the
+    same pages to the next call instead of giving them back, and every
+    chunk reuses them, a smaller one their leading part.  A run that needs
+    more buffers of values allocates them, each as large as the arrays of
+    the allocation; a run's result lives until the next run starts.
+    """
+
+    __slots__ = ("memory", "extra", "free", "taken", "var")
+
+    def __init__(self, shape: tuple = (), count: int = 0):
+        self.memory = np.empty((count, *shape))
+        self.extra: list[np.ndarray] = []  # buffers of values past those
+
+    def points(self, rows: int, cells: int) -> np.ndarray:
+        """An array for the points of a chunk of ``rows`` rows of ``cells`` cells."""
+        xs = self.memory[0]
+        return xs if xs.shape == (rows, cells + 1) else xs[:rows, : cells + 1]
+
+    def scratch(self, rows: int, cells: int) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays for the (2, rows, cells) products of a chunk and for their (rows, cells) widths.
+
+        The widths go into a buffer of values that the last run left free,
+        and it stays free: the second, if the run took one at most.
+        """
+        if self.taken < 2:
+            dx = self.memory[2]
+        else:
+            if not self.free:
+                self.free.append(self.take())
+            dx = self.free[-1]
+        return self.memory[3:5, :rows, :cells], dx[:rows, :cells]
+
+    def run(self, prog: Program, ts: np.ndarray):
+        """The program's values at ``ts``: ``ts`` itself, a scalar, or one of these buffers."""
+        self.start(ts)
+        _using.buffers = self
+        try:
+            return run(prog, ts, _constant, _IN_PLACE)
+        finally:
+            _using.buffers = None
+
+    def start(self, ts: np.ndarray) -> None:
+        """Free every buffer for values at the points ``ts``."""
+        self.var, self.free, self.taken = ts, [], 0
+
+    def take(self) -> np.ndarray:
+        """A free buffer, shaped as the points of this run."""
+        if self.free:
+            return self.free.pop()
+        k = self.taken
+        self.taken = k + 1
+        shape = self.var.shape
+        if k < 2 and len(self.memory):
+            whole = self.memory[1 + k]
+        else:
+            k -= 2 if len(self.memory) else 0  # past the one allocation
+            if k == len(self.extra):  # as large as the allocation's arrays, which later runs fit
+                self.extra.append(np.empty(self.memory.shape[1:] if len(self.memory) else shape))
+            whole = self.extra[k]
+        return whole if whole.shape == shape else whole[tuple(map(slice, shape))]
+
+
+# The buffers of the run in progress on this thread, which ``_IN_PLACE``
+# writes into.  ``_Buffers.run`` sets them around each run; a run calls no
+# Python code that could start another.
+_using = threading.local()
+
+
+def _unary_into(f, x):
+    if type(x) is not np.ndarray:
+        return f(x)
+    ws = _using.buffers
+    return f(x, out=x if x is not ws.var else ws.take())
+
+
+def _binary_into(f, x, y):
+    ws = _using.buffers
+    var = ws.var
+    if type(x) is np.ndarray and x is not var:
+        if type(y) is np.ndarray and y is not var:
+            ws.free.append(y)
+        return f(x, y, out=x)
+    if type(y) is np.ndarray and y is not var:
+        return f(x, y, out=y)
+    if type(x) is np.ndarray or type(y) is np.ndarray:
+        return f(x, y, out=ws.take())
+    return f(x, y)
+
+
+def _mul_into(a, b):
+    ws = _using.buffers
+    if type(a) is np.ndarray and a is not ws.var and a is not b:
+        return np.multiply(a, b, out=a)
+    if type(a) is np.ndarray or type(b) is np.ndarray:
+        return np.multiply(a, b, out=ws.take())
+    return a * b
+
+
+def _pow_into(x, e: int):
+    return _ipow(x, e, _mul_into, _divide_into)
+
+
+def _divide_into(x, y):
+    return _binary_into(np.divide, x, y)
+
+
+# The numpy op table ``_OPS`` made to write in place, into the buffers of
+# the run: each op writes its result into an operand the table owns (an
+# earlier result) or else into a free buffer, and frees the other operand
+# it owned.  Constants stay numpy scalars, an op of scalars alone gives a
+# scalar, and the run's points are never written.  ``^`` is ``expr._ipow``
+# with a multiply that writes into its first operand when the table owns
+# it and it is not also the second.  Results are the bits ``_OPS`` gives
+# out of place.
+_IN_PLACE = {
+    op: _pow_into
+    if op == OP_POW
+    else partial(_binary_into if f.nin == 2 else _unary_into, f)
+    for op, f in _OPS.items()
+}
+
+
 def _run(prog: Program, ts: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         return _steps(prog, ts)
@@ -137,8 +289,10 @@ def _run(prog: Program, ts: np.ndarray) -> np.ndarray:
 
 def _steps(prog: Program, ts: np.ndarray) -> np.ndarray:
     """The program's values at ``ts``, under the caller's ``np.errstate``; always a new array."""
-    out = run(prog, ts, partial(np.full, ts.shape), _OPS)
-    return ts.copy() if out is ts else out
+    out = _Buffers().run(prog, ts)
+    if out is ts:
+        return ts.copy()
+    return out if type(out) is np.ndarray else np.full(ts.shape, out)
 
 
 def eval_many(prog: Program, ts: np.ndarray) -> np.ndarray:
@@ -149,9 +303,14 @@ def eval_many(prog: Program, ts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _finite(x: np.ndarray) -> bool:
+    """Whether every value of ``x`` is finite (as ``np.isfinite(x).all()``, with less overhead)."""
+    return np.logical_and.reduce(np.isfinite(x), axis=None)
+
+
 def _check_finite(vals: np.ndarray, ts: np.ndarray, row0: int = 0) -> None:
     """Raise RowError at the first non-finite value; rows run along axis 0."""
-    if not np.isfinite(vals).all():
+    if not _finite(vals):
         bad = ~np.isfinite(vals)
         i = int(np.argmax(bad))
         row = row0 + (i // bad[0].size if bad.ndim > 1 else 0)
@@ -159,18 +318,30 @@ def _check_finite(vals: np.ndarray, ts: np.ndarray, row0: int = 0) -> None:
         raise RowError(row, EvalDomainError(f"kernel evaluation left the real domain at t={t!r}"))
 
 
-def _values(prog: Program | None, ts: np.ndarray, evalf, row0: int) -> np.ndarray:
-    """Kernel values at a block of points whose first row is row ``row0``, unchecked."""
+def _values(prog: Program | None, ts: np.ndarray, evalf, ws: _Buffers, row0: int):
+    """Kernel values at a chunk of points whose first row is row ``row0``, unchecked, and a failure.
+
+    Returns (values, failed).  The values are ``ts`` itself for the
+    program ``t``, else a buffer of ``ws``.  ``failed`` is None, or (k,
+    RowError) when the callable ``evalf`` raised EvalDomainError in row k
+    of the chunk: rows k on read NaN, so their sums are not finite, and the
+    caller raises it unless a lower row's sums fail first.
+    """
     if evalf is None:
-        out = _steps(prog, ts)
-    else:
-        out = np.empty(ts.shape)
-        for r, row in enumerate(ts):
-            try:
-                out[r] = np.asarray(evalf(row.ravel()), dtype=np.float64).reshape(row.shape)
-            except EvalDomainError as err:
-                raise RowError(row0 + r, err) from err
-    return out
+        out = ws.run(prog, ts)
+        if type(out) is not np.ndarray:  # a constant program
+            value, out = out, ws.take()
+            out.fill(value)
+        return out, None
+    ws.start(ts)
+    out = ws.take()
+    for r, row in enumerate(ts):
+        try:
+            out[r] = np.asarray(evalf(row.ravel()), dtype=np.float64).reshape(row.shape)
+        except EvalDomainError as err:
+            out[r:] = np.nan
+            return out, (r, RowError(row0 + r, err))
+    return out, None
 
 
 class _Rows:
@@ -195,7 +366,8 @@ class GivenRows(_Rows):
         self.xs = xs
         self.rows, self.n = xs.shape[0], xs.shape[1] - 1
 
-    def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    def block(self, r0: int, r1: int, c0: int, c1: int, out=None) -> np.ndarray:
+        """The points of cells c0..c1 of rows r0..r1, read in place: ``out`` is not used."""
         return self.xs[r0:r1, c0 : c1 + 1]
 
     def cells(self, rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -211,18 +383,26 @@ class GivenRows(_Rows):
         return np.clip(cells - 1, 0, self.n - 1)
 
 
-class UniformRows(_Rows):
-    """Row r holds the points of ``uniform_grid(lo[r], hi[r], n)``, built a block at a time.
+@cache
+def _indices() -> np.ndarray:
+    """The float indices 0, 1, ..., CHUNK_CELLS, read-only, that every uniform level forms points from."""
+    ks = np.arange(CHUNK_CELLS + 1, dtype=np.float64)
+    ks.flags.writeable = False
+    return ks
 
-    A block's points are formed by ``grid_points``, as in ``uniform_grid``,
-    from one index row 0, 1, ..., BLOCK_CELLS kept for the grid: c0 + k is
-    an integer, exact in float64, so the points are bit for bit the same.
-    ``step`` holds each row's (hi - lo)/n, on a trailing axis of length 1.
-    Each sum over the grid writes ``running``, a (2, rows, stretches) array
-    of each row's running L and U at the end of each stretch; the last is
-    the row's total.  A sampled sum writes it twice, and its finer pass, the
-    one it reports, writes last.  A prefix sum, which runs in the order of
-    given rows, does not write it.
+
+class UniformRows(_Rows):
+    """Row r holds the points of ``uniform_grid(lo[r], hi[r], n)``, formed a chunk at a time.
+
+    A chunk's points are formed by ``grid_points``, as in ``uniform_grid``,
+    from the shared index row 0, 1, ..., CHUNK_CELLS: c0 + k is an integer,
+    exact in float64, so the points are bit for bit the same.  ``step``
+    holds each row's (hi - lo)/n, on a trailing axis of length 1.  Each sum
+    over the grid writes ``running``, a (2, rows, stretches) array of each
+    row's running L and U at the end of each stretch; the last is the row's
+    total.  A sampled sum writes it twice, and its finer pass, the one it
+    reports, writes last.  A prefix sum, which runs in the order of given
+    rows, does not write it.
     """
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray, n: int):
@@ -231,15 +411,19 @@ class UniformRows(_Rows):
         self.rows, self.n = len(lo), n
         self._lo, self._hi = lo[:, None], hi[:, None]
         self.step = (self._hi - self._lo) / max(n, 1)  # with no cells, never used
-        self._index = np.arange(min(n, BLOCK_CELLS) + 1, dtype=np.float64)
         self.running = np.zeros((2, self.rows, -(-n // STRETCH_CELLS)))
 
-    def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        ks = self._index[: c1 - c0 + 1]
+    def block(self, r0: int, r1: int, c0: int, c1: int, out=None) -> np.ndarray:
+        """The points of cells c0..c1 (at most CHUNK_CELLS) of rows r0..r1; into ``out`` when given.
+
+        The offset c0 is added to the index row where the points go, so a
+        chunk's points take no memory but ``out``'s.
+        """
+        ks = _indices()[: c1 - c0 + 1]
         if c0:
-            ks = ks + c0
+            ks = np.add(ks, c0, out=out)
         r = slice(r0, r1)
-        return grid_points(ks, self._lo[r], self._hi[r], self.step[r], c0 == 0, c1 == self.n)
+        return grid_points(ks, self._lo[r], self._hi[r], self.step[r], c0 == 0, c1 == self.n, out)
 
     def cells(self, rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """The cell of each point ``ts[i]`` in its row ``rows[i]``: clip(searchsorted(row, t, "right") - 1, 0, n - 1).
@@ -282,20 +466,36 @@ class UniformRows(_Rows):
         return grid_points(ks, self._lo, self._hi, self.step, True, True)
 
 
-def _products(v: np.ndarray, xs: np.ndarray, at=None, vals=None) -> np.ndarray:
+def _products(v: np.ndarray, xs: np.ndarray, at=None, vals=None, ws: _Buffers | None = None) -> np.ndarray:
     """The (2, rows, cells) products m·Δx of rows of points ``xs`` with values ``v``.
 
     m is the least and the greatest of each cell's endpoint values, folded
     with the entry values ``vals`` at ``at`` = (rows, cells) when given.
+    With ``ws``, they and the widths Δx are written into its scratch
+    buffers (``_Buffers.scratch``), which the next products overwrite.
     """
-    mb = np.empty((2, v.shape[0], v.shape[1] - 1))
+    shape = (v.shape[0], v.shape[1] - 1)
+    mb, dx = (np.empty((2, *shape)), None) if ws is None else ws.scratch(*shape)
     np.minimum(v[:, :-1], v[:, 1:], out=mb[0])
     np.maximum(v[:, :-1], v[:, 1:], out=mb[1])
     if at is not None:
         np.minimum.at(mb[0], at, vals)
         np.maximum.at(mb[1], at, vals)
-    np.multiply(mb, xs[:, 1:] - xs[:, :-1], out=mb)
+    np.multiply(mb, np.subtract(xs[:, 1:], xs[:, :-1], out=dx), out=mb)
     return mb
+
+
+def _block_products(v: np.ndarray, xs: np.ndarray, at, vals, r: int, b0: int, b1: int, ws=None) -> np.ndarray:
+    """The products of cells b0..b1 of row ``r`` of a chunk, folding its entries there.
+
+    ``at`` = (rows, cells) and ``vals`` are the chunk's entries, sorted by
+    row and cell, or None; ``ws`` as for ``_products``.
+    """
+    if at is not None:
+        m = xs.shape[1] - 1
+        i0, i1 = np.searchsorted(at[0] * m + at[1], (r * m + b0, r * m + b1)).tolist()
+        at, vals = (at[0][i0:i1] - r, at[1][i0:i1] - b0), vals[i0:i1]
+    return _products(v[r : r + 1, b0 : b1 + 1], xs[r : r + 1, b0 : b1 + 1], at, vals, ws)
 
 
 def _stretch_reductions(mb: np.ndarray, out: np.ndarray) -> None:
@@ -308,48 +508,61 @@ def _stretch_reductions(mb: np.ndarray, out: np.ndarray) -> None:
         np.add.reduce(mb[..., whole * g :], axis=2, out=out[..., -1])
 
 
-def _stretch_sums(v: np.ndarray, xs: np.ndarray, step: np.ndarray, at, vals, out: np.ndarray) -> bool:
-    """The L and U of each stretch of a block of one row of a uniform level, into ``out``.
+def _point_sums(v: np.ndarray, step: np.ndarray, out: np.ndarray) -> None:
+    """The L and U of each stretch of a chunk of a uniform level from its point values ``v``, into ``out``.
 
-    ``out`` is (2, 1, stretches).  A block that holds none of its row's
-    entries has f monotone on every stretch, and a stretch of c cells with
-    points p_0 ... p_c has L = step·(f(p_1) + ... + f(p_(c-1)) +
-    min(f(p_0), f(p_c))) and U the same with max: its Darboux sums are
-    Riemann sums tagged at an end.  Its inner values are summed by one
-    pairwise reduction.  A block that holds an entry (at ``at`` = (rows,
-    cells), values ``vals``), or whose point sums are not finite, sums its
-    products m·Δx instead, a pairwise reduction per stretch.  Returns
-    whether every sum in ``out`` is finite.
+    ``out`` is (2, rows, stretches) and ``step`` holds each row's step on a
+    trailing axis.  Where f is monotone on a stretch of c cells with points
+    p_0 ... p_c, L = step·(f(p_1) + ... + f(p_(c-1)) + min(f(p_0), f(p_c)))
+    and U is the same with max: its Darboux sums are Riemann sums tagged at
+    an end.  Its inner values are summed by one pairwise reduction.
     """
-    if at is None:
-        g = STRETCH_CELLS
-        m = v.shape[1] - 1
-        whole = m // g  # whole stretches, then a short last one if m % g
-        inner = np.empty(out.shape[1:])
-        if whole:
-            np.add.reduce(v[:, : whole * g].reshape(len(v), whole, g)[..., 1:], axis=2, out=inner[:, :whole])
-        if m % g:
-            np.add.reduce(v[:, whole * g + 1 : m], axis=1, out=inner[:, -1])
-        ends = v[:, ::g] if m % g == 0 else np.concatenate((v[:, ::g], v[:, -1:]), axis=1)
-        first, last = ends[:, :-1], ends[:, 1:]
-        np.minimum(first, last, out=out[0])
-        np.maximum(first, last, out=out[1])
-        out += inner
-        out *= step
-        if np.isfinite(out).all():
-            return True
-    _stretch_reductions(_products(v, xs, at, vals), out)
-    return bool(np.isfinite(out).all())
+    g = STRETCH_CELLS
+    m = v.shape[1] - 1
+    whole = m // g  # whole stretches, then a short last one if m % g
+    inner = np.empty(out.shape[1:])
+    if whole:
+        np.add.reduce(v[:, : whole * g].reshape(len(v), whole, g)[..., 1:], axis=2, out=inner[:, :whole])
+    if m % g:
+        np.add.reduce(v[:, whole * g + 1 : m], axis=1, out=inner[:, -1])
+    ends = v[:, ::g] if m % g == 0 else np.concatenate((v[:, ::g], v[:, -1:]), axis=1)
+    first, last = ends[:, :-1], ends[:, 1:]
+    np.minimum(first, last, out=out[0])
+    np.maximum(first, last, out=out[1])
+    out += inner
+    out *= step
 
 
-def _sampled_minmax(prog: Program | None, xs: np.ndarray, s: int, evalf, row0: int):
-    """The sample points, their values and the (2, rows, cells) sampled minima and maxima."""
+def _fold_blocks(v: np.ndarray, xs: np.ndarray, at, vals, seen: np.ndarray, ws: _Buffers) -> None:
+    """Sum by products, into ``seen``, each block of a point-summed chunk that needs them.
+
+    Those are the blocks that hold an entry (``at``, ``vals`` as for
+    ``_block_products``) and those whose point sums in ``seen``, the
+    chunk's (2, rows, stretches) subtotals, are not finite: a sum of large
+    values can overflow where the products m·Δx do not.
+    """
+    g, m = STRETCH_CELLS, xs.shape[1] - 1
+    bad = ~np.isfinite(seen).all(axis=0)
+    if at is None and not bad.any():
+        return
+    rows, ks = np.nonzero(bad)
+    starts = rows * m + ks * g // BLOCK_CELLS * BLOCK_CELLS
+    if at is not None:
+        starts = np.concatenate((starts, at[0] * m + at[1] // BLOCK_CELLS * BLOCK_CELLS))
+    for start in sorted(set(starts.tolist())):
+        r, b0 = divmod(start, m)
+        b1 = min(b0 + BLOCK_CELLS, m)
+        _stretch_reductions(_block_products(v, xs, at, vals, r, b0, b1, ws), seen[:, r : r + 1, b0 // g : -(-b1 // g)])
+
+
+def _sampled_minmax(prog: Program | None, xs: np.ndarray, s: int, evalf, ws: _Buffers, row0: int):
+    """The sample points, their values, the (2, rows, cells) sampled minima and maxima, and a failure (see ``_values``)."""
     a = xs[:, :-1]
     b = xs[:, 1:]
     step = (b - a) / s
     pts = a[..., None] + np.arange(s + 1) * step[..., None]
-    fv = _values(prog, pts, evalf, row0)
-    return pts, fv, np.array([fv.min(axis=-1), fv.max(axis=-1)])
+    fv, failed = _values(prog, pts, evalf, ws, row0)
+    return pts, fv, np.array([fv.min(axis=-1), fv.max(axis=-1)]), failed
 
 
 @np.errstate(all="ignore")  # non-finite values and overflows are named instead
@@ -359,27 +572,31 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
     ``s == 0`` takes each cell's extrema at its endpoints, folded with the
     ``entries`` (row, t, value), sorted by row and within a row by t, that
     fall in it; ``s > 0`` samples ``s`` subintervals per cell.  Each entry's
-    cell is found once, by ``grid.cells``, and a block takes the entries of
-    its rows, or for a long row those whose cells it holds.  Cells are
-    evaluated in blocks of at most ``BLOCK_CELLS``, several short rows or
-    part of one long row at a time.  A ``UniformRows`` block is summed by
-    stretches of ``STRETCH_CELLS`` cells, and once all of a row's stretch
-    subtotals are in, they are added left to right, in ``grid.running``.
-    With ``s == 0``, on rows of more than BLOCK_CELLS/2 cells (summed
-    alone, a block at a time), a block that holds no entry of its row sums
-    each stretch from its point values (``_stretch_sums``): this assumes f
-    monotone between a row's entries, which certified entries and monotone
-    hints give.  A block holding an entry, or whose point sums are not
+    cell is found once, by ``grid.cells``.  Cells are evaluated in chunks
+    of at most ``CHUNK_CELLS`` (a sampled pass: ``BLOCK_CELLS``), whole
+    blocks of several short rows or part of one long row at a time, into
+    buffers allocated once per call; a chunk takes the entries of its rows,
+    or for a long row those whose cells it holds.  Every decision of how to
+    sum is taken per block of at most ``BLOCK_CELLS``, several short rows
+    or part of one long row, so the chunks move no bit.  A ``UniformRows``
+    block is summed by stretches of ``STRETCH_CELLS`` cells, and once all
+    of a row's stretch subtotals are in, they are added left to right, in
+    ``grid.running``.  With ``s == 0``, on rows of more than BLOCK_CELLS/2
+    cells, each stretch of a chunk is summed from its point values
+    (``_point_sums``, one reduction for the whole chunk), and then each
+    block that holds an entry of its row, or whose point sums are not
     finite (a sum of large values can overflow where the products m·Δx do
-    not), a block of several shorter rows, and every block of a sampled
-    pass sum their products, a pairwise reduction per stretch.  (Point sums
-    for some rows of a block and products for the others cost more array
-    operations than they save: measured on the benchmark's ``wide``
-    workload, 2 vCPUs and numpy 2.4.6, that was about 15% slower.)  Every
-    other grid, and every prefix sum, adds each row's products left to
-    right, a block's running sums starting from the row's running sum so
-    far, added to the block's first product; prefixes need that order, and
-    it makes a repeated point add exactly nothing.
+    not), sums its products again (``_fold_blocks``): point sums assume f
+    monotone between a row's entries, which certified entries and monotone
+    hints give.  Blocks of several shorter rows, and every block of a
+    sampled pass, sum their products, a pairwise reduction per stretch.
+    (Point sums for some rows of a block and products for the others cost
+    more array operations than they save: measured on the benchmark's
+    ``wide`` workload, 2 vCPUs and numpy 2.4.6, that was about 15% slower.)
+    Every other grid, and every prefix sum, adds each row's products left
+    to right, each chunk's running sums starting from the row's running sum
+    so far, added to its first product; prefixes need that order, and it
+    makes a repeated point add exactly nothing.
 
     Rounding that the point sums add to that of the products' order (no
     bracket counts either yet): each cell's float width is replaced by the
@@ -389,82 +606,89 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
     the evaluation error.
 
     A non-finite kernel value or an overflowing product makes a block's
-    sums (or, for rows of one block, their running sums) non-finite, so the
-    block is examined only then, and its lowest such row raises RowError
-    (see ``_non_finite``) instead of numpy warning of the overflow.  Summed
-    left to right, that names the cell at which a row's running sum
-    overflowed.  A uniform row of several blocks whose running sum
-    overflows only across stretches is named once its last block is
-    summed, at the first cell of the block in which it overflowed.
-    Returns the row totals as a (2, rows) array (L, U); a (2, rows, n)
-    ``prefix`` array, when given, receives each row's running sums, the
-    last of which is its total.  ``evalf`` substitutes a callable for the
-    program (callable kernels).  A grid of zero cells sums to 0.
+    sums (or, for rows of one block, their running sums) non-finite, so a
+    chunk is examined only then, and the lowest such row of its first such
+    block raises RowError (see ``_name_failure``) instead of numpy warning
+    of the overflow.  Summed left to right, that names the cell at which a
+    row's running sum overflowed.  A uniform row of several blocks whose
+    running sum overflows only across stretches is named once its last
+    chunk is summed, at the first cell of the block in which it overflowed.
+    A callable that fails in a row of a chunk is raised unless a lower row
+    of the chunk fails; within a long row's chunk it is named before an
+    overflow of that row's sums there.  Returns the row totals as a (2,
+    rows) array (L, U); a (2, rows, n) ``prefix`` array, when given,
+    receives each row's running sums, the last of which is its total.
+    ``evalf`` substitutes a callable for the program (callable kernels),
+    which is called with at most a chunk's points of one row at a time.  A
+    grid of zero cells sums to 0.
     """
-    rows, n = grid.rows, grid.n
-    pairwise = isinstance(grid, UniformRows) and prefix is None
-    per_block = max(1, BLOCK_CELLS // max(n, 1))
-    width = max(1, min(n, BLOCK_CELLS))  # with no cells, no blocks
+    rows, n, g = grid.rows, grid.n, STRETCH_CELLS
+    uniform = isinstance(grid, UniformRows)
+    pairwise = uniform and prefix is None
+    span = max(n, 1)  # with no cells, no chunks
+    per_block = max(1, BLOCK_CELLS // span)  # rows
+    long_rows = n > BLOCK_CELLS  # rows of several blocks
     points = pairwise and s == 0 and per_block == 1  # blocks without entries summed from point values
-    i0 = i1 = 0
+    reach = BLOCK_CELLS if s else CHUNK_CELLS
+    width = min(span, reach)  # a chunk's cells in each row
+    per_chunk = max(1, reach // span) // per_block * per_block  # rows: whole blocks of them
     if entries is not None and len(entries[1]):
         e_rows, e_ts, e_vals = entries
         e_starts = np.searchsorted(e_rows, np.arange(rows + 1)).tolist()  # of each row's entries
         e_cells = grid.cells(e_rows, e_ts)
     else:  # no entries, or an empty list of them
         entries = None
-    totals = np.zeros((2, rows))  # lower and upper; left to right, the running sums so far
+    first = min(per_chunk, rows)  # rows of the first chunk, the largest
+    ws = _Buffers((first, width, s + 1), 3) if s else _Buffers((first, width + 1), 5)
+    at = vals = None
+    # Lower and upper, the running sums so far, of given rows; a uniform
+    # level's are the last of its ``running``.
+    totals = None if pairwise and n else np.zeros((2, rows))
 
-    for r0 in range(0, rows, per_block):
-        r1 = min(r0 + per_block, rows)
+    for r0 in range(0, rows, per_chunk):
+        r1 = min(r0 + per_chunk, rows)
         if pairwise:  # the rows' stretch subtotals, then their running sums
             run = grid.running[:, r0:r1]
-        if entries is not None:  # the block's entries
+        if entries is not None:  # the chunk's rows' entries
             i0, i1 = e_starts[r0], e_starts[r1]
-            b_rows, b_cells, b_vals = e_rows[i0:i1] - r0, e_cells[i0:i1], e_vals[i0:i1]
+            c_rows, c_cells, c_vals = e_rows[i0:i1] - r0, e_cells[i0:i1], e_vals[i0:i1]
         for c0 in range(0, n, width):
             c1 = min(c0 + width, n)
-            xs = grid.block(r0, r1, c0, c1)
-            at = vals = mb = None
-            checked = False  # whether ``seen`` is known finite
+            xs = grid.block(r0, r1, c0, c1, ws.points(r1 - r0, c1 - c0) if uniform and not s else None)
+            if entries is not None:  # a long row's entries, sorted by cell, fall in chunks in turn
+                sel = slice(*np.searchsorted(c_cells, (c0, c1))) if n > width else slice(None)
+                at, vals = ((c_rows[sel], c_cells[sel] - c0), c_vals[sel]) if len(c_vals[sel]) else (None, None)
             if s == 0:
-                pts, v = xs, _values(prog, xs, evalf, r0)
-                if i1 > i0:  # a long row's entries, sorted by cell, fall in blocks in turn
-                    sel = slice(*np.searchsorted(b_cells, (c0, c1))) if n > width else slice(None)
-                    if len(b_cells[sel]):
-                        at, vals = (b_rows[sel], b_cells[sel] - c0), b_vals[sel]
-                if not points:
-                    mb = _products(v, xs, at, vals)
+                pts = xs
+                v, failed = _values(prog, xs, evalf, ws, r0)
+                mb = None if points else _products(v, xs, at, vals, ws)
             else:
-                pts, v, mb = _sampled_minmax(prog, xs, s, evalf, r0)
+                pts, v, mb, failed = _sampled_minmax(prog, xs, s, evalf, ws, r0)
                 np.multiply(mb, xs[:, 1:] - xs[:, :-1], out=mb)
             if pairwise:
-                k0, k1 = c0 // STRETCH_CELLS, -(-c1 // STRETCH_CELLS)  # the block's stretches
-                seen = run[..., k0:k1]
-                if points:  # a long row's ``seen`` stays the sums found finite there
-                    checked = _stretch_sums(v, xs, grid.step[r0:r1], at, vals, seen) and n > width
+                seen = run[..., c0 // g : -(-c1 // g)]  # the chunk's stretches
+                if points:
+                    _point_sums(v, grid.step[r0:r1], seen)
+                    _fold_blocks(v, xs, at, vals, seen, ws)
                 else:
                     _stretch_reductions(mb, seen)
-                if n <= width:  # the rows' only block: make ``seen`` their running sums
-                    _running(run)
+                if not long_rows:  # the rows' only block: make ``seen`` their running sums
+                    seen = _running(run)
             else:  # left to right, from the rows' running sums so far
                 mb[:, :, 0] += totals[:, r0:r1]
-                acc = np.add.accumulate(mb, axis=2, out=mb)
-                seen = totals[:, r0:r1] = acc[:, :, -1]
+                np.add.accumulate(mb, axis=2, out=mb)
+                seen = totals[:, r0:r1] = mb[:, :, -1]
                 if prefix is not None:
-                    prefix[:, r0:r1, c0:c1] = acc
-            if not checked and not np.isfinite(seen).all():  # a finite total has finite terms
-                mb = _products(v, xs, at, vals) if mb is None else mb
-                _non_finite(seen, v, pts, mb, xs, pairwise, r0)
-        if pairwise and n > width:  # one row in blocks: add its stretch subtotals left to right
+                    prefix[:, r0:r1, c0:c1] = mb
+            if not _finite(seen):  # a finite total has finite terms
+                _name_failure(seen, v, pts, xs, mb, at, vals, failed, pairwise, long_rows, r0)
+        if pairwise and long_rows:  # one row in blocks: add its stretch subtotals left to right
             bad = ~np.isfinite(_running(run)[:, 0]).all(axis=0)
             if bad[-1]:  # it overflowed across stretches: name the block where it did
-                c0 = int(np.argmax(bad)) * STRETCH_CELLS // width * width
+                c0 = int(np.argmax(bad)) * g // BLOCK_CELLS * BLOCK_CELLS
                 raise _overflow(r0, *grid.block(r0, r0 + 1, c0, c0 + 1)[0])
-        if pairwise and n:
-            totals[:, r0:r1] = run[..., -1]
 
-    return totals
+    return grid.running[..., -1].copy() if pairwise and n else totals
 
 
 def _running(run: np.ndarray) -> np.ndarray:
@@ -475,24 +699,37 @@ def _running(run: np.ndarray) -> np.ndarray:
     give.
     """
     run[..., :1] += 0.0
-    return np.add.accumulate(run, axis=2, out=run)
+    return np.add.accumulate(run, axis=2, out=run) if run.shape[2] > 1 else run
 
 
-def _non_finite(seen, v, pts, mb, xs, pairwise: bool, r0: int):
-    """Raise RowError for the lowest row of a block whose sums are not finite.
+def _name_failure(seen, v, pts, xs, mb, at, vals, failed, pairwise: bool, long_rows: bool, row0: int):
+    """Raise RowError for the lowest row of a chunk whose sums are not finite.
 
-    ``seen`` holds the block's rows' sums: their stretch subtotals or
-    running sums (``pairwise``), or their running sums so far.  Names the
-    row's first non-finite value (``v`` at ``pts``), or else the first cell
-    at which the running sum of its products m·Δx (``mb``, or already their
-    running sums unless ``pairwise``) overflowed; if none did, a partial sum
+    ``seen`` holds the chunk's rows' sums: their stretch subtotals or
+    running sums (``pairwise``), or their running sums so far.  A callable
+    that failed in row k of the chunk (``failed``, see ``_values``) is
+    raised unless a row below k is at fault.  On rows of several blocks
+    (one row a chunk) the block examined is the first whose sums are not
+    finite; otherwise it is the row, whole.  Names the first non-finite
+    value there (``v`` at ``pts``), or else the first cell at which the
+    running sum of its products m·Δx (``mb``; already their running sums
+    unless ``pairwise``; for point sums None, and found again with the
+    entries ``at``, ``vals``) overflowed; if none did, a partial sum
     overflowed, at the block's first cell.
     """
-    r = int(np.argmax(~np.isfinite(seen).reshape(2, len(v), -1).all(axis=(0, 2))))
-    _check_finite(v[r : r + 1], pts[r : r + 1], r0 + r)
-    running = np.add.accumulate(mb[:, r], axis=1) if pairwise else mb[:, r]
+    r = int(np.argmax(~np.isfinite(seen).reshape(2, len(xs), -1).all(axis=(0, 2))))
+    if failed is not None and r >= failed[0]:
+        raise failed[1] from failed[1].cause
+    b0, b1 = 0, xs.shape[1] - 1
+    if long_rows:
+        k = int(np.argmax(~np.isfinite(seen if pairwise else mb).all(axis=(0, 1))))
+        b0 = k * (STRETCH_CELLS if pairwise else 1) // BLOCK_CELLS * BLOCK_CELLS
+        b1 = min(b0 + BLOCK_CELLS, b1)
+    mb = _block_products(v, xs, at, vals, r, b0, b1) if mb is None else mb[:, r : r + 1, b0:b1]
+    _check_finite(v[r : r + 1, b0 : b1 + 1], pts[r : r + 1, b0 : b1 + 1], row0 + r)
+    running = np.add.accumulate(mb[:, 0], axis=1) if pairwise else mb[:, 0]
     k = int(np.argmax(~np.isfinite(running).all(axis=0)))
-    raise _overflow(r0 + r, xs[r, k], xs[r, k + 1])
+    raise _overflow(row0 + r, xs[r, b0 + k], xs[r, b0 + k + 1])
 
 
 def _overflow(row: int, a, b) -> RowError:

@@ -28,10 +28,32 @@ from .lattice import Element, OrderInterval, totord, trichotomy
 from .partitions import Partition
 
 
+# Options whose value may begin with "-": elements such as -1,-2 or -1e308,
+# and kernels such as -t, which argparse would read as option names.
+_VALUE_OPTIONS = frozenset(
+    {"--lo", "--hi", "--a", "--b", "--x", "--y", "--points", "--kernel", "--anti", "--g", "--G", "--function"}
+)
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; the contract here is 1.
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        """Parse ``args``, an option of ``_VALUE_OPTIONS`` taking the next one as its value.
+
+        ``--lo -1,-2`` is read as ``--lo=-1,-2``: a value that begins with a
+        single "-" is joined to its option before argparse sees it.
+        """
+        args = list(sys.argv[1:] if args is None else args)
+        joined: list[str] = []
+        for arg in args:
+            if joined and joined[-1] in _VALUE_OPTIONS and arg[:1] == "-" and arg[:2] != "--":
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
 
 
 def _parse_element(text: str, dim: int | None) -> Element:

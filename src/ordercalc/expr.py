@@ -319,14 +319,19 @@ def eval_expr(prog: _tape.Program, t: float) -> float:
     return _tape.run(prog, float(t), float, _FLOAT_OPS)
 
 
-def _ipow(x, e: int):
+def _ipow(x, e: int, mul=operator.mul, div=operator.truediv):
     """``x`` to the integer power ``e`` by binary exponentiation; ``x`` a float or an array.
 
     The one ``^`` of both point op tables: ``_FLOAT_OPS`` calls it on a
     float and the numpy table on an array, so scalar and array values agree
     bit for bit.  Exponent 0 gives ``x**0``, which is 1 (ones for an array)
-    even where x is not finite.  On a float, a negative power that is 1/0
-    raises ZeroDivisionError here, and ``_FLOAT_OPS`` gives numpy's ±inf.
+    even where x is not finite.  A negative power is ``div(1.0, x^-e)``; on
+    a float, one that is 1/0 raises ZeroDivisionError by default, and
+    ``_FLOAT_OPS`` passes a ``div`` that gives numpy's ±inf.  The numpy
+    table passes a ``mul`` and a ``div`` that write into an operand it owns
+    (see ``_kernels_fallback._Buffers``): ``_ipow`` needs no value it passes
+    as ``mul``'s first operand afterwards, unless it is also the second (a
+    square, whose base the running product may still hold).
     """
     if e == 0:
         return x**0
@@ -335,11 +340,11 @@ def _ipow(x, e: int):
     base = x
     while n:
         if n & 1:
-            acc = base if acc is None else acc * base
+            acc = base if acc is None else mul(acc, base)
         n >>= 1
         if n:
-            base = base * base
-    return 1.0 / acc if e < 0 else acc
+            base = mul(base, base)
+    return div(1.0, acc) if e < 0 else acc
 
 
 def _fdiv(x: float, y: float) -> float:
@@ -358,7 +363,7 @@ def _fexp(x: float) -> float:
 
 # The float op table: numpy's IEEE results where Python raises.  Python's
 # float +, -, * and abs already round and overflow as numpy's do.  _ipow(x, e)
-# for e < 0 is 1.0 / _ipow(x, -e), step for step.  min and max propagate NaN,
+# for e < 0 takes 1.0 / _ipow(x, -e) by _fdiv.  min and max propagate NaN,
 # and a tie gives the second operand (its zero's sign), as np.minimum does.
 _FLOAT_OPS = {
     _tape.OP_NEG: operator.neg,
@@ -366,7 +371,7 @@ _FLOAT_OPS = {
     _tape.OP_SUB: operator.sub,
     _tape.OP_MUL: operator.mul,
     _tape.OP_DIV: _fdiv,
-    _tape.OP_POW: lambda x, e: _fdiv(1.0, _ipow(x, -e)) if e < 0 else _ipow(x, e),
+    _tape.OP_POW: lambda x, e: _ipow(x, e, div=_fdiv),
     _tape.OP_SIN: lambda x: math.sin(x) if math.isfinite(x) else math.nan,
     _tape.OP_COS: lambda x: math.cos(x) if math.isfinite(x) else math.nan,
     _tape.OP_EXP: _fexp,

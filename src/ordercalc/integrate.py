@@ -36,7 +36,7 @@ of all bands is raised (``_each``).
 So an atom that fails only once summed is named before a higher atom
 whose isolation failed.  Non-integrable demo maps report
 ``converged=False`` with a stalling gap instead of raising.  Bands run one
-after another: a level's blocks (at most 2^13 cells) are too small for
+after another: a level's chunks (at most 2^15 cells) are too small for
 threads to pay for themselves.
 """
 
@@ -89,9 +89,14 @@ _SKIP_SLACK = 2.0**-30
 _PROBE_OFFSET = 5
 
 
+# The deepest level: a uniform level of 2^53 cells still has every cell
+# index k, and so every point lo + k*step, exact in float64.
+MAX_DEPTH = 53
+
+
 @dataclass(frozen=True)
 class ToleranceSchedule:
-    """Finite refinement budget: relative gap target and depth cap."""
+    """Finite refinement budget: relative gap target and depth cap, at most ``MAX_DEPTH``."""
 
     tol: float = 1e-6
     max_depth: int = 24
@@ -101,8 +106,8 @@ class ToleranceSchedule:
             raise ValueError("tol must be positive")
         if isinstance(self.max_depth, bool) or not isinstance(self.max_depth, numbers.Integral):
             raise TypeError(f"max_depth must be an integer, not {self.max_depth!r}")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        if not 1 <= self.max_depth <= MAX_DEPTH:
+            raise ValueError(f"max_depth must be from 1 to {MAX_DEPTH}, not {self.max_depth}")
         object.__setattr__(self, "max_depth", int(self.max_depth))  # numpy integers serialise
 
 
@@ -194,8 +199,16 @@ class _Band:
             raise KernelEvalError(int(self.atoms[rows[err.row]]), err.cause) from err.cause
 
     def level(self, rows: np.ndarray, n: int):
-        """The level of ``rows`` over n uniform cells each, holding their running sums, and its sums."""
-        level = _kernels.UniformRows(self.lo[rows], self.hi[rows], n)
+        """The level of ``rows`` over n uniform cells each, holding their running sums, and its sums.
+
+        A level whose running sums do not fit in memory raises
+        KernelEvalError for the lowest atom due, naming the depth.
+        """
+        try:
+            level = _kernels.UniformRows(self.lo[rows], self.hi[rows], n)
+        except MemoryError as err:
+            cause = MemoryError(f"the level at depth {n.bit_length() - 1} ({n} cells an atom) does not fit in memory")
+            raise KernelEvalError(int(self.atoms[rows].min()), cause) from err
         return level, self.sums(rows, level)
 
     def _entries(self, rows: np.ndarray, part=None):

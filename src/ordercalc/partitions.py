@@ -90,7 +90,7 @@ def uniform_grid(lo, hi, n: int) -> np.ndarray:
 
     ``lo`` and ``hi`` may be arrays of the same shape, giving one row of
     points per entry.  The integrator's refinement levels
-    (``_kernels_fallback.UniformRows``) form their points a block at a time
+    (``_kernels_fallback.UniformRows``) form their points a chunk at a time
     with ``grid_points``, as this function does, so uniform partitions and
     refinement levels share identical points.  Their sums may still differ
     in the last bits: ``integrate`` sums each stretch of a level by one
@@ -105,17 +105,23 @@ def uniform_grid(lo, hi, n: int) -> np.ndarray:
     return grid_points(ks, lo, hi, (hi - lo) / n, True, True)
 
 
-def grid_points(ks: np.ndarray, lo, hi, step, first: bool, last: bool) -> np.ndarray:
+def grid_points(ks: np.ndarray, lo, hi, step, first: bool, last: bool, out=None) -> np.ndarray:
     """The points lo + k*step for the float indices ``ks``, clipped to hi.
 
     ``lo``, ``hi`` and ``step`` hold one value per row, on a trailing axis
     of length 1.  The point at the first index is lo if ``first``, and the
     one at the last is hi if ``last``.  Indices are integers, exact in
     float64, so a point depends only on its index and its row's values.
+    ``out``, when given, receives the points (``ks`` may be ``out`` itself,
+    holding them).  Indices increase and step >= 0, so the points increase
+    along each row: unless ``last``, they are clipped only when a row's last
+    one reaches hi, and otherwise all lie below it, which gives the same
+    bits.
     """
-    xs = ks * step
+    xs = np.multiply(ks, step, out=out)
     xs += lo
-    np.minimum(xs, hi, out=xs)
+    if last or (xs[..., -1:] >= hi).any():
+        np.minimum(xs, hi, out=xs)
     if first:
         xs[..., :1] = lo
     if last:

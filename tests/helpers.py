@@ -1,4 +1,4 @@
-"""Shared test oracles: a tree-walking evaluator, adaptive Simpson quadrature, a random AST generator and a level's stretch sums.
+"""Shared test oracles: a tree-walking evaluator, adaptive Simpson quadrature, a random AST generator and a level's stretch sums and running sums.
 
 The evaluator and the quadrature oracle are deliberately independent of the
 package's own machinery: ``reference_eval`` walks the AST with plain Python
@@ -62,6 +62,17 @@ def stretch_subtotals(v, xs, lows, ups, ts, g: int, block: int) -> np.ndarray:
             sums = [[np.add.reduce(p[c0 : min(c0 + g, b1)]) for p in (lows, ups)] for c0 in starts]
         out += sums
     return np.array(out).T.reshape(2, -1)
+
+
+def running_sums(subtotals) -> np.ndarray:
+    """The running sums of (2, stretches) ``subtotals``, each side added left to right from 0.0, written plainly."""
+    out = np.empty_like(subtotals)
+    for side in range(2):
+        total = 0.0
+        for k, sub in enumerate(subtotals[side].tolist()):
+            total += sub
+            out[side, k] = total
+    return out
 
 
 _UNARY = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log, "abs": abs, "sqrt": math.sqrt}

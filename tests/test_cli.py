@@ -150,6 +150,30 @@ def test_interval_wider_than_the_float_range_exits_one(capsys):
     assert code == 1 and out == "" and "wider than the float range" in err
 
 
+def test_element_values_may_begin_with_a_minus_sign(capsys):
+    # argparse read -1,-2 as an option name and exited with "expected one argument".
+    code, out, err = run_cli(
+        "integrate", "--dim", "2", "--lo", "-1,-2", "--hi", "1,2", "--kernel", "t", capsys=capsys,
+    )
+    assert code == 0, err
+    assert json.loads(out)["value"] == pytest.approx([0.0, 0.0], abs=1e-9)
+
+
+def test_an_element_in_exponent_form_may_begin_with_a_minus_sign(capsys):
+    # -1e308 is no plain negative number to argparse: it reached the parser
+    # as an option name.  Given as a value, the wide interval is refused.
+    code, out, err = run_cli(
+        "integrate", "--dim", "1", "--lo", "-1e308", "--hi", "1e308", "--kernel", "t", capsys=capsys,
+    )
+    assert code == 1 and out == "" and "wider than the float range" in err
+
+
+def test_kernel_values_may_begin_with_a_minus_sign(capsys):
+    code, out, err = run_cli("integrate", "--lo", "0", "--hi", "1", "--kernel", "-t", capsys=capsys)
+    assert code == 0, err
+    assert json.loads(out)["value"] == pytest.approx([-0.5], abs=1e-6)
+
+
 _BASE_ARGS = {
     "integrate": ["integrate", "--kernel", "t", "--lo", "0", "--hi", "1"],
     "signed-integrate": ["signed-integrate", "--kernel", "t", "--a", "0", "--b", "1"],

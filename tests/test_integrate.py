@@ -1,11 +1,13 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from helpers import adaptive_simpson, random_expr, reference_eval
+from ordercalc import _kernels_fallback as K
 from ordercalc import expr as ex
 from ordercalc.calculus import antiderivative
 from ordercalc.expr import parse
@@ -502,6 +504,36 @@ def test_max_depth_must_be_an_integer():
     assert type(sched.max_depth) is int and sched == ToleranceSchedule(1e-3, 12)
     r = integrate(LatticeFunction.coordinatewise(["t^2"]), interval((0,), (1,)), sched)
     assert json.loads(json.dumps(r.to_dict()))["max_depth"] == 12
+
+
+def test_max_depth_stops_where_cell_indices_stay_exact():
+    # A level of 2^53 cells still has every cell index exact in float64.
+    assert ToleranceSchedule(1e-3, 53).max_depth == 53
+    for bad in (0, 54, 60):
+        with pytest.raises(ValueError, match="max_depth must be from 1 to 53"):
+            ToleranceSchedule(1e-3, bad)
+
+
+def test_a_level_too_large_for_memory_names_the_lowest_atom_due(monkeypatch):
+    # No level this large is allocated: past 2^12 cells an atom, a level
+    # refuses its running sums as numpy would (sin(1/t) on [0.001, 1] at
+    # ToleranceSchedule(1e-12, 60) once asked for 64 GiB).  Atom 0 closes at
+    # depth 0; atoms 1 and 2 share a band and fail; the lowest is named,
+    # with the depth of its level, instead of a bare MemoryError.
+    class Refusing(K.UniformRows):
+        def __init__(self, lo, hi, n):
+            if n > 1 << 12:
+                raise MemoryError(f"Unable to allocate {2 * len(lo) * n // 32} bytes")
+            super().__init__(lo, hi, n)
+
+    monkeypatch.setattr(K, "UniformRows", Refusing)
+    f = LatticeFunction.coordinatewise(["1", "sin(1/t)", "sin(1/t)"])
+    with pytest.raises(KernelEvalError) as info:
+        integrate(f, interval((0.0, 0.001, 0.002), (1.0, 1.0, 1.0)), ToleranceSchedule(1e-12, 53))
+    assert info.value.atom == 1
+    assert isinstance(info.value.cause, MemoryError)
+    depth, cells = map(int, re.search(r"at depth (\d+) \((\d+) cells an atom\) does not fit", str(info.value)).groups())
+    assert cells == 2**depth > 1 << 12
 
 
 def test_integrate_result_serialization():

@@ -1,18 +1,21 @@
 """The summation core: a band summed as one block of rows equals its rows summed alone, bit for bit."""
 
 import math
+import random
+import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from ordercalc import _kernels_fallback as K
 from ordercalc.functions import KernelEvalError, LatticeFunction, ScalarKernel
-from ordercalc.integrate import ToleranceSchedule, integrate
+from ordercalc.integrate import ToleranceSchedule, _make_bands, integrate
 from ordercalc.lattice import Element, OrderInterval
 from ordercalc.partitions import uniform_grid
 
-from helpers import stretch_subtotals
+from helpers import random_expr, running_sums, stretch_subtotals
 
 
 def _products(prog, xs, crit_ts, crit_vals):
@@ -414,3 +417,163 @@ def test_non_finite_value_names_its_row():
                 K.darboux_endpoint(prog, grid)
         assert info.value.row == row, src
         assert f"t={t!r}" in str(info.value), src
+
+
+def _level_reference(prog, xs, crit_ts, crit_vals):
+    """A uniform row's running sums at its stretch ends, written plainly: the last is its total."""
+    return running_sums(_stretch_subtotals(prog, xs, crit_ts, crit_vals))
+
+
+def _with_entries_at(k, lo, hi, n, cells):
+    """The band of ``k`` over the rows [lo, hi], its entries, and more in the ``cells`` of every row.
+
+    The added entries sit mid-cell, half a unit above or below the kernel
+    there, so that folding them shows in U or in L.
+    """
+    k, (e_rows, e_ts, e_vals) = _band(k, lo, hi)
+    rows, ts = [e_rows], [e_ts]
+    for r in range(len(lo)):
+        xs = uniform_grid(lo[r], hi[r], n)
+        at = np.array([c for c in cells if 0 <= c < n], dtype=np.int64)
+        rows.append(np.full(len(at), r))
+        ts.append(0.5 * (xs[at] + xs[at + 1]))
+    e_rows, e_ts = np.concatenate(rows), np.concatenate(ts)
+    order = np.lexsort((e_ts, e_rows))
+    e_rows, e_ts = e_rows[order], e_ts[order]
+    e_vals = K.eval_many(k.program, e_ts) + np.where(np.arange(len(e_ts)) % 2, 0.5, -0.5)
+    return k, e_rows, e_ts, e_vals
+
+
+@pytest.mark.parametrize("src", ["t^3 - t", "sin(3*t) + exp(t)"])
+@pytest.mark.parametrize("n", [2**12 + 1, 2**13 + 7, 2**15 - 1, 2**15 + 1, 2**16 + 5, 2**17 + 3])
+def test_chunked_rows_keep_the_plain_reference_bit_for_bit(src, n):
+    # Long rows are evaluated a chunk of several blocks at a time and
+    # point-summed by one reduction for the chunk, then the blocks that
+    # hold an entry sum their products.  Entries at the first and last cell
+    # of a block and of a chunk, and at the row's last cell, besides the
+    # kernel's own, land in the blocks the plain order puts them in.
+    b, c = K.BLOCK_CELLS, K.CHUNK_CELLS
+    lo, hi = np.array([-1.0, 0.3, -2.0]), np.array([1.0, 1.9, 0.5])
+    k, e_rows, e_ts, e_vals = _with_entries_at(src, lo, hi, n, (0, b - 1, b, c - 1, c, 2 * c - 1, n - 1))
+    grid = K.UniformRows(lo, hi, n)
+    got = K.darboux_critical(k.program, grid, e_ts, e_vals, e_rows)
+    for r in range(len(lo)):
+        sel = e_rows == r
+        want = _level_reference(k.program, uniform_grid(lo[r], hi[r], n), e_ts[sel], e_vals[sel])
+        assert grid.running[:, r].tobytes() == want.tobytes(), r
+        assert got[:, r].tobytes() == want[:, -1].tobytes(), r
+
+
+def test_a_buffer_first_taken_in_a_short_chunk_serves_the_full_chunks_after_it():
+    # t^3 + t has no critical point and takes both buffers of values, so
+    # the widths of a block's products take a third buffer.  Row 0 first
+    # folds a block in its last, short chunk, row 1 in its first, full one.
+    n = K.CHUNK_CELLS + 1000
+    lo, hi = np.array([0.0, -1.0]), np.array([1.0, 1.0])
+    prog = ScalarKernel.from_string("t^3 + t").program
+    e_rows = np.array([0, 1])
+    e_ts = np.array([uniform_grid(lo[r], hi[r], n)[c] + 1e-9 for r, c in ((0, K.CHUNK_CELLS + 10), (1, 10))])
+    e_vals = K.eval_many(prog, e_ts) + 0.5
+    grid = K.UniformRows(lo, hi, n)
+    got = K.darboux_critical(prog, grid, e_ts, e_vals, e_rows)
+    for r in range(2):
+        want = _level_reference(prog, uniform_grid(lo[r], hi[r], n), e_ts[r : r + 1], e_vals[r : r + 1])
+        assert grid.running[:, r].tobytes() == want.tobytes(), r
+        assert got[:, r].tobytes() == want[:, -1].tobytes(), r
+
+
+@pytest.mark.parametrize("n, rows", [(64, 700), (3 * K.STRETCH_CELLS + 5, 90), (5000, 8)])
+def test_chunks_of_whole_rows_keep_the_plain_reference_bit_for_bit(n, rows):
+    # Short rows share blocks, and chunks hold whole blocks of rows, the
+    # last chunk fewer than the others (700 rows of 64 cells: chunks of 512
+    # rows in blocks of 128; 8 rows of 5000 cells: chunks of 6 rows, one a
+    # block, point-summed).
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(-2.0, 1.0, rows)
+    hi = lo + rng.uniform(0.1, 2.0, rows)
+    k, e_rows, e_ts, e_vals = _with_entries_at("t^3 - t", lo, hi, n, (0, n // 2, n - 1))
+    grid = K.UniformRows(lo, hi, n)
+    got = K.darboux_critical(k.program, grid, e_ts, e_vals, e_rows)
+    for r in range(rows):
+        sel = e_rows == r
+        want = _level_reference(k.program, uniform_grid(lo[r], hi[r], n), e_ts[sel], e_vals[sel])
+        assert grid.running[:, r].tobytes() == want.tobytes(), r
+        assert got[:, r].tobytes() == want[:, -1].tobytes(), r
+
+
+@pytest.mark.parametrize("entry", [False, True])
+@pytest.mark.parametrize("block", [0, 1])
+@pytest.mark.parametrize("cubic", [False, True])
+def test_non_finite_value_in_a_chunk_names_its_row_and_point(cubic, block, entry):
+    # Rows 1 and 2 are bad at p, in block 1 (the middle) or 0 of their
+    # second chunk (of four blocks), row 0 nowhere; with an entry there,
+    # that block sums its products.  The cubic's values take both buffers
+    # of values, so its products' widths must go elsewhere.  Row 1 is
+    # named, at p.
+    b, n = K.BLOCK_CELLS, 2 * K.CHUNK_CELLS
+    p = float(uniform_grid(0.0, 2.0, n)[K.CHUNK_CELLS + block * b + 37])
+    src = f"1/(t^3 - t - {p * (p * p) - p!r})" if cubic else f"1/(t - {p!r})"
+    prog = ScalarKernel.from_string(src).program
+    grid = K.UniformRows(np.zeros(3), np.array([1.0, 2.0, 2.0]), n)
+    with pytest.raises(K.RowError) as info:
+        if entry:
+            K.darboux_critical(prog, grid, [p + 1e-3], [0.0], [1])
+        else:
+            K.darboux_endpoint(prog, grid)
+    assert info.value.row == 1
+    assert f"t={p!r}" in str(info.value)
+
+
+def test_a_callable_that_fails_is_named_after_a_lower_row_at_fault():
+    # Rows 0 and 1 share a chunk.  Row 0's values are finite but its sum
+    # overflows; row 1's callable leaves the domain.  The lower row is
+    # named, as if the rows were summed one by one.
+    evalf = ScalarKernel.from_callable(lambda t: np.where(t < 5.0, 1e308, np.inf)).eval_many
+    lo, hi = np.array([0.0, 10.0]), np.array([3.0, 11.0])
+    with pytest.raises(K.RowError) as info:
+        K.darboux_endpoint_fn(evalf, K.UniformRows(lo, hi, 16))
+    assert info.value.row == 0 and isinstance(info.value.cause, OverflowError)
+    with pytest.raises(K.RowError) as info:
+        K.darboux_endpoint_fn(evalf, K.UniformRows(lo[1:], hi[1:], 16))
+    assert info.value.row == 0 and "real domain" in str(info.value)
+
+
+def test_in_place_evaluation_gives_the_out_of_place_bits():
+    # Each op writes into a buffer of the run, constants stay scalars, and
+    # the points are never written: the values are those of the op table run
+    # out of place with a full array per constant, NaN and signed zeros
+    # included, for random kernels over rows of points.  The buffers of one
+    # sum serve its later, smaller chunks too: fewer rows, then fewer cells.
+    rng = random.Random(4)
+    ts = np.linspace(-3.0, 3.0, 3 * 41).reshape(3, 41)
+    ts[0, :4] = [0.0, -0.0, 1e300, -1e-300]
+    before = ts.copy()
+    for _ in range(300):
+        prog = ScalarKernel.from_expr(random_expr(rng, depth=5)).program
+        ws = K._Buffers(ts.shape, 3)
+        for part in (ts, ts[1:], ts[2:, 5:]):
+            with np.errstate(all="ignore"):
+                want = np.broadcast_to(K.run(prog, part, partial(np.full, part.shape), K._OPS), part.shape)
+                got = K._run(prog, part)
+                chunk = ws.run(prog, part)
+            assert got.tobytes() == want.tobytes()
+            assert np.broadcast_to(chunk, part.shape).tobytes() == want.tobytes()
+        assert ts.tobytes() == before.tobytes()
+
+
+def test_a_level_keeps_a_few_chunk_buffers_not_the_whole_row():
+    # One 2^20-cell level of t^2 (point sums, and one block summed by
+    # products around the entry at 0) holds its chunk's points, values and
+    # one block's products, about 1.3 MiB, and its running sums, 64 KiB: not
+    # arrays of the whole row (8 MiB each) nor fresh arrays per block.
+    bands, _ = _make_bands(LatticeFunction.coordinatewise(["t^2"]), np.array([-0.7]), np.array([1.3]))
+    rows = np.array([0])
+    bands[0].level(rows, 1 << 20)  # first, so that no lazy import or cache is counted
+    tracemalloc.start()
+    try:
+        level, _ = bands[0].level(rows, 1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert level.running.nbytes == 2 * 4096 * 8
+    assert peak <= 2 * 2**20
