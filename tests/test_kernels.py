@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 import tracemalloc
 import warnings
 from functools import partial
@@ -577,3 +579,34 @@ def test_a_level_keeps_a_few_chunk_buffers_not_the_whole_row():
         tracemalloc.stop()
     assert level.running.nbytes == 2 * 4096 * 8
     assert peak <= 2 * 2**20
+
+
+def test_threads_summing_at_once_keep_their_own_buffers():
+    # Each thread's runs write into the buffers of its own sums (the table
+    # finds them per thread), so sums made on six threads at once, switched
+    # often, give the bytes each gives alone.
+    lo, hi = np.array([-1.0, 0.3]), np.array([1.0, 1.9])
+    kernels = [ScalarKernel.from_string(src).program for src in ("t^3 - t", "sin(3*t) + exp(t)", "3*t^2 - 2*t")]
+    jobs = [(prog, n) for prog in kernels for n in (2**15 + 7, 3 * K.BLOCK_CELLS // 2)]
+    want = [K.darboux_endpoint(prog, K.UniformRows(lo, hi, n)).tobytes() for prog, n in jobs]
+    got = [None] * len(jobs)
+
+    def work(i):
+        for _ in range(3):
+            prog, n = jobs[i]
+            got[i] = K.darboux_endpoint(prog, K.UniformRows(lo, hi, n)).tobytes()
+            if got[i] != want[i]:
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
