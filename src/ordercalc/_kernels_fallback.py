@@ -1,25 +1,24 @@
 """Numpy evaluation of stack programs and their Darboux sums over rows of cells.
 
 Every sum runs through ``_sum_cells``, which takes rows of breakpoints (one
-row per atom of a band, all with the same number of cells).  It decides how
-to sum them in blocks of at most ``BLOCK_CELLS`` cells, and evaluates them
-in chunks of at most ``CHUNK_CELLS`` cells, whole blocks each: several
-whole rows while rows are short, otherwise one part of one row at a time.
-Every kind of grid places its critical entries by one rule, ``cells``: each
-entry goes to the cell a search of its whole row finds.  Rows are summed in
-one of two orders, chosen by the kind of grid:
+row per atom of a band, all with the same number of cells) and evaluates
+them in chunks of at most ``CHUNK_CELLS`` cells: several whole rows while
+rows are short, otherwise one part of one row at a time.  Every kind of
+grid places its critical entries by one rule, ``cells``: each entry goes to
+the cell a search of its whole row finds.  Rows are summed in one of two
+orders, chosen by the kind of grid:
 
 - ``UniformRows`` (every refinement level of ``integrate``): a row is cut
   into stretches of ``STRETCH_CELLS`` cells (a row shorter than that is one
-  stretch), and the stretch subtotals are added left to right, so the
-  running sum at the end of each stretch is a prefix of the level's own
-  total.  A row long enough to be summed alone, a block at a time, sums
-  each stretch of a block that holds none of its entries from its point
-  values (one reduction for a whole chunk): f is monotone there, so its Darboux sums are Riemann sums tagged
-  at an end, step·(inner values + the lesser or greater end value), with
-  the inner values summed by one pairwise reduction.  Every other stretch
-  (in a block that holds an entry, on a shorter row, or of a sampled pass)
-  sums its per-cell products m·Δx by one pairwise reduction.  The
+  stretch, and a row whose length is not a multiple of it ends in a short
+  one), and the stretch subtotals are added left to right, so the running
+  sum at the end of each stretch is a prefix of the level's own total.
+  Each stretch is summed from its point values: f is monotone between a
+  row's entries, so its Darboux sums are Riemann sums tagged at an end,
+  step·(inner values + the lesser or greater end value), with the inner
+  values summed by one pairwise reduction.  A stretch that holds an entry,
+  or whose point sums are not finite, and every stretch of a sampled pass,
+  sums its per-cell products m·Δx by one pairwise reduction instead.  The
   reductions vectorise, where a running sum over cells cannot, and the
   rounding-error bound grows with log2(STRETCH_CELLS) plus the number of
   stretches instead of with the number of cells.  Every grid keeps those
@@ -33,25 +32,21 @@ one of two orders, chosen by the kind of grid:
   sequential order makes a cell of zero width (a repeated point) add
   exactly nothing.
 
-In either order a row's blocks are the same whether it is summed alone or
-in a band (whole short rows, or the same parts of a long row), and how a
-block of a row is summed depends on that row alone, so its sums are bit
-for bit the same both ways.  The entry points (``darboux_*``
-for sums, ``prefix_*`` for per-cell running sums, and the ``_fn`` twins
-of both for callables) sum a whole band, or one row given as a 1-D
-breakpoint array.  No library path calls the ``prefix_*`` entry points any
-more; they are kept for the benchmark, which times and traces them.
-Programs are evaluated over arrays of points through ``_tape.run``, which
-alone steps through programs; this module supplies the numpy evaluator's op
-table, ``_OPS``, and ``_IN_PLACE``, the same table writing each result into
-a buffer of ``_Buffers``: a sum allocates those once a call, and every chunk
-reuses them.  ``BLOCK_CELLS``, ``CHUNK_CELLS`` and ``STRETCH_CELLS`` are
-defined here, beside the one loop that reads them.  Stretches fix the
-summation order of uniform levels, which this module owns, and the tape
-format has no part in it.  Blocks fix the bits too: whether a row of a
-uniform level is point-summed (more than BLOCK_CELLS/2 cells), and which of
-its blocks hold an entry and so sum their products, both depend on
-``BLOCK_CELLS``.  A retune of it moves bits, so it must re-check that every
+In either order how a stretch, or a given row, is summed depends on it
+alone, so a row's sums are bit for bit the same whether it is summed alone
+or in a band.  The entry points (``darboux_*`` for sums, ``prefix_*`` for
+per-cell running sums, and the ``_fn`` twins of both for callables) sum a
+whole band, or one row given as a 1-D breakpoint array.  No library path
+calls the ``prefix_*`` entry points any more; they are kept for the
+benchmark, which times and traces them.  Programs are evaluated over
+arrays of points through ``_tape.run``, which alone steps through programs;
+this module supplies the numpy evaluator's op table, ``_OPS``, and
+``_IN_PLACE``, the same table writing each result into a buffer of
+``_Buffers``: a sum allocates those once a call, and every chunk reuses
+them.  ``CHUNK_CELLS`` and ``STRETCH_CELLS`` are defined here, beside the
+one loop that reads them.  Stretches fix the summation order of uniform
+levels, which this module owns, and the tape format has no part in it: a
+retune of ``STRETCH_CELLS`` moves bits, so it must re-check that every
 atom's closing depth is unchanged.  Chunks fix only the evaluation (how
 many points a program runs on at once, and how large the buffers are):
 ``CHUNK_CELLS`` moves no bit.
@@ -107,27 +102,20 @@ _OPS = {
     OP_MAX2: np.maximum,
 }
 
-# Cells whose sums are decided together.  A row of a uniform level is
-# point-summed when it has more than BLOCK_CELLS/2 cells; each block of such
-# a row that holds an entry, or whose point sums are not finite, sums its
-# products instead; and a long row whose running sum overflows only across
-# stretches is named at the first cell of the block where it did.  So blocks
-# fix the bits, and a retune of this moves them (see the module docstring).
-BLOCK_CELLS = 1 << 13
-
-# Cells evaluated at once, in whole blocks: one part of a long row, or as
-# many whole rows as fit.  Chunks fix only the evaluation, never the bits.
-# A sum allocates its buffers once, for its first (largest) chunk, and every
-# later chunk reuses them; a sampled pass evaluates s + 1 points a cell, so
-# its chunks are one block.  Measured in-process on the benchmark's oracle
-# workload (2 vCPUs, numpy 2.4.6), a pass took 0.62-0.64 of the time of
-# per-block evaluation at 2^15 cells and 0.77-0.82 at 2^14; a call's one
-# allocation, five arrays of its first chunk, is 1.25 MiB at 2^15.
+# Cells evaluated at once: one part of a long row, or as many whole rows as
+# fit.  Chunks fix only the evaluation, never the bits.  A sum allocates its
+# buffers once, for its first (largest) chunk, and every later chunk reuses
+# them; a sampled pass evaluates s + 1 points a cell, so its chunks are a
+# quarter as wide.  Measured in-process on the benchmark's oracle workload
+# (2 vCPUs, numpy 2.4.6), a pass took 0.62-0.64 of the time of evaluating
+# 2^13 cells at a time at 2^15 cells and 0.77-0.82 at 2^14; a call's one
+# allocation, three arrays of its first chunk on a uniform level and five
+# on given rows, is 0.75 or 1.25 MiB at 2^15.
 CHUNK_CELLS = 1 << 15
 
 # Uniform levels sum each stretch of this many cells pairwise, its point
 # values or its products, and add the stretch subtotals left to right.  It
-# divides BLOCK_CELLS, so no stretch straddles two blocks.  An
+# divides CHUNK_CELLS, so a chunk of a long row holds whole stretches.  An
 # antiderivative keeps one running L and U per stretch of its closing
 # level, and a read sums at most this many cells, so the length trades the
 # time of a read against kept memory.  Measured
@@ -138,7 +126,7 @@ STRETCH_CELLS = 1 << 8
 
 
 class RowError(ValueError):
-    """Evaluation failed in row ``row`` of a block; ``cause`` says where."""
+    """Evaluation failed in row ``row`` of a grid; ``cause`` says where."""
 
     def __init__(self, row: int, cause: Exception):
         super().__init__(str(cause))
@@ -344,6 +332,17 @@ def _values(prog: Program | None, ts: np.ndarray, evalf, ws: _Buffers, row0: int
     return out, None
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``a``, bit for bit those of ``np.unique`` (its sort and mask).
+
+    The first call of ``np.unique`` in a process loads numpy's set
+    routines, which raise peak RSS by more than this does.  Unlike it, NaNs
+    are not merged, and none is passed.
+    """
+    s = np.sort(a)
+    return np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
+
+
 class _Rows:
     """Rows of ``n`` cells each, one row per atom of a band.
 
@@ -374,10 +373,10 @@ class GivenRows(_Rows):
         """The cell of each point ``ts[i]`` in its row ``rows[i]``: clip(searchsorted(row, t, "right") - 1, 0, n - 1).
 
         That is the last point at most t, found by one search of each row
-        that holds a point.
+        that holds a point; ``rows`` may come in any order.
         """
         cells = np.empty(len(ts), dtype=np.int64)
-        for r in np.unique(rows).tolist():
+        for r in _distinct(rows).tolist():
             at = rows == r
             cells[at] = self.xs[r].searchsorted(ts[at], "right")
         return np.clip(cells - 1, 0, self.n - 1)
@@ -485,19 +484,6 @@ def _products(v: np.ndarray, xs: np.ndarray, at=None, vals=None, ws: _Buffers | 
     return mb
 
 
-def _block_products(v: np.ndarray, xs: np.ndarray, at, vals, r: int, b0: int, b1: int, ws=None) -> np.ndarray:
-    """The products of cells b0..b1 of row ``r`` of a chunk, folding its entries there.
-
-    ``at`` = (rows, cells) and ``vals`` are the chunk's entries, sorted by
-    row and cell, or None; ``ws`` as for ``_products``.
-    """
-    if at is not None:
-        m = xs.shape[1] - 1
-        i0, i1 = np.searchsorted(at[0] * m + at[1], (r * m + b0, r * m + b1)).tolist()
-        at, vals = (at[0][i0:i1] - r, at[1][i0:i1] - b0), vals[i0:i1]
-    return _products(v[r : r + 1, b0 : b1 + 1], xs[r : r + 1, b0 : b1 + 1], at, vals, ws)
-
-
 def _stretch_reductions(mb: np.ndarray, out: np.ndarray) -> None:
     """The products ``mb`` (2, rows, cells) summed by one pairwise reduction per stretch, into ``out``."""
     g = STRETCH_CELLS
@@ -533,26 +519,36 @@ def _point_sums(v: np.ndarray, step: np.ndarray, out: np.ndarray) -> None:
     out *= step
 
 
-def _fold_blocks(v: np.ndarray, xs: np.ndarray, at, vals, seen: np.ndarray, ws: _Buffers) -> None:
-    """Sum by products, into ``seen``, each block of a point-summed chunk that needs them.
+def _fold_stretches(v: np.ndarray, xs: np.ndarray, at, vals, seen: np.ndarray) -> None:
+    """Sum by products, into ``seen``, each stretch of a point-summed chunk that needs them.
 
-    Those are the blocks that hold an entry (``at``, ``vals`` as for
-    ``_block_products``) and those whose point sums in ``seen``, the
-    chunk's (2, rows, stretches) subtotals, are not finite: a sum of large
-    values can overflow where the products m·Δx do not.
+    Those are the stretches that hold an entry (``at`` = (rows, cells) and
+    ``vals``, sorted by row and cell, or None) and those whose point sums
+    in ``seen``, the chunk's (2, rows, stretches) subtotals, are not
+    finite: a sum of large values can overflow where the products m·Δx do
+    not.  Unless that is every stretch of the chunk, they are gathered
+    into one ``_products`` call, c + 1 points each for the chunk's c =
+    min(STRETCH_CELLS, cells); a short last stretch repeats its row's last
+    point, and its reduction leaves out the cells past its end.
     """
     g, m = STRETCH_CELLS, xs.shape[1] - 1
-    bad = ~np.isfinite(seen).all(axis=0)
-    if at is None and not bad.any():
-        return
-    rows, ks = np.nonzero(bad)
-    starts = rows * m + ks * g // BLOCK_CELLS * BLOCK_CELLS
+    redo = ~np.isfinite(seen).all(axis=0)
     if at is not None:
-        starts = np.concatenate((starts, at[0] * m + at[1] // BLOCK_CELLS * BLOCK_CELLS))
-    for start in sorted(set(starts.tolist())):
-        r, b0 = divmod(start, m)
-        b1 = min(b0 + BLOCK_CELLS, m)
-        _stretch_reductions(_block_products(v, xs, at, vals, r, b0, b1, ws), seen[:, r : r + 1, b0 // g : -(-b1 // g)])
+        redo[at[0], at[1] // g] = True
+    if redo.all():  # every stretch of the chunk, as it lies: no gather
+        return _stretch_reductions(_products(v, xs, at, vals), seen)
+    if not redo.any():
+        return
+    rows, ks = np.nonzero(redo)  # ordered by row, then stretch
+    c = min(g, m)
+    cols = np.minimum(ks[:, None] * g + np.arange(c + 1), m)
+    if at is not None:  # each entry's stretch among those gathered, and its cell there
+        at = np.searchsorted(rows * redo.shape[1] + ks, at[0] * redo.shape[1] + at[1] // g), at[1] % g
+    mb = _products(v[rows[:, None], cols], xs[rows[:, None], cols], at, vals)
+    sub = np.add.reduce(mb, axis=2)
+    if m > g and m % g:  # the short last stretch of a row of several
+        sub[:, ks == m // g] = np.add.reduce(mb[:, ks == m // g, : m % g], axis=2)
+    seen[:, rows, ks] = sub
 
 
 def _sampled_minmax(prog: Program | None, xs: np.ndarray, s: int, evalf, ws: _Buffers, row0: int):
@@ -573,46 +569,43 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
     ``entries`` (row, t, value), sorted by row and within a row by t, that
     fall in it; ``s > 0`` samples ``s`` subintervals per cell.  Each entry's
     cell is found once, by ``grid.cells``.  Cells are evaluated in chunks
-    of at most ``CHUNK_CELLS`` (a sampled pass: ``BLOCK_CELLS``), whole
-    blocks of several short rows or part of one long row at a time, into
-    buffers allocated once per call; a chunk takes the entries of its rows,
-    or for a long row those whose cells it holds.  Every decision of how to
-    sum is taken per block of at most ``BLOCK_CELLS``, several short rows
-    or part of one long row, so the chunks move no bit.  A ``UniformRows``
-    block is summed by stretches of ``STRETCH_CELLS`` cells, and once all
-    of a row's stretch subtotals are in, they are added left to right, in
-    ``grid.running``.  With ``s == 0``, on rows of more than BLOCK_CELLS/2
-    cells, each stretch of a chunk is summed from its point values
-    (``_point_sums``, one reduction for the whole chunk), and then each
-    block that holds an entry of its row, or whose point sums are not
-    finite (a sum of large values can overflow where the products m·Δx do
-    not), sums its products again (``_fold_blocks``): point sums assume f
-    monotone between a row's entries, which certified entries and monotone
-    hints give.  Blocks of several shorter rows, and every block of a
-    sampled pass, sum their products, a pairwise reduction per stretch.
-    (Point sums for some rows of a block and products for the others cost
-    more array operations than they save: measured on the benchmark's
-    ``wide`` workload, 2 vCPUs and numpy 2.4.6, that was about 15% slower.)
-    Every other grid, and every prefix sum, adds each row's products left
-    to right, each chunk's running sums starting from the row's running sum
-    so far, added to its first product; prefixes need that order, and it
-    makes a repeated point add exactly nothing.
+    of at most ``CHUNK_CELLS`` (a sampled pass: a quarter of that), several
+    whole rows or part of one long row at a time, into buffers allocated
+    once per call; a chunk takes the entries of its rows, or for a long row
+    those whose cells it holds.  A ``UniformRows`` row is summed by
+    stretches of ``STRETCH_CELLS`` cells (a row shorter than that is one
+    stretch, and a row whose length is not a multiple of it ends in a short
+    one), and once all of a row's stretch subtotals are in, they are added
+    left to right, in ``grid.running``.  With ``s == 0`` each stretch is
+    summed from its point values (``_point_sums``, one reduction for the
+    whole chunk), and then each stretch that holds an entry of its row, or
+    whose point sums are not finite (a sum of large values can overflow
+    where the products m·Δx do not), sums its products instead, all those
+    of a chunk gathered into one call (``_fold_stretches``): point sums
+    assume f monotone between a row's entries, which certified entries and
+    monotone hints give.  Every stretch of a sampled pass sums its products.
+    Either way a stretch's subtotal is one pairwise reduction, and how a
+    stretch is summed depends on that stretch alone, so neither the band
+    nor the chunks move a bit.  Every other grid, and every prefix sum,
+    adds each row's products left to right, each chunk's running sums
+    starting from the row's running sum so far, added to its first product;
+    prefixes need that order, and it makes a repeated point add exactly
+    nothing.
 
     Rounding that the point sums add to that of the products' order (no
-    bracket counts either yet): each cell's float width is replaced by the
-    row's step, which adds at most about ulp(max|x|)·(TV f + 2·sup|f|) to
-    a row's L or U; and float values on a stretch where f is monotone need
-    not be monotone, so an end value can miss a cell's float extremum by
-    the evaluation error.
+    bracket counts either yet), on every row of a uniform level, short or
+    long: each cell's float width is replaced by the row's step, which adds
+    at most about ulp(max|x|)·(TV f + 2·sup|f|) to a row's L or U; and
+    float values on a stretch where f is monotone need not be monotone, so
+    an end value can miss a cell's float extremum by the evaluation error.
 
-    A non-finite kernel value or an overflowing product makes a block's
-    sums (or, for rows of one block, their running sums) non-finite, so a
-    chunk is examined only then, and the lowest such row of its first such
-    block raises RowError (see ``_name_failure``) instead of numpy warning
-    of the overflow.  Summed left to right, that names the cell at which a
-    row's running sum overflowed.  A uniform row of several blocks whose
-    running sum overflows only across stretches is named once its last
-    chunk is summed, at the first cell of the block in which it overflowed.
+    A non-finite kernel value or an overflowing product makes a chunk's
+    sums non-finite, so a chunk is examined only then, and the lowest row
+    at fault raises RowError (see ``_name_failure``) instead of numpy
+    warning of the overflow.  Summed left to right, that names the cell at
+    which a row's running sum overflowed.  A uniform row whose stretch
+    subtotals are finite but whose running sum is not is named at the
+    first cell of the stretch where the running sum left the float range.
     A callable that fails in a row of a chunk is raised unless a lower row
     of the chunk fails; within a long row's chunk it is named before an
     overflow of that row's sums there.  Returns the row totals as a (2,
@@ -626,12 +619,9 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
     uniform = isinstance(grid, UniformRows)
     pairwise = uniform and prefix is None
     span = max(n, 1)  # with no cells, no chunks
-    per_block = max(1, BLOCK_CELLS // span)  # rows
-    long_rows = n > BLOCK_CELLS  # rows of several blocks
-    points = pairwise and s == 0 and per_block == 1  # blocks without entries summed from point values
-    reach = BLOCK_CELLS if s else CHUNK_CELLS
-    width = min(span, reach)  # a chunk's cells in each row
-    per_chunk = max(1, reach // span) // per_block * per_block  # rows: whole blocks of them
+    reach = CHUNK_CELLS // 4 if s else CHUNK_CELLS
+    width = min(span, reach)  # a chunk's cells in each row: whole stretches of a long row
+    per_chunk = max(1, reach // span)  # rows
     if entries is not None and len(entries[1]):
         e_rows, e_ts, e_vals = entries
         e_starts = np.searchsorted(e_rows, np.arange(rows + 1)).tolist()  # of each row's entries
@@ -639,7 +629,8 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
     else:  # no entries, or an empty list of them
         entries = None
     first = min(per_chunk, rows)  # rows of the first chunk, the largest
-    ws = _Buffers((first, width, s + 1), 3) if s else _Buffers((first, width + 1), 5)
+    # Points (or samples) and values, and the scratch of products of whole chunks.
+    ws = _Buffers((first, width, s + 1) if s else (first, width + 1), 3 if s or pairwise else 5)
     at = vals = None
     # Lower and upper, the running sums so far, of given rows; a uniform
     # level's are the last of its ``running``.
@@ -661,19 +652,17 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
             if s == 0:
                 pts = xs
                 v, failed = _values(prog, xs, evalf, ws, r0)
-                mb = None if points else _products(v, xs, at, vals, ws)
+                mb = None if pairwise else _products(v, xs, at, vals, ws)
             else:
                 pts, v, mb, failed = _sampled_minmax(prog, xs, s, evalf, ws, r0)
                 np.multiply(mb, xs[:, 1:] - xs[:, :-1], out=mb)
             if pairwise:
                 seen = run[..., c0 // g : -(-c1 // g)]  # the chunk's stretches
-                if points:
-                    _point_sums(v, grid.step[r0:r1], seen)
-                    _fold_blocks(v, xs, at, vals, seen, ws)
-                else:
+                if s:
                     _stretch_reductions(mb, seen)
-                if not long_rows:  # the rows' only block: make ``seen`` their running sums
-                    seen = _running(run)
+                else:
+                    _point_sums(v, grid.step[r0:r1], seen)
+                    _fold_stretches(v, xs, at, vals, seen)
             else:  # left to right, from the rows' running sums so far
                 mb[:, :, 0] += totals[:, r0:r1]
                 np.add.accumulate(mb, axis=2, out=mb)
@@ -681,12 +670,10 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
                 if prefix is not None:
                     prefix[:, r0:r1, c0:c1] = mb
             if not _finite(seen):  # a finite total has finite terms
-                _name_failure(seen, v, pts, xs, mb, at, vals, failed, pairwise, long_rows, r0)
-        if pairwise and long_rows:  # one row in blocks: add its stretch subtotals left to right
-            bad = ~np.isfinite(_running(run)[:, 0]).all(axis=0)
-            if bad[-1]:  # it overflowed across stretches: name the block where it did
-                c0 = int(np.argmax(bad)) * g // BLOCK_CELLS * BLOCK_CELLS
-                raise _overflow(r0, *grid.block(r0, r0 + 1, c0, c0 + 1)[0])
+                _name_failure(seen, v, pts, xs, mb, at, vals, failed, run if pairwise else None, r0)
+        if pairwise and not _finite(_running(run)):  # finite subtotals summed past the float range
+            r, k = np.argwhere(~np.isfinite(run).all(axis=0))[0].tolist()  # the lowest row, its first such stretch
+            raise _overflow(r0 + r, *grid.block(r0 + r, r0 + r + 1, k * g, k * g + 1)[0])
 
     return grid.running[..., -1].copy() if pairwise and n else totals
 
@@ -702,34 +689,44 @@ def _running(run: np.ndarray) -> np.ndarray:
     return np.add.accumulate(run, axis=2, out=run) if run.shape[2] > 1 else run
 
 
-def _name_failure(seen, v, pts, xs, mb, at, vals, failed, pairwise: bool, long_rows: bool, row0: int):
+def _first_non_finite(a: np.ndarray) -> int:
+    """The first index along the last axis at which either row of the (2, k) array ``a`` is not finite; 0 if none."""
+    return int(np.argmax(~np.isfinite(a).all(axis=0)))
+
+
+def _name_failure(seen, v, pts, xs, mb, at, vals, failed, run, row0: int):
     """Raise RowError for the lowest row of a chunk whose sums are not finite.
 
-    ``seen`` holds the chunk's rows' sums: their stretch subtotals or
-    running sums (``pairwise``), or their running sums so far.  A callable
-    that failed in row k of the chunk (``failed``, see ``_values``) is
-    raised unless a row below k is at fault.  On rows of several blocks
-    (one row a chunk) the block examined is the first whose sums are not
-    finite; otherwise it is the row, whole.  Names the first non-finite
-    value there (``v`` at ``pts``), or else the first cell at which the
-    running sum of its products m·Δx (``mb``; already their running sums
-    unless ``pairwise``; for point sums None, and found again with the
-    entries ``at``, ``vals``) overflowed; if none did, a partial sum
-    overflowed, at the block's first cell.
+    On a uniform level ``run`` holds the chunk's rows' stretch subtotals
+    so far and ``seen`` those of the chunk, and a row is at fault where
+    their running sums are not finite.  Otherwise ``run`` is None, ``seen``
+    holds the rows' running sums so far and ``mb`` those at each of the
+    chunk's cells.  A callable that failed in row k of the chunk
+    (``failed``, see ``_values``) is raised unless a row below k is at
+    fault.  Names, in the row at fault, its first non-finite value in the
+    chunk (``v`` at ``pts``); else, left to right, the first cell at which
+    its running sum is not finite; else, in its first stretch whose
+    subtotal is not finite, the first cell at which the running sum of the
+    stretch's products m·Δx (``mb``; for point sums None, and found again
+    with the entries ``at``, ``vals``) is not, or the stretch's first cell
+    if none is (a partial sum overflowed); else the first cell of the
+    stretch at which the row's running sum left the float range.
     """
-    r = int(np.argmax(~np.isfinite(seen).reshape(2, len(xs), -1).all(axis=(0, 2))))
+    g = STRETCH_CELLS
+    sums = seen if run is None else np.add.accumulate(run, axis=2)
+    r = int(np.argmax(~np.isfinite(sums).reshape(2, len(xs), -1).all(axis=(0, 2))))
     if failed is not None and r >= failed[0]:
         raise failed[1] from failed[1].cause
-    b0, b1 = 0, xs.shape[1] - 1
-    if long_rows:
-        k = int(np.argmax(~np.isfinite(seen if pairwise else mb).all(axis=(0, 1))))
-        b0 = k * (STRETCH_CELLS if pairwise else 1) // BLOCK_CELLS * BLOCK_CELLS
-        b1 = min(b0 + BLOCK_CELLS, b1)
-    mb = _block_products(v, xs, at, vals, r, b0, b1) if mb is None else mb[:, r : r + 1, b0:b1]
-    _check_finite(v[r : r + 1, b0 : b1 + 1], pts[r : r + 1, b0 : b1 + 1], row0 + r)
-    running = np.add.accumulate(mb[:, 0], axis=1) if pairwise else mb[:, 0]
-    k = int(np.argmax(~np.isfinite(running).all(axis=0)))
-    raise _overflow(row0 + r, xs[r, b0 + k], xs[r, b0 + k + 1])
+    _check_finite(v[r : r + 1], pts[r : r + 1], row0 + r)
+    if run is None:
+        k = _first_non_finite(mb[:, r])
+    elif _finite(seen[:, r]):  # a chunk of whole rows: this one's subtotals summed past the float range
+        k = g * _first_non_finite(sums[:, r])
+    else:
+        k = g * _first_non_finite(seen[:, r])
+        prods = _products(v, xs, at, vals) if mb is None else mb
+        k += _first_non_finite(np.add.accumulate(prods[:, r, k : k + g], axis=1))
+    raise _overflow(row0 + r, xs[r, k], xs[r, k + 1])
 
 
 def _overflow(row: int, a, b) -> RowError:

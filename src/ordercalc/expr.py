@@ -331,7 +331,11 @@ def _ipow(x, e: int, mul=operator.mul, div=operator.truediv):
     table passes a ``mul`` and a ``div`` that write into an operand it owns
     (see ``_kernels_fallback._Buffers``): ``_ipow`` needs no value it passes
     as ``mul``'s first operand afterwards, unless it is also the second (a
-    square, whose base the running product may still hold).
+    square, whose base the running product may still hold).  The last
+    product takes the base first, at its last use, so the numpy table
+    writes the result into it and t^3 takes one buffer; both operands are
+    powers of x, so their product is the same bits in either order, NaN
+    and signed zeros included.
     """
     if e == 0:
         return x**0
@@ -340,7 +344,7 @@ def _ipow(x, e: int, mul=operator.mul, div=operator.truediv):
     base = x
     while n:
         if n & 1:
-            acc = base if acc is None else mul(acc, base)
+            acc = base if acc is None else mul(base, acc) if n == 1 else mul(acc, base)
         n >>= 1
         if n:
             base = mul(base, base)

@@ -194,7 +194,7 @@ class ScalarKernel:
             raise IsolationError(
                 f"derivative not resolved on [{lo!r}, {hi!r}] within {_MAX_PIECES} pieces"
             )
-        return np.unique(ts)
+        return _kernels._distinct(ts)
 
     def critical_entries(self, lo: np.ndarray, hi: np.ndarray):
         """The critical (t, value) entries of every row [lo[r], hi[r]], in one pass.

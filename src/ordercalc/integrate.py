@@ -20,10 +20,10 @@ and the error rule.  Kernels with exact extrema produce true Darboux
 brackets: monotone-hinted kernels, and every differentiable expression
 kernel, whose cell extrema are the cell endpoints folded with certified
 critical-point entries (see ``ScalarKernel.critical_entries``).  Between
-its entries such a kernel is monotone, so a long row of a level sums each
-block of cells that holds no entry from its point values, stretch by
-stretch, as Riemann sums tagged at the stretches' ends, and only the
-blocks that hold one cell by cell (see ``_kernels_fallback._sum_cells``).
+its entries such a kernel is monotone, so every row of a level sums each
+stretch of cells that holds no entry from its point values, as Riemann
+sums tagged at the stretch's ends, and only the stretches that hold one
+cell by cell (see ``_kernels_fallback._sum_cells``).
 Sampled kernels (callables, expressions holding abs, min or max, and atoms
 whose critical points cannot be isolated) widen the bracket by a measured
 two-resolution difference, and the result records that provenance.  A

@@ -33,35 +33,30 @@ def with_package_path(env) -> dict:
     return env
 
 
-def stretch_subtotals(v, xs, lows, ups, ts, g: int, block: int) -> np.ndarray:
+def stretch_subtotals(v, xs, lows, ups, ts, g: int) -> np.ndarray:
     """A uniform level's (L, U) subtotal per stretch of g cells, written plainly, as (2, stretches).
 
     ``v`` holds the kernel's values at the level's points ``xs``, ``lows``
     and ``ups`` each cell's products min·dx and max·dx, and ``ts`` the
-    points of the critical entries.  A row of more than block/2 cells is
-    summed alone, a block of ``block`` cells at a time.  There a block that
-    holds no entry sums each stretch as step * (its inner values + the
-    least or greatest of its end values), its inner values by one
-    reduction, unless one of those sums is not finite.  Every other
-    stretch, on a shorter row or in a block that holds an entry, sums its
-    products by one reduction.
+    points of the critical entries.  A row of fewer than g cells is one
+    stretch, and a row whose length is not a multiple of g ends in a short
+    one.  A stretch that holds no entry sums as step * (its inner values +
+    the least or greatest of its end values), its inner values by one
+    reduction, unless one of those sums is not finite.  Every other stretch
+    sums its products by one reduction.
     """
     n = len(xs) - 1
     step = (xs[-1] - xs[0]) / n
     held = np.clip(np.searchsorted(xs, ts, side="right") - 1, 0, n - 1)
     out = []
-    for b0 in range(0, n, block):
-        b1 = min(b0 + block, n)
-        starts = range(b0, b1, g)
-        sums = []
-        for c0 in starts:
-            c1 = min(c0 + g, b1)
-            inner = np.add.reduce(v[c0 + 1 : c1])
-            sums.append([step * (inner + end) for end in (min(v[c0], v[c1]), max(v[c0], v[c1]))])
-        if 2 * n <= block or ((held >= b0) & (held < b1)).any() or not np.isfinite(sums).all():
-            sums = [[np.add.reduce(p[c0 : min(c0 + g, b1)]) for p in (lows, ups)] for c0 in starts]
-        out += sums
-    return np.array(out).T.reshape(2, -1)
+    for c0 in range(0, n, g):
+        c1 = min(c0 + g, n)
+        inner = np.add.reduce(v[c0 + 1 : c1])
+        sums = [step * (inner + end) for end in (min(v[c0], v[c1]), max(v[c0], v[c1]))]
+        if ((held >= c0) & (held < c1)).any() or not np.isfinite(sums).all():
+            sums = [np.add.reduce(p[c0:c1]) for p in (lows, ups)]
+        out.append(sums)
+    return np.array(out).T
 
 
 def running_sums(subtotals) -> np.ndarray:

@@ -191,7 +191,7 @@ def _antiderivative_alone(kernel, lo, hi, sched):
         ql, qu = _level_products(kernel, xs, ts, vals, s // 2)
         wl, wu = abs(rl[-1] - _running(_reductions(ql))[-1]), abs(ru[-1] - _running(_reductions(qu))[-1])
     else:
-        rl, ru = map(_running, stretch_subtotals(kernel.eval_many(xs), xs, pl, pu, ts, G, K.BLOCK_CELLS))
+        rl, ru = map(_running, stretch_subtotals(kernel.eval_many(xs), xs, pl, pu, ts, G))
         wl = wu = 0.0
 
     def read(x):

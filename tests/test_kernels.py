@@ -1,4 +1,4 @@
-"""The summation core: a band summed as one block of rows equals its rows summed alone, bit for bit."""
+"""The summation core: a band summed as one grid of rows equals its rows summed alone, bit for bit."""
 
 import math
 import random
@@ -40,7 +40,7 @@ def _reference_sums(prog, xs, crit_ts, crit_vals):
 def _stretch_subtotals(prog, xs, crit_ts, crit_vals):
     """The uniform-rows order written plainly: each STRETCH_CELLS stretch's (L, U), as (2, stretches)."""
     m, big = _products(prog, xs, crit_ts, crit_vals)
-    return stretch_subtotals(K.eval_many(prog, xs), xs, m, big, crit_ts, K.STRETCH_CELLS, K.BLOCK_CELLS)
+    return stretch_subtotals(K.eval_many(prog, xs), xs, m, big, crit_ts, K.STRETCH_CELLS)
 
 
 def _pairwise_reference(prog, xs, crit_ts, crit_vals):
@@ -60,8 +60,8 @@ def _band(src, lo, hi):
 
 @pytest.mark.parametrize("n", [1, 2**12, 2**13 + 5, 2**19 + 2**11])
 def test_uniform_rows_equal_one_row_sums(n):
-    # Blocks of many short rows, and long rows in several blocks with
-    # critical entries on both sides of a block boundary.
+    # Chunks of many short rows, and long rows in several chunks with
+    # critical entries on both sides of a chunk boundary.
     lo = np.array([-1.0, -0.3, 0.5, 0.2, -2.0])
     hi = np.array([1.0, 0.9, 0.5, 1.7, 0.3])
     k, entries = _band("t^3 - t", lo, hi)
@@ -112,14 +112,14 @@ def test_uniform_rows_keep_the_running_sums_at_stretch_ends(n):
         assert grid.ends()[r].tobytes() == xs[list(range(0, n, g)) + [n]].tobytes(), r
 
 
-@pytest.mark.parametrize("n", [300, 3 * K.STRETCH_CELLS, K.BLOCK_CELLS + 300, 2 * K.BLOCK_CELLS])
+@pytest.mark.parametrize("n", [1, 7, 255, 300, 3 * K.STRETCH_CELLS, 4096, 8192 + 300, 2 * 8192])
 def test_point_sums_fold_each_stretch_that_holds_an_entry(n):
     # Entries in several stretches: at a stretch's end point (so in the
-    # first cell of the next stretch), at the first point of the second
-    # block, inside a cell, and at hi, besides the kernel's own.  Rows of
-    # whole stretches, and of whole stretches and a short last one, in
-    # blocks of several rows (all summed by products) and in blocks of one
-    # long row (point sums, but by products in a block holding an entry).
+    # first cell of the next stretch), at the point 8192, inside a cell,
+    # and at hi, besides the kernel's own.  Rows of one stretch, of whole
+    # stretches, and of whole stretches and a short last one, several to a
+    # chunk or one long row: each is point-summed, and each stretch that
+    # holds an entry sums its products.
     g = K.STRETCH_CELLS
     lo = np.array([-1.0, 0.25, -2.0])
     hi = np.array([1.0, 1.75, 0.5])
@@ -127,7 +127,8 @@ def test_point_sums_fold_each_stretch_that_holds_an_entry(n):
     rows, ts = [e_rows], [e_ts]
     for r in range(len(lo)):
         xs = uniform_grid(lo[r], hi[r], n)
-        at = [xs[c] for c in (g, 2 * g, K.BLOCK_CELLS, n) if c <= n] + [0.5 * (xs[g + 3] + xs[g + 4])]
+        inside = g + 3 if g + 3 < n else n // 2
+        at = [xs[c] for c in (g, 2 * g, 8192, n) if c <= n] + [0.5 * (xs[inside] + xs[inside + 1])]
         rows.append(np.full(len(at), r))
         ts.append(np.array(at))
     e_rows, e_ts = np.concatenate(rows), np.concatenate(ts)
@@ -148,17 +149,18 @@ def test_point_sums_fold_each_stretch_that_holds_an_entry(n):
 
 def test_monotone_callable_point_sums_over_several_stretches():
     # A monotone-hinted callable is summed from its point values on every
-    # stretch of a level whose rows are summed alone, a block at a time (a
-    # short last stretch included), and by products on shorter rows.
+    # stretch of a level: rows of one stretch, of whole stretches and of
+    # whole stretches and a short last one, several to a chunk or one long
+    # row.
     evalf = ScalarKernel.from_callable(math.atan, monotone="increasing").eval_many
     lo, hi = np.array([-2.0, 0.5, 1.0]), np.array([3.0, 0.75, 1.0])
-    for n in (5 * K.STRETCH_CELLS, K.BLOCK_CELLS // 2 + 17, K.BLOCK_CELLS + 600):
+    for n in (1, 7, K.STRETCH_CELLS, 5 * K.STRETCH_CELLS, 3 * K.STRETCH_CELLS + 5, 8192 // 2 + 17, 8192 + 600):
         got = K.darboux_endpoint_fn(evalf, K.UniformRows(lo, hi, n))
         for r in range(len(lo)):
             xs = uniform_grid(lo[r], hi[r], n)
             v = evalf(xs)
             m, big = np.minimum(v[:-1], v[1:]) * np.diff(xs), np.maximum(v[:-1], v[1:]) * np.diff(xs)
-            subtotals = stretch_subtotals(v, xs, m, big, [], K.STRETCH_CELLS, K.BLOCK_CELLS)
+            subtotals = stretch_subtotals(v, xs, m, big, [], K.STRETCH_CELLS)
             want = [0.0, 0.0]
             for side in range(2):
                 for sub in subtotals[side]:
@@ -271,17 +273,22 @@ def test_overflowing_products_name_the_lowest_row():
 
 
 def test_totals_overflowing_across_blocks_name_the_lowest_row():
-    # Each block's sums are finite; only their totals pass the float range.
-    # Row 1 overflows at its second block, which starts at t = 1, row 2 at
-    # its third; row 1 is named, at the first cell of that block.
+    # Each stretch's sum of products is finite (its point sum is not); only
+    # their running sums pass the float range.  Rows 1 and 2 overflow, row
+    # 1 is named, at the first cell of the stretch where its running sum did.
+    n, g = 3 * 8192, K.STRETCH_CELLS
     prog = ScalarKernel.from_string("1e308").program
-    grid = K.UniformRows(np.array([0.0, 0.0, 0.0]), np.array([1.0, 3.0, 2.5]), 3 * K.BLOCK_CELLS)
+    grid = K.UniformRows(np.array([0.0, 0.0, 0.0]), np.array([1.0, 3.0, 2.5]), n)
+    step = 3.0 / n  # row 1's cells: each product is 1e308 * step, exactly
+    sub, total, k = float(np.add.reduce(np.full(g, 1e308 * step))), 0.0, 0
+    while math.isfinite(total := total + sub):
+        k += 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(K.RowError) as info:
             K.darboux_endpoint(prog, grid)
         assert info.value.row == 1 and isinstance(info.value.cause, OverflowError)
-        assert f"[1.0, {1.0 + 1.0 / K.BLOCK_CELLS!r}]" in str(info.value)
+        assert f"[{k * g * step!r}, {(k * g + 1) * step!r}]" in str(info.value)
         # Left to right, the row is named at the cell where its running sum
         # overflowed: each cell adds 1e308·2^-18, and the float range ends
         # after 1.7976931348623157·2^18 ≈ 471254.47 of them, in cell 471254.
@@ -293,7 +300,7 @@ def test_totals_overflowing_across_blocks_name_the_lowest_row():
 
 
 def test_short_rows_overflowing_across_stretches_name_the_lowest_row():
-    # Rows of two stretches in one block: row 1's stretch sums are finite
+    # Rows of two stretches in one chunk: row 1's stretch sums are finite
     # but their running sum is not; row 2 leaves the domain.  Row 1 is named.
     prog = ScalarKernel.from_string("1e308 + 0*log(t)").program
     grid = K.UniformRows(np.array([1.0, 1.0, -1.0]), np.array([2.0, 3.5, 1.0]), 2 * K.STRETCH_CELLS)
@@ -333,18 +340,18 @@ def test_point_sums_that_overflow_fall_back_to_the_products():
     assert r.lower[0] <= math.exp(709.0) - math.exp(708.0) <= r.upper[0]
 
 
-@pytest.mark.parametrize("n", [1, 7, K.BLOCK_CELLS, 3 * K.BLOCK_CELLS + 5])
+@pytest.mark.parametrize("n", [1, 7, 8192, 3 * 8192 + 5, 3 * K.CHUNK_CELLS + 5])
 def test_uniform_rows_blocks_equal_uniform_grid(n):
-    # Blocks are built from one cached index row; every block, the last
-    # one shorter than BLOCK_CELLS included, is uniform_grid's stretch bit
+    # Chunks are built from one cached index row; every chunk, the last
+    # one shorter than CHUNK_CELLS included, is uniform_grid's stretch bit
     # for bit, on rows of all magnitudes and one of zero width.
     lo = np.array([-1.0, 0.0, 1e16, 3.0, -2.5e-300, 0.1])
     hi = np.array([1.0, 1e-300, 1e16 + 64.0, 3.0, 7e-301, 0.7])
     grid = K.UniformRows(lo, hi, n)
-    per_block = max(1, K.BLOCK_CELLS // n)
-    width = min(n, K.BLOCK_CELLS)
-    for r0 in range(0, len(lo), per_block):
-        r1 = min(r0 + per_block, len(lo))
+    per_chunk = max(1, K.CHUNK_CELLS // n)
+    width = min(n, K.CHUNK_CELLS)
+    for r0 in range(0, len(lo), per_chunk):
+        r1 = min(r0 + per_chunk, len(lo))
         for c0 in range(0, n, width):
             c1 = min(c0 + width, n)
             got = grid.block(r0, r1, c0, c1)
@@ -376,12 +383,12 @@ def test_grid_cells_match_a_search_of_the_whole_row(kind, n):
     assert np.array_equal(got, np.concatenate(want)[order])
 
 
-@pytest.mark.parametrize("n", [64, 4 * K.BLOCK_CELLS])
+@pytest.mark.parametrize("n", [64, 4 * 8192])
 @pytest.mark.parametrize("kind", [K.UniformRows, K.GivenRows])
 def test_entries_in_any_order_sum_as_sorted(kind, n):
     # Entries are ordered by (row, t) before they are placed, so shuffled
-    # entries sum bit for bit as sorted ones, on a long row in blocks and
-    # on short rows sharing a block.
+    # entries sum bit for bit as sorted ones, on long rows and on short
+    # rows sharing a chunk.
     lo, hi = np.array([0.0, -1.0, 0.5]), np.array([3.0, 2.0, 0.9])
     k, (rows, ts, vals) = _band("sin(40*t)", lo, hi)
     grid = K.UniformRows(lo, hi, n) if kind is K.UniformRows else K.GivenRows(uniform_grid(lo, hi, n))
@@ -396,17 +403,17 @@ C2 = 1.0 + 200 / 8192
 
 
 def test_non_finite_value_names_its_row():
-    # Values are scanned only when a block's L or U is not finite; the
+    # Values are scanned only when a chunk's L or U is not finite; the
     # first bad point of the lowest bad row is still the one named.
     cases = [  # (kernel, lo, hi, cells, row, t, sampled)
-        # A block of short rows whose third row and a later one are bad.
+        # A chunk of short rows whose third row and a later one are bad.
         ("log(t)", [1.0, 2.0, -1.0, -2.0], [2.0, 3.0, 1.0, 1.0], 16, 2, -1.0, False),
         # 1/t is +inf at the grid point 0.0 of rows 2 and 3.
         ("1/t", [1.0, 2.0, -1.0, -3.0], [2.0, 3.0, 1.0, 1.0], 16, 2, 0.0, False),
         # NaN·0 on a zero-width row, by endpoints and by sampling.
         ("log(t)", [1.0, -1.0, -1.0], [2.0, -1.0, 1.0], 16, 1, -1.0, False),
         ("log(t)", [1.0, -1.0, -1.0], [2.0, -1.0, 1.0], 16, 1, -1.0, True),
-        # Long rows: row 1 is bad at C1 and C2 in its second block, row 2 in its first.
+        # Long rows: row 1 is bad at C1 and C2, its cells 8292 and 8392, row 2 at C1, its cell 4096.
         ("1/((t - C1)*(t - C2))", [5.0, 0.0, C1 - 0.5], [8.0, 3.0, C1 + 2.5], 3 * 8192, 1, C1, False),
     ]
     for src, lo, hi, n, row, t, sampled in cases:
@@ -449,12 +456,12 @@ def _with_entries_at(k, lo, hi, n, cells):
 @pytest.mark.parametrize("src", ["t^3 - t", "sin(3*t) + exp(t)"])
 @pytest.mark.parametrize("n", [2**12 + 1, 2**13 + 7, 2**15 - 1, 2**15 + 1, 2**16 + 5, 2**17 + 3])
 def test_chunked_rows_keep_the_plain_reference_bit_for_bit(src, n):
-    # Long rows are evaluated a chunk of several blocks at a time and
-    # point-summed by one reduction for the chunk, then the blocks that
-    # hold an entry sum their products.  Entries at the first and last cell
-    # of a block and of a chunk, and at the row's last cell, besides the
-    # kernel's own, land in the blocks the plain order puts them in.
-    b, c = K.BLOCK_CELLS, K.CHUNK_CELLS
+    # Long rows are evaluated a chunk at a time and point-summed by one
+    # reduction for the chunk, then the stretches that hold an entry sum
+    # their products.  Entries at the cells 0, 8191, 8192, at the first and
+    # last cell of a chunk, and at the row's last cell, besides the
+    # kernel's own, land in the stretches the plain order puts them in.
+    b, c = 8192, K.CHUNK_CELLS
     lo, hi = np.array([-1.0, 0.3, -2.0]), np.array([1.0, 1.9, 0.5])
     k, e_rows, e_ts, e_vals = _with_entries_at(src, lo, hi, n, (0, b - 1, b, c - 1, c, 2 * c - 1, n - 1))
     grid = K.UniformRows(lo, hi, n)
@@ -467,9 +474,8 @@ def test_chunked_rows_keep_the_plain_reference_bit_for_bit(src, n):
 
 
 def test_a_buffer_first_taken_in_a_short_chunk_serves_the_full_chunks_after_it():
-    # t^3 + t has no critical point and takes both buffers of values, so
-    # the widths of a block's products take a third buffer.  Row 0 first
-    # folds a block in its last, short chunk, row 1 in its first, full one.
+    # t^3 + t has no critical point.  Row 0 first folds a stretch in its
+    # last, short chunk, row 1 in its first, full one.
     n = K.CHUNK_CELLS + 1000
     lo, hi = np.array([0.0, -1.0]), np.array([1.0, 1.0])
     prog = ScalarKernel.from_string("t^3 + t").program
@@ -486,10 +492,9 @@ def test_a_buffer_first_taken_in_a_short_chunk_serves_the_full_chunks_after_it()
 
 @pytest.mark.parametrize("n, rows", [(64, 700), (3 * K.STRETCH_CELLS + 5, 90), (5000, 8)])
 def test_chunks_of_whole_rows_keep_the_plain_reference_bit_for_bit(n, rows):
-    # Short rows share blocks, and chunks hold whole blocks of rows, the
-    # last chunk fewer than the others (700 rows of 64 cells: chunks of 512
-    # rows in blocks of 128; 8 rows of 5000 cells: chunks of 6 rows, one a
-    # block, point-summed).
+    # Short rows share chunks, the last chunk fewer than the others (700
+    # rows of 64 cells: chunks of 512 rows; 8 rows of 5000 cells: chunks of
+    # 6 rows), and every row is point-summed.
     rng = np.random.default_rng(5)
     lo = rng.uniform(-2.0, 1.0, rows)
     hi = lo + rng.uniform(0.1, 2.0, rows)
@@ -507,12 +512,11 @@ def test_chunks_of_whole_rows_keep_the_plain_reference_bit_for_bit(n, rows):
 @pytest.mark.parametrize("block", [0, 1])
 @pytest.mark.parametrize("cubic", [False, True])
 def test_non_finite_value_in_a_chunk_names_its_row_and_point(cubic, block, entry):
-    # Rows 1 and 2 are bad at p, in block 1 (the middle) or 0 of their
-    # second chunk (of four blocks), row 0 nowhere; with an entry there,
-    # that block sums its products.  The cubic's values take both buffers
-    # of values, so its products' widths must go elsewhere.  Row 1 is
+    # Rows 1 and 2 are bad at p, 37 or 8192 + 37 cells into their second
+    # chunk, row 0 nowhere; with an entry there, that stretch sums its
+    # products.  The cubic's values take both buffers of values.  Row 1 is
     # named, at p.
-    b, n = K.BLOCK_CELLS, 2 * K.CHUNK_CELLS
+    b, n = 8192, 2 * K.CHUNK_CELLS
     p = float(uniform_grid(0.0, 2.0, n)[K.CHUNK_CELLS + block * b + 37])
     src = f"1/(t^3 - t - {p * (p * p) - p!r})" if cubic else f"1/(t - {p!r})"
     prog = ScalarKernel.from_string(src).program
@@ -563,6 +567,41 @@ def test_in_place_evaluation_gives_the_out_of_place_bits():
         assert ts.tobytes() == before.tobytes()
 
 
+def test_powers_write_their_last_product_into_the_square_they_end_with():
+    # Under the in-place table t^3 takes one buffer of values, not two, and
+    # t^5 two, not three; the values are those of the out-of-place table.
+    ts = np.linspace(-2.0, 2.0, 9)
+    for src, taken in (("t^2", 1), ("t^3", 1), ("t^5", 2), ("t^3 - t", 1)):
+        prog = ScalarKernel.from_string(src).program
+        ws = K._Buffers(ts.shape, 3)
+        got = ws.run(prog, ts)
+        assert ws.taken == taken, src
+        assert got.tobytes() == K.run(prog, ts, partial(np.full, ts.shape), K._OPS).tobytes(), src
+
+
+def test_distinct_values_are_those_of_np_unique(monkeypatch):
+    # Sort and mask give np.unique's sorted distinct values bit for bit,
+    # with repeats, -0.0 next to 0.0, and no value at all; critical_points
+    # and GivenRows.cells (whose rows come in any order) read through it.
+    rng = np.random.default_rng(12)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -1e-300])
+    for size in (0, 1, 2, 5, 40):
+        for _ in range(50):
+            a = rng.choice(pool, size)
+            assert K._distinct(a).tobytes() == np.unique(a).tobytes(), a
+    rows = rng.integers(0, 5, 30)
+    assert K._distinct(rows).tobytes() == np.unique(rows).tobytes()
+    xs = uniform_grid(np.arange(5.0), np.arange(5.0) + 1.0, 8)
+    ts = rows + rng.uniform(-0.5, 1.5, 30)
+    want = [np.clip(xs[r].searchsorted(t, "right") - 1, 0, 7) for r, t in zip(rows, ts)]
+    assert np.array_equal(K.GivenRows(xs).cells(rows, ts), want)
+    ts = np.array([0.5, -0.0, 0.0, 0.5, -0.5, 0.0])
+    entries = (np.zeros(len(ts), dtype=np.int64), ts, ts, np.zeros(1, dtype=bool))
+    monkeypatch.setattr(ScalarKernel, "critical_entries", lambda self, lo, hi: entries)
+    points = ScalarKernel.from_string("t^3 - t").critical_points(-1.0, 1.0)
+    assert points.tobytes() == np.unique(ts).tobytes()
+
+
 def test_a_level_keeps_a_few_chunk_buffers_not_the_whole_row():
     # One 2^20-cell level of t^2 (point sums, and one block summed by
     # products around the entry at 0) holds its chunk's points, values and
@@ -587,7 +626,7 @@ def test_threads_summing_at_once_keep_their_own_buffers():
     # often, give the bytes each gives alone.
     lo, hi = np.array([-1.0, 0.3]), np.array([1.0, 1.9])
     kernels = [ScalarKernel.from_string(src).program for src in ("t^3 - t", "sin(3*t) + exp(t)", "3*t^2 - 2*t")]
-    jobs = [(prog, n) for prog in kernels for n in (2**15 + 7, 3 * K.BLOCK_CELLS // 2)]
+    jobs = [(prog, n) for prog in kernels for n in (2**15 + 7, 3 * 8192 // 2)]
     want = [K.darboux_endpoint(prog, K.UniformRows(lo, hi, n)).tobytes() for prog, n in jobs]
     got = [None] * len(jobs)
 
