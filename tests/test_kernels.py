@@ -289,6 +289,14 @@ def test_totals_overflowing_across_blocks_name_the_lowest_row():
             K.darboux_endpoint(prog, grid)
         assert info.value.row == 1 and isinstance(info.value.cause, OverflowError)
         assert f"[{k * g * step!r}, {(k * g + 1) * step!r}]" in str(info.value)
+        # Rows sharing a chunk, row 2 leaving the domain: row 1's running sum
+        # overflows at its second stretch, which starts at t = 2.
+        logged = ScalarKernel.from_string("1e308 + 0*log(t)").program
+        grid = K.UniformRows(np.array([1.0, 1.0, -1.0]), np.array([2.0, 3.0, 1.0]), 2 * g)
+        with pytest.raises(K.RowError) as info:
+            K.darboux_endpoint(logged, grid)
+        assert info.value.row == 1 and isinstance(info.value.cause, OverflowError)
+        assert f"[2.0, {2.0 + 2.0**-8!r}]" in str(info.value)
         # Left to right, the row is named at the cell where its running sum
         # overflowed: each cell adds 1e308·2^-18, and the float range ends
         # after 1.7976931348623157·2^18 ≈ 471254.47 of them, in cell 471254.
