@@ -333,9 +333,9 @@ def _values(prog: Program | None, ts: np.ndarray, evalf, ws: _Buffers, row0: int
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of ``a``, bit for bit those of ``np.unique`` (its sort and mask).
+    """The sorted distinct values of ``a``, bit for bit those numpy's ``unique`` gives, by its sort and mask.
 
-    The first call of ``np.unique`` in a process loads numpy's set
+    The first call of numpy's ``unique`` in a process loads its set
     routines, which raise peak RSS by more than this does.  Unlike it, NaNs
     are not merged, and none is passed.
     """
