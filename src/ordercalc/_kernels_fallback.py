@@ -526,17 +526,15 @@ def _fold_stretches(v: np.ndarray, xs: np.ndarray, at, vals, seen: np.ndarray) -
     ``vals``, sorted by row and cell, or None) and those whose point sums
     in ``seen``, the chunk's (2, rows, stretches) subtotals, are not
     finite: a sum of large values can overflow where the products m·Δx do
-    not.  Unless that is every stretch of the chunk, they are gathered
-    into one ``_products`` call, c + 1 points each for the chunk's c =
-    min(STRETCH_CELLS, cells); a short last stretch repeats its row's last
-    point, and its reduction leaves out the cells past its end.
+    not.  They are gathered into one ``_products`` call, c + 1 points each
+    for the chunk's c = min(STRETCH_CELLS, cells); a short last stretch
+    repeats its row's last point, and its reduction leaves out the cells
+    past its end.
     """
     g, m = STRETCH_CELLS, xs.shape[1] - 1
     redo = ~np.isfinite(seen).all(axis=0)
     if at is not None:
         redo[at[0], at[1] // g] = True
-    if redo.all():  # every stretch of the chunk, as it lies: no gather
-        return _stretch_reductions(_products(v, xs, at, vals), seen)
     if not redo.any():
         return
     rows, ks = np.nonzero(redo)  # ordered by row, then stretch

@@ -482,8 +482,23 @@ def test_chunked_rows_keep_the_plain_reference_bit_for_bit(src, n):
 
 
 def test_a_buffer_first_taken_in_a_short_chunk_serves_the_full_chunks_after_it():
-    # t^3 + t has no critical point.  Row 0 first folds a stretch in its
-    # last, short chunk, row 1 in its first, full one.
+    # sin(t)·cos(t) + exp(t)·sin(t) takes three buffers of values, one more
+    # than a sum's allocation holds.  First taken for a short chunk, the
+    # third is as large as the allocation's arrays, so the full chunk after
+    # it reuses it, and every chunk gives the out-of-place bits.
+    prog = ScalarKernel.from_string("sin(t)*cos(t) + exp(t)*sin(t)").program
+    ws = K._Buffers((2, 1001), 3)
+    for rows, cells in ((1, 10), (2, 1000), (1, 10)):
+        ts = ws.points(rows, cells)
+        ts[:] = np.linspace(-1.0, 1.0, ts.size).reshape(ts.shape)
+        with np.errstate(all="ignore"):
+            got = ws.run(prog, ts)
+            want = K.run(prog, ts, partial(np.full, ts.shape), K._OPS)
+        assert ws.taken == 3
+        assert [b.shape for b in ws.extra] == [(2, 1001)]
+        assert got.tobytes() == want.tobytes()
+    # Through a level of t^3 + t, which has no critical point: row 0 folds
+    # a stretch in its last, short chunk, row 1 in its first, full one.
     n = K.CHUNK_CELLS + 1000
     lo, hi = np.array([0.0, -1.0]), np.array([1.0, 1.0])
     prog = ScalarKernel.from_string("t^3 + t").program
