@@ -43,12 +43,14 @@ arrays of points through ``_tape.run``, which alone steps through programs;
 this module supplies the numpy evaluator's op table, ``_OPS``, and
 ``_IN_PLACE``, the same table writing each result into a buffer of
 ``_Buffers``: a sum allocates those once a call, and every chunk reuses
-them.  ``CHUNK_CELLS`` and ``STRETCH_CELLS`` are defined here, beside the
-one loop that reads them.  Stretches fix the summation order of uniform
-levels, which this module owns, and the tape format has no part in it: a
-retune of ``STRETCH_CELLS`` moves bits, so it must re-check that every
-atom's closing depth is unchanged.  Chunks fix only the evaluation (how
-many points a program runs on at once, and how large the buffers are):
+them.  The products m·Δx, of given rows and of the stretches a uniform
+level sums by products, are arrays of their own.  ``CHUNK_CELLS`` and
+``STRETCH_CELLS`` are defined here, beside the one loop that reads them.
+Stretches fix the summation order of uniform levels, which this module
+owns, and the tape format has no part in it: a retune of
+``STRETCH_CELLS`` moves bits, so it must re-check that every atom's
+closing depth is unchanged.  Chunks fix only the evaluation (how many
+points a program runs on at once, and how large the buffers are):
 ``CHUNK_CELLS`` moves no bit.
 """
 
@@ -109,8 +111,8 @@ _OPS = {
 # quarter as wide.  Measured in-process on the benchmark's oracle workload
 # (2 vCPUs, numpy 2.4.6), a pass took 0.62-0.64 of the time of evaluating
 # 2^13 cells at a time at 2^15 cells and 0.77-0.82 at 2^14; a call's one
-# allocation, three arrays of its first chunk on a uniform level and five
-# on given rows, is 0.75 or 1.25 MiB at 2^15.
+# allocation, three arrays of its first chunk on every grid, is 0.75 MiB
+# at 2^15.
 CHUNK_CELLS = 1 << 15
 
 # Uniform levels sum each stretch of this many cells pairwise, its point
@@ -143,42 +145,29 @@ class _Buffers:
 
     ``run(prog, ts)`` evaluates a program at the points ``ts`` through
     ``_tape.run`` with ``_IN_PLACE``, which writes into buffers that
-    ``take`` hands out.  The constructor makes one allocation of ``count``
-    arrays of ``shape``, that of the first (largest) chunk's points or
-    samples.  The first holds the points of each chunk (``points``), the
-    next two the values (enough for t^3 - t, and for every kernel of the
-    benchmark), and the last two, when there are five, the products m·Δx
-    (``scratch``).  A sum makes one a call, so the allocator can hand the
-    same pages to the next call instead of giving them back, and every
-    chunk reuses them, a smaller one their leading part.  A run that needs
-    more buffers of values allocates them, each as large as the arrays of
-    the allocation; a run's result lives until the next run starts.
+    ``take`` hands out.  Given the ``shape`` of the first (largest)
+    chunk's points or samples, the constructor makes one allocation of
+    three arrays of it: the first holds the points of each chunk
+    (``points``), the other two the values (enough for t^3 - t, and for
+    every kernel of the benchmark).  A sum makes one a call, so the
+    allocator can hand the same pages to the next call instead of giving
+    them back, and every chunk reuses them, a smaller one their leading
+    part.  A run that needs more buffers of values allocates them, each as
+    large as the arrays of the allocation; a run's result lives until the
+    next run starts.  Without a shape there is no allocation, and every
+    buffer is allocated as a run takes it.
     """
 
     __slots__ = ("memory", "extra", "free", "taken", "var")
 
-    def __init__(self, shape: tuple = (), count: int = 0):
-        self.memory = np.empty((count, *shape))
+    def __init__(self, shape: tuple = ()):
+        self.memory = np.empty((3 if shape else 0, *shape))
         self.extra: list[np.ndarray] = []  # buffers of values past those
 
     def points(self, rows: int, cells: int) -> np.ndarray:
         """An array for the points of a chunk of ``rows`` rows of ``cells`` cells."""
         xs = self.memory[0]
         return xs if xs.shape == (rows, cells + 1) else xs[:rows, : cells + 1]
-
-    def scratch(self, rows: int, cells: int) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays for the (2, rows, cells) products of a chunk and for their (rows, cells) widths.
-
-        The widths go into a buffer of values that the last run left free,
-        and it stays free: the second, if the run took one at most.
-        """
-        if self.taken < 2:
-            dx = self.memory[2]
-        else:
-            if not self.free:
-                self.free.append(self.take())
-            dx = self.free[-1]
-        return self.memory[3:5, :rows, :cells], dx[:rows, :cells]
 
     def run(self, prog: Program, ts: np.ndarray):
         """The program's values at ``ts``: ``ts`` itself, a scalar, or one of these buffers."""
@@ -465,22 +454,20 @@ class UniformRows(_Rows):
         return grid_points(ks, self._lo, self._hi, self.step, True, True)
 
 
-def _products(v: np.ndarray, xs: np.ndarray, at=None, vals=None, ws: _Buffers | None = None) -> np.ndarray:
-    """The (2, rows, cells) products m·Δx of rows of points ``xs`` with values ``v``.
+def _products(v: np.ndarray, xs: np.ndarray, at, vals) -> np.ndarray:
+    """The (2, rows, cells) products m·Δx of rows of points ``xs`` with values ``v``, in a new array.
 
     m is the least and the greatest of each cell's endpoint values, folded
-    with the entry values ``vals`` at ``at`` = (rows, cells) when given.
-    With ``ws``, they and the widths Δx are written into its scratch
-    buffers (``_Buffers.scratch``), which the next products overwrite.
+    with the entry values ``vals`` at ``at`` = (rows, cells) unless ``at``
+    is None.
     """
-    shape = (v.shape[0], v.shape[1] - 1)
-    mb, dx = (np.empty((2, *shape)), None) if ws is None else ws.scratch(*shape)
+    mb = np.empty((2, v.shape[0], v.shape[1] - 1))
     np.minimum(v[:, :-1], v[:, 1:], out=mb[0])
     np.maximum(v[:, :-1], v[:, 1:], out=mb[1])
     if at is not None:
         np.minimum.at(mb[0], at, vals)
         np.maximum.at(mb[1], at, vals)
-    np.multiply(mb, np.subtract(xs[:, 1:], xs[:, :-1], out=dx), out=mb)
+    np.multiply(mb, xs[:, 1:] - xs[:, :-1], out=mb)
     return mb
 
 
@@ -627,8 +614,7 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
     else:  # no entries, or an empty list of them
         entries = None
     first = min(per_chunk, rows)  # rows of the first chunk, the largest
-    # Points (or samples) and values, and the scratch of products of whole chunks.
-    ws = _Buffers((first, width, s + 1) if s else (first, width + 1), 3 if s or pairwise else 5)
+    ws = _Buffers((first, width, s + 1) if s else (first, width + 1))  # points (or samples) and values
     at = vals = None
     # Lower and upper, the running sums so far, of given rows; a uniform
     # level's are the last of its ``running``.
@@ -650,7 +636,7 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
             if s == 0:
                 pts = xs
                 v, failed = _values(prog, xs, evalf, ws, r0)
-                mb = None if pairwise else _products(v, xs, at, vals, ws)
+                mb = None if pairwise else _products(v, xs, at, vals)
             else:
                 pts, v, mb, failed = _sampled_minmax(prog, xs, s, evalf, ws, r0)
                 np.multiply(mb, xs[:, 1:] - xs[:, :-1], out=mb)

@@ -23,6 +23,7 @@ from .expr import EvalDomainError
 from .functions import KernelEvalError, LatticeFunction, ScalarKernel, _each
 from .integrate import (
     ToleranceSchedule,
+    _Band,
     _make_bands,
     _refine,
     _representatives,
@@ -132,33 +133,34 @@ def numeric_derivative(f: LatticeFunction, x: Element, interval: OrderInterval) 
 
 @dataclass
 class _CumulativeGrid:
-    """Row ``row`` of ``band`` at the level where its bracket closed, kept by stretch.
+    """One atom at the level where its bracket closed, kept by stretch.
 
-    ``level`` is that level, one row of n uniform cells, and its
-    ``running`` holds the running lower and upper sums at the end of each
-    of its stretches of ``STRETCH_CELLS`` cells (``ends`` are the level's
-    points there), the last being the row's total; ``widen_l`` and
-    ``widen_u`` are the level's sampled widenings.  A read at x inside
-    stretch k adds to the running sum at the end of stretch k - 1 one
-    left-to-right sum, by ``band.sums``, over the level's own points of
-    stretch k up to x, with x itself as the end of its partial cell.  A
-    read exactly at a stretch end, hi included, is the running sum kept
-    there, so the bracket at hi is ``integrate``'s, bit for bit.  Reads in
-    one stretch share its leading running sum and its cells' products, so
-    the grid errors of nearby reads cancel in their differences.  Queries
-    are read-only.
+    ``band`` is the atom's own one-atom band, and ``level`` that level,
+    one row of n uniform cells, whose ``running`` holds the running lower
+    and upper sums at the end of each of its stretches of
+    ``STRETCH_CELLS`` cells (``ends`` are the level's points there), the
+    last being the row's total; ``widen_l`` and ``widen_u`` are the
+    level's sampled widenings.  A read at x inside stretch k adds to the
+    running sum at the end of stretch k - 1 one left-to-right sum, by
+    ``band.sums``, over the level's own points of stretch k up to x, with x
+    itself as the end of its partial cell, folding the band's entries with
+    a <= t < x, a being the stretch's first point: each goes to the cell
+    the whole level puts it in.  A read exactly at a stretch end, hi
+    included, is the running sum kept there, so the bracket at hi is
+    ``integrate``'s, bit for bit.  Reads in one stretch share its leading
+    running sum and its cells' products, so the grid errors of nearby
+    reads cancel in their differences.  Queries are read-only.
     """
 
-    band: object
-    row: int
+    band: _Band
     level: UniformRows
     ends: np.ndarray
     widen_l: float
     widen_u: float
 
     def bracket(self, x: float) -> tuple[float, float]:
-        lo, hi = self.band.lo[self.row], self.band.hi[self.row]
-        if not (lo <= x <= hi):
+        band = self.band
+        if not (band.lo[0] <= x <= band.hi[0]):
             raise ValueError(f"antiderivative queried outside its interval: {x!r}")
         k = int(self.ends.searchsorted(x, "right")) - 1
         low, up = self.level.running[:, 0, k - 1] if k else (0.0, 0.0)
@@ -167,8 +169,12 @@ class _CumulativeGrid:
             xs = self.level.block(0, 1, c0, min(c0 + STRETCH_CELLS, self.level.n))
             j = int(xs[0].searchsorted(x, "right"))
             xs[0, j] = x  # block() made xs, so it is ours to cut
+            if band.entries is not None:  # those with xs[0, 0] <= t < x
+                rows, ts, vals = band.entries
+                cut = slice(*ts.searchsorted((xs[0, 0], x)))
+                band = _Band(band.kernel, band.atoms, band.lo, band.hi, band.sampled, (rows[cut], ts[cut], vals[cut]))
             try:
-                got = self.band.sums(np.array([self.row]), GivenRows(xs[:, : j + 1]), (xs[0, 0], x))
+                got = band.sums(np.arange(1), GivenRows(xs[:, : j + 1]))
             except KernelEvalError as err:  # the caller names the atom read
                 raise err.cause from None
             low, up = low + got[0, 0], up + got[1, 0]
@@ -193,10 +199,10 @@ def _band_grids(band, sched: ToleranceSchedule) -> list[_CumulativeGrid]:
     grids: list = [None] * len(band.atoms)
     for depth, rows, (_, _, _, shut), level, sums in _refine(band, np.arange(len(band.atoms)), sched):
         for i in np.flatnonzero(shut | (depth >= sched.max_depth)):
-            r = int(rows[i])
-            one = UniformRows(band.lo[r : r + 1], band.hi[r : r + 1], level.n)
+            atom = band.restrict(rows[i : i + 1])
+            one = UniformRows(atom.lo, atom.hi, level.n)
             one.running[:, 0] = level.running[:, i]
-            grids[r] = _CumulativeGrid(band, r, one, one.ends()[0], float(sums[2][i]), float(sums[3][i]))
+            grids[rows[i]] = _CumulativeGrid(atom, one, one.ends()[0], float(sums[2][i]), float(sums[3][i]))
         del level, sums  # before the next, larger, pass
     return grids
 
@@ -212,13 +218,16 @@ def antiderivative(
     share a kernel, as in ``integrate``) by the refinement loop and the
     level sums of ``integrate`` (see ``_band_grids``): each atom keeps the
     running sums at the stretch ends of the level where ``integrate``
-    closes it, so F(hi) - F(lo) is ``integrate``'s bracket bit for bit.
-    A read sums at most one stretch of that level (see ``_CumulativeGrid``),
-    and is read-only (safe to share across threads).  Atoms with one kernel
-    object over the same interval bits share one grid, built once for the
-    lowest of them (see ``integrate._representatives``).  A kernel that
-    fails raises KernelEvalError by the error rule of ``integrate._refine``,
-    as ``integrate`` would.
+    closes it, so F(hi) - F(lo) is ``integrate``'s bracket bit for bit,
+    and its own one-atom band (``_Band.restrict``).  A read sums at most
+    one stretch of that level by one call of that band's sums, with the
+    band's entries cut to the part of the stretch it sums (see
+    ``_CumulativeGrid``), and is read-only (safe to share across threads).
+    Atoms with one kernel object over the same interval bits share one
+    grid, built once for the lowest of them (see
+    ``integrate._representatives``).  A kernel that fails raises
+    KernelEvalError by the error rule of ``integrate._refine``, as
+    ``integrate`` would.
     """
     _require_coordinatewise(f, "antiderivative")
     sched = sched or _DEFAULT_SCHED
@@ -295,13 +304,11 @@ def _mvt_root(g, g_many, lo: float, hi: float, tol: float, target: float, atom: 
     ``_MVT_SCAN_CAP`` points until two neighbours change sign.
     ``_interval._narrow``, the refiner of the critical points, then shrinks
     that bracket with ``g`` to four ulps of its larger end, and its midpoint
-    is the root if |g| there is at most tol·max(1, |target|) plus four ulps
-    of |g| + |target|, which bounds |slope·f| there: g rounds at the ulps of
-    its terms, so an absolute ``tol`` alone would refuse the root of a large
-    integral.  ``g`` and ``g_many`` evaluate f alike (``ScalarKernel.eval``
-    and ``eval_many``), so the scan and the narrowing agree on f's domain.
-    ``atom`` names the atom in the errors raised here; the caller names it
-    when ``g`` or ``g_many`` raise EvalDomainError.
+    is the root if |g| there passes ``_mvt_closes``.  ``g`` and ``g_many``
+    evaluate f alike (``ScalarKernel.eval`` and ``eval_many``), so the scan
+    and the narrowing agree on f's domain.  ``atom`` names the atom in the
+    errors raised here; the caller names it when ``g`` or ``g_many`` raise
+    EvalDomainError.
     """
     points = _MVT_SCAN_START
     while True:
@@ -327,13 +334,24 @@ def _mvt_root(g, g_many, lo: float, hi: float, tol: float, target: float, atom: 
     a, b = _narrow(g, a, b, float(vals[j]), float(vals[j + 1]), 4.0 * math.ulp(max(abs(a), abs(b))))
     mid = 0.5 * (a + b)
     residual = abs(g(mid))
-    if residual > tol * max(1.0, abs(target)) + 4.0 * math.ulp(residual + abs(target)):
+    if not _mvt_closes(residual, target, tol):
         # A sign change whose residual will not close is a jump, not a root.
         raise ArithmeticError(
             f"mean-value residual stuck at {residual!r} in atom {atom}; "
             "kernel looks discontinuous"
         )
     return mid
+
+
+def _mvt_closes(residual: float, target: float, tol: float) -> bool:
+    """Whether |g| = ``residual`` = |slope·f(c) - ``target``| makes c a mean-value point.
+
+    It must be at most tol·max(1, |target|) plus four ulps of |g| +
+    |target|, which bounds |slope·f(c)|: g rounds at the ulps of its terms,
+    so an absolute ``tol`` alone would refuse the root of a large integral.
+    The solver accepts a root by this rule, and ``verify mvt`` checks it.
+    """
+    return residual <= tol * max(1.0, abs(target)) + 4.0 * math.ulp(residual + abs(target))
 
 
 # --------------------------------------------------------------------------
@@ -347,6 +365,15 @@ def _sample_interior(interval: OrderInterval, rng: np.random.Generator) -> Eleme
 
 def _max_elem(a: Element | None, b: Element) -> Element:
     return b if a is None else a.sup(b)
+
+
+def _report(name: str, worst: Element, tol: float, samples: int, details: list) -> VerificationReport:
+    """The report of a verifier whose largest residuals, atom by atom, are ``worst``.
+
+    It passes when every one of them is at most ``tol``.
+    """
+    passed = bool(np.all(worst.data <= tol))
+    return VerificationReport(name, worst, tol, passed, samples, details)
 
 
 def verify_ftc1(
@@ -373,15 +400,7 @@ def verify_ftc1(
         residual = abs(deriv - f.eval(x))
         worst = _max_elem(worst, residual)
         details.append({"x": x.to_json(), "residual": residual.to_json()})
-    passed = bool(np.all(worst.data <= tol))
-    return VerificationReport(
-        name="ftc1",
-        max_residual=worst,
-        tolerance=tol,
-        passed=passed,
-        samples=interior_samples,
-        details=details,
-    )
+    return _report("ftc1", worst, tol, interior_samples, details)
 
 
 def _check_symbolic_derivative(F: LatticeFunction, f: LatticeFunction, interval, what):
@@ -447,15 +466,7 @@ def verify_ftc2(
         details.append(
             {"x": x.to_json(), "y": y.to_json(), "residual": residual.to_json()}
         )
-    passed = bool(np.all(worst.data <= tol))
-    return VerificationReport(
-        name="ftc2",
-        max_residual=worst,
-        tolerance=tol,
-        passed=passed,
-        samples=len(pairs),
-        details=details,
-    )
+    return _report("ftc2", worst, tol, len(pairs), details)
 
 
 def verify_substitution(
@@ -474,16 +485,7 @@ def verify_substitution(
     composite = f.compose(G).product(g)
     lhs = integrate(composite, interval, sched=sched).value
     rhs = signed_integrate(f, G.eval(interval.lo), G.eval(interval.hi), sched=sched).value
-    residual = abs(lhs - rhs)
-    passed = bool(np.all(residual.data <= tol))
-    return VerificationReport(
-        name="substitution",
-        max_residual=residual,
-        tolerance=tol,
-        passed=passed,
-        samples=1,
-        details=[{"lhs": lhs.to_json(), "rhs": rhs.to_json()}],
-    )
+    return _report("substitution", abs(lhs - rhs), tol, 1, [{"lhs": lhs.to_json(), "rhs": rhs.to_json()}])
 
 
 def verify_by_parts(
@@ -506,13 +508,4 @@ def verify_by_parts(
         interval.lo
     )
     right = boundary - integrate(df.product(g), interval, sched=sched).value
-    residual = abs(left - right)
-    passed = bool(np.all(residual.data <= tol))
-    return VerificationReport(
-        name="by_parts",
-        max_residual=residual,
-        tolerance=tol,
-        passed=passed,
-        samples=1,
-        details=[{"lhs": left.to_json(), "rhs": right.to_json()}],
-    )
+    return _report("by_parts", abs(left - right), tol, 1, [{"lhs": left.to_json(), "rhs": right.to_json()}])

@@ -16,6 +16,7 @@ import sys
 
 from ._kernels_fallback import NAME as BACKEND_NAME
 from .calculus import (
+    _mvt_closes,
     mvt_integral_solve,
     verify_by_parts,
     verify_ftc1,
@@ -174,7 +175,7 @@ def _cmd_verify(args) -> int:
         lhs = (y - x) * f.eval(c)
         rhs = signed_integrate(f, x, y).value
         residual = abs(lhs - rhs)
-        passed = bool(max(residual.data) <= max(args.tol, 1e-8))
+        passed = all(_mvt_closes(r, t, args.tol) for r, t in zip(residual.data.tolist(), rhs.data.tolist()))
         payload = {
             "command": "verify mvt",
             "backend": BACKEND_NAME,

@@ -155,7 +155,9 @@ class _Band:
     folds the certified (row, t, value) entries of its atoms' critical
     points into the cells that hold them; a sampled band (callables,
     abs/min/max expressions, and atoms whose isolation gave up) widens each
-    bracket by the measured two-resolution difference.
+    bracket by the measured two-resolution difference.  ``restrict`` makes
+    the band of some of its rows: the atoms below a failure, or one atom,
+    whose band an antiderivative keeps for its reads.
     """
 
     def __init__(self, kernel: ScalarKernel, atoms, lo, hi, sampled: bool, entries=None):
@@ -164,21 +166,16 @@ class _Band:
         self.lo = lo
         self.hi = hi
         self.sampled = sampled
-        self.entries = entries  # (rows, ts, vals), sorted by row
+        self.entries = entries  # (rows, ts, vals), sorted by row, then by t
 
-    def sums(self, rows: np.ndarray, grid, part=None) -> np.ndarray:
-        """Rows L, U, widen_L and widen_U for the band's ``rows`` over ``grid``.
-
-        ``part`` = (a, b) says that ``grid`` is one row's cells between the
-        points a and b of a longer grid: only the entries with a <= t < b
-        are folded in, each into the cell the whole grid puts it in.
-        """
+    def sums(self, rows: np.ndarray, grid) -> np.ndarray:
+        """Rows L, U, widen_L and widen_U for the band's ``rows`` over ``grid``, with all their entries."""
         out = np.zeros((4, len(rows)))  # the widenings stay 0 unless sampled
-        found = self._run(rows, grid, part)
+        found = self._run(rows, grid)
         out[: len(found)] = found
         return out
 
-    def _run(self, rows: np.ndarray, grid, part):
+    def _run(self, rows: np.ndarray, grid):
         """The kernel entry point of the band's strategy, over ``grid``."""
         K = _kernels
         s = _SAMPLE_BASE
@@ -191,7 +188,7 @@ class _Band:
                 return K.darboux_sampled(prog, grid, s)
             if prog is None:
                 return K.darboux_endpoint_fn(evalf, grid)
-            if (entries := self._entries(rows, part)) is None:
+            if (entries := self._entries(rows)) is None:
                 return K.darboux_endpoint(prog, grid)
             e_rows, ts, vals = entries
             return K.darboux_critical(prog, grid, ts, vals, e_rows)
@@ -211,22 +208,21 @@ class _Band:
             raise KernelEvalError(int(self.atoms[rows].min()), cause) from err
         return level, self.sums(rows, level)
 
-    def _entries(self, rows: np.ndarray, part=None):
-        """The entries of ``rows`` (or of ``part``), renumbered to their positions; None if none."""
+    def _entries(self, rows: np.ndarray):
+        """The entries of ``rows``, renumbered to their positions; None if none."""
         if self.entries is None:
             return None
         e_rows, ts, vals = self.entries
-        if len(rows) < len(self.atoms) or part is not None:
-            at = np.minimum(np.searchsorted(rows, e_rows), len(rows) - 1)  # rows are sorted
+        if len(rows) < len(self.atoms):  # rows are sorted: the entries of rows[0] to rows[-1], then theirs
+            span = slice(*e_rows.searchsorted((rows[0], rows[-1] + 1)))
+            e_rows, ts, vals = e_rows[span], ts[span], vals[span]
+            at = np.minimum(np.searchsorted(rows, e_rows), len(rows) - 1)
             keep = rows[at] == e_rows
-            if part is not None:
-                keep &= (ts >= part[0]) & (ts < part[1])
             e_rows, ts, vals = at[keep], ts[keep], vals[keep]
         return (e_rows, ts, vals) if len(ts) else None
 
-    def below(self, atom: int) -> "_Band":
-        """The band of this band's atoms below ``atom``, of which it must hold one."""
-        rows = np.flatnonzero(self.atoms < atom)
+    def restrict(self, rows: np.ndarray) -> "_Band":
+        """The band of this band's ``rows``, sorted and at least one, with their entries."""
         atoms, lo, hi = self.atoms[rows], self.lo[rows], self.hi[rows]
         return _Band(self.kernel, atoms, lo, hi, self.sampled, self._entries(rows))
 
@@ -284,7 +280,7 @@ def _make_bands(f: LatticeFunction, lo: np.ndarray, hi: np.ndarray, rep=None):
             except KernelEvalError as err:
                 error, limit = err, err.atom
     if error is not None:  # atoms are sorted in a band
-        bands = [band.below(limit) for band in bands if band.atoms[0] < limit]
+        bands = [band.restrict(np.flatnonzero(band.atoms < limit)) for band in bands if band.atoms[0] < limit]
     return bands, error
 
 

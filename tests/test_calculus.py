@@ -265,9 +265,15 @@ def test_antiderivative_broadcast_band_is_per_atom():
 
 
 def test_antiderivative_mixed_bands_are_per_atom():
-    f = LatticeFunction.coordinatewise(["abs(t - 0.3)", "sin(t)", "abs(t - 0.3)"])
-    iv = interval((0.0, 0.0, -1.0), (1.0, 2.0, 2.0))
-    _assert_antiderivative_is_per_atom(f, iv, ToleranceSchedule(1e-5, 14), (0.3, math.pi / 2))
+    # t^2 on [-1, 1] has an exact entry at 0.0, the first point of a stretch
+    # at depth 14: the read there is a kept running sum, and the read 1e-5
+    # right of it folds the entry at the stretch's first point.
+    f = LatticeFunction.coordinatewise(["abs(t - 0.3)", "sin(t)", "abs(t - 0.3)", "t^2"])
+    iv = interval((0.0, 0.0, -1.0, -1.0), (1.0, 2.0, 2.0, 1.0))
+    depths = _assert_antiderivative_is_per_atom(f, iv, ToleranceSchedule(1e-5, 14), (0.3, math.pi / 2, 0.0))
+    assert depths[3] >= 9
+    grid = antiderivative(f, iv, ToleranceSchedule(1e-5, 14)).kernels[3].func.__self__
+    assert 0.0 in grid.ends and 0.0 in grid.band.entries[1]
 
 
 def test_antiderivative_callables_are_per_atom():
@@ -317,10 +323,10 @@ def test_antiderivative_passes_skip_to_the_closing_depth(monkeypatch):
     calls = []
     sums = _Band.sums
 
-    def recorded(band, rows, grid, part=None):
+    def recorded(band, rows, grid):
         if isinstance(grid, K.UniformRows):
             calls.append((grid.n.bit_length() - 1, band.atoms[rows].tolist()))
-        return sums(band, rows, grid, part)
+        return sums(band, rows, grid)
 
     monkeypatch.setattr(_Band, "sums", recorded)
 

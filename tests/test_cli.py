@@ -90,6 +90,17 @@ def test_verify_mvt(capsys):
     assert payload["c"] == pytest.approx([3 ** -0.5] * 2, abs=1e-6)
 
 
+def test_verify_mvt_passes_a_large_integral_by_the_solvers_rule(capsys):
+    # The integral of exp over [30, 31] is about 1.8e13: the residual at the
+    # solver's c is a few ulps of it, far above an absolute tolerance, and
+    # the check is the solver's own, relative to the integral.
+    code, out, _ = run_cli("verify", "mvt", "--kernel", "exp(t)", "--x", "30", "--y", "31", capsys=capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert payload["residual"][0] > 1e-8
+
+
 def test_verify_ftc1(capsys):
     code, out, _ = run_cli(
         "verify", "ftc1", "--dim", "2", "--kernel", "t^2",

@@ -487,7 +487,7 @@ def test_a_buffer_first_taken_in_a_short_chunk_serves_the_full_chunks_after_it()
     # third is as large as the allocation's arrays, so the full chunk after
     # it reuses it, and every chunk gives the out-of-place bits.
     prog = ScalarKernel.from_string("sin(t)*cos(t) + exp(t)*sin(t)").program
-    ws = K._Buffers((2, 1001), 3)
+    ws = K._Buffers((2, 1001))
     for rows, cells in ((1, 10), (2, 1000), (1, 10)):
         ts = ws.points(rows, cells)
         ts[:] = np.linspace(-1.0, 1.0, ts.size).reshape(ts.shape)
@@ -579,7 +579,7 @@ def test_in_place_evaluation_gives_the_out_of_place_bits():
     before = ts.copy()
     for _ in range(300):
         prog = ScalarKernel.from_expr(random_expr(rng, depth=5)).program
-        ws = K._Buffers(ts.shape, 3)
+        ws = K._Buffers(ts.shape)
         for part in (ts, ts[1:], ts[2:, 5:]):
             with np.errstate(all="ignore"):
                 want = np.broadcast_to(K.run(prog, part, partial(np.full, part.shape), K._OPS), part.shape)
@@ -596,7 +596,7 @@ def test_powers_write_their_last_product_into_the_square_they_end_with():
     ts = np.linspace(-2.0, 2.0, 9)
     for src, taken in (("t^2", 1), ("t^3", 1), ("t^5", 2), ("t^3 - t", 1)):
         prog = ScalarKernel.from_string(src).program
-        ws = K._Buffers(ts.shape, 3)
+        ws = K._Buffers(ts.shape)
         got = ws.run(prog, ts)
         assert ws.taken == taken, src
         assert got.tobytes() == K.run(prog, ts, partial(np.full, ts.shape), K._OPS).tobytes(), src
