@@ -111,8 +111,9 @@ _OPS = {
 # quarter as wide.  Measured in-process on the benchmark's oracle workload
 # (2 vCPUs, numpy 2.4.6), a pass took 0.62-0.64 of the time of evaluating
 # 2^13 cells at a time at 2^15 cells and 0.77-0.82 at 2^14; a call's one
-# allocation, three arrays of its first chunk on every grid, is 0.75 MiB
-# at 2^15.
+# allocation, three arrays of its first chunk for a uniform endpoint pass
+# (points and two of values) and two for any other, is 0.75 MiB for a
+# uniform endpoint pass at 2^15.
 CHUNK_CELLS = 1 << 15
 
 # Uniform levels sum each stretch of this many cells pairwise, its point
@@ -149,7 +150,10 @@ class _Buffers:
     chunk's points or samples, the constructor makes one allocation of
     three arrays of it: the first holds the points of each chunk
     (``points``), the other two the values (enough for t^3 - t, and for
-    every kernel of the benchmark).  A sum makes one a call, so the
+    every kernel of the benchmark).  Without ``points`` the allocation
+    holds only the two arrays of values: a sum whose points are made
+    elsewhere (given rows read theirs in place, a sampled pass forms its
+    own) never asks for them.  A sum makes one a call, so the
     allocator can hand the same pages to the next call instead of giving
     them back, and every chunk reuses them, a smaller one their leading
     part.  A run that needs more buffers of values allocates them, each as
@@ -160,8 +164,8 @@ class _Buffers:
 
     __slots__ = ("memory", "extra", "free", "taken", "var")
 
-    def __init__(self, shape: tuple = ()):
-        self.memory = np.empty((3 if shape else 0, *shape))
+    def __init__(self, shape: tuple = (), points: bool = True):
+        self.memory = np.empty((2 + points if shape else 0, *shape))
         self.extra: list[np.ndarray] = []  # buffers of values past those
 
     def points(self, rows: int, cells: int) -> np.ndarray:
@@ -190,7 +194,7 @@ class _Buffers:
         self.taken = k + 1
         shape = self.var.shape
         if k < 2 and len(self.memory):
-            whole = self.memory[1 + k]
+            whole = self.memory[k - 2]  # the last two arrays: the points, when held, come first
         else:
             k -= 2 if len(self.memory) else 0  # past the one allocation
             if k == len(self.extra):  # as large as the allocation's arrays, which later runs fit
@@ -614,7 +618,8 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
     else:  # no entries, or an empty list of them
         entries = None
     first = min(per_chunk, rows)  # rows of the first chunk, the largest
-    ws = _Buffers((first, width, s + 1) if s else (first, width + 1))  # points (or samples) and values
+    # Buffers of values, and of points for the one pass that forms its points here.
+    ws = _Buffers((first, width, s + 1) if s else (first, width + 1), points=uniform and not s)
     at = vals = None
     # Lower and upper, the running sums so far, of given rows; a uniform
     # level's are the last of its ``running``.

@@ -266,11 +266,17 @@ def mvt_integral_solve(
     x_i and y_i are solved once, for the lowest of them (see
     ``integrate._representatives``), which fails where that atom would.
     """
+    return _mvt_solve(f, x, y, tol, sched)[0]
+
+
+def _mvt_solve(
+    f: LatticeFunction, x: Element, y: Element, tol: float, sched: ToleranceSchedule | None = None
+) -> tuple[Element, Element]:
+    """``mvt_integral_solve``'s c, and the integral from x to y it solved against."""
     _require_coordinatewise(f, "mvt_integral_solve")
     if x.dim != y.dim or x.dim != f.dim:
         raise ValueError("dimension mismatch")
-    sched = sched or _DEFAULT_SCHED
-    result = signed_integrate(f, x, y, sched=sched)
+    result = signed_integrate(f, x, y, sched=sched or _DEFAULT_SCHED)
     rep = _representatives(f, x.data, y.data)
     c = np.empty(f.dim)
     for i, kernel in enumerate(f.kernels):
@@ -294,7 +300,7 @@ def mvt_integral_solve(
             c[i] = _mvt_root(g, g_many, lo, hi, tol, target, atom=i)
         except EvalDomainError as err:
             raise KernelEvalError(i, err) from err
-    return Element(c[rep])
+    return Element(c[rep]), result.value
 
 
 def _mvt_root(g, g_many, lo: float, hi: float, tol: float, target: float, atom: int) -> float:
@@ -349,7 +355,8 @@ def _mvt_closes(residual: float, target: float, tol: float) -> bool:
     It must be at most tol·max(1, |target|) plus four ulps of |g| +
     |target|, which bounds |slope·f(c)|: g rounds at the ulps of its terms,
     so an absolute ``tol`` alone would refuse the root of a large integral.
-    The solver accepts a root by this rule, and ``verify mvt`` checks it.
+    The solver accepts a root by this rule, and ``verify mvt`` checks it
+    against the integral the solver returns.
     """
     return residual <= tol * max(1.0, abs(target)) + 4.0 * math.ulp(residual + abs(target))
 

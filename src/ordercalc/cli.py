@@ -1,9 +1,17 @@
 """Command-line front end.
 
 Subcommands: integrate, signed-integrate, verify {ftc1,ftc2,mvt,usub,parts},
-bands, totord, demo swap.  Elements are comma-separated decimals; point
-lists are semicolon-separated.  Exit codes: 0 success/pass, 1 usage or
-input error, 2 non-convergence or verification failure.
+bands, totord, demo swap, one handler each; integrate and signed-integrate
+share theirs, which reads the endpoints of its subcommand (--lo and --hi,
+or --a and --b).  A subcommand takes only the options its handler reads.
+The verify targets share one subcommand, so each target refuses the value
+flags it does not read.  They read: mvt --x and --y; ftc1 --lo and --hi;
+ftc2 --anti, with --lo and --hi or the one pair --x and --y; usub --lo,
+--hi and --G, with --g or else G's derivative; parts --lo, --hi and --g.
+Elements are comma-separated decimals, with no empty coordinate; point
+lists are semicolon-separated, and empty entries of them are skipped.
+Exit codes: 0 success/pass, 1 usage or input error, 2 non-convergence or
+verification failure.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import sys
 from ._kernels_fallback import NAME as BACKEND_NAME
 from .calculus import (
     _mvt_closes,
-    mvt_integral_solve,
+    _mvt_solve,
     verify_by_parts,
     verify_ftc1,
     verify_ftc2,
@@ -58,9 +66,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_element(text: str, dim: int | None) -> Element:
-    vals = [float(part) for part in text.split(",") if part.strip() != ""]
-    if not vals:
+    if not text.strip():
         raise ValueError(f"empty element {text!r}")
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise ValueError(f"element {text!r} has an empty coordinate")
+    vals = [float(part) for part in parts]
     if dim is not None and len(vals) == 1 and dim > 1:
         vals = vals * dim
     if dim is not None and len(vals) != dim:
@@ -76,24 +87,34 @@ def _flag_element(args, name: str) -> Element:
     return _parse_element(text, args.dim)
 
 
+def _interval(args) -> OrderInterval:
+    """The order interval [``--lo``, ``--hi``]."""
+    return OrderInterval(_flag_element(args, "lo"), _flag_element(args, "hi"))
+
+
 def _parse_points(text: str) -> list[Element]:
     return [_parse_element(chunk, None) for chunk in text.split(";") if chunk.strip()]
 
 
-def _function(args, flag: str = "kernel") -> LatticeFunction:
+def _function(args) -> LatticeFunction:
+    """The function of ``--function``, or else of the ``--kernel`` expressions."""
     descriptor = getattr(args, "function", None)
-    if descriptor and flag == "kernel":
+    if descriptor:
         f = LatticeFunction.from_descriptor(json.loads(descriptor))
         if args.dim is not None and f.dim != args.dim:
             raise ValueError(f"descriptor dim {f.dim} != --dim {args.dim}")
         return f
-    kernels = getattr(args, flag.replace("-", "_"), None)
-    if not kernels:
-        raise ValueError(f"--{flag} is required")
+    if not args.kernel:
+        raise ValueError("--kernel is required")
     dim = args.dim or 1
-    if len(kernels) not in (1, dim):
-        raise ValueError(f"--{flag} takes 1 or {dim} expressions")
-    return LatticeFunction.coordinatewise(list(kernels), dim=dim)
+    if len(args.kernel) not in (1, dim):
+        raise ValueError(f"--kernel takes 1 or {dim} expressions")
+    return LatticeFunction.coordinatewise(list(args.kernel), dim=dim)
+
+
+def _kernels(args, name: str) -> LatticeFunction:
+    """The function of the expressions of ``--name``, one per atom or one for all."""
+    return LatticeFunction.coordinatewise(list(getattr(args, name)), dim=args.dim or 1)
 
 
 def _sched(args) -> ToleranceSchedule:
@@ -135,117 +156,90 @@ def _result_rows(result_dict: dict) -> list[dict]:
 # --------------------------------------------------------------------------
 
 def _cmd_integrate(args) -> int:
+    """``integrate`` over [--lo, --hi], or ``signed-integrate`` from --a to --b."""
     f = _function(args)
-    lo = _flag_element(args, "lo")
-    hi = _flag_element(args, "hi")
-    result = integrate(f, OrderInterval(lo, hi), sched=_sched(args))
-    payload = {"command": "integrate", "backend": BACKEND_NAME, **result.to_dict()}
+    if args.command == "integrate":
+        result = integrate(f, _interval(args), sched=_sched(args))
+    else:
+        result = signed_integrate(f, _flag_element(args, "a"), _flag_element(args, "b"), sched=_sched(args))
+    payload = {"command": args.command, "backend": BACKEND_NAME, **result.to_dict()}
     _emit(payload, _result_rows(result.to_dict()), args.format)
     return 0 if result.converged else 2
 
 
-def _cmd_signed_integrate(args) -> int:
-    f = _function(args)
-    a = _flag_element(args, "a")
-    b = _flag_element(args, "b")
-    result = signed_integrate(f, a, b, sched=_sched(args))
-    payload = {"command": "signed-integrate", "backend": BACKEND_NAME, **result.to_dict()}
-    _emit(payload, _result_rows(result.to_dict()), args.format)
-    return 0 if result.converged else 2
+def _verified(report) -> tuple[dict, list[dict]]:
+    """The payload and rows of a VerificationReport."""
+    payload = {"command": f"verify {report.name}", "backend": BACKEND_NAME, **report.to_dict()}
+    rows = [{"atom": i, "max_residual": r, "passed": report.passed} for i, r in enumerate(payload["max_residual"])]
+    return payload, rows
 
 
-def _report_exit(report, args) -> int:
-    payload = {"command": f"verify {report.name}", "backend": BACKEND_NAME}
-    payload.update(report.to_dict())
-    rows = [
-        {"atom": i, "max_residual": payload["max_residual"][i], "passed": report.passed}
-        for i in range(len(payload["max_residual"]))
-    ]
-    _emit(payload, rows, args.format)
-    return 0 if report.passed else 2
+def _verify_mvt(args, f):
+    x, y = _flag_element(args, "x"), _flag_element(args, "y")
+    c, integral = _mvt_solve(f, x, y, args.tol)
+    residual = abs((y - x) * f.eval(c) - integral)
+    passed = all(_mvt_closes(r, t, args.tol) for r, t in zip(residual.data.tolist(), integral.data.tolist()))
+    c, residual = c.to_json(), residual.to_json()
+    payload = {"command": "verify mvt", "backend": BACKEND_NAME, "c": c, "residual": residual, "passed": passed}
+    return payload, [{"atom": i, "c": ci, "residual": ri} for i, (ci, ri) in enumerate(zip(c, residual))]
+
+
+def _verify_ftc1(args, f):
+    return _verified(verify_ftc1(f, _interval(args), interior_samples=args.samples, tol=args.tol, seed=args.seed))
+
+
+def _verify_ftc2(args, f):
+    if not args.anti:
+        raise ValueError("verify ftc2 needs --anti (the antiderivative)")
+    F = _kernels(args, "anti")
+    if args.x is None and args.y is None:
+        return _verified(verify_ftc2(F, f, _interval(args), samples=args.samples, tol=args.tol, seed=args.seed))
+    x, y = _flag_element(args, "x"), _flag_element(args, "y")
+    box = OrderInterval(x.inf(y), x.sup(y))
+    return _verified(verify_ftc2(F, f, box, tol=args.tol, seed=args.seed, pairs=[(x, y)]))
+
+
+def _verify_usub(args, f):
+    if not args.G:
+        raise ValueError("verify usub needs --G (the substitution)")
+    interval = _interval(args)
+    G = _kernels(args, "G")
+    g = _kernels(args, "g") if args.g else G.derivative()
+    if g is None:
+        raise ValueError("--G is not symbolically differentiable; pass --g")
+    return _verified(verify_substitution(f, g, G, interval, tol=args.tol))
+
+
+def _verify_parts(args, f):
+    if not args.g:
+        raise ValueError("verify parts needs --g (the second factor)")
+    interval = _interval(args)
+    g = _kernels(args, "g")
+    df, dg = f.derivative(), g.derivative()
+    if df is None or dg is None:
+        raise ValueError("verify parts needs symbolically differentiable kernels")
+    return _verified(verify_by_parts(f, g, df, dg, interval, tol=args.tol))
+
+
+# Each verify target: the value flags without a default that it reads, and
+# its check.  A target refuses any other of those flags.
+_VERIFY = {
+    "mvt": (("x", "y"), _verify_mvt),
+    "ftc1": (("lo", "hi"), _verify_ftc1),
+    "ftc2": (("lo", "hi", "x", "y", "anti"), _verify_ftc2),
+    "usub": (("lo", "hi", "G", "g"), _verify_usub),
+    "parts": (("lo", "hi", "g"), _verify_parts),
+}
 
 
 def _cmd_verify(args) -> int:
-    which = args.which
-    if which == "mvt":
-        f = _function(args)
-        x = _flag_element(args, "x")
-        y = _flag_element(args, "y")
-        c = mvt_integral_solve(f, x, y, tol=args.tol)
-        lhs = (y - x) * f.eval(c)
-        rhs = signed_integrate(f, x, y).value
-        residual = abs(lhs - rhs)
-        passed = all(_mvt_closes(r, t, args.tol) for r, t in zip(residual.data.tolist(), rhs.data.tolist()))
-        payload = {
-            "command": "verify mvt",
-            "backend": BACKEND_NAME,
-            "c": c.to_json(),
-            "residual": residual.to_json(),
-            "passed": passed,
-        }
-        rows = [
-            {"atom": i, "c": c.to_json()[i], "residual": residual.to_json()[i]}
-            for i in range(c.dim)
-        ]
-        _emit(payload, rows, args.format)
-        return 0 if passed else 2
-
-    f = _function(args)
-    if which == "ftc1":
-        lo = _flag_element(args, "lo")
-        hi = _flag_element(args, "hi")
-        report = verify_ftc1(
-            f,
-            OrderInterval(lo, hi),
-            interior_samples=args.samples,
-            tol=args.tol,
-            seed=args.seed,
-        )
-        return _report_exit(report, args)
-    if which == "ftc2":
-        if not args.anti:
-            raise ValueError("verify ftc2 needs --anti (the antiderivative)")
-        F = LatticeFunction.coordinatewise(list(args.anti), dim=args.dim or 1)
-        if args.x and args.y:
-            x = _flag_element(args, "x")
-            y = _flag_element(args, "y")
-            box = OrderInterval(x.inf(y), x.sup(y))
-            report = verify_ftc2(F, f, box, tol=args.tol, seed=args.seed, pairs=[(x, y)])
-        else:
-            lo = _flag_element(args, "lo")
-            hi = _flag_element(args, "hi")
-            report = verify_ftc2(
-                F, f, OrderInterval(lo, hi), samples=args.samples, tol=args.tol, seed=args.seed
-            )
-        return _report_exit(report, args)
-    if which == "usub":
-        if not args.G:
-            raise ValueError("verify usub needs --G (the substitution)")
-        lo = _flag_element(args, "lo")
-        hi = _flag_element(args, "hi")
-        G = LatticeFunction.coordinatewise(list(args.G), dim=args.dim or 1)
-        g = (
-            LatticeFunction.coordinatewise(list(args.g), dim=args.dim or 1)
-            if args.g
-            else G.derivative()
-        )
-        if g is None:
-            raise ValueError("--G is not symbolically differentiable; pass --g")
-        report = verify_substitution(f, g, G, OrderInterval(lo, hi), tol=args.tol)
-        return _report_exit(report, args)
-    if which == "parts":
-        if not args.g:
-            raise ValueError("verify parts needs --g (the second factor)")
-        lo = _flag_element(args, "lo")
-        hi = _flag_element(args, "hi")
-        g = LatticeFunction.coordinatewise(list(args.g), dim=args.dim or 1)
-        df = f.derivative()
-        dg = g.derivative()
-        if df is None or dg is None:
-            raise ValueError("verify parts needs symbolically differentiable kernels")
-        report = verify_by_parts(f, g, df, dg, OrderInterval(lo, hi), tol=args.tol)
-        return _report_exit(report, args)
-    raise ValueError(f"unknown verify target {which!r}")
+    reads, check = _VERIFY[args.which]
+    for name in ("lo", "hi", "x", "y", "anti", "g", "G"):
+        if name not in reads and getattr(args, name) is not None:
+            raise ValueError(f"verify {args.which} does not read --{name}")
+    payload, rows = check(args, _function(args))
+    _emit(payload, rows, args.format)
+    return 0 if payload["passed"] else 2
 
 
 def _cmd_bands(args) -> int:
@@ -345,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", required=True)
     sp.add_argument("--kernel", action="append", default=None)
     _add_options(sp, "dim", "tol", "max-depth")
-    sp.set_defaults(handler=_cmd_signed_integrate)
+    sp.set_defaults(handler=_cmd_integrate)
 
     sp = subs.add_parser("verify", help="check an integral-calculus identity")
     sp.add_argument("which", choices=("ftc1", "ftc2", "mvt", "usub", "parts"))

@@ -6,7 +6,9 @@ import sys
 import pytest
 
 from helpers import with_package_path
+from ordercalc import calculus, cli
 from ordercalc.cli import build_parser, main
+from ordercalc.integrate import signed_integrate
 
 
 def run_cli(*argv, capsys):
@@ -78,6 +80,9 @@ def test_totord(capsys):
     code, out, _ = run_cli("totord", "--points", "2,2", capsys=capsys)
     assert code == 0
     assert json.loads(out)["chain"] == [[2.0, 2.0]]
+    code, out, _ = run_cli("totord", "--points", ";1,0;;0,1;", capsys=capsys)  # empty entries are skipped
+    assert code == 0
+    assert json.loads(out)["chain"] == [[0.0, 0.0], [1.0, 1.0]]
 
 
 def test_verify_mvt(capsys):
@@ -90,15 +95,25 @@ def test_verify_mvt(capsys):
     assert payload["c"] == pytest.approx([3 ** -0.5] * 2, abs=1e-6)
 
 
-def test_verify_mvt_passes_a_large_integral_by_the_solvers_rule(capsys):
+def test_verify_mvt_passes_a_large_integral_by_the_solvers_rule(monkeypatch, capsys):
     # The integral of exp over [30, 31] is about 1.8e13: the residual at the
     # solver's c is a few ulps of it, far above an absolute tolerance, and
-    # the check is the solver's own, relative to the integral.
+    # the check is the solver's own, relative to the integral.  That is the
+    # integral the solver solved against: f is integrated once.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return signed_integrate(*args, **kwargs)
+
+    monkeypatch.setattr(calculus, "signed_integrate", counted)
+    monkeypatch.setattr(cli, "signed_integrate", counted)
     code, out, _ = run_cli("verify", "mvt", "--kernel", "exp(t)", "--x", "30", "--y", "31", capsys=capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["residual"][0] > 1e-8
+    assert len(calls) == 1
 
 
 def test_verify_ftc1(capsys):
@@ -159,6 +174,13 @@ def test_interval_wider_than_the_float_range_exits_one(capsys):
         "integrate", "--dim", "1", "--lo=-1e308", "--hi", "1e308", "--kernel", "t", capsys=capsys,
     )
     assert code == 1 and out == "" and "wider than the float range" in err
+
+
+@pytest.mark.parametrize("lo", ["0,,1", "0,1,", ",1", " , "])
+def test_an_element_with_an_empty_coordinate_is_refused(lo, capsys):
+    code, out, err = run_cli("integrate", "--dim", "2", "--lo", lo, "--hi", "1,2", "--kernel", "t", capsys=capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: element {lo!r} has an empty coordinate\n"
 
 
 def test_element_values_may_begin_with_a_minus_sign(capsys):
@@ -244,21 +266,75 @@ def test_json_output_is_deterministic():
     assert len(runs) == 1
 
 
-def test_csv_and_text_formats(capsys):
-    code, out, _ = run_cli(
-        "integrate", "--dim", "2", "--lo", "0,0", "--hi", "1,1",
-        "--kernel", "t", "--format", "csv", capsys=capsys,
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("atom,value,lower,upper,gap")
-    assert len(lines) == 3
-    code, out, _ = run_cli(
-        "integrate", "--dim", "2", "--lo", "0,0", "--hi", "1,1",
-        "--kernel", "t", "--format", "text", capsys=capsys,
-    )
-    assert code == 0
-    assert "value" in out
+_RESULT_KEYS = ["value", "lower", "upper", "gap", "depth", "converged", "tol", "max_depth", "extrema_method"]
+_REPORT_KEYS = ["command", "backend", "name", "max_residual", "tolerance", "passed", "samples", "details"]
+
+# A valid run of each verify target over two atoms.
+_VERIFY_ARGS = {
+    "mvt": ["--kernel", "t^2", "--x", "0,0", "--y", "1,1"],
+    "ftc1": ["--kernel", "t^2", "--lo", "0,0", "--hi", "1,1", "--samples", "3", "--tol", "1e-5"],
+    "ftc2": ["--kernel", "t^2", "--anti", "t^3/3", "--lo", "0,0", "--hi", "1,1", "--samples", "3", "--tol", "1e-5"],
+    "usub": ["--kernel", "t^2", "--G", "t + 1", "--lo", "0,0", "--hi", "1,1", "--tol", "1e-5"],
+    "parts": ["--kernel", "t", "--g", "t^2/2", "--lo", "0,0", "--hi", "1,1", "--tol", "1e-5"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, header, keys",
+    [
+        (["integrate", "--dim", "2", "--lo", "0,0", "--hi", "1,1", "--kernel", "t"], 0,
+         "atom,value,lower,upper,gap,converged", ["command", "backend", *_RESULT_KEYS]),
+        (["signed-integrate", "--dim", "2", "--a", "1,0", "--b", "0,1", "--kernel", "t"], 0,
+         "atom,value,lower,upper,gap,converged", ["command", "backend", *_RESULT_KEYS]),
+        (["verify", "mvt", "--dim", "2", *_VERIFY_ARGS["mvt"]], 0,
+         "atom,c,residual", ["command", "backend", "c", "residual", "passed"]),
+        *[
+            (["verify", which, "--dim", "2", *_VERIFY_ARGS[which]], 0, "atom,max_residual,passed", _REPORT_KEYS)
+            for which in ("ftc1", "ftc2", "usub", "parts")
+        ],
+        (["demo", "swap"], 2, "atom,value,lower,upper,gap,converged",
+         ["command", "lower_sum_P", "upper_sum_Q", "lower_leq_upper", "integrable",
+          *[f"integrate_{key}" for key in _RESULT_KEYS]]),
+        (["bands", "--x", "1,0", "--y", "0,1"], 0, "atom,band", ["command", "lt", "gt", "eq"]),
+        (["totord", "--points", "1,0;0,1"], 0, "index,atom0,atom1", ["command", "chain"]),
+    ],
+    ids=["integrate", "signed-integrate", "mvt", "ftc1", "ftc2", "usub", "parts", "demo", "bands", "totord"],
+)
+def test_csv_and_text_formats(argv, exit_code, header, keys, capsys):
+    # Each run covers two atoms: a CSV header and two rows, and one text
+    # line per payload key, in the payload's order.
+    code, out, err = run_cli(*argv, "--format", "csv", capsys=capsys)
+    assert (code, err) == (exit_code, "")
+    lines = out.splitlines()
+    assert lines[0] == header and len(lines) == 3
+    code, out, err = run_cli(*argv, "--format", "text", capsys=capsys)
+    assert (code, err) == (exit_code, "")
+    assert [line.split(": ", 1)[0] for line in out.splitlines()] == keys
+
+
+# The value flags without a default that each verify target reads.
+_VERIFY_READS = {
+    "mvt": {"x", "y"},
+    "ftc1": {"lo", "hi"},
+    "ftc2": {"lo", "hi", "x", "y", "anti"},
+    "usub": {"lo", "hi", "G", "g"},
+    "parts": {"lo", "hi", "g"},
+}
+
+
+@pytest.mark.parametrize(
+    "which, flag",
+    [
+        (which, flag)
+        for which, reads in _VERIFY_READS.items()
+        for flag in ("lo", "hi", "x", "y", "anti", "g", "G")
+        if flag not in reads
+    ],
+)
+def test_each_verify_target_refuses_a_flag_it_does_not_read(which, flag, capsys):
+    code, out, err = run_cli("verify", which, "--dim", "2", *_VERIFY_ARGS[which], f"--{flag}", "1", capsys=capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: verify {which} does not read --{flag}\n"
 
 
 def test_kernel_broadcast_and_multiple(capsys):
@@ -280,8 +356,12 @@ def test_kernel_broadcast_and_multiple(capsys):
         (["parts", "--kernel", "t", "--g", "t^2/2"], "--lo is required"),
         (["ftc2", "--kernel", "t^2", "--anti", "t^3/3", "--lo", "0,0", "--hi", "1,1",
           "--samples", "0"], "at least one pair"),
+        (["ftc2", "--kernel", "t^2", "--anti", "t^3/3", "--x", "1,0", "--lo", "0,0", "--hi", "1,1"],
+         "--y is required"),
+        (["ftc2", "--kernel", "t^2", "--anti", "t^3/3", "--y", "0,1", "--lo", "0,0", "--hi", "1,1"],
+         "--x is required"),
     ],
-    ids=["ftc1", "ftc2", "usub", "parts", "ftc2-no-samples"],
+    ids=["ftc1", "ftc2", "usub", "parts", "ftc2-no-samples", "ftc2-x-without-y", "ftc2-y-without-x"],
 )
 def test_verify_missing_input_exits_one_with_one_error_line(argv, message, capsys):
     code, out, err = run_cli("verify", *argv, "--dim", "2", capsys=capsys)

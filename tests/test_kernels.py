@@ -643,6 +643,38 @@ def test_a_level_keeps_a_few_chunk_buffers_not_the_whole_row():
     assert peak <= 2 * 2**20
 
 
+@pytest.mark.parametrize(
+    "grid, s, peak_mib",
+    [
+        # One 2^15-cell row given as breakpoints, read in place: two arrays
+        # of values, the products m·Δx and the widths Δx, 1.25 MiB.  An
+        # array for points would add 0.25 MiB that nothing writes.
+        (np.linspace(0.0, 1.0, 2**15 + 1), 0, 1.25),
+        # One uniform 2^15-cell row sampled at 4 and 8 points a cell: the
+        # peak is the second pass's, chunks of 2^13 cells of 9 samples,
+        # which forms its samples in an array of its own.  Measured at 3.13
+        # MiB; an array for points would add 0.5625 MiB.
+        (K.UniformRows(np.array([0.0]), np.array([1.0]), 2**15), 4, 3.13),
+    ],
+    ids=["given-endpoint", "uniform-sampled"],
+)
+def test_only_a_uniform_endpoint_pass_allocates_an_array_for_its_points(grid, s, peak_mib):
+    prog = ScalarKernel.from_string("t^2").program
+
+    def call():
+        return K.darboux_sampled(prog, grid, s) if s else K.darboux_endpoint(prog, grid)
+
+    want = call()  # first, so that no lazy import or cache is counted
+    tracemalloc.start()
+    try:
+        got = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert peak <= (peak_mib + 1 / 8) * 2**20
+
+
 def test_threads_summing_at_once_keep_their_own_buffers():
     # Each thread's runs write into the buffers of its own sums (the table
     # finds them per thread), so sums made on six threads at once, switched
