@@ -56,12 +56,12 @@ _PHASE_SLOP = 1e-9
 
 # Isolation: an unresolved piece is split into _SPLIT equal parts, and a
 # row that would hold more live pieces than the cap in a level gives up.
-# Rows are isolated _ROW_BLOCK at a time, so no level holds more than
-# _ROW_BLOCK * _MAX_PIECES pieces.
+# All rows start in one block, and a block whose next level would hold
+# more than _LEVEL_PIECES pieces splits its rows in two.
 _SPLIT = 8
 _CUTS = np.arange(_SPLIT + 1) / _SPLIT
 _MAX_PIECES = 4096
-_ROW_BLOCK = 64
+_LEVEL_PIECES = 1 << 18
 
 
 class IsolationError(ArithmeticError):
@@ -258,53 +258,29 @@ def _first_of_lowest_row(rows: np.ndarray, bad: np.ndarray) -> tuple[int, int]:
     return row, int(np.argmax(bad & (rows == row)))
 
 
-def isolate(f: Program, d1: Program, d2: Program, slope, lo, hi, tol, floor):
-    """Certified critical points of f on every row's interval [lo[r], hi[r]].
+def _levels(d1: Program, d2: Program, a, b, own, r0: int, r1: int, floor, failed, found) -> None:
+    """Isolate on the pieces [a, b] of rows r0..r1 - 1, ``own`` the row of each, level by level.
 
-    ``d1`` and ``d2`` are the programs of f' and f'', and ``slope``
-    evaluates f' at one point; ``tol`` and ``floor`` are per-row arrays.
-    Rows are isolated ``_ROW_BLOCK`` at a time, every piece of a level in
-    one array, and a row's result never depends on the other rows.
-    Returns ``(failed, (rows, ts, vals))``:
-
-    - ``failed[r]`` marks a row that would need more than ``_MAX_PIECES``
-      pieces in a level; it gets no entries.
-    - ``(ts, vals)`` are (t, value) entries that bound f on every cell
-      holding one of them: f at an exact zero of f', f(c) +-
-      sup|f''|*delta^2/2 at the centre c of a single-root bracket narrowed
-      to half-width delta <= tol/2, and f's own enclosure at both ends of
-      a piece left unresolved at width ``floor``.  Between them f is
-      monotone, so these entries and the cell endpoints bound f on every
-      cell, and every zero of f' at which f may have a local extremum
-      lies within ``tol`` of an entry's t, as ``floor <= tol``.  They are
-      sorted by row, then by t.
-
-    Raises RowError, naming the lowest row at fault, with an EvalDomainError
-    where f itself has no finite enclosure on an unresolved piece (a pole,
-    or the edge of f's domain) or no finite value at an entry.
+    Each level cuts the live pieces ``_SPLIT``-fold, the rows' whole
+    intervals first.  What a level resolves goes to ``found``, lists of
+    (exact, brackets, unresolved) arrays with the row first, and a row that
+    gives up is marked in ``failed``.  A block whose next level would hold
+    more than ``_LEVEL_PIECES`` pieces over more than one row goes on as
+    two, the lower half of the rows and the upper, each from its own
+    pieces.  A row's pieces keep their order, so its entries come out in
+    the order of one block.
     """
-    parts = []
-    for r0 in range(0, len(lo), _ROW_BLOCK):
-        block = slice(r0, r0 + _ROW_BLOCK)
-        try:
-            found = _isolate_block(f, d1, d2, slope, lo[block], hi[block], tol[block], floor[block])
-        except RowError as err:
-            raise RowError(r0 + err.row, err.cause) from err.cause
-        np.add(found[1][0], r0, out=found[1][0])
-        parts.append(found)
-    failed, entries = zip(*parts)
-    return np.concatenate(failed), tuple(np.concatenate(x) for x in zip(*entries))
-
-
-def _isolate_block(f: Program, d1: Program, d2: Program, slope, lo, hi, tol, floor):
-    rows = len(lo)
-    failed = np.zeros(rows, dtype=bool)
-    cuts = lo[:, None] + (hi - lo)[:, None] * _CUTS  # the first level is already split
-    cuts[:, -1] = hi
-    a, b = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
-    own = np.repeat(np.arange(rows), _SPLIT)  # the row of each piece
-    exact, brackets, unresolved = [], [], []  # arrays found per level, the row first
+    exact, brackets, unresolved = found
     while len(a):  # every level cuts pieces 8-fold, down to the floor
+        if len(a) * _SPLIT > _LEVEL_PIECES and r1 - r0 > 1:
+            mid = (r0 + r1) // 2
+            for half, (h0, h1) in ((own < mid, (r0, mid)), (own >= mid, (mid, r1))):
+                _levels(d1, d2, a[half], b[half], own[half], h0, h1, floor, failed, found)
+            return
+        cuts = a[:, None] + (b - a)[:, None] * _CUTS
+        cuts[:, -1] = b
+        a, b = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+        own = np.repeat(own, _SPLIT)
         s_lo, s_hi = enclose(d1, a, b)
         cross = (s_lo < 0.0) & (s_hi > 0.0)
         touch = ~cross & ((s_lo == 0.0) | (s_hi == 0.0)) & (s_lo != s_hi)
@@ -334,14 +310,42 @@ def _isolate_block(f: Program, d1: Program, d2: Program, slope, lo, hi, tol, flo
         if at_floor.any():
             unresolved.append((own[at_floor], a[at_floor], b[at_floor]))
         # a row whose next level would hold more than _MAX_PIECES pieces gives up
-        failed |= np.bincount(own[split], minlength=rows) * _SPLIT > _MAX_PIECES
+        failed[r0:r1] |= np.bincount(own[split] - r0, minlength=r1 - r0) * _SPLIT > _MAX_PIECES
         split &= ~failed[own]
         a, b, own = a[split], b[split], own[split]
-        cuts = a[:, None] + (b - a)[:, None] * _CUTS
-        cuts[:, -1] = b
-        a, b = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
-        own = np.repeat(own, _SPLIT)
 
+
+def isolate(f: Program, d1: Program, d2: Program, slope, lo, hi, tol, floor):
+    """Certified critical points of f on every row's interval [lo[r], hi[r]].
+
+    ``d1`` and ``d2`` are the programs of f' and f'', and ``slope``
+    evaluates f' at one point; ``tol`` and ``floor`` are per-row arrays.
+    Rows are isolated in blocks, every piece of a block's level in one
+    array: all rows start in one, and a block whose next level would hold
+    more than ``_LEVEL_PIECES`` pieces goes on as two, each with half its
+    rows and their own pieces (see ``_levels``).  A row's result never
+    depends on the other rows.
+    Returns ``(failed, (rows, ts, vals))``:
+
+    - ``failed[r]`` marks a row that would need more than ``_MAX_PIECES``
+      pieces in a level; it gets no entries.
+    - ``(ts, vals)`` are (t, value) entries that bound f on every cell
+      holding one of them: f at an exact zero of f', f(c) +-
+      sup|f''|*delta^2/2 at the centre c of a single-root bracket narrowed
+      to half-width delta <= tol/2, and f's own enclosure at both ends of
+      a piece left unresolved at width ``floor``.  Between them f is
+      monotone, so these entries and the cell endpoints bound f on every
+      cell, and every zero of f' at which f may have a local extremum
+      lies within ``tol`` of an entry's t, as ``floor <= tol``.  They are
+      sorted by row, then by t.
+
+    Raises RowError, naming the lowest row at fault, with an EvalDomainError
+    where f itself has no finite enclosure on an unresolved piece (a pole,
+    or the edge of f's domain) or no finite value at an entry.
+    """
+    failed = np.zeros(len(lo), dtype=bool)
+    exact, brackets, unresolved = [], [], []  # arrays found per level, the row first
+    _levels(d1, d2, lo, hi, np.arange(len(lo)), 0, len(lo), floor, failed, (exact, brackets, unresolved))
     if failed.any():  # the rows that gave up keep nothing
         exact, brackets, unresolved = (
             [tuple(x[~failed[part[0]]] for x in part) for part in found]

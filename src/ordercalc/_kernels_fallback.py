@@ -27,10 +27,11 @@ orders, chosen by the kind of grid:
 - ``GivenRows`` and 1-D breakpoint arrays (explicit partitions, the reads of
   an antiderivative within a stretch, and the ``prefix_*`` calls): each row
   is summed left to right over the whole row, each chunk's running sum
-  starting from the row's running sum so far.  Prefixes are that running
-  sum, its error is at most γ_(n-1)·Σ|m·Δx| for a row of n cells, and the
-  sequential order makes a cell of zero width (a repeated point) add
-  exactly nothing.
+  starting from the row's running sum so far.  Rows given with their own
+  lengths (a batch of reads, one row each) end at their own last cells.
+  Prefixes are that running sum, its error is at most γ_(n-1)·Σ|m·Δx| for
+  a row of n cells, and the sequential order makes a cell of zero width (a
+  repeated point) add exactly nothing.
 
 In either order how a stretch, or a given row, is summed depends on it
 alone, so a row's sums are bit for bit the same whether it is summed alone
@@ -346,17 +347,26 @@ class _Rows:
 
     rows: int
     n: int
+    lengths: np.ndarray | None = None  # of given rows only
 
     def __len__(self) -> int:
         return self.rows * self.n + 1
 
 
 class GivenRows(_Rows):
-    """Rows of given breakpoints: row r of ``xs`` holds the n + 1 points of row r."""
+    """Rows of given breakpoints: row r of ``xs`` holds the n + 1 points of row r.
 
-    def __init__(self, xs: np.ndarray):
+    ``lengths``, when given, holds each row's own number of cells, at
+    least 1: a row's sum is then its running sum at its own last cell, and
+    the points past that cell, which must not decrease, are evaluated but
+    never summed.  Such rows must be summed whole: n is at most a sampled
+    chunk's width, ``CHUNK_CELLS // 4``.
+    """
+
+    def __init__(self, xs: np.ndarray, lengths: np.ndarray | None = None):
         self.xs = xs
         self.rows, self.n = xs.shape[0], xs.shape[1] - 1
+        self.lengths = lengths
 
     def block(self, r0: int, r1: int, c0: int, c1: int, out=None) -> np.ndarray:
         """The points of cells c0..c1 of rows r0..r1, read in place: ``out`` is not used."""
@@ -368,10 +378,13 @@ class GivenRows(_Rows):
         That is the last point at most t, found by one search of each row
         that holds a point; ``rows`` may come in any order.
         """
-        cells = np.empty(len(ts), dtype=np.int64)
-        for r in _distinct(rows).tolist():
-            at = rows == r
-            cells[at] = self.xs[r].searchsorted(ts[at], "right")
+        if self.rows == 1:
+            cells = self.xs[0].searchsorted(ts, "right")
+        else:
+            cells = np.empty(len(ts), dtype=np.int64)
+            for r in _distinct(rows).tolist():
+                at = rows == r
+                cells[at] = self.xs[r].searchsorted(ts[at], "right")
         return np.clip(cells - 1, 0, self.n - 1)
 
 
@@ -604,7 +617,7 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
     which is called with at most a chunk's points of one row at a time.  A
     grid of zero cells sums to 0.
     """
-    rows, n, g = grid.rows, grid.n, STRETCH_CELLS
+    rows, n, g, lengths = grid.rows, grid.n, STRETCH_CELLS, grid.lengths
     uniform = isinstance(grid, UniformRows)
     pairwise = uniform and prefix is None
     span = max(n, 1)  # with no cells, no chunks
@@ -653,9 +666,10 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
                     _point_sums(v, grid.step[r0:r1], seen)
                     _fold_stretches(v, xs, at, vals, seen)
             else:  # left to right, from the rows' running sums so far
-                mb[:, :, 0] += totals[:, r0:r1]
+                np.add(mb[:, :, 0], totals[:, r0:r1], out=mb[:, :, 0])
                 np.add.accumulate(mb, axis=2, out=mb)
-                seen = totals[:, r0:r1] = mb[:, :, -1]
+                # at each row's last cell, or at its own last cell (the rows are whole)
+                seen = totals[:, r0:r1] = mb[:, :, -1] if lengths is None else mb[:, np.arange(r1 - r0), lengths[r0:r1] - 1]
                 if prefix is not None:
                     prefix[:, r0:r1, c0:c1] = mb
             if not _finite(seen):  # a finite total has finite terms

@@ -106,15 +106,15 @@ def _function(args) -> LatticeFunction:
         return f
     if not args.kernel:
         raise ValueError("--kernel is required")
-    dim = args.dim or 1
-    if len(args.kernel) not in (1, dim):
-        raise ValueError(f"--kernel takes 1 or {dim} expressions")
-    return LatticeFunction.coordinatewise(list(args.kernel), dim=dim)
+    return _kernels(args, "kernel")
 
 
 def _kernels(args, name: str) -> LatticeFunction:
     """The function of the expressions of ``--name``, one per atom or one for all."""
-    return LatticeFunction.coordinatewise(list(getattr(args, name)), dim=args.dim or 1)
+    sources, dim = list(getattr(args, name)), args.dim or 1
+    if len(sources) not in (1, dim):
+        raise ValueError(f"--{name} takes 1 or {dim} expressions")
+    return LatticeFunction.coordinatewise(sources, dim=dim)
 
 
 def _sched(args) -> ToleranceSchedule:

@@ -8,6 +8,7 @@ them by band mixing.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -67,7 +68,7 @@ class ScalarKernel:
     ``extrema`` and ``integrate._make_bands``).
     """
 
-    __slots__ = ("expr", "func", "monotone", "label", "_program", "_derivative")
+    __slots__ = ("expr", "func", "monotone", "label", "_program", "_derivative", "_many")
 
     def __init__(self, *, expr=None, func=None, monotone=None, label=None):
         if (expr is None) == (func is None):
@@ -80,6 +81,7 @@ class ScalarKernel:
         self.label = label or (ex.print_expr(expr) if expr is not None else "<callable>")
         self._program: Program | None = None
         self._derivative = None
+        self._many = None  # an antiderivative's reader of arrays of points
 
     # -- constructors --------------------------------------------------------
 
@@ -137,13 +139,24 @@ class ScalarKernel:
         return v
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
-        """k at every point of ``ts``; fails where ``eval`` does, naming the first t at fault."""
+        """k at every point of ``ts``; fails where ``eval`` does, naming the first t at fault.
+
+        A callable maps ``eval`` over the points, unless it is an
+        antiderivative's, which reads them all in one batch
+        (``calculus.antiderivative``) and is mapped only when a read fails
+        or is not finite, to name the first point at fault.
+        """
         ts = np.asarray(ts, dtype=np.float64)
         if self.expr is not None:
             try:
                 return _kernels.eval_many(self.program, ts)
             except RowError as err:
                 raise err.cause from None
+        if self._many is not None:
+            with contextlib.suppress(ValueError, ArithmeticError):
+                out = self._many(ts.ravel())
+                if _kernels._finite(out):
+                    return out.reshape(ts.shape)
         # Python floats, as ``eval`` gets them, so a callable fails alike through both.
         out = np.fromiter(map(self.eval, ts.ravel().tolist()), dtype=np.float64, count=ts.size)
         return out.reshape(ts.shape)
@@ -336,12 +349,12 @@ class LatticeFunction:
             raise ValueError(f"dimension mismatch: {x.dim} vs {self.dim}")
         if self.is_coordinatewise:
             out = np.empty(self.dim)
-            for i, k in enumerate(self.kernels):
+            for i, (k, t) in enumerate(zip(self.kernels, x.data.tolist())):
                 try:
-                    out[i] = k.eval(x[i])
+                    out[i] = k.eval(t)
                 except ex.EvalDomainError as err:
                     raise KernelEvalError(i, err) from err
-            return Element(out)
+            return Element._wrap(out)  # each value is finite, as ``eval`` checks
         y = self.func(x)
         if not isinstance(y, Element):
             y = Element(y)

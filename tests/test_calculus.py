@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ordercalc.calculus import (
     verify_ftc2,
     verify_substitution,
 )
+from ordercalc.expr import EvalDomainError
 from ordercalc.functions import KernelEvalError, LatticeFunction, ScalarKernel, continuity_modulus, extrema
 from ordercalc.integrate import ToleranceSchedule, _Band, darboux_sums, integrate, riemann_sum, signed_integrate
 from ordercalc.lattice import Element, OrderInterval
@@ -235,11 +237,11 @@ def _assert_antiderivative_is_per_atom(f, iv, sched, critical=()):
         assert grid.level.n == 1 << depth, i
         assert _bits(*grid.level.running[0, 0]) == _bits(*read.running[0]), i
         assert _bits(*grid.level.running[1, 0]) == _bits(*read.running[1]), i
-        assert _bits(*grid.bracket(hi[i])) == _bits(whole.lower[i], whole.upper[i]), i
+        assert _bits(*grid.brackets(hi[i : i + 1])) == _bits(whole.lower[i], whole.upper[i]), i
         for m in range(1, len(grid.ends)):  # a read at a stretch end is the running sum kept there
             run = grid.level.running[:, 0, m - 1]
             low, up = run[0] - grid.widen_l, run[1] + grid.widen_u
-            assert _bits(*grid.bracket(grid.ends[m])) == _bits(low, up), (i, m)
+            assert _bits(*grid.brackets(grid.ends[m : m + 1])) == _bits(low, up), (i, m)
     rng = np.random.default_rng(0)
     points = [lo, hi] + [lo + u * (hi - lo) for u in rng.uniform(0.0, 1.0, (40, f.dim))]
     points += [np.clip(np.full(f.dim, c + 1e-5), lo, hi) for c in critical]
@@ -310,7 +312,7 @@ def test_antiderivative_brackets_at_hi_are_integrates():
     F, whole = antiderivative(f, iv, sched), integrate(f, iv, sched)
     hi = iv.hi.data
     for i, kernel in enumerate(F.kernels):
-        assert _bits(*kernel.func.__self__.bracket(hi[i])) == _bits(whole.lower[i], whole.upper[i]), i
+        assert _bits(*kernel.func.__self__.brackets(hi[i : i + 1])) == _bits(whole.lower[i], whole.upper[i]), i
     exact = [0, 3, 4, 5]
     assert F.eval(iv.hi).data[exact].tobytes() == whole.value.data[exact].tobytes()
 
@@ -733,6 +735,161 @@ def test_antiderivative_read_that_fails_names_the_atom_read():
     with pytest.raises(KernelEvalError, match="t=0.3") as info:
         F.eval(E(0.5, 0.5, 0.3))
     assert info.value.atom == 2 and "atom 0" not in str(info.value)
+
+
+# -- batched reads ----------------------------------------------------------------
+
+def _reads_of(grid, lo, hi, rng):
+    """Points to read an atom at: random ones, lo, hi, every stretch end, and each entry with its neighbours."""
+    ts = np.empty(0) if grid.band.entries is None else grid.band.entries[1]
+    marks = np.concatenate((grid.ends, ts))
+    near = np.concatenate((marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf)))
+    points = np.concatenate((rng.uniform(lo, hi, 200), [lo, hi], near))
+    return rng.permutation(np.clip(points, lo, hi))
+
+
+def test_batched_reads_are_the_reads_one_by_one():
+    # t^2 on [-1, 1] has its entry at 0.0, the first point of a stretch;
+    # the callable is sampled.  The last atom's entries, a bracket's centre
+    # c with f(c) -+ its error term, differ from f(c) in the bits of reads
+    # near lo, so a read at x = c tells whether its cut takes t = x.  Every
+    # atom's batch of reads gives the bytes of its reads one by one, and
+    # both give those of the plain reader.
+    wave = ScalarKernel.from_callable(lambda t: abs(math.sin(3 * t)))
+    f = LatticeFunction.coordinatewise(["t^3 - t", "sin(6*t)", "exp(t)", "t^2", wave, "(t - 1/3)^2 + t*1e-20"])
+    iv = interval((0.0, 0.0, -1.0, -1.0, 0.0, 1 / 3 - 1e-9), (1.0, 2.0, 1.0, 1.0, 2.0, 1.0))
+    sched = ToleranceSchedule(1e-5, 14)
+    F = antiderivative(f, iv, sched)
+    rng = np.random.default_rng(3)
+    for i, kernel in enumerate(f.kernels):
+        lo, hi = iv.lo[i], iv.hi[i]
+        grid = F.kernels[i].func.__self__
+        read, _ = _antiderivative_alone(kernel, lo, hi, sched)
+        points = _reads_of(grid, lo, hi, rng)
+        batch = F.kernels[i].eval_many(points)
+        alone = np.array([F.kernels[i].eval(p) for p in points.tolist()])
+        want = np.array([0.5 * sum(read(p)) for p in points.tolist()])
+        assert batch.tobytes() == alone.tobytes() == want.tobytes(), i
+    assert 0.0 in F.kernels[3].func.__self__.ends and 0.0 in F.kernels[3].func.__self__.band.entries[1]
+    rows = np.stack([np.clip(rng.uniform(-1.0, 2.0, 30), iv.lo[i], iv.hi[i]) for i in range(f.dim)])
+    many = F.eval_many(rows)
+    assert many.tobytes() == np.array([F.eval(Element(col)).data for col in rows.T]).T.tobytes()
+
+
+def test_a_read_of_exact_zeros_has_the_bits_of_the_plain_reader():
+    # -t from 0: at x = 2^-600 the partial cell's products, -x·x and
+    # -0.0·x, are -0.0, and their running sum is -0.0 before the read adds
+    # it to the kept sum; the read's bits are the plain reader's.
+    kernel = ScalarKernel.from_string("-t")
+    sched = ToleranceSchedule(1e-6, 14)
+    F = antiderivative(LatticeFunction.coordinatewise([kernel]), interval((0.0,), (1.0,)), sched)
+    read, _ = _antiderivative_alone(kernel, 0.0, 1.0, sched)
+    points = np.array([2.0**-600, 2.0**-1074, 0.0])
+    want = np.array([0.5 * sum(read(p)) for p in points.tolist()])
+    assert F.kernels[0].eval_many(points).tobytes() == want.tobytes()
+    assert np.array([F.kernels[0].eval(p) for p in points.tolist()]).tobytes() == want.tobytes()
+    grid = F.kernels[0].func.__self__
+    assert _bits(*grid.brackets(points[:1])[:, 0]) == _bits(*read(points[0]))
+
+
+def test_batched_reads_fail_as_the_reads_one_by_one():
+    pole = ScalarKernel.from_callable(lambda t: 1 / (t - 0.3), label="pole")
+    f = LatticeFunction.coordinatewise([pole, "t", pole])
+    F = antiderivative(f, interval((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), ToleranceSchedule(1e-3, 10))
+    with pytest.raises(EvalDomainError, match=r"t=0\.3\b"):
+        F.kernels[0].eval_many(np.array([0.5, 0.31, 0.3, 0.7, 0.3]))
+    with pytest.raises(EvalDomainError, match=r"queried outside its interval: 1\.5"):
+        F.kernels[1].eval_many(np.array([0.5, 1.5, -1.0]))
+    rows = np.array([[0.5, 0.6], [0.5, 0.6], [0.4, 0.3]])
+    with pytest.raises(KernelEvalError, match="t=0.3") as info:
+        F.eval_many(rows)
+    assert info.value.atom == 2
+    # F(1.5) of 1e308 has finite brackets whose midpoint overflows: not finite, as eval finds
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        F = antiderivative(LatticeFunction.coordinatewise(["1e308"]), interval((0.0,), (1.5,)))
+        with pytest.raises(EvalDomainError, match=r"real domain at t=1\.5"):
+            F.kernels[0].eval_many(np.array([0.7, 1.5]))
+
+
+def test_verify_ftc1_reads_each_atom_once(monkeypatch):
+    # Ten samples, six points each: one batch of 60 reads an atom, and the
+    # report is that of reading the samples one by one.
+    f = LatticeFunction.coordinatewise(["t^2", "sin(t)"])
+    iv = interval((0.0, -1.0), (1.0, 2.0))
+    sched = ToleranceSchedule(1e-5, 18)
+    batches = []
+    brackets = calculus._CumulativeGrid.brackets
+
+    def counted(grid, xs):
+        batches.append(len(xs))
+        return brackets(grid, xs)
+
+    monkeypatch.setattr(calculus._CumulativeGrid, "brackets", counted)
+    report = verify_ftc1(f, iv, interior_samples=10, tol=1e-4, seed=7, sched=sched)
+    assert batches == [60, 60]
+    monkeypatch.setattr(calculus._CumulativeGrid, "brackets", brackets)
+    anti = antiderivative(f, iv, sched)
+    rng = np.random.default_rng(7)
+    details, worst = [], None
+    for _ in range(10):
+        x = calculus._sample_interior(iv, rng)
+        residual = abs(numeric_derivative(anti, x, iv) - f.eval(x))
+        worst = residual if worst is None else worst.sup(residual)
+        details.append({"x": x.to_json(), "residual": residual.to_json()})
+    assert report.details == details and report.max_residual == worst and report.passed
+
+
+def test_verify_ftc1_fails_where_the_per_sample_loop_fails(monkeypatch):
+    # F's kernels fail past 0.85 (atom 0) and inside (0.4, 0.5) (atom 1),
+    # and f's atom 1 inside (0.1, 0.14).  Where reading all samples at once
+    # fails, verify_ftc1 names what reading them one by one names: the
+    # first sample whose derivative or f fails, and its lowest atom, though
+    # the batch alone may name a later sample's lower atom.
+    def failing(lo, hi):
+        return ScalarKernel.from_callable(lambda t: float("nan") if lo < t < hi else t)
+
+    anti = LatticeFunction.coordinatewise([failing(0.85, 2.0), failing(0.4, 0.5)])
+    f = LatticeFunction.coordinatewise(["1", failing(0.1, 0.14)])
+    monkeypatch.setattr(calculus, "antiderivative", lambda f, iv, sched=None: anti)
+    seen = set()
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        xs = [calculus._sample_interior(UNIT2, rng) for _ in range(10)]
+        for x in xs:
+            try:
+                numeric_derivative(anti, x, UNIT2)
+            except KernelEvalError as err:
+                want, where = err, "derivative"
+                break
+            try:
+                f.eval(x)
+            except KernelEvalError as err:
+                want, where = err, "f"
+                break
+        with pytest.raises(KernelEvalError) as got:
+            verify_ftc1(f, UNIT2, seed=seed)
+        assert (got.value.atom, str(got.value)) == (want.atom, str(want)), seed
+        with pytest.raises(KernelEvalError) as batch:
+            calculus._derivatives(anti, xs, UNIT2)
+        seen.add((where, str(batch.value) == str(want)))
+    assert {("derivative", True), ("derivative", False), ("f", False)} <= seen
+
+
+def test_ten_thousand_reads_keep_a_batch_of_buffers():
+    # 10^4 reads in rows of up to 257 points would take 20 MiB at once;
+    # read 128 at a time they peak at about a chunk's buffers.
+    F = antiderivative(LatticeFunction.coordinatewise(["t^3 - t"]), interval((0.0,), (1.0,)))
+    points = np.random.default_rng(8).uniform(0.0, 1.0, 10**4)
+    F.kernels[0].eval_many(points[:300])  # first, so that no lazy import or cache is counted
+    tracemalloc.start()
+    try:
+        got = F.kernels[0].eval_many(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (10**4,)
+    assert peak <= 3 * 2**20, peak
 
 
 def test_verify_ftc2_integrates_all_pairs_at_once(monkeypatch):

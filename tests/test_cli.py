@@ -360,8 +360,18 @@ def test_kernel_broadcast_and_multiple(capsys):
          "--y is required"),
         (["ftc2", "--kernel", "t^2", "--anti", "t^3/3", "--y", "0,1", "--lo", "0,0", "--hi", "1,1"],
          "--x is required"),
+        # a count of expressions that is neither 1 nor --dim names its flag
+        (["ftc2", "--kernel", "t^2", *["--anti", "t^3/3"] * 3, "--lo", "0,0", "--hi", "1,1"],
+         "--anti takes 1 or 2 expressions"),
+        (["usub", "--kernel", "t", *["--G", "t"] * 3, "--lo", "0,0", "--hi", "1,1"],
+         "--G takes 1 or 2 expressions"),
+        (["parts", "--kernel", "t", *["--g", "t"] * 3, "--lo", "0,0", "--hi", "1,1"],
+         "--g takes 1 or 2 expressions"),
     ],
-    ids=["ftc1", "ftc2", "usub", "parts", "ftc2-no-samples", "ftc2-x-without-y", "ftc2-y-without-x"],
+    ids=[
+        "ftc1", "ftc2", "usub", "parts", "ftc2-no-samples", "ftc2-x-without-y", "ftc2-y-without-x",
+        "anti-count", "G-count", "g-count",
+    ],
 )
 def test_verify_missing_input_exits_one_with_one_error_line(argv, message, capsys):
     code, out, err = run_cli("verify", *argv, "--dim", "2", capsys=capsys)

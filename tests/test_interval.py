@@ -288,7 +288,7 @@ def test_kernel_whose_derivative_vanishes_everywhere_falls_back_to_sampling():
 def test_band_isolation_gives_each_row_its_one_row_entries():
     k = ScalarKernel.from_string("(t - 0.3)^3 - 3e-8*(t - 0.3) + sin(4*t)")
     rng = np.random.default_rng(5)
-    lo = rng.uniform(-2.0, 1.0, 150)  # more rows than one isolation block
+    lo = rng.uniform(-2.0, 1.0, 150)
     hi = lo + rng.uniform(0.0, 3.0, 150)
     hi[3] = lo[3]
     rows, ts, vals, failed = k.critical_entries(lo, hi)
@@ -298,6 +298,34 @@ def test_band_isolation_gives_each_row_its_one_row_entries():
         _, want_ts, want_vals, _ = k.critical_entries(lo[r : r + 1], hi[r : r + 1])
         assert ts[rows == r].tobytes() == want_ts.tobytes()
         assert vals[rows == r].tobytes() == want_vals.tobytes()
+
+
+def test_a_band_split_by_the_piece_bound_isolates_as_one_block(monkeypatch):
+    # Rows are independent, so splitting a band's rows into blocks, as a
+    # bound of 64 pieces a level does, moves no bit of the entries; row 5
+    # gives up (sin(6t) over [0, 1e6]) and row 7 has zero width.
+    k = ScalarKernel.from_string("sin(6*t) + t/50")
+    rng = np.random.default_rng(1)
+    lo = rng.uniform(-3.0, 0.0, 40)
+    hi = lo + rng.uniform(0.0, 4.0, 40)
+    lo[5], hi[5] = 0.0, 1e6
+    hi[7] = lo[7]
+    blocks = []
+    levels = _interval._levels
+
+    def counted(d1, d2, a, b, own, r0, r1, *rest):
+        blocks.append((r0, r1))
+        return levels(d1, d2, a, b, own, r0, r1, *rest)
+
+    monkeypatch.setattr(_interval, "_levels", counted)
+    want = k.critical_entries(lo, hi)
+    assert blocks == [(0, 39)] and want[3][5] and not want[3][np.arange(40) != 5].any()
+    blocks.clear()
+    monkeypatch.setattr(_interval, "_LEVEL_PIECES", 64)
+    got = k.critical_entries(lo, hi)
+    assert len(blocks) > 10 and max(r1 - r0 for r0, r1 in blocks[1:]) < 39
+    for part, (a, b) in enumerate(zip(got, want)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
 
 
 def test_singular_kernel_in_a_band_names_its_atom():

@@ -602,6 +602,28 @@ def test_powers_write_their_last_product_into_the_square_they_end_with():
         assert got.tobytes() == K.run(prog, ts, partial(np.full, ts.shape), K._OPS).tobytes(), src
 
 
+def test_given_rows_of_their_own_lengths_end_at_their_own_last_cells():
+    # Each row of a GivenRows with lengths sums to its own last cell, bit
+    # for bit the sums of the row cut there; the points past it are larger
+    # and never summed.  A lone row finds its entries' cells by one search.
+    prog = ScalarKernel.from_string("t^3 - t").program
+    rng = np.random.default_rng(13)
+    xs = np.sort(rng.uniform(-1.0, 1.0, (6, 41)), axis=1)
+    lengths = np.array([40, 1, 17, 5, 30, 2])
+    e_rows = np.repeat(np.arange(6), 2)
+    ts = np.array([rng.uniform(xs[r, 0], xs[r, n]) for r, n in zip(e_rows, lengths[e_rows])])
+    vals = rng.uniform(-2.0, 2.0, len(ts))
+    grid = K.GivenRows(xs, lengths)
+    got = [K.darboux_critical(prog, grid, ts, vals, e_rows), K.darboux_sampled(prog, grid, 4)]
+    for r, n in enumerate(lengths.tolist()):
+        mine = e_rows == r
+        alone = [K.darboux_critical(prog, xs[r, : n + 1], ts[mine], vals[mine]), K.darboux_sampled(prog, xs[r, : n + 1], 4)]
+        for band, one in zip(got, alone):
+            assert np.array([p[r] for p in band]).tobytes() == np.array(one).tobytes(), r
+    one = K.GivenRows(xs[2:3])
+    assert np.array_equal(one.cells(np.zeros(5, dtype=np.int64), ts[:5]), K.GivenRows(xs).cells(np.full(5, 2), ts[:5]))
+
+
 def test_distinct_values_are_those_of_np_unique(monkeypatch):
     # Sort and mask give np.unique's sorted distinct values bit for bit,
     # with repeats, -0.0 next to 0.0, and no value at all; critical_points
