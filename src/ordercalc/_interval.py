@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels_fallback import RowError, _run
+from ._kernels_fallback import RowError, _finite, _run
 from ._tape import (
     OP_ABS,
     OP_ADD,
@@ -103,7 +103,7 @@ def _mul(xl, xh, yl, yh):
         lo, hi = _down(np.minimum(p, q)), _up(np.maximum(p, q))
     else:
         lo, hi = _hull(np.stack((xl * yl, xl * yh, xh * yl, xh * yh)))
-    if np.isnan(lo).any():  # 0 * inf, or an undefined operand
+    if np.count_nonzero(np.isnan(lo)):  # 0 * inf, or an undefined operand
         undefined = np.isnan(np.stack(np.broadcast_arrays(xl, xh, yl, yh))).any(axis=0)
         p = np.stack(np.broadcast_arrays(xl * yl, xl * yh, xh * yl, xh * yh))
         p[np.isnan(p)] = 0.0  # a factor that is exactly zero wins
@@ -115,7 +115,7 @@ def _mul(xl, xh, yl, yh):
 def _div(xl, xh, yl, yh):
     lo, hi = _hull(np.stack(np.broadcast_arrays(xl / yl, xl / yh, xh / yl, xh / yh)))
     unbounded = ((yl <= 0.0) & (yh >= 0.0)) | np.isnan(lo)  # inf / inf included
-    if unbounded.any():
+    if np.count_nonzero(unbounded):
         undefined = np.isnan(np.stack(np.broadcast_arrays(xl, xh, yl, yh))).any(axis=0)
         lo[unbounded], hi[unbounded] = -np.inf, np.inf
         lo[undefined] = hi[undefined] = np.nan
@@ -206,15 +206,22 @@ _OPS = {
 
 
 def enclose(prog: Program, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds of the program over every piece [a[i], b[i]]; (-inf, inf) if unbounded."""
+    """Bounds of the program over every piece [a[i], b[i]]; (-inf, inf) if unbounded.
+
+    The bounds are read-only to the caller: for the program ``t`` they are
+    ``a`` and ``b`` themselves.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     with np.errstate(all="ignore"):
         # a constant is one object for both bounds, which marks a point for ``_mul``
         lo, hi = run(prog, (a, b), lambda c: (c, c), _OPS)
-    lo, hi = np.broadcast_arrays(lo, hi, a)[:2]
+    if np.shape(lo) != a.shape or np.shape(hi) != a.shape:  # a constant bound
+        lo, hi = np.broadcast_arrays(lo, hi, a)[:2]
     undefined = np.isnan(lo) | np.isnan(hi)
-    return np.where(undefined, -np.inf, lo), np.where(undefined, np.inf, hi)
+    if np.count_nonzero(undefined):
+        lo, hi = np.where(undefined, -np.inf, lo), np.where(undefined, np.inf, hi)
+    return lo, hi
 
 
 # --------------------------------------------------------------------------
@@ -252,6 +259,11 @@ def _narrow(slope, a: float, b: float, fa: float, fb: float, tol: float):
     return a, b
 
 
+def _joined(parts) -> np.ndarray:
+    """The arrays ``parts`` end to end; a lone one as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _first_of_lowest_row(rows: np.ndarray, bad: np.ndarray) -> tuple[int, int]:
     """(row, index) of the first bad element of the lowest row holding one."""
     row = int(rows[bad].min())
@@ -283,31 +295,34 @@ def _levels(d1: Program, d2: Program, a, b, own, r0: int, r1: int, floor, failed
         own = np.repeat(own, _SPLIT)
         s_lo, s_hi = enclose(d1, a, b)
         cross = (s_lo < 0.0) & (s_hi > 0.0)
-        touch = ~cross & ((s_lo == 0.0) | (s_hi == 0.0)) & (s_lo != s_hi)
-        if touch.any():  # f monotone, but an end may be an exact zero of f'
+        touch = ((s_lo == 0.0) | (s_hi == 0.0)) & (s_lo != s_hi)  # no crossing piece has a zero bound
+        if np.count_nonzero(touch):  # f monotone, but an end may be an exact zero of f'
             ends = np.concatenate((a[touch], b[touch]))
             zero = _run(d1, ends) == 0.0
             exact.append((np.tile(own[touch], 2)[zero], ends[zero]))
-        a, b, own, s_lo, s_hi = (x[cross] for x in (a, b, own, s_lo, s_hi))
+        a, b, own = a[cross], b[cross], own[cross]
         if not len(a):
             break
         c_lo, c_hi = enclose(d2, a, b)
         vals = _run(d1, np.concatenate((a, b)))
         fa, fb = vals[: len(a)], vals[len(a) :]
         ok = ((c_lo >= 0.0) | (c_hi <= 0.0)) & np.isfinite(fa) & np.isfinite(fb)
-        exact.append((own[ok & (fa == 0.0)], a[ok & (fa == 0.0)]))
-        exact.append((own[ok & (fb == 0.0)], b[ok & (fb == 0.0)]))
+        for end, f_end in ((a, fa), (b, fb)):  # an end that is an exact zero of f'
+            if np.count_nonzero(zero := ok & (f_end == 0.0)):
+                exact.append((own[zero], end[zero]))
         sign_change = ok & (np.sign(fa) * np.sign(fb) < 0.0)  # fa * fb may underflow
-        if sign_change.any():  # with sup|f''| over the piece, for the error term
+        if np.count_nonzero(sign_change):  # with sup|f''| over the piece, for the error term
             curv = np.maximum(np.abs(c_lo), np.abs(c_hi))
             brackets.append(tuple(x[sign_change] for x in (own, a, b, fa, fb, curv)))
         rest = ~ok
+        if not np.count_nonzero(rest):  # every piece resolved
+            break
         width = b - a
         # at the floor, or too few floats between the ends to split them
         ulp = np.spacing(np.maximum(np.abs(a), np.abs(b)))
         at_floor = rest & ((width <= floor[own]) | (width <= 2 * _SPLIT * ulp))
         split = rest & ~at_floor
-        if at_floor.any():
+        if np.count_nonzero(at_floor):
             unresolved.append((own[at_floor], a[at_floor], b[at_floor]))
         # a row whose next level would hold more than _MAX_PIECES pieces gives up
         failed[r0:r1] |= np.bincount(own[split] - r0, minlength=r1 - r0) * _SPLIT > _MAX_PIECES
@@ -339,6 +354,9 @@ def isolate(f: Program, d1: Program, d2: Program, slope, lo, hi, tol, floor):
       lies within ``tol`` of an entry's t, as ``floor <= tol``.  They are
       sorted by row, then by t.
 
+    f is evaluated once for all exact zeros and bracket centres, and a
+    level whose every piece resolves ends the subdivision.
+
     Raises RowError, naming the lowest row at fault, with an EvalDomainError
     where f itself has no finite enclosure on an unresolved piece (a pole,
     or the edge of f's domain) or no finite value at an entry.
@@ -346,30 +364,28 @@ def isolate(f: Program, d1: Program, d2: Program, slope, lo, hi, tol, floor):
     failed = np.zeros(len(lo), dtype=bool)
     exact, brackets, unresolved = [], [], []  # arrays found per level, the row first
     _levels(d1, d2, lo, hi, np.arange(len(lo)), 0, len(lo), floor, failed, (exact, brackets, unresolved))
-    if failed.any():  # the rows that gave up keep nothing
+    if np.count_nonzero(failed):  # the rows that gave up keep nothing
         exact, brackets, unresolved = (
             [tuple(x[~failed[part[0]]] for x in part) for part in found]
             for found in (exact, brackets, unresolved)
         )
-    e_rows, ts, tv = [], [], []
-    if exact:
-        x_rows, x_ts = (np.concatenate(x) for x in zip(*exact))
-        e_rows, ts, tv = [x_rows], [x_ts], [_run(f, x_ts)]
+    x_rows, x_ts = map(_joined, zip(*exact)) if exact else (np.empty(0, dtype=np.int64), np.empty(0))
+    b_rows, c, err = x_rows[:0], x_ts[:0], x_ts[:0]
     if brackets:
-        b_rows, ba, bb, bfa, bfb, curv = (np.concatenate(x) for x in zip(*brackets))
+        b_rows, ba, bb, bfa, bfb, curv = map(_joined, zip(*brackets))
         ends = zip(ba.tolist(), bb.tolist(), bfa.tolist(), bfb.tolist(), tol[b_rows].tolist())
         ba, bb = np.array([_narrow(slope, *x) for x in ends]).reshape(-1, 2).T
         c = 0.5 * (ba + bb)
         delta = 0.5 * (bb - ba)
         err = _up(0.5 * curv * delta * delta, 4.0 * _EPS)
         taylor = np.isfinite(err)  # else f's own enclosure, as for an unresolved piece
-        if not taylor.all():
+        if not _finite(err):
             unresolved.append((b_rows[~taylor], ba[~taylor], bb[~taylor]))
-        b_rows, c, err = b_rows[taylor], c[taylor], err[taylor]
-        fc = _run(f, c)
-        e_rows += [b_rows, b_rows]
-        ts += [c, c]
-        tv += [fc - err, fc + err]  # rounded to nearest, like the endpoint values
+            b_rows, c, err = b_rows[taylor], c[taylor], err[taylor]
+    # f at the exact zeros and at the bracket centres, in one run
+    fx = _run(f, np.concatenate((x_ts, c))) if len(x_ts) + len(c) else x_ts
+    fc = fx[len(x_ts) :]
+    e_rows, ts, tv = [x_rows, b_rows, b_rows], [x_ts, c, c], [fx[: len(x_ts)], fc - err, fc + err]
     errors = []  # (row, message) of the first failure of each kind
     if unresolved:
         u_rows, ua, ub = (np.concatenate(x) for x in zip(*unresolved))
@@ -383,16 +399,12 @@ def isolate(f: Program, d1: Program, d2: Program, slope, lo, hi, tol, floor):
         ts += [ua, ua, ub, ub]
         tv += [f_lo, f_hi, f_lo, f_hi]
 
-    if not ts:
-        entries = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
-    else:
-        e_rows, ts, tv = np.concatenate(e_rows), np.concatenate(ts), np.concatenate(tv)
-        bad = ~np.isfinite(tv)
-        if bad.any():
-            row, i = _first_of_lowest_row(e_rows, bad)
-            errors.append((row, f"kernel evaluation left the real domain at t={float(ts[i])!r}"))
-        order = np.lexsort((ts, e_rows))
-        entries = (e_rows[order], ts[order], tv[order])
+    e_rows, ts, tv = np.concatenate(e_rows), np.concatenate(ts), np.concatenate(tv)
+    if not _finite(tv):
+        row, i = _first_of_lowest_row(e_rows, ~np.isfinite(tv))
+        errors.append((row, f"kernel evaluation left the real domain at t={float(ts[i])!r}"))
+    order = np.lexsort((ts, e_rows))
+    entries = (e_rows[order], ts[order], tv[order])
     if errors:
         row, message = min(errors, key=lambda e: e[0])  # a tie keeps the unresolved piece
         raise RowError(row, EvalDomainError(message))

@@ -265,13 +265,9 @@ _IN_PLACE = {
 
 
 def _run(prog: Program, ts: np.ndarray) -> np.ndarray:
+    """The program's values at ``ts``, with numpy's warnings off; always a new array."""
     with np.errstate(all="ignore"):
-        return _steps(prog, ts)
-
-
-def _steps(prog: Program, ts: np.ndarray) -> np.ndarray:
-    """The program's values at ``ts``, under the caller's ``np.errstate``; always a new array."""
-    out = _Buffers().run(prog, ts)
+        out = _Buffers().run(prog, ts)
     if out is ts:
         return ts.copy()
     return out if type(out) is np.ndarray else np.full(ts.shape, out)
@@ -454,12 +450,12 @@ class UniformRows(_Rows):
         b, reach = a + 1, 1.0
         while True:
             low, high = above(a) & (a > 0), ~above(b) & (b <= n)
-            if not (low | high).any():
+            if not np.count_nonzero(low | high):
                 break
             a = np.where(low, np.maximum(a - reach, 0), a)
             b = np.where(high, np.minimum(b + reach, n + 1), b)
             reach *= 2
-        while reach > 1 and (b - a > 1).any():
+        while reach > 1 and np.count_nonzero(b - a > 1):
             mid = np.floor(0.5 * (a + b))
             up = ~above(mid)
             a, b = np.where(up, mid, a), np.where(up, b, mid)
@@ -523,23 +519,27 @@ def _point_sums(v: np.ndarray, step: np.ndarray, out: np.ndarray) -> None:
     out *= step
 
 
-def _fold_stretches(v: np.ndarray, xs: np.ndarray, at, vals, seen: np.ndarray) -> None:
+def _fold_stretches(v: np.ndarray, xs: np.ndarray, at, vals, seen: np.ndarray, held) -> None:
     """Sum by products, into ``seen``, each stretch of a point-summed chunk that needs them.
 
-    Those are the stretches that hold an entry (``at`` = (rows, cells) and
-    ``vals``, sorted by row and cell, or None) and those whose point sums
-    in ``seen``, the chunk's (2, rows, stretches) subtotals, are not
-    finite: a sum of large values can overflow where the products m·Δx do
-    not.  They are gathered into one ``_products`` call, c + 1 points each
-    for the chunk's c = min(STRETCH_CELLS, cells); a short last stretch
-    repeats its row's last point, and its reduction leaves out the cells
-    past its end.
+    Those are the stretches that hold an entry (``held``, the chunk's
+    (rows, stretches) mask of the entries ``at`` = (rows, cells) and
+    ``vals``, sorted by row and cell; None for a chunk without entries)
+    and those whose point sums in ``seen``, the chunk's (2, rows,
+    stretches) subtotals, are not finite: a sum of large values can
+    overflow where the products m·Δx do not.  They are gathered into one
+    ``_products`` call, c + 1 points each for the chunk's c =
+    min(STRETCH_CELLS, cells); a short last stretch repeats its row's last
+    point, and its reduction leaves out the cells past its end.  A chunk
+    all of whose stretches hold an entry never gets here: it sums its
+    products in place, without point sums or a gather (see ``_sum_cells``).
     """
     g, m = STRETCH_CELLS, xs.shape[1] - 1
-    redo = ~np.isfinite(seen).all(axis=0)
-    if at is not None:
-        redo[at[0], at[1] // g] = True
-    if not redo.any():
+    redo = held
+    if not _finite(seen):
+        bad = ~np.logical_and.reduce(np.isfinite(seen), axis=0)
+        redo = bad if held is None else bad | held
+    if redo is None:
         return
     rows, ks = np.nonzero(redo)  # ordered by row, then stretch
     c = min(g, m)
@@ -585,7 +585,13 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
     where the products m·Δx do not), sums its products instead, all those
     of a chunk gathered into one call (``_fold_stretches``): point sums
     assume f monotone between a row's entries, which certified entries and
-    monotone hints give.  Every stretch of a sampled pass sums its products.
+    monotone hints give.  A chunk every stretch of which holds an entry
+    (rows of one stretch each, as on level 0 and small probe levels, that
+    all hold one) sums the products of all its cells by the stretch
+    reductions of a sampled pass, with no point sums and no gather: the
+    same reduction of the same products, one branch on a boolean mask
+    rather than a second order.  Every stretch of a sampled pass sums its
+    products.
     Either way a stretch's subtotal is one pairwise reduction, and how a
     stretch is summed depends on that stretch alone, so neither the band
     nor the chunks move a bit.  Every other grid, and every prefix sum,
@@ -626,7 +632,8 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
     per_chunk = max(1, reach // span)  # rows
     if entries is not None and len(entries[1]):
         e_rows, e_ts, e_vals = entries
-        e_starts = np.searchsorted(e_rows, np.arange(rows + 1)).tolist()  # of each row's entries
+        # each row's first entry, where chunks cut the rows: else one chunk holds them all
+        e_starts = np.searchsorted(e_rows, np.arange(rows + 1)).tolist() if rows > per_chunk else [0] * rows + [len(e_ts)]
         e_cells = grid.cells(e_rows, e_ts)
     else:  # no entries, or an empty list of them
         entries = None
@@ -654,17 +661,23 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
             if s == 0:
                 pts = xs
                 v, failed = _values(prog, xs, evalf, ws, r0)
-                mb = None if pairwise else _products(v, xs, at, vals)
+                held = None  # of a uniform level, the chunk's (rows, stretches) that hold an entry
+                if pairwise and at is not None:
+                    held = np.zeros((r1 - r0, -(-(c1 - c0) // g)), dtype=bool)
+                    held[at[0], at[1] // g] = True
+                # products, unless some stretch of a uniform level holds no entry
+                every = not pairwise or (held is not None and np.count_nonzero(held) == held.size)
+                mb = _products(v, xs, at, vals) if every else None
             else:
                 pts, v, mb, failed = _sampled_minmax(prog, xs, s, evalf, ws, r0)
                 np.multiply(mb, xs[:, 1:] - xs[:, :-1], out=mb)
             if pairwise:
                 seen = run[..., c0 // g : -(-c1 // g)]  # the chunk's stretches
-                if s:
+                if mb is not None:  # every stretch sums its products
                     _stretch_reductions(mb, seen)
                 else:
                     _point_sums(v, grid.step[r0:r1], seen)
-                    _fold_stretches(v, xs, at, vals, seen)
+                    _fold_stretches(v, xs, at, vals, seen, held)
             else:  # left to right, from the rows' running sums so far
                 np.add(mb[:, :, 0], totals[:, r0:r1], out=mb[:, :, 0])
                 np.add.accumulate(mb, axis=2, out=mb)

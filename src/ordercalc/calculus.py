@@ -29,6 +29,7 @@ from .integrate import (
     ToleranceSchedule,
     _Band,
     _make_bands,
+    _midpoints,
     _refine,
     _representatives,
     integrate,
@@ -56,9 +57,12 @@ _MVT_SCAN_CAP = 4097
 
 _DEFAULT_SCHED = ToleranceSchedule()
 
-# Antiderivative reads inside a stretch are summed this many at a time, a
-# chunk's cells in all, and a stretch's float indices 0, 1, ..., STRETCH_CELLS.
-_READ_ROWS = CHUNK_CELLS // STRETCH_CELLS
+# Antiderivative reads inside a stretch are summed this many at a time,
+# half a chunk's cells in all, and a stretch's float indices 0, 1, ...,
+# STRETCH_CELLS.  A batch's arrays, about 0.75 MiB at 64 full reads, are
+# freed when it ends; reads of all the atoms that share a grid come in one
+# call (FTC1 reads 60 per atom), so a larger batch would raise peak memory.
+_READ_ROWS = CHUNK_CELLS // STRETCH_CELLS // 2
 _COLS = np.arange(STRETCH_CELLS + 1.0)
 
 
@@ -172,7 +176,10 @@ class _CumulativeGrid:
     products, so the grid errors of nearby reads cancel in their
     differences.  Every read goes through ``brackets``, which sums a batch
     of reads, a row each, by one call of the band's sums over a
-    ``GivenRows``; each row gives the bits it gives alone.  Queries are
+    ``GivenRows``; each row gives the bits it gives alone.  A value is the
+    midpoint of its bracket as ``integrate._midpoints`` takes it, so F(hi)
+    near the float max stays finite.  Alike atoms share one grid, and F's
+    ``eval_many`` reads it once for all their points.  Queries are
     read-only.
     """
 
@@ -205,11 +212,10 @@ class _CumulativeGrid:
             if not lo <= x <= hi:  # NaN too
                 raise ValueError(f"antiderivative queried outside its interval: {x!r}")
         k = self.ends.searchsorted(xs, "right") - 1  # each read's stretch
-        got = np.empty((2, len(xs)))
-        for r0 in range(0, len(xs), _READ_ROWS):
-            cut = slice(r0, r0 + _READ_ROWS)
-            got[:, cut] = self._partial_sums(xs[cut], k[cut])
-        return self.sums[:, k] + got - self.widen
+        if len(xs) <= _READ_ROWS:
+            return self.sums[:, k] + self._partial_sums(xs, k) - self.widen
+        got = [self._partial_sums(xs[r0 : r0 + _READ_ROWS], k[r0 : r0 + _READ_ROWS]) for r0 in range(0, len(xs), _READ_ROWS)]
+        return self.sums[:, k] + np.concatenate(got, axis=1) - self.widen
 
     def _partial_sums(self, xs: np.ndarray, k: np.ndarray) -> np.ndarray:
         """L and U over each read's stretch k, from its first point a up to its x, left to right.
@@ -251,11 +257,11 @@ class _CumulativeGrid:
             raise err.cause from None
 
     def values(self, xs: np.ndarray) -> np.ndarray:
-        """F at each point of the 1-D array ``xs``: the midpoints of its brackets."""
-        return 0.5 * np.add.reduce(self.brackets(xs))
+        """F at each point of the 1-D array ``xs``: the midpoints of its brackets, as ``integrate`` takes them."""
+        return _midpoints(*self.brackets(xs))
 
     def value(self, x: float) -> float:
-        return self.values(np.array([x]))[0]
+        return _midpoints(*self.brackets(np.array([x])))[0]
 
 
 def _band_grids(band, sched: ToleranceSchedule) -> list[_CumulativeGrid]:
@@ -316,8 +322,9 @@ def antiderivative(
         for atom, grid in zip(band.atoms, band_grids):
             grids[atom] = grid
     kernels = [ScalarKernel.from_callable(grids[r].value, label=f"antiderivative[{i}]") for i, r in enumerate(rep)]
-    for kernel in kernels:  # eval_many reads all of an atom's points at once
-        kernel._many = kernel.func.__self__.values
+    readers = {r: grids[r].values for r in set(rep.tolist())}  # one per grid: eval_many reads a grid once
+    for kernel, r in zip(kernels, rep.tolist()):
+        kernel._many = readers[r]
     return LatticeFunction(kind="coordinatewise", kernels=kernels)
 
 
@@ -355,15 +362,14 @@ def _mvt_solve(
     result = signed_integrate(f, x, y, sched=sched or _DEFAULT_SCHED)
     rep = _representatives(f, x.data, y.data)
     c = np.empty(f.dim)
-    for i, kernel in enumerate(f.kernels):
-        if rep[i] != i:  # solved as its representative
+    atoms = zip(f.kernels, rep.tolist(), x.data.tolist(), y.data.tolist(), result.value.data.tolist())
+    for i, (kernel, r, xi, yi, target) in enumerate(atoms):
+        if r != i:  # solved as its representative
             continue
-        xi, yi = x[i], y[i]
         if xi == yi:
             c[i] = xi
             continue
         lo, hi = (xi, yi) if xi < yi else (yi, xi)
-        target = float(result.value[i])
         slope = yi - xi
 
         def g(t: float) -> float:
@@ -376,7 +382,7 @@ def _mvt_solve(
             c[i] = _mvt_root(g, g_many, lo, hi, tol, target, atom=i)
         except EvalDomainError as err:
             raise KernelEvalError(i, err) from err
-    return Element(c[rep]), result.value
+    return Element._wrap(c[rep]), result.value  # each c lies in its atom's [lo, hi]
 
 
 def _mvt_root(g, g_many, lo: float, hi: float, tol: float, target: float, atom: int) -> float:
@@ -396,14 +402,12 @@ def _mvt_root(g, g_many, lo: float, hi: float, tol: float, target: float, atom: 
     while True:
         ts = np.linspace(lo, hi, points)
         vals = g_many(ts)
-        if np.all(vals == 0.0):
-            return 0.5 * (lo + hi)
-        hit = np.flatnonzero(vals == 0.0)
-        if len(hit):
-            return float(ts[hit[0]])
-        sign_change = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-        if len(sign_change):
-            j = int(sign_change[0])
+        zero = vals == 0.0
+        if np.count_nonzero(zero):
+            return 0.5 * (lo + hi) if zero.all() else float(ts[zero.argmax()])
+        sign_change = vals[:-1] * vals[1:] < 0.0
+        if np.count_nonzero(sign_change):
+            j = int(sign_change.argmax())
             break
         if points >= _MVT_SCAN_CAP:
             raise ArithmeticError(

@@ -225,11 +225,12 @@ class ScalarKernel:
         live = np.flatnonzero(hi > lo)
         if self.derivative() is None or not len(live):
             return np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), failed
+        whole = len(live) == len(lo)  # every row live: rows are their own positions
         try:
-            failed[live], (rows, ts, vals) = self._isolate(lo[live], hi[live])
+            failed[live], (rows, ts, vals) = self._isolate(*((lo, hi) if whole else (lo[live], hi[live])))
         except RowError as err:
             raise RowError(int(live[err.row]), err.cause) from err.cause
-        return live[rows], ts, vals, failed
+        return rows if whole else live[rows], ts, vals, failed
 
     def _isolate(self, lo: np.ndarray, hi: np.ndarray):
         d1 = self.derivative()
@@ -367,7 +368,8 @@ class LatticeFunction:
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         """Row i holds atom i's kernel at the points of row i of ``ts``.
 
-        One ``ScalarKernel.eval_many`` call per kernel object.  A failure
+        One ``ScalarKernel.eval_many`` call per kernel object, or per grid
+        for an antiderivative, whose alike atoms share one.  A failure
         raises KernelEvalError for the lowest atom at fault, naming the first
         point at fault in its row, as if the atoms ran one by one.  A value
         is at fault where it is not finite, as in ``eval``, which gives the
@@ -382,7 +384,8 @@ class LatticeFunction:
             kernel, atoms = group
             out[atoms] = _eval_atoms(kernel, ts[atoms], atoms)
 
-        _each(run, _kernel_groups(self.kernels, range(self.dim)), lowest=lambda group: group[1][0])
+        groups = _kernel_groups(self.kernels, range(self.dim), key=lambda kernel: id(kernel._many or kernel))
+        _each(run, groups, lowest=lambda group: group[1][0])
         return out
 
     # -- pointwise algebra (expression kernels only) ---------------------------
@@ -434,11 +437,11 @@ def _pairwise(op, left, right) -> list[ScalarKernel]:
     return out
 
 
-def _kernel_groups(kernels, atoms) -> list[tuple[ScalarKernel, list[int]]]:
-    """Each kernel object of ``atoms``, with its atoms, in the order of their lowest atoms."""
+def _kernel_groups(kernels, atoms, key=id) -> list[tuple[ScalarKernel, list[int]]]:
+    """Each kernel object of ``atoms`` (or each ``key`` of one), with its atoms, in the order of their lowest atoms."""
     groups: dict = {}
     for i in atoms:
-        groups.setdefault(id(kernels[i]), (kernels[i], []))[1].append(i)
+        groups.setdefault(key(kernels[i]), (kernels[i], []))[1].append(i)
     return list(groups.values())
 
 

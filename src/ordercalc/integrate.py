@@ -43,6 +43,7 @@ threads to pay for themselves.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -50,7 +51,7 @@ import numpy as np
 
 from . import _kernels_fallback as _kernels
 from .functions import KernelEvalError, LatticeFunction, ScalarKernel, _each, _kernel_groups
-from .lattice import Element, OrderInterval, band_lt
+from .lattice import Element, OrderInterval
 from .partitions import Partition, TaggedPartition, uniform_grid
 
 __all__ = [
@@ -265,9 +266,9 @@ def _make_bands(f: LatticeFunction, lo: np.ndarray, hi: np.ndarray, rep=None):
     if f.dim != len(lo):
         raise ValueError("dimension mismatch")
     with np.errstate(over="ignore"):
-        wide = np.flatnonzero(~np.isfinite(hi - lo))
-    if len(wide):
-        i = int(wide[0])
+        width = hi - lo
+    if not _kernels._finite(width):
+        i = int(np.flatnonzero(~np.isfinite(width))[0])
         raise ValueError(f"atom {i}: the interval [{float(lo[i])!r}, {float(hi[i])!r}] is wider than the float range")
     atoms = range(f.dim) if rep is None else np.flatnonzero(rep == np.arange(f.dim)).tolist()
     bands, error, limit = [], None, f.dim
@@ -298,14 +299,31 @@ def _kernel_bands(kernel: ScalarKernel, atoms: list[int], lo, hi) -> list[_Band]
         rows, ts, vals, failed = kernel.critical_entries(lo, hi)
     except _kernels.RowError as err:
         raise KernelEvalError(int(atoms[err.row]), err.cause) from err.cause
+    if not np.count_nonzero(failed):  # every row exact: the entries' rows are the atoms' positions
+        return [_Band(kernel, atoms, lo, hi, False, (rows, ts, vals) if len(ts) else None)]
     bands = []
     exact = ~failed
-    if exact.any():
+    if np.count_nonzero(exact):
         entries = (np.cumsum(exact)[rows] - 1, ts, vals) if len(ts) else None
         bands.append(_Band(kernel, atoms[exact], lo[exact], hi[exact], False, entries))
-    if failed.any():
-        bands.append(_Band(kernel, atoms[failed], lo[failed], hi[failed], True))
+    bands.append(_Band(kernel, atoms[failed], lo[failed], hi[failed], True))
     return bands
+
+
+def _midpoints(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The midpoints of finite brackets [lower, upper]: 0.5·(L + U), or 0.5·L + 0.5·U where L + U overflows.
+
+    One bracket is taken in Python floats, whose sum overflows to inf
+    without numpy's warning: the same bits, without an ``np.errstate``.
+    """
+    if len(lower) == 1:
+        (lo,), (up,) = lower.tolist(), upper.tolist()
+        return np.array([0.5 * (lo + up) if math.isfinite(lo + up) else 0.5 * lo + 0.5 * up])
+    with np.errstate(over="ignore"):
+        total = lower + upper
+    if _kernels._finite(total):  # one test a pass: where the sum is finite its half is the midpoint
+        return 0.5 * total
+    return np.where(np.isfinite(total), 0.5 * total, 0.5 * lower + 0.5 * upper)
 
 
 def _next_due(depth: int, lower, upper, scale, tol: float) -> np.ndarray:
@@ -333,7 +351,12 @@ def _next_due(depth: int, lower, upper, scale, tol: float) -> np.ndarray:
     e - ``_PROBE_OFFSET``, and takes e again from there.  Where the gap
     halves per level, as it does on monotone pieces, the probe's gap is
     about 2^5·tol·(1 + M_0), so M there overstates |mid| by little.
+
+    A band of one row takes the same steps in Python floats
+    (``_levels_to_close``), with the same bits.
     """
+    if len(lower) == 1:  # one row, in floats
+        return np.array([depth + _levels_to_close(*lower.tolist(), *upper.tolist(), *scale.tolist(), tol)])
     gap = upper - lower
     slack = _SKIP_SLACK * (1.0 + tol) * (gap + scale)  # tol·slack for the rounding of |mid_e|
     reach = tol * (1.0 + np.maximum(np.abs(lower), np.abs(upper))) + slack
@@ -344,6 +367,26 @@ def _next_due(depth: int, lower, upper, scale, tol: float) -> np.ndarray:
     return depth + k
 
 
+def _levels_to_close(lower: float, upper: float, scale: float, tol: float) -> int:
+    """The k = e - depth of ``_next_due`` for one row, in Python floats: the array form's steps and bits.
+
+    The divisor reach is at least tol > 0, or NaN, so the ratio never
+    divides by zero.  The log2 is numpy's, so k rounds as the arrays' does;
+    a ratio that is 0, negative or NaN takes 1, as ``fmax`` does, and an
+    infinite one 2048.  A one-row band (each MVT atom's) saves about 12 µs
+    a call against the array form, which costs about 20 numpy calls
+    (measured on 2 vCPUs with numpy 2.4.6).
+    """
+    gap = upper - lower
+    slack = _SKIP_SLACK * (1.0 + tol) * (gap + scale)
+    reach = tol * (1.0 + max(abs(lower), abs(upper))) + slack
+    ratio = gap / reach
+    if not ratio > 0.0:
+        return 1
+    k = 2048 if ratio == math.inf else min(max(math.ceil(np.log2(ratio)), 1), 2048)
+    return k - 1 if k > 1 and math.ldexp(gap, 1 - k) <= reach else k
+
+
 def _refine(band: _Band, rows: np.ndarray, sched: ToleranceSchedule):
     """Refine ``rows`` of ``band`` until each closes; yield each pass.
 
@@ -352,7 +395,10 @@ def _refine(band: _Band, rows: np.ndarray, sched: ToleranceSchedule):
     lower, upper, shut), level, sums): ``level`` is the ``UniformRows``
     summed, holding the rows' running sums at its stretch ends, ``sums``
     their L, U, widen_L and widen_U, and a row is shut when its widened
-    bracket has gap <= tol*(1+|mid|).  Every row is summed at depth 0.
+    bracket has gap <= tol*(1+|mid|), mid being the midpoint of L and U
+    (``_midpoints``: 0.5·(L + U), or 0.5·L + 0.5·U where that sum would
+    overflow, so a finite bracket near the float max has a finite value).
+    Every row is summed at depth 0.
     After that an open row of a sampled band steps by 1, and one of an
     exact band moves to ``_next_due``, clamped to ``max_depth``, with S
     taken from the depth-0 pass.  From depth 0 only, an exact row whose due
@@ -377,21 +423,22 @@ def _refine(band: _Band, rows: np.ndarray, sched: ToleranceSchedule):
     while len(rows):
         depth = int(due.min())
         now = due == depth
+        summed = rows[now]
         try:
-            level, sums = band.level(rows[now], 1 << depth)
+            level, sums = band.level(summed, 1 << depth)
         except KernelEvalError as err:
             error, below = err, band.atoms[rows] < err.atom
             rows, due, scale = rows[below], due[below], scale[below]
             continue
-        mid = 0.5 * (sums[0] + sums[1])
+        mid = _midpoints(sums[0], sums[1])
         lower, upper = sums[0] - sums[2], sums[1] + sums[3]
         shut = upper - lower <= sched.tol * (1.0 + np.abs(mid))
-        yield depth, rows[now], (mid, lower, upper, shut), level, sums
+        yield depth, summed, (mid, lower, upper, shut), level, sums
         del level, sums  # before the next, larger, pass
-        go = ~shut & (depth < sched.max_depth)
+        go = ~shut if depth < sched.max_depth else np.zeros_like(shut)
         if depth == 0:  # the first pass, where every row is due
             scale = np.maximum(np.abs(lower), np.abs(upper))
-        if go.any():
+        if np.count_nonzero(go):
             e = depth + 1 if band.sampled else _next_due(depth, lower, upper, scale[now], sched.tol)
             if depth == 0 and not band.sampled:  # probe below a due depth within max_depth
                 e = np.where((e <= sched.max_depth) & (e > _PROBE_OFFSET), e - _PROBE_OFFSET, e)
@@ -505,29 +552,33 @@ def integrate(
     lo, hi = interval.lo.data, interval.hi.data
     rep = _representatives(f, lo, hi)
     bands, error = _make_bands(f, lo, hi, rep)
-    value, lower, upper = np.empty(f.dim), np.empty(f.dim), np.empty(f.dim)
+    got = np.empty((3, f.dim))  # each atom's value, lower and upper
     closed = np.zeros(f.dim, dtype=bool)
 
     def run(band) -> int:
         """Refine ``band``, keeping each atom's last bracket; the deepest level summed."""
         for depth, rows, (mid, lo, up, shut), _, _ in _refine(band, np.arange(len(band.atoms)), sched):
             atoms = band.atoms[rows]
-            value[atoms], lower[atoms], upper[atoms], closed[atoms] = mid, lo, up, shut
+            got[:, atoms], closed[atoms] = (mid, lo, up), shut
         return depth
 
     depth = max(_each(run, bands, error))
-    value, lower, upper, closed = value[rep], lower[rep], upper[rep], closed[rep]
     method = "sampled" if any(band.sampled for band in bands) else "exact"
-    return IntegralResult(
-        value=Element(value),
-        lower=Element(lower),
-        upper=Element(upper),
-        gap=Element(upper - lower),
-        depth=depth,
-        converged=bool(closed.all()),
-        tolerance=sched,
-        extrema_method=method,
-    )
+    return _result(got[:, rep], depth, bool(closed[rep].all()), sched, method)
+
+
+def _result(got: np.ndarray, depth: int, converged: bool, sched, method: str) -> IntegralResult:
+    """The IntegralResult of the rows value, lower and upper of ``got``, each a fresh array.
+
+    A finite gap upper - lower has finite ends, so two tests stand for the
+    four that an ``Element`` of each would make.
+    """
+    value, lower, upper = got
+    gap = upper - lower
+    if not (_kernels._finite(value) and _kernels._finite(gap)):
+        raise ValueError("Element coordinates must be finite")
+    value, lower, upper, gap = map(Element._wrap, (value, lower, upper, gap))
+    return IntegralResult(value, lower, upper, gap, depth, converged, sched, method)
 
 
 def _staircase(interval: OrderInterval, axes: tuple[int, ...], n: int) -> Partition:
@@ -572,19 +623,8 @@ def _integrate_probes(
             sums = _corner_darboux(f, probe)
             np.maximum(best_lo, sums.lower.data, out=best_lo)
             np.minimum(best_up, sums.upper.data, out=best_up)
-    value = 0.5 * (best_lo + best_up)
-    lower = np.minimum(best_lo, best_up)
-    upper = np.maximum(best_lo, best_up)
-    return IntegralResult(
-        value=Element(value),
-        lower=Element(lower),
-        upper=Element(upper),
-        gap=Element(upper - lower),
-        depth=depth,
-        converged=False,
-        tolerance=sched,
-        extrema_method="corner",
-    )
+    bracket = [0.5 * (best_lo + best_up), np.minimum(best_lo, best_up), np.maximum(best_lo, best_up)]
+    return _result(bracket, depth, False, sched, "corner")
 
 
 def signed_integrate(
@@ -603,25 +643,10 @@ def signed_integrate(
     """
     box = OrderInterval(a.inf(b), a.sup(b))
     base = integrate(f, box, sched=sched, workers=workers)
-    keep = band_lt(a, b).mask()
-    flip = band_lt(b, a).mask()
-
-    def mix(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-        return np.where(keep, pos, np.where(flip, -neg, 0.0))
-
-    value = mix(base.value.data, base.value.data)
-    lower = mix(base.lower.data, base.upper.data)
-    upper = mix(base.upper.data, base.lower.data)
-    return IntegralResult(
-        value=Element(value),
-        lower=Element(lower),
-        upper=Element(upper),
-        gap=Element(upper - lower),
-        depth=base.depth,
-        converged=base.converged,
-        tolerance=base.tolerance,
-        extrema_method=base.extrema_method,
-    )
+    keep, flip = a.data < b.data, b.data < a.data  # the bands band_lt(a, b) and band_lt(b, a)
+    pos = np.array([base.value.data, base.lower.data, base.upper.data])
+    got = np.where(keep, pos, np.where(flip, -pos[[0, 2, 1]], 0.0))  # negated, a lower bound is an upper one
+    return _result(got, base.depth, base.converged, base.tolerance, base.extrema_method)
 
 
 def split_integrate(

@@ -140,12 +140,12 @@ class Element:
 
     def leq(self, other: "Element") -> bool:
         _check_same_dim(self, other)
-        return bool(np.all(self._data <= other._data))
+        return bool((self._data <= other._data).all())
 
     def strictly_below(self, other: "Element") -> bool:
         """True iff other - self is a weak order unit (strict in every atom)."""
         _check_same_dim(self, other)
-        return bool(np.all(self._data < other._data))
+        return bool((self._data < other._data).all())
 
     # -- serialization -------------------------------------------------------
 

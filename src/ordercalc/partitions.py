@@ -120,7 +120,7 @@ def grid_points(ks: np.ndarray, lo, hi, step, first: bool, last: bool, out=None)
     """
     xs = np.multiply(ks, step, out=out)
     xs += lo
-    if last or (xs[..., -1:] >= hi).any():
+    if last or np.count_nonzero(xs[..., -1:] >= hi):
         np.minimum(xs, hi, out=xs)
     if first:
         xs[..., :1] = lo

@@ -72,3 +72,18 @@ def test_every_metric_gets_a_row():
     assert [(r["metric"], r["wins"], r["gain"]) for r in rows] == [("peak_rss_mb", 0, False), ("wall_s", 10, True)]
     text = bench_pairs.format_rows(rows)
     assert text.splitlines()[2].startswith("wall_s") and text.splitlines()[2].endswith("10/10  yes")
+
+
+def test_each_side_reports_its_best_run():
+    # On a loaded machine the medians spread; the best runs show each side's own cost.
+    parent = _runs([1.3, 1.0, 2.1, 1.1, None, 1.2, 1.4, 1.05, 1.9, 1.15])
+    change = _runs([0.8, 1.6, 0.85, 0.9, 0.82, 1.7, 0.95, 0.88, 0.86, 0.84])
+    [row] = bench_pairs.summarize(parent, change, {"wall_s": "lower"})
+    assert (row["parent_best"], row["change_best"]) == (1.0, 0.8)
+    [row] = bench_pairs.summarize(_runs([10.0, 12.0, 11.0]), _runs([9.0, 13.5, None]), {"wall_s": "higher"})
+    assert (row["parent_best"], row["change_best"]) == (12.0, 13.5)
+    line = bench_pairs.format_rows([row]).splitlines()[1]
+    assert "12 " in line and "13.5 " in line
+    [row] = bench_pairs.summarize(_runs([1.0]), _runs([None]), {"wall_s": "lower"})
+    assert (row["parent_best"], row["change_best"]) == (1.0, None)
+    assert "failed" in bench_pairs.format_rows([row])

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -804,12 +803,33 @@ def test_batched_reads_fail_as_the_reads_one_by_one():
     with pytest.raises(KernelEvalError, match="t=0.3") as info:
         F.eval_many(rows)
     assert info.value.atom == 2
-    # F(1.5) of 1e308 has finite brackets whose midpoint overflows: not finite, as eval finds
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        F = antiderivative(LatticeFunction.coordinatewise(["1e308"]), interval((0.0,), (1.5,)))
-        with pytest.raises(EvalDomainError, match=r"real domain at t=1\.5"):
-            F.kernels[0].eval_many(np.array([0.7, 1.5]))
+    # F(1.5) of 1e308 has finite brackets whose sum overflows: the midpoint is taken in halves
+    F = antiderivative(LatticeFunction.coordinatewise(["1e308"]), interval((0.0,), (1.5,)))
+    assert F.kernels[0].eval_many(np.array([0.5, 1.5])).tolist() == [0.5e308, 1.5e308]
+
+
+def test_alike_atoms_read_their_shared_grid_once(monkeypatch):
+    # A broadcast sin(t): three atoms, one grid, one batch of their 3 x 60 reads.
+    batches = []
+    brackets = calculus._CumulativeGrid.brackets
+
+    def counted(grid, xs):
+        batches.append(len(xs))
+        return brackets(grid, xs)
+
+    f = LatticeFunction.coordinatewise("sin(t)", dim=3)
+    iv = interval((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    sched = ToleranceSchedule(1e-5, 18)
+    monkeypatch.setattr(calculus._CumulativeGrid, "brackets", counted)
+    report = verify_ftc1(f, iv, interior_samples=10, tol=1e-4, seed=3, sched=sched)
+    assert batches == [180] and report.passed
+    F = antiderivative(f, iv, sched)
+    xs = np.array([[0.1, 0.5], [0.2, 0.6], [0.3, 0.7]])
+    got = F.eval_many(xs)
+    assert batches[1:] == [6]
+    alone = antiderivative(LatticeFunction.coordinatewise("sin(t)"), interval((0.0,), (1.0,)), sched)
+    for i in range(3):
+        assert got[i].tobytes() == alone.kernels[0].eval_many(xs[i]).tobytes()
 
 
 def test_verify_ftc1_reads_each_atom_once(monkeypatch):

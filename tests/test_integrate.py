@@ -19,6 +19,8 @@ from ordercalc.integrate import (
     _SKIP_SLACK,
     _Band,
     _make_bands,
+    _midpoints,
+    _next_due,
     _refine,
     darboux_sums,
     integrate,
@@ -808,3 +810,71 @@ def test_alike_failing_atoms_name_the_lowest():
         with pytest.raises(KernelEvalError, match="t=0.5") as info:
             call(f, iv, ToleranceSchedule(1e-4, 12))
         assert info.value.atom == 1, call.__name__
+
+
+def _array_next_due(depth, lower, upper, scale, tol):
+    """``_next_due`` over arrays of rows, as it reads for a band of several."""
+    gap = upper - lower
+    slack = _SKIP_SLACK * (1.0 + tol) * (gap + scale)
+    reach = tol * (1.0 + np.maximum(np.abs(lower), np.abs(upper))) + slack
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        k = np.ceil(np.log2(gap / reach))
+    k = np.minimum(np.fmax(k, 1.0), 2048.0).astype(np.int64)
+    k -= (k > 1) & (np.ldexp(gap, 1 - k) <= reach)
+    return depth + k
+
+
+def _reach(lower, upper, scale, tol):
+    """The skip bound's tol·(1 + M) plus its slack, in floats."""
+    return tol * (1.0 + max(abs(lower), abs(upper))) + _SKIP_SLACK * (1.0 + tol) * (upper - lower + scale)
+
+
+def test_one_row_due_depths_and_shut_flags_are_the_arrays():
+    # The float form a one-row band takes gives the array form's due depth
+    # and shut flag, row by row: random brackets of every scale, gap 0, NaN
+    # and infinite gaps, and gaps a few ulps either side of a power of two
+    # times the reach.
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(400):
+        tol = 10.0 ** rng.uniform(-12, -1)
+        lower = rng.normal() * 10.0 ** rng.integers(-30, 30)
+        upper = lower + abs(rng.normal()) * 10.0 ** rng.integers(-40, 10)
+        cases.append((lower, upper, max(abs(lower), abs(upper)) * rng.uniform(1, 4), tol))
+    for lower, scale, tol in [(1.0, 2.0, 1e-6), (0.0, 0.0, 1e-4), (-3.5, 8.0, 1e-9)]:
+        cases += [(lower, upper, scale, tol) for upper in (lower, np.nan, np.inf)] + [(np.inf, np.inf, scale, tol)]
+        for j in range(1, 40, 3):
+            upper = lower
+            for _ in range(6):  # upper - lower = 2^j * reach, to within a few ulps
+                upper = lower + 2.0**j * _reach(lower, upper, scale, tol)
+            for _ in range(8):  # some ulps below and above
+                upper = np.nextafter(upper, -np.inf)
+            for _ in range(17):
+                cases.append((lower, upper, scale, tol))
+                upper = np.nextafter(upper, np.inf)
+    powers = 0
+    for depth in (0, 7):
+        for lower, upper, scale, tol in cases:
+            one = [np.array([x]) for x in (lower, upper, scale)]
+            with np.errstate(invalid="ignore"):  # inf - inf
+                want = _array_next_due(depth, *one, tol)
+                assert _next_due(depth, *one, tol).tolist() == want.tolist(), (lower, upper, scale, tol)
+                ratio = (upper - lower) / _reach(lower, upper, scale, tol)
+            powers += bool(np.isfinite(ratio) and ratio > 0 and np.frexp(ratio)[0] == 0.5)
+    assert powers > 0  # some ratio was a power of two exactly
+    # the shut flag: the midpoint is 0.5 * (L + U) wherever that sum is finite
+    lower, upper = np.array([c[0] for c in cases[:400]]), np.array([c[1] for c in cases[:400]])
+    assert _midpoints(lower, upper).tobytes() == (0.5 * (lower + upper)).tobytes()
+    for lo, up in zip(lower.tolist(), upper.tolist()):
+        assert _midpoints(np.array([lo]), np.array([up])).tobytes() == np.array([0.5 * (lo + up)]).tobytes()
+
+
+def test_a_bracket_near_the_float_max_has_a_finite_midpoint():
+    # 1e308 on [0, 1.5]: L + U overflows but each is finite, so the value is
+    # taken in halves; on [0, 2] the integral itself leaves the float range.
+    got = integrate(LatticeFunction.coordinatewise(["1e308", "t"]), interval((0, 0), (1.5, 1)))
+    assert got.value.data.tolist() == [1.5e308, 0.5] and got.converged
+    assert _midpoints(np.array([1.5e308, 1.0]), np.array([1.5e308, 2.0])).tolist() == [1.5e308, 1.5]
+    with pytest.raises(KernelEvalError) as info:
+        integrate(LatticeFunction.coordinatewise(["t", "1e308"]), interval((0, 0), (1, 2)))
+    assert info.value.atom == 1

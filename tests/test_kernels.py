@@ -726,3 +726,39 @@ def test_threads_summing_at_once_keep_their_own_buffers():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == want
+
+
+@pytest.mark.parametrize("n", [1, 200, 3 * K.STRETCH_CELLS, 2**13 + 5, 2**15 + 2**9])
+def test_level_sums_match_the_reference_whatever_stretches_hold_entries(n):
+    # Differential check against helpers.stretch_subtotals, bit for bit: a
+    # chunk where every stretch holds an entry (its products are summed in
+    # place), where some do (point sums, then the gathered products) and
+    # where none do; rows of one stretch, of several and of a short last
+    # one; each row alone and all in one band.  "1e306 + t" has stretches
+    # whose point sums overflow while their products do not.
+    g = K.STRETCH_CELLS
+    lo, hi = np.array([-1.0, 0.25, -2.0, 0.0]), np.array([1.0, 1.75, 0.5, 1.0])
+    for src, cover in [("t^3 - t", "every"), ("t^3 - t", "some"), ("t^3 - t", "none"), ("1e306 + t", "some")]:
+        prog = ScalarKernel.from_string(src).program
+        rows, ts = [], []
+        for r in range(len(lo)):
+            xs = uniform_grid(lo[r], hi[r], n)
+            cells = {"every": range(0, n, g), "some": [min(g + 3, n - 1)] if r % 2 else [], "none": []}[cover]
+            at = [0.5 * (xs[c] + xs[c + 1]) for c in cells]
+            rows += [r] * 2 * len(at)
+            ts += [t for t in at for _ in range(2)]
+        e_rows, e_ts = np.array(rows, dtype=np.int64), np.array(ts)
+        e_vals = K.eval_many(prog, e_ts) + np.tile([-0.25, 0.25], len(ts) // 2)  # values beyond f's, so folds show
+        band = K.UniformRows(lo, hi, n)
+        got = K.darboux_critical(prog, band, e_ts, e_vals, e_rows)
+        for r in range(len(lo)):
+            sel = e_rows == r
+            xs = uniform_grid(lo[r], hi[r], n)
+            m, big = _products(prog, xs, e_ts[sel], e_vals[sel])
+            with np.errstate(over="ignore"):  # the point sums that overflow
+                want = running_sums(stretch_subtotals(K.eval_many(prog, xs), xs, m, big, e_ts[sel], g))
+            alone = K.UniformRows(lo[r : r + 1], hi[r : r + 1], n)
+            K.darboux_critical(prog, alone, e_ts[sel], e_vals[sel], np.zeros(sel.sum(), dtype=np.int64))
+            for grid, row in ((band, r), (alone, 0)):
+                assert grid.running[:, row].tobytes() == want.tobytes(), (src, cover, r)
+            assert (got[0][r], got[1][r]) == tuple(want[:, -1]), (src, cover, r)

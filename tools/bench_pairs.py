@@ -6,7 +6,9 @@ side runs first.  Every run reads its own ``BENCHMARK.json`` and imports
 its own ``src``; this tool only starts the runs and never edits ``bench/``.
 It reads the last JSON line of each run's standard output, prints each
 run's metrics as it ends, and then, for every metric, each side's median
-and quartiles, the pairs the change won (ties count for neither side), and
+and quartiles, each side's best run (the lowest, or the highest where
+higher is better: on a loaded machine the fastest runs show the code's
+own cost), the pairs the change won (ties count for neither side), and
 whether the gain rule holds: the change wins at least nine tenths of the
 pairs, and its median beats the parent's by more than the parent's
 interquartile range.  A run that fails, or that
@@ -54,14 +56,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def _side_quartiles(values: list[float | None]) -> tuple[float, float, float] | None:
-    """The quartiles of the values that are not None, or None if all are."""
-    values = [v for v in values if v is not None]
-    return quartiles(values) if values else None
-
-
 def summarize(parent: list[dict | None], change: list[dict | None], better: dict[str, str]) -> list[dict]:
-    """Per metric, both sides' quartiles, the pairs won, and whether the gain rule holds.
+    """Per metric, both sides' quartiles and best runs, the pairs won, and whether the gain rule holds.
 
     ``parent[i]`` and ``change[i]`` are pair i's metric values, None for a
     failed run; ``better`` maps a metric to "lower" or "higher" (lower when
@@ -73,25 +69,29 @@ def summarize(parent: list[dict | None], change: list[dict | None], better: dict
         sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
         pairs = [(p.get(name) if p else None, c.get(name) if c else None) for p, c in zip(parent, change)]
         wins = sum(1 for p, c in pairs if p is not None and c is not None and sign * c < sign * p)
-        p_q, c_q = (_side_quartiles([run.get(name) if run else None for run in runs]) for runs in (parent, change))
+        sides = [[v for v in (run.get(name) if run else None for run in runs) if v is not None] for runs in (parent, change)]
+        p_q, c_q = (quartiles(values) if values else None for values in sides)
+        p_best, c_best = (min(values, key=lambda v: sign * v) if values else None for values in sides)
         gain = (
             p_q is not None and c_q is not None
             and wins >= 0.9 * len(pairs)
             and sign * (p_q[1] - c_q[1]) > p_q[2] - p_q[0]
         )
-        rows.append({"metric": name, "parent": p_q, "change": c_q, "wins": wins, "pairs": len(pairs), "gain": gain})
+        rows.append({"metric": name, "parent": p_q, "change": c_q, "parent_best": p_best, "change_best": c_best,
+                     "wins": wins, "pairs": len(pairs), "gain": gain})
     return rows
 
 
 def format_rows(rows: list[dict]) -> str:
-    def side(q):
-        return "failed" if q is None else f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
+    def side(q, best):
+        return "failed" if q is None else f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}] {best:.6g}"
 
-    lines = [f"{'metric':16s} {'parent median [q1, q3]':36s} {'change median [q1, q3]':36s} won  gain"]
+    head = "median [q1, q3] best"
+    lines = [f"{'metric':16s} {'parent ' + head:46s} {'change ' + head:46s} won  gain"]
     for row in rows:
         lines.append(
-            f"{row['metric']:16s} {side(row['parent']):36s} {side(row['change']):36s} "
-            f"{row['wins']}/{row['pairs']}  {'yes' if row['gain'] else 'no'}"
+            f"{row['metric']:16s} {side(row['parent'], row['parent_best']):46s} "
+            f"{side(row['change'], row['change_best']):46s} {row['wins']}/{row['pairs']}  {'yes' if row['gain'] else 'no'}"
         )
     return "\n".join(lines)
 
