@@ -315,6 +315,10 @@ def _midpoints(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
     One bracket is taken in Python floats, whose sum overflows to inf
     without numpy's warning: the same bits, without an ``np.errstate``.
+    Every one-point antiderivative read and every pass of a one-row band
+    takes one: with the array form alone, the benchmark's query call of 200
+    two-atom reads took 13.4 ms instead of 12.1 ms (best of 12 alternated
+    rounds, 2 shared vCPUs, numpy 2.4.6).
     """
     if len(lower) == 1:
         (lo,), (up,) = lower.tolist(), upper.tolist()

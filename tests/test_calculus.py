@@ -747,32 +747,73 @@ def _reads_of(grid, lo, hi, rng):
     return rng.permutation(np.clip(points, lo, hi))
 
 
+def _interval_whose_last_point_reads_below_hi(rng):
+    """[lo, hi] whose dyadic levels' last point, min(n·step + lo, hi), reads below hi, with a float between.
+
+    For n = 2^d, step = (hi - lo)/n and n·step are exact, so that point is
+    (hi - lo) + lo at every depth.
+    """
+    while True:
+        lo, hi = -rng.uniform(0.5, 2.0), rng.uniform(1e-4, 1e-2)
+        last = (hi - lo) + lo
+        if last < 0.5 * (last + hi) < hi:
+            return lo, hi
+
+
 def test_batched_reads_are_the_reads_one_by_one():
     # t^2 on [-1, 1] has its entry at 0.0, the first point of a stretch;
-    # the callable is sampled.  The last atom's entries, a bracket's centre
+    # the callable is sampled.  The sixth atom's entries, a bracket's centre
     # c with f(c) -+ its error term, differ from f(c) in the bits of reads
-    # near lo, so a read at x = c tells whether its cut takes t = x.  Every
-    # atom's batch of reads gives the bytes of its reads one by one, and
-    # both give those of the plain reader.
+    # near lo, so a read at x = c tells whether its cut takes t = x.  The
+    # seventh atom's level ends below hi, and it is read between its last
+    # point and hi; the last atom closes at fewer than STRETCH_CELLS cells.
+    # Every atom's batch of reads gives the bytes of its reads one by one,
+    # and both give those of the plain reader.
     wave = ScalarKernel.from_callable(lambda t: abs(math.sin(3 * t)))
-    f = LatticeFunction.coordinatewise(["t^3 - t", "sin(6*t)", "exp(t)", "t^2", wave, "(t - 1/3)^2 + t*1e-20"])
-    iv = interval((0.0, 0.0, -1.0, -1.0, 0.0, 1 / 3 - 1e-9), (1.0, 2.0, 1.0, 1.0, 2.0, 1.0))
+    kernels = ["t^3 - t", "sin(6*t)", "exp(t)", "t^2", wave, "(t - 1/3)^2 + t*1e-20", "t^3 - t", "sin(t)"]
+    f = LatticeFunction.coordinatewise(kernels)
+    below_lo, below_hi = _interval_whose_last_point_reads_below_hi(np.random.default_rng(5))
+    iv = interval((0.0, 0.0, -1.0, -1.0, 0.0, 1 / 3 - 1e-9, below_lo, 0.5), (1.0, 2.0, 1.0, 1.0, 2.0, 1.0, below_hi, 0.52))
     sched = ToleranceSchedule(1e-5, 14)
     F = antiderivative(f, iv, sched)
+    grids = [kernel.func.__self__ for kernel in F.kernels]
+    last = grids[6].level.n * grids[6].level.step[0, 0] + below_lo
+    between = 0.5 * (last + below_hi)
+    assert last < between < below_hi and grids[7].level.n < G
     rng = np.random.default_rng(3)
     for i, kernel in enumerate(f.kernels):
         lo, hi = iv.lo[i], iv.hi[i]
-        grid = F.kernels[i].func.__self__
         read, _ = _antiderivative_alone(kernel, lo, hi, sched)
-        points = _reads_of(grid, lo, hi, rng)
+        points = _reads_of(grids[i], lo, hi, rng)
+        if i == 6:
+            points = np.append(points, between)
         batch = F.kernels[i].eval_many(points)
         alone = np.array([F.kernels[i].eval(p) for p in points.tolist()])
         want = np.array([0.5 * sum(read(p)) for p in points.tolist()])
         assert batch.tobytes() == alone.tobytes() == want.tobytes(), i
-    assert 0.0 in F.kernels[3].func.__self__.ends and 0.0 in F.kernels[3].func.__self__.band.entries[1]
+    assert 0.0 in grids[3].ends and 0.0 in grids[3].band.entries[1]
     rows = np.stack([np.clip(rng.uniform(-1.0, 2.0, 30), iv.lo[i], iv.hi[i]) for i in range(f.dim)])
     many = F.eval_many(rows)
     assert many.tobytes() == np.array([F.eval(Element(col)).data for col in rows.T]).T.tobytes()
+
+
+def test_an_empty_batch_of_reads_reads_nothing(monkeypatch):
+    # F.eval_many of no points is (dim, 0), read by each grid as an empty
+    # batch, with no error for the per-point fallback to catch.
+    f = LatticeFunction.coordinatewise(["t^3 - t", "sin(t)", "t^3 - t"])
+    F = antiderivative(f, interval((0.0, 0.0, -1.0), (1.0, 1.0, 1.0)), ToleranceSchedule(1e-4, 12))
+    seen = []
+    brackets = calculus._CumulativeGrid.brackets
+
+    def counted(grid, xs):  # a batch that raised would leave no shape: eval_many reads point by point then
+        got = brackets(grid, xs)
+        seen.append(got.shape)
+        return got
+
+    monkeypatch.setattr(calculus._CumulativeGrid, "brackets", counted)
+    assert F.eval_many(np.empty((3, 0))).shape == (3, 0)
+    assert seen == [(2, 0)] * 3
+    assert F.kernels[1].eval_many(np.empty(0)).shape == (0,)
 
 
 def test_a_read_of_exact_zeros_has_the_bits_of_the_plain_reader():
@@ -898,7 +939,7 @@ def test_verify_ftc1_fails_where_the_per_sample_loop_fails(monkeypatch):
 
 def test_ten_thousand_reads_keep_a_batch_of_buffers():
     # 10^4 reads in rows of up to 257 points would take 20 MiB at once;
-    # read 128 at a time they peak at about a chunk's buffers.
+    # read 64 at a time they peak at about a chunk's buffers.
     F = antiderivative(LatticeFunction.coordinatewise(["t^3 - t"]), interval((0.0,), (1.0,)))
     points = np.random.default_rng(8).uniform(0.0, 1.0, 10**4)
     F.kernels[0].eval_many(points[:300])  # first, so that no lazy import or cache is counted

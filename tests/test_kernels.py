@@ -602,24 +602,60 @@ def test_powers_write_their_last_product_into_the_square_they_end_with():
         assert got.tobytes() == K.run(prog, ts, partial(np.full, ts.shape), K._OPS).tobytes(), src
 
 
-def test_given_rows_of_their_own_lengths_end_at_their_own_last_cells():
-    # Each row of a GivenRows with lengths sums to its own last cell, bit
-    # for bit the sums of the row cut there; the points past it are larger
-    # and never summed.  A lone row finds its entries' cells by one search.
-    prog = ScalarKernel.from_string("t^3 - t").program
+def _clipped_and_cut(xs, x):
+    """Each row of ``xs`` clipped at its x (its points past x read x, and so does its last), and each cut there.
+
+    The cut row is the row's points below x, then x: at least one cell,
+    [x, x] when x is the row's first point.
+    """
+    clipped = np.minimum(xs, x[:, None])
+    clipped[:, -1] = x
+    cut = [np.append(row[: max(1, np.count_nonzero(row < t))], t) for row, t in zip(xs, x.tolist())]
+    return clipped, cut
+
+
+def test_a_row_clipped_at_x_sums_as_the_row_cut_at_x():
+    # An antiderivative read's row: past x every point is x, so the trailing
+    # cells [x, x] add ±0.0 to a running sum that is never -0.0.  Each row
+    # of a band clipped so sums bit for bit as the row cut at x, by the
+    # critical and the sampled sums: x at the row's first point, on an
+    # interior point, in the first cell, in the last, at the last point,
+    # and rows of one cell.  Entries a <= t < x land in the cells of the
+    # whole row, one of them on an interior point.
     rng = np.random.default_rng(13)
-    xs = np.sort(rng.uniform(-1.0, 1.0, (6, 41)), axis=1)
-    lengths = np.array([40, 1, 17, 5, 30, 2])
-    e_rows = np.repeat(np.arange(6), 2)
-    ts = np.array([rng.uniform(xs[r, 0], xs[r, n]) for r, n in zip(e_rows, lengths[e_rows])])
+    xs = np.sort(rng.uniform(-1.0, 1.0, (7, 41)), axis=1)
+    x = np.array([xs[0, 0], xs[1, 17], rng.uniform(xs[2, 0], xs[2, 1]), rng.uniform(xs[3, 39], xs[3, 40]), xs[4, 40],
+                  rng.uniform(xs[5, 3], xs[5, 30]), rng.uniform(xs[6, 10], xs[6, 11])])
+    e_rows = np.repeat(np.arange(1, 7), 3)
+    ts = np.array([rng.uniform(xs[r, 0], x[r]) for r in e_rows])
+    ts[e_rows == 5] = xs[5, 3], xs[5, 4], xs[5, 10]  # on points of the row, below x
     vals = rng.uniform(-2.0, 2.0, len(ts))
-    grid = K.GivenRows(xs, lengths)
-    got = [K.darboux_critical(prog, grid, ts, vals, e_rows), K.darboux_sampled(prog, grid, 4)]
-    for r, n in enumerate(lengths.tolist()):
-        mine = e_rows == r
-        alone = [K.darboux_critical(prog, xs[r, : n + 1], ts[mine], vals[mine]), K.darboux_sampled(prog, xs[r, : n + 1], 4)]
-        for band, one in zip(got, alone):
-            assert np.array([p[r] for p in band]).tobytes() == np.array(one).tobytes(), r
+    one_cell = np.sort(rng.uniform(-1.0, 1.0, (3, 2)), axis=1)
+    none = (np.zeros(0, dtype=np.int64), np.empty(0), np.empty(0))
+    # -t just right of 0, where every product -t·Δx underflows to -0.0; and
+    # t across 0, whose lower products there are -0.0 and whose trailing
+    # ones are +0.0, so a running sum that were -0.0 would change its sign
+    right_of_0 = np.linspace(0.0, 8e-200, 9) * np.ones((2, 1))
+    across_0 = np.linspace(-8e-200, 7e-200, 9) * np.ones((2, 1))
+    cases = [
+        ("t^3 - t", xs, x, (e_rows, ts, vals)),
+        ("t^3 - t", one_cell, rng.uniform(one_cell[:, 0], one_cell[:, 1]), none),
+        ("-t", right_of_0, np.array([3e-200, 8e-200]), none),
+        ("t", across_0, np.array([0.5e-200, -3e-200]), none),
+    ]
+    for src, rows, at, (e_r, e_t, e_v) in cases:
+        prog = ScalarKernel.from_string(src).program
+        clipped, cut = _clipped_and_cut(rows, at)
+        grid = K.GivenRows(clipped)
+        got = [K.darboux_critical(prog, grid, e_t, e_v, e_r), K.darboux_sampled(prog, grid, 4)]
+        for r, row in enumerate(cut):
+            mine = e_r == r
+            alone = [K.darboux_critical(prog, row, e_t[mine], e_v[mine]), K.darboux_sampled(prog, row, 4)]
+            for band, one in zip(got, alone):
+                assert np.array([p[r] for p in band]).tobytes() == np.array(one).tobytes(), (src, r)
+    assert np.signbit(-right_of_0[0, 1:] * np.diff(right_of_0[0])).all()
+    assert np.array(K.darboux_endpoint(ScalarKernel.from_string("t").program, cut[0])).tobytes() == np.zeros(2).tobytes()
+    # a lone row finds its entries' cells by one search: as the search of its row among others
     one = K.GivenRows(xs[2:3])
     assert np.array_equal(one.cells(np.zeros(5, dtype=np.int64), ts[:5]), K.GivenRows(xs).cells(np.full(5, 2), ts[:5]))
 
