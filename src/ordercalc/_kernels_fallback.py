@@ -164,6 +164,10 @@ class _Buffers:
     large as the arrays of the allocation; a run's result lives until the
     next run starts.  Without a shape there is no allocation, and every
     buffer is allocated as a run takes it.
+    Out-of-place evaluation gives the same bits in 71 fewer code lines, but
+    on 2 shared vCPUs it took the best ``oracle`` pass from 46-47 to 54-56
+    ms and ``calculus`` ``wall_s`` from 150 to 166 ms, and added 0.43 MiB
+    to ``oracle`` peak RSS.
     """
 
     __slots__ = ("memory", "extra", "free", "taken", "var")

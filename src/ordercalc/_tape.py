@@ -66,7 +66,7 @@ def compile_expr(e) -> Program:
     """The program of the ``expr.Expr`` AST ``e``."""
     from . import expr as ex
 
-    binary_ops = {ex.Add: OP_ADD, ex.Sub: OP_SUB, ex.Mul: OP_MUL, ex.Div: OP_DIV}
+    binary_ops = ex._BINARY_OF_NODE
     steps: list[tuple] = []
 
     def emit(node: ex.Expr) -> None:
@@ -80,7 +80,7 @@ def compile_expr(e) -> Program:
         elif type(node) in binary_ops:
             emit(node.lhs)
             emit(node.rhs)
-            steps.append((binary_ops[type(node)], None))
+            steps.append((binary_ops[type(node)].opcode, None))
         elif isinstance(node, ex.Pow):
             emit(node.base)
             steps.append((OP_POW, node.exponent))

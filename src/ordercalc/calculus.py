@@ -96,6 +96,11 @@ def _require_coordinatewise(f: LatticeFunction, what: str) -> None:
         raise ValueError(f"{what} requires a coordinatewise function")
 
 
+def _require_tol(tol: float) -> None:
+    if not tol >= 0:  # NaN too
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
+
+
 # --------------------------------------------------------------------------
 # Differentiation
 # --------------------------------------------------------------------------
@@ -371,6 +376,7 @@ def _mvt_solve(
     _require_coordinatewise(f, "mvt_integral_solve")
     if x.dim != y.dim or x.dim != f.dim:
         raise ValueError("dimension mismatch")
+    _require_tol(tol)
     result = signed_integrate(f, x, y, sched=sched or _DEFAULT_SCHED)
     rep = _representatives(f, x.data, y.data)
     c = np.empty(f.dim)
@@ -493,6 +499,7 @@ def verify_ftc1(
         raise ValueError("needs a nondegenerate interval (lo strictly below hi)")
     if interior_samples < 1:
         raise ValueError("verify_ftc1 needs interior_samples >= 1")
+    _require_tol(tol)
     anti = antiderivative(f, interval, sched=sched)
     rng = np.random.default_rng(seed)
     xs = [_sample_interior(interval, rng) for _ in range(interior_samples)]
@@ -541,6 +548,7 @@ def verify_ftc2(
     """
     _require_coordinatewise(F, "verify_ftc2")
     _require_coordinatewise(f, "verify_ftc2")
+    _require_tol(tol)
     _check_symbolic_derivative(F, f, interval, "verify_ftc2")
     sched = sched or ToleranceSchedule(tol=tol / 4.0, max_depth=26)
     if pairs is None:
@@ -576,6 +584,7 @@ def verify_substitution(
     """Integral of f(G(x)) g(x) over [lo, hi] vs the integral of f over [G(lo), G(hi)]."""
     for func, name in ((f, "f"), (g, "g"), (G, "G")):
         _require_coordinatewise(func, f"verify_substitution ({name})")
+    _require_tol(tol)
     _check_symbolic_derivative(G, g, interval, "verify_substitution")
     sched = sched or ToleranceSchedule(tol=tol / 4.0, max_depth=26)
     composite = f.compose(G).product(g)
@@ -596,6 +605,7 @@ def verify_by_parts(
     """Integral of f dg vs f(b)g(b) - f(a)g(a) - integral of df g."""
     for func, name in ((f, "f"), (g, "g"), (df, "df"), (dg, "dg")):
         _require_coordinatewise(func, f"verify_by_parts ({name})")
+    _require_tol(tol)
     _check_symbolic_derivative(f, df, interval, "verify_by_parts")
     _check_symbolic_derivative(g, dg, interval, "verify_by_parts")
     sched = sched or ToleranceSchedule(tol=tol / 4.0, max_depth=26)

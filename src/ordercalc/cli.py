@@ -304,10 +304,17 @@ def _cmd_demo(args) -> int:
 # Parser assembly
 # --------------------------------------------------------------------------
 
+def _dim(text: str) -> int:
+    dim = int(text)
+    if dim < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {dim}")
+    return dim
+
+
 # The shared options: (type, default) by name.  A subcommand takes only
 # those its handler reads.
 _OPTIONS = {
-    "dim": (int, None),
+    "dim": (_dim, None),
     "tol": (float, 1e-6),
     "max-depth": (int, 24),
     "seed": (int, 0),

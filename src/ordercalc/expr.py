@@ -2,21 +2,35 @@
 
 Expressions are univariate in ``t``.  Grammar (whitespace insignificant)::
 
-    expr   := term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
+    expr   := factor (binop factor)*
     factor := '-' factor | power
-    power  := atom ('^' integer)?
-    atom   := number | 't' | ident '(' expr (',' expr)? ')' | '(' expr ')'
+    power  := atom ('^' '-'? digits)?
+    atom   := number | 't' | name '(' expr (',' expr)? ')' | '(' expr ')'
+    number := digits ('.' digits?)? (('e'|'E') ('+'|'-')? digits)?
+    name   := (letter | '_') (letter | digit | '_')*
 
-``+ - * /`` are left-associative, ``^`` takes a single integer exponent
-(possibly negative).  Known functions: sin, cos, exp, log, abs, sqrt
-(one argument) and min, max (two arguments).
+Digits are 0-9 and letters A-Z and a-z; any other character that is not
+whitespace is refused at its offset.  ``_BINARY_OPS`` is the one table of
+the binary operators, read by the parser, the printer, ``substitute`` and
+``_tape.compile_expr``::
+
+    symbol  level  node  opcode
+    +       1      Add   OP_ADD
+    -       1      Sub   OP_SUB
+    *       2      Mul   OP_MUL
+    /       2      Div   OP_DIV
+
+All four are left-associative, and a higher level binds tighter.  ``^``
+takes a single integer exponent (possibly negative).  Known functions:
+sin, cos, exp, log, abs, sqrt (one argument) and min, max (two arguments).
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 from . import _tape
@@ -45,6 +59,7 @@ __all__ = [
 UNARY_CALLS = ("sin", "cos", "exp", "log", "abs", "sqrt")
 BINARY_CALLS = ("min", "max")
 KNOWN_CALLS = UNARY_CALLS + BINARY_CALLS
+_ARITY = {**dict.fromkeys(UNARY_CALLS, 1), **dict.fromkeys(BINARY_CALLS, 2)}
 
 
 class ExprSyntaxError(ValueError):
@@ -129,176 +144,139 @@ class Call(Expr):
     args: tuple[Expr, ...] = ()
 
     def __post_init__(self):
-        if self.name not in KNOWN_CALLS:
+        want = _ARITY.get(self.name)
+        if want is None:
             raise ValueError(f"unknown function {self.name!r}")
-        want = 2 if self.name in BINARY_CALLS else 1
         if len(self.args) != want:
             raise ValueError(f"{self.name} takes {want} argument(s)")
 
 
+# Binding levels, loosest first: the binary operators', then a unary minus,
+# a power and an atom.
+_LVL_ADD, _LVL_MUL, _LVL_UNARY, _LVL_ATOM = 1, 2, 3, 5
+
+# The binary operators (see the module docstring), and the same rows by
+# symbol and by node.
+_BinaryOp = namedtuple("_BinaryOp", "symbol level node opcode")
+_BINARY_OPS = (
+    _BinaryOp("+", _LVL_ADD, Add, _tape.OP_ADD),
+    _BinaryOp("-", _LVL_ADD, Sub, _tape.OP_SUB),
+    _BinaryOp("*", _LVL_MUL, Mul, _tape.OP_MUL),
+    _BinaryOp("/", _LVL_MUL, Div, _tape.OP_DIV),
+)
+_BINARY_OF_SYMBOL = {op.symbol: op for op in _BINARY_OPS}
+_BINARY_OF_NODE = {op.node: op for op in _BINARY_OPS}
+
+
 # --------------------------------------------------------------------------
-# Tokenizer / parser
+# Parser
 # --------------------------------------------------------------------------
 
-_T_NUM, _T_IDENT, _T_OP, _T_END = "number", "ident", "op", "end"
-
-
-def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            if j < n and src[j] == ".":
-                j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            tokens.append((_T_NUM, src[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append((_T_IDENT, src[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^(),":
-            tokens.append((_T_OP, c, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i, {"number", "t", "ident", "("})
-    tokens.append((_T_END, "", n))
-    return tokens
+# One token per match, its kind the name of the group that matched it.  The
+# last group takes any other character but whitespace, which no group
+# matches, so ``finditer`` skips exactly the characters ``str.isspace`` holds.
+_TOKEN = re.compile(
+    r"(?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^(),])"
+    r"|(?P<bad>\S)"
+)
+_OPERAND = frozenset({"number", "t", "ident", "("})
 
 
 class _Parser:
+    """Recursive descent over the tokens of ``src``, the binary operators by their levels.
+
+    A token is (kind, text, offset), and the last is an end token at
+    ``len(src)`` with empty text.  A character outside every token is
+    refused before parsing begins.  Only an operator token has an
+    operator's text, and only a name token the text ``t``, so the parser
+    tells them by text alone.  ``binary`` is the one loop over
+    ``_BINARY_OPS``, by Pratt's top-down operator precedence (POPL 1973):
+    it joins operands while the next operator binds at least as tightly as
+    ``level``, each right operand read one level tighter, so ``1 - 2 - 3``
+    is ``(1 - 2) - 3``.
+    """
+
     def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
+        self.tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(src)]
+        for kind, text, pos in self.tokens:
+            if kind == "bad":
+                raise ExprSyntaxError(f"unexpected character {text!r}", pos, _OPERAND)
+        self.tokens.append(("end", "", len(src)))
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
+    def next(self) -> tuple[str, str, int]:
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
-    def expect_op(self, op: str):
-        kind, text, pos = self.peek()
-        if kind != _T_OP or text != op:
-            raise ExprSyntaxError(f"got {text or 'end of input'!r}", pos, {op})
-        return self.advance()
+    def accept(self, text: str) -> bool:
+        """Whether the next token's text is ``text``; the token is consumed if so."""
+        found = self.tokens[self.i][1] == text
+        self.i += found
+        return found
+
+    def expect(self, text: str) -> None:
+        if not self.accept(text):
+            _, got, pos = self.tokens[self.i]
+            raise ExprSyntaxError(f"got {got or 'end of input'!r}", pos, {text})
 
     def parse(self) -> Expr:
-        e = self.expr()
-        kind, text, pos = self.peek()
-        if kind != _T_END:
-            raise ExprSyntaxError(f"trailing input {text!r}", pos, {"+", "-", "*", "/", "^", "end"})
+        e = self.binary()
+        kind, text, pos = self.tokens[self.i]
+        if kind != "end":
+            raise ExprSyntaxError(f"trailing input {text!r}", pos, {*_BINARY_OF_SYMBOL, "^", "end"})
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == _T_OP and text in "+-":
-                self.advance()
-                rhs = self.term()
-                e = (Add if text == "+" else Sub)(e, rhs)
-            else:
-                return e
-
-    def term(self) -> Expr:
+    def binary(self, level: int = _LVL_ADD) -> Expr:
         e = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == _T_OP and text in "*/":
-                self.advance()
-                rhs = self.factor()
-                e = (Mul if text == "*" else Div)(e, rhs)
-            else:
-                return e
+        while (op := _BINARY_OF_SYMBOL.get(self.tokens[self.i][1])) is not None and op.level >= level:
+            self.i += 1
+            e = op.node(e, self.binary(op.level + 1))
+        return e
 
     def factor(self) -> Expr:
-        kind, text, _ = self.peek()
-        if kind == _T_OP and text == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
+        return Neg(self.factor()) if self.accept("-") else self.power()
 
     def power(self) -> Expr:
         base = self.atom()
-        kind, text, _ = self.peek()
-        if kind == _T_OP and text == "^":
-            self.advance()
-            sign = 1
-            kind, text, pos = self.peek()
-            if kind == _T_OP and text == "-":
-                sign = -1
-                self.advance()
-                kind, text, pos = self.peek()
-            if kind != _T_NUM or any(ch in text for ch in ".eE"):
-                raise ExprSyntaxError(f"got {text or 'end of input'!r}", pos, {"integer"})
-            self.advance()
-            return Pow(base, sign * int(text))
-        return base
+        if not self.accept("^"):
+            return base
+        sign = -1 if self.accept("-") else 1
+        _, text, pos = self.next()
+        if not text.isdigit():  # only a number token without '.' or an exponent is all digits
+            raise ExprSyntaxError(f"got {text or 'end of input'!r}", pos, {"integer"})
+        return Pow(base, sign * int(text))
 
     def atom(self) -> Expr:
-        kind, text, pos = self.peek()
-        if kind == _T_NUM:
-            self.advance()
+        kind, text, pos = self.next()
+        if kind == "number":
             return Const(float(text))
-        if kind == _T_IDENT:
-            self.advance()
-            if text == "t":
-                return Var()
-            if text in KNOWN_CALLS:
-                self.expect_op("(")
-                args = [self.expr()]
-                k2, t2, p2 = self.peek()
-                if k2 == _T_OP and t2 == ",":
-                    self.advance()
-                    args.append(self.expr())
-                self.expect_op(")")
-                want = 2 if text in BINARY_CALLS else 1
-                if len(args) != want:
-                    raise ExprSyntaxError(
-                        f"{text} takes {want} argument(s)", pos, {f"{want} argument(s)"}
-                    )
+        if text == "t":
+            return Var()
+        if text in KNOWN_CALLS:
+            self.expect("(")
+            args = [self.binary()]
+            if self.accept(","):
+                args.append(self.binary())
+            self.expect(")")
+            try:
                 return Call(text, tuple(args))
-            raise ExprSyntaxError(
-                f"unknown name {text!r}", pos, {"t"} | set(KNOWN_CALLS)
-            )
-        if kind == _T_OP and text == "(":
-            self.advance()
-            e = self.expr()
-            self.expect_op(")")
+            except ValueError as err:  # the arity rule is Call's
+                raise ExprSyntaxError(str(err), pos, {f"{_ARITY[text]} argument(s)"}) from None
+        if kind == "ident":
+            raise ExprSyntaxError(f"unknown name {text!r}", pos, {"t", *KNOWN_CALLS})
+        if text == "(":
+            e = self.binary()
+            self.expect(")")
             return e
-        raise ExprSyntaxError(
-            f"got {text or 'end of input'!r}", pos, {"number", "t", "ident", "("}
-        )
+        raise ExprSyntaxError(f"got {text or 'end of input'!r}", pos, _OPERAND)
 
 
 def parse(src: str) -> Expr:
     """Parse ``src`` into an AST; raises :class:`ExprSyntaxError` otherwise."""
-    if not src or not src.strip():
-        raise ExprSyntaxError("empty expression", 0, {"number", "t", "ident", "("})
+    if not src.strip():
+        raise ExprSyntaxError("empty expression", 0, _OPERAND)
     return _Parser(src).parse()
 
 
@@ -501,33 +479,22 @@ def differentiate(e: Expr) -> Expr:
 # Printing
 # --------------------------------------------------------------------------
 
-_LVL_ADD, _LVL_MUL, _LVL_UNARY, _LVL_ATOM = 1, 2, 3, 5
-
-
-def _level(e: Expr) -> int:
-    if isinstance(e, (Var, Call)):
-        return _LVL_ATOM
-    if isinstance(e, Const):
-        # Negative constants print with a leading minus, i.e. at unary level.
-        return _LVL_ATOM if e.value >= 0 else _LVL_UNARY
-    if isinstance(e, Neg):
-        return _LVL_UNARY
-    if isinstance(e, Pow):
-        return _LVL_UNARY + 1
-    if isinstance(e, (Mul, Div)):
-        return _LVL_MUL
-    return _LVL_ADD
-
-
 def _fmt_const(v: float) -> str:
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 
 
+# Each node's binding level in print.  A negative constant (never parsed)
+# prints with a leading minus, at unary level.
+_LEVELS = {Const: _LVL_ATOM, Var: _LVL_ATOM, Call: _LVL_ATOM, Neg: _LVL_UNARY, Pow: _LVL_UNARY + 1}
+_LEVELS.update((op.node, op.level) for op in _BINARY_OPS)
+
+
 def _wrap(e: Expr, need: int) -> str:
     s = print_expr(e)
-    return f"({s})" if _level(e) < need else s
+    level = _LVL_UNARY if isinstance(e, Const) and e.value < 0 else _LEVELS[type(e)]
+    return f"({s})" if level < need else s
 
 
 def print_expr(e: Expr) -> str:
@@ -536,20 +503,15 @@ def print_expr(e: Expr) -> str:
     The one exception is negative constants (never produced by the parser):
     they print with a leading minus and re-parse as a negation node.
     """
+    op = _BINARY_OF_NODE.get(type(e))
+    if op is not None:  # the right operand binds one level tighter: left-associative
+        return f"{_wrap(e.lhs, op.level)} {op.symbol} {_wrap(e.rhs, op.level + 1)}"
     if isinstance(e, Const):
         return _fmt_const(e.value)
     if isinstance(e, Var):
         return "t"
     if isinstance(e, Neg):
         return "-" + _wrap(e.arg, _LVL_UNARY)
-    if isinstance(e, Add):
-        return f"{_wrap(e.lhs, _LVL_ADD)} + {_wrap(e.rhs, _LVL_MUL)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.lhs, _LVL_ADD)} - {_wrap(e.rhs, _LVL_MUL)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.lhs, _LVL_MUL)} * {_wrap(e.rhs, _LVL_UNARY)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.lhs, _LVL_MUL)} / {_wrap(e.rhs, _LVL_UNARY)}"
     if isinstance(e, Pow):
         return f"{_wrap(e.base, _LVL_ATOM)}^{e.exponent}"
     if isinstance(e, Call):
@@ -569,7 +531,7 @@ def substitute(e: Expr, replacement: Expr) -> Expr:
         return e
     if isinstance(e, Neg):
         return Neg(substitute(e.arg, replacement))
-    if isinstance(e, (Add, Sub, Mul, Div)):
+    if type(e) in _BINARY_OF_NODE:
         return type(e)(substitute(e.lhs, replacement), substitute(e.rhs, replacement))
     if isinstance(e, Pow):
         return Pow(substitute(e.base, replacement), e.exponent)

@@ -1031,3 +1031,35 @@ def test_library_calls_print_nothing(capfd):
     with pytest.raises(KernelEvalError):
         integrate(LatticeFunction.coordinatewise("1/t"), interval((-1.0,), (1.0,)))
     assert capfd.readouterr().out == ""
+
+
+# -- tolerance ----------------------------------------------------------------
+
+_T2 = LatticeFunction.coordinatewise("t^2", dim=1)
+_T = LatticeFunction.coordinatewise("t", dim=1)
+_T3_3 = LatticeFunction.coordinatewise("t^3/3", dim=1)
+_ONE = LatticeFunction.coordinatewise("1", dim=1)
+_BAD_TOL_CALLS = {
+    "mvt_integral_solve": lambda tol: mvt_integral_solve(_T2, E(0.0), E(1.0), tol=tol),
+    "verify_ftc1": lambda tol: verify_ftc1(_T2, interval((0.0,), (1.0,)), tol=tol),
+    "verify_ftc2": lambda tol: verify_ftc2(_T3_3, _T2, interval((0.0,), (1.0,)), tol=tol, sched=ToleranceSchedule(1e-6, 20)),
+    "verify_substitution": lambda tol: verify_substitution(_T2, _ONE, _T, interval((0.0,), (1.0,)), tol=tol),
+    "verify_by_parts": lambda tol: verify_by_parts(_T, _T, _ONE, _ONE, interval((0.0,), (1.0,)), tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+@pytest.mark.parametrize("name", sorted(_BAD_TOL_CALLS))
+def test_a_bad_tol_is_refused_before_any_integral(name, tol, monkeypatch):
+    def no_integral(*args, **kwargs):
+        raise AssertionError("integrated before refusing tol")
+
+    for entry in ("integrate", "signed_integrate", "antiderivative"):
+        monkeypatch.setattr(calculus, entry, no_integral)
+    with pytest.raises(ValueError, match=r"^tol must be >= 0, got (-1\.0|nan)$"):
+        _BAD_TOL_CALLS[name](tol)
+
+
+def test_a_zero_tol_still_solves_the_mvt():
+    c = mvt_integral_solve(_T2, E(0.0), E(1.0), tol=0.0)
+    assert abs(c[0] - 1.0 / math.sqrt(3.0)) < 1e-9

@@ -378,3 +378,21 @@ def test_verify_missing_input_exits_one_with_one_error_line(argv, message, capsy
     assert code == 1 and out == ""
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_verify_mvt_refuses_a_negative_tol(capsys):
+    code, out, err = run_cli("verify", "mvt", "--x", "0", "--y", "1", "--kernel", "t^2", "--tol", "-1", capsys=capsys)
+    assert code == 1 and out == ""
+    assert "tol" in err
+
+
+@pytest.mark.parametrize("dim", ["0", "-1"])
+@pytest.mark.parametrize("command", [
+    ("integrate", "--lo", "0", "--hi", "1", "--kernel", "t"),
+    ("verify", "mvt", "--x", "0", "--y", "1", "--kernel", "t"),
+])
+def test_a_dim_below_one_is_refused_by_name(command, dim, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--dim", dim])
+    assert info.value.code == 1
+    assert f"argument --dim: must be at least 1, got {dim}" in capsys.readouterr().err

@@ -56,6 +56,120 @@ def test_syntax_error_reports_offset():
     assert info.value.pos == 4
 
 
+# Each input's AST repr, or its ExprSyntaxError's (message, offset, sorted
+# expected set), as the parser gave them before its tokens came from one
+# regular expression and its binary operators from one table.
+_OPERAND = ["(", "ident", "number", "t"]
+_NEXT = ["*", "+", "-", "/", "^", "end"]
+_NAMES = ["abs", "cos", "exp", "log", "max", "min", "sin", "sqrt", "t"]
+_PINNED = [
+    ('', ('empty expression', 0, _OPERAND)),
+    ('   ', ('empty expression', 0, _OPERAND)),
+    ('t +', ("got 'end of input'", 3, _OPERAND)),
+    ('(t', ("got 'end of input'", 2, [')'])),
+    ('sin()', ("got ')'", 4, _OPERAND)),
+    ('min(t)', ('min takes 2 argument(s)', 0, ['2 argument(s)'])),
+    ('sin(t,t)', ('sin takes 1 argument(s)', 0, ['1 argument(s)'])),
+    ('t^t', ("got 't'", 2, ['integer'])),
+    ('t^1.5', ("got '1.5'", 2, ['integer'])),
+    ('u + 1', ("unknown name 'u'", 0, _NAMES)),
+    ('1..2', ("unexpected character '.'", 2, _OPERAND)),
+    ('t @ 2', ("unexpected character '@'", 2, _OPERAND)),
+    ('t + %', ("unexpected character '%'", 4, _OPERAND)),
+    ('t + + @', ("unexpected character '@'", 6, _OPERAND)),
+    ('1.', 'Const(value=1.0)'),
+    ('1e5', 'Const(value=100000.0)'),
+    ('1e', ("trailing input 'e'", 1, _NEXT)),
+    ('1e+', ("trailing input 'e'", 1, _NEXT)),
+    ('10E2', 'Const(value=1000.0)'),
+    ('1.5e-3', 'Const(value=0.0015)'),
+    ('007', 'Const(value=7.0)'),
+    ('1E+3', 'Const(value=1000.0)'),
+    ('1.e2', 'Const(value=100.0)'),
+    ('.5', ("unexpected character '.'", 0, _OPERAND)),
+    ('1e5.', ("unexpected character '.'", 3, _OPERAND)),
+    ('3t', ("trailing input 't'", 1, _NEXT)),
+    ('1 2', ("trailing input '2'", 2, _NEXT)),
+    ('1e-', ("trailing input 'e'", 1, _NEXT)),
+    ('t^-2', 'Pow(base=Var(), exponent=-2)'),
+    ('t^2^3', ("trailing input '^'", 3, _NEXT)),
+    ('t^-t', ("got 't'", 3, ['integer'])),
+    ('t^', ("got 'end of input'", 2, ['integer'])),
+    ('t^1e2', ("got '1e2'", 2, ['integer'])),
+    ('t^ 3', 'Pow(base=Var(), exponent=3)'),
+    ('t^--2', ("got '-'", 3, ['integer'])),
+    ('-t^2', 'Neg(arg=Pow(base=Var(), exponent=2))'),
+    ('2^-1', 'Pow(base=Const(value=2.0), exponent=-1)'),
+    ('(t+1)^3', 'Pow(base=Add(lhs=Var(), rhs=Const(value=1.0)), exponent=3)'),
+    ('t^0', 'Pow(base=Var(), exponent=0)'),
+    ('t^-', ("got 'end of input'", 3, ['integer'])),
+    ('sin(cos(t))', "Call(name='sin', args=(Call(name='cos', args=(Var(),)),))"),
+    ('max(min(t, 1), 0)', "Call(name='max', args=(Call(name='min', args=(Var(), Const(value=1.0))), Const(value=0.0)))"),
+    ('min(t, 1-t)', "Call(name='min', args=(Var(), Sub(lhs=Const(value=1.0), rhs=Var())))"),
+    ('max(t)', ('max takes 2 argument(s)', 0, ['2 argument(s)'])),
+    ('min(t,1,2)', ("got ','", 7, [')'])),
+    ('sin(t', ("got 'end of input'", 5, [')'])),
+    ('sin t', ("got 't'", 4, ['('])),
+    ('exp()', ("got ')'", 4, _OPERAND)),
+    ('sqrt(abs(t))', "Call(name='sqrt', args=(Call(name='abs', args=(Var(),)),))"),
+    ('log(t)*exp(-t)', "Mul(lhs=Call(name='log', args=(Var(),)), rhs=Call(name='exp', args=(Neg(arg=Var()),)))"),
+    ('foo(t)', ("unknown name 'foo'", 0, _NAMES)),
+    ('_x', ("unknown name '_x'", 0, _NAMES)),
+    ('t2', ("unknown name 't2'", 0, _NAMES)),
+    ('T', ("unknown name 'T'", 0, _NAMES)),
+    ('sin', ("got 'end of input'", 3, ['('])),
+    ('1 - 2 - 3', 'Sub(lhs=Sub(lhs=Const(value=1.0), rhs=Const(value=2.0)), rhs=Const(value=3.0))'),
+    ('8/4/2', 'Div(lhs=Div(lhs=Const(value=8.0), rhs=Const(value=4.0)), rhs=Const(value=2.0))'),
+    ('2*t+1', 'Add(lhs=Mul(lhs=Const(value=2.0), rhs=Var()), rhs=Const(value=1.0))'),
+    ('1 - 2*3 + 4/t', 'Add(lhs=Sub(lhs=Const(value=1.0), rhs=Mul(lhs=Const(value=2.0), rhs=Const(value=3.0))), rhs=Div(lhs=Const(value=4.0), rhs=Var()))'),
+    ('--t', 'Neg(arg=Neg(arg=Var()))'),
+    ('-(t)', 'Neg(arg=Var())'),
+    ('t*-1', 'Mul(lhs=Var(), rhs=Neg(arg=Const(value=1.0)))'),
+    ('+t', ("got '+'", 0, _OPERAND)),
+    ('t+*1', ("got '*'", 2, _OPERAND)),
+    ('()', ("got ')'", 1, _OPERAND)),
+    (')', ("got ')'", 0, _OPERAND)),
+    ('t)', ("trailing input ')'", 1, _NEXT)),
+    ('t,', ("trailing input ','", 1, _NEXT)),
+    (',', ("got ','", 0, _OPERAND)),
+    ('t\t+\t1', 'Add(lhs=Var(), rhs=Const(value=1.0))'),
+    ('  t  ', 'Var()'),
+    ('\n', ('empty expression', 0, _OPERAND)),
+    ('(((t)))', 'Var()'),
+    ('t - -t', 'Sub(lhs=Var(), rhs=Neg(arg=Var()))'),
+    ('t / t * t', 'Mul(lhs=Div(lhs=Var(), rhs=Var()), rhs=Var())'),
+    ('1 + 2 - 3 * 4 / 5', 'Sub(lhs=Add(lhs=Const(value=1.0), rhs=Const(value=2.0)), rhs=Div(lhs=Mul(lhs=Const(value=3.0), rhs=Const(value=4.0)), rhs=Const(value=5.0)))'),
+    ('sin(t) + 1', "Add(lhs=Call(name='sin', args=(Var(),)), rhs=Const(value=1.0))"),
+]
+
+
+@pytest.mark.parametrize("src, want", _PINNED)
+def test_parse_outcome_is_pinned(src, want):
+    try:
+        got = repr(ex.parse(src))
+    except ex.ExprSyntaxError as err:
+        message, pos, expected = want
+        assert str(err) == f"{message} at offset {pos} (expected: {', '.join(expected)})"
+        got = (message, err.pos, sorted(err.expected))
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "src, pos", [("t^\u00b2", 2), ("\u00b2", 0), ("1\u0663", 1), ("t\u0663", 1), ("\u00e9", 0), ("sin(t) +\u00a0\u00e9", 9)]
+)
+def test_numbers_and_names_are_ascii(src, pos):
+    # A superscript digit, an Arabic-Indic digit or a non-ASCII letter is
+    # refused where it stands, not read as part of a number or a name.
+    with pytest.raises(ex.ExprSyntaxError) as info:
+        ex.parse(src)
+    assert info.value.pos == pos
+    assert str(info.value).startswith(f"unexpected character {src[pos]!r}")
+
+
+def test_unicode_whitespace_is_skipped():
+    assert ex.parse("sin(t)\u00a0+\u20031\x1c") == ex.parse("sin(t) + 1")
+
+
 def test_eval_examples():
     def at(src, t):
         return ScalarKernel.from_string(src).eval(t)
