@@ -275,7 +275,7 @@ class _Parser:
 
 def parse(src: str) -> Expr:
     """Parse ``src`` into an AST; raises :class:`ExprSyntaxError` otherwise."""
-    if not src.strip():
+    if not src or not src.strip():
         raise ExprSyntaxError("empty expression", 0, _OPERAND)
     return _Parser(src).parse()
 

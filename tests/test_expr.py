@@ -57,8 +57,9 @@ def test_syntax_error_reports_offset():
 
 
 # Each input's AST repr, or its ExprSyntaxError's (message, offset, sorted
-# expected set), as the parser gave them before its tokens came from one
-# regular expression and its binary operators from one table.
+# expected set), recorded from the character-loop tokenizer and the
+# per-level parser methods that the token pattern and the operator table
+# replaced, so the rewrite is held to their outcomes.
 _OPERAND = ["(", "ident", "number", "t"]
 _NEXT = ["*", "+", "-", "/", "^", "end"]
 _NAMES = ["abs", "cos", "exp", "log", "max", "min", "sin", "sqrt", "t"]
