@@ -202,6 +202,72 @@ def test_differentiate_folds_only_finite_constants():
     assert ex.differentiate(ex.parse("t*2*3")) == ex.Const(6.0)
 
 
+# Each source's first and second derivative reprs, or the error class and
+# message of its first derivative, recorded from the per-name and
+# per-node branches of ``differentiate`` that the call and operator tables
+# replaced: every call and binary rule, Neg, Pow at exponents 0, 1, 2 and
+# -3, the finite-only constant folding, and which non-differentiable call
+# is named first.
+_DERIVATIVES = [
+    ('5', ('Const(value=0.0)', 'Const(value=0.0)')),
+    ('-5', ('Const(value=-0.0)', 'Const(value=0.0)')),
+    ('t', ('Const(value=1.0)', 'Const(value=0.0)')),
+    ('-t', ('Const(value=-1.0)', 'Const(value=0.0)')),
+    ('--t', ('Const(value=1.0)', 'Const(value=0.0)')),
+    ('-sin(t)', ("Neg(arg=Call(name='cos', args=(Var(),)))", "Call(name='sin', args=(Var(),))")),
+    ('sin(t)', ("Call(name='cos', args=(Var(),))", "Neg(arg=Call(name='sin', args=(Var(),)))")),
+    ('cos(t)', ("Neg(arg=Call(name='sin', args=(Var(),)))", "Neg(arg=Call(name='cos', args=(Var(),)))")),
+    ('exp(t)', ("Call(name='exp', args=(Var(),))", "Call(name='exp', args=(Var(),))")),
+    ('log(t)', ('Div(lhs=Const(value=1.0), rhs=Var())', 'Div(lhs=Const(value=-1.0), rhs=Pow(base=Var(), exponent=2))')),
+    ('sqrt(t)', ("Div(lhs=Const(value=1.0), rhs=Mul(lhs=Const(value=2.0), rhs=Call(name='sqrt', args=(Var(),))))", "Div(lhs=Neg(arg=Mul(lhs=Const(value=2.0), rhs=Div(lhs=Const(value=1.0), rhs=Mul(lhs=Const(value=2.0), rhs=Call(name='sqrt', args=(Var(),)))))), rhs=Pow(base=Mul(lhs=Const(value=2.0), rhs=Call(name='sqrt', args=(Var(),))), exponent=2))")),
+    ('sin(t^2)', ("Mul(lhs=Call(name='cos', args=(Pow(base=Var(), exponent=2),)), rhs=Mul(lhs=Const(value=2.0), rhs=Var()))", "Add(lhs=Mul(lhs=Neg(arg=Mul(lhs=Call(name='sin', args=(Pow(base=Var(), exponent=2),)), rhs=Mul(lhs=Const(value=2.0), rhs=Var()))), rhs=Mul(lhs=Const(value=2.0), rhs=Var())), rhs=Mul(lhs=Call(name='cos', args=(Pow(base=Var(), exponent=2),)), rhs=Const(value=2.0)))")),
+    ('cos(2*t)', ("Neg(arg=Mul(lhs=Call(name='sin', args=(Mul(lhs=Const(value=2.0), rhs=Var()),)), rhs=Const(value=2.0)))", "Neg(arg=Mul(lhs=Mul(lhs=Call(name='cos', args=(Mul(lhs=Const(value=2.0), rhs=Var()),)), rhs=Const(value=2.0)), rhs=Const(value=2.0)))")),
+    ('exp(-t)', ("Mul(lhs=Call(name='exp', args=(Neg(arg=Var()),)), rhs=Const(value=-1.0))", "Mul(lhs=Mul(lhs=Call(name='exp', args=(Neg(arg=Var()),)), rhs=Const(value=-1.0)), rhs=Const(value=-1.0))")),
+    ('log(t^2 + 1)', ('Div(lhs=Mul(lhs=Const(value=2.0), rhs=Var()), rhs=Add(lhs=Pow(base=Var(), exponent=2), rhs=Const(value=1.0)))', 'Div(lhs=Sub(lhs=Mul(lhs=Const(value=2.0), rhs=Add(lhs=Pow(base=Var(), exponent=2), rhs=Const(value=1.0))), rhs=Mul(lhs=Mul(lhs=Const(value=2.0), rhs=Var()), rhs=Mul(lhs=Const(value=2.0), rhs=Var()))), rhs=Pow(base=Add(lhs=Pow(base=Var(), exponent=2), rhs=Const(value=1.0)), exponent=2))')),
+    ('sqrt(1 + t)', ("Div(lhs=Const(value=1.0), rhs=Mul(lhs=Const(value=2.0), rhs=Call(name='sqrt', args=(Add(lhs=Const(value=1.0), rhs=Var()),))))", "Div(lhs=Neg(arg=Mul(lhs=Const(value=2.0), rhs=Div(lhs=Const(value=1.0), rhs=Mul(lhs=Const(value=2.0), rhs=Call(name='sqrt', args=(Add(lhs=Const(value=1.0), rhs=Var()),)))))), rhs=Pow(base=Mul(lhs=Const(value=2.0), rhs=Call(name='sqrt', args=(Add(lhs=Const(value=1.0), rhs=Var()),))), exponent=2))")),
+    ('exp(sin(t))', ("Mul(lhs=Call(name='exp', args=(Call(name='sin', args=(Var(),)),)), rhs=Call(name='cos', args=(Var(),)))", "Add(lhs=Mul(lhs=Mul(lhs=Call(name='exp', args=(Call(name='sin', args=(Var(),)),)), rhs=Call(name='cos', args=(Var(),))), rhs=Call(name='cos', args=(Var(),))), rhs=Mul(lhs=Call(name='exp', args=(Call(name='sin', args=(Var(),)),)), rhs=Neg(arg=Call(name='sin', args=(Var(),)))))")),
+    ('t + 1', ('Const(value=1.0)', 'Const(value=0.0)')),
+    ('3 - t', ('Const(value=-1.0)', 'Const(value=0.0)')),
+    ('t - t^2', ('Sub(lhs=Const(value=1.0), rhs=Mul(lhs=Const(value=2.0), rhs=Var()))', 'Const(value=-2.0)')),
+    ('t * t', ('Add(lhs=Var(), rhs=Var())', 'Const(value=2.0)')),
+    ('2 * t', ('Const(value=2.0)', 'Const(value=0.0)')),
+    ('sin(t) * exp(t)', ("Add(lhs=Mul(lhs=Call(name='cos', args=(Var(),)), rhs=Call(name='exp', args=(Var(),))), rhs=Mul(lhs=Call(name='sin', args=(Var(),)), rhs=Call(name='exp', args=(Var(),))))", "Add(lhs=Add(lhs=Mul(lhs=Neg(arg=Call(name='sin', args=(Var(),))), rhs=Call(name='exp', args=(Var(),))), rhs=Mul(lhs=Call(name='cos', args=(Var(),)), rhs=Call(name='exp', args=(Var(),)))), rhs=Add(lhs=Mul(lhs=Call(name='cos', args=(Var(),)), rhs=Call(name='exp', args=(Var(),))), rhs=Mul(lhs=Call(name='sin', args=(Var(),)), rhs=Call(name='exp', args=(Var(),)))))")),
+    ('t / (t + 1)', ('Div(lhs=Sub(lhs=Add(lhs=Var(), rhs=Const(value=1.0)), rhs=Var()), rhs=Pow(base=Add(lhs=Var(), rhs=Const(value=1.0)), exponent=2))', 'Div(lhs=Neg(arg=Mul(lhs=Sub(lhs=Add(lhs=Var(), rhs=Const(value=1.0)), rhs=Var()), rhs=Mul(lhs=Const(value=2.0), rhs=Add(lhs=Var(), rhs=Const(value=1.0))))), rhs=Pow(base=Pow(base=Add(lhs=Var(), rhs=Const(value=1.0)), exponent=2), exponent=2))')),
+    ('1 / t', ('Div(lhs=Const(value=-1.0), rhs=Pow(base=Var(), exponent=2))', 'Div(lhs=Neg(arg=Mul(lhs=Const(value=-1.0), rhs=Mul(lhs=Const(value=2.0), rhs=Var()))), rhs=Pow(base=Pow(base=Var(), exponent=2), exponent=2))')),
+    ('t^2 / 3', ('Div(lhs=Mul(lhs=Mul(lhs=Const(value=2.0), rhs=Var()), rhs=Const(value=3.0)), rhs=Pow(base=Const(value=3.0), exponent=2))', 'Div(lhs=Mul(lhs=Const(value=6.0), rhs=Pow(base=Const(value=3.0), exponent=2)), rhs=Pow(base=Pow(base=Const(value=3.0), exponent=2), exponent=2))')),
+    ('sqrt(t) / t', ("Div(lhs=Sub(lhs=Mul(lhs=Div(lhs=Const(value=1.0), rhs=Mul(lhs=Const(value=2.0), rhs=Call(name='sqrt', args=(Var(),)))), rhs=Var()), rhs=Call(name='sqrt', args=(Var(),))), rhs=Pow(base=Var(), exponent=2))", "Div(lhs=Sub(lhs=Mul(lhs=Sub(lhs=Add(lhs=Mul(lhs=Div(lhs=Neg(arg=Mul(lhs=Const(value=2.0), rhs=Div(lhs=Const(value=1.0), rhs=Mul(lhs=Const(value=2.0), rhs=Call(name='sqrt', args=(Var(),)))))), rhs=Pow(base=Mul(lhs=Const(value=2.0), rhs=Call(name='sqrt', args=(Var(),))), exponent=2)), rhs=Var()), rhs=Div(lhs=Const(value=1.0), rhs=Mul(lhs=Const(value=2.0), rhs=Call(name='sqrt', args=(Var(),))))), rhs=Div(lhs=Const(value=1.0), rhs=Mul(lhs=Const(value=2.0), rhs=Call(name='sqrt', args=(Var(),))))), rhs=Pow(base=Var(), exponent=2)), rhs=Mul(lhs=Sub(lhs=Mul(lhs=Div(lhs=Const(value=1.0), rhs=Mul(lhs=Const(value=2.0), rhs=Call(name='sqrt', args=(Var(),)))), rhs=Var()), rhs=Call(name='sqrt', args=(Var(),))), rhs=Mul(lhs=Const(value=2.0), rhs=Var()))), rhs=Pow(base=Pow(base=Var(), exponent=2), exponent=2))")),
+    ('t^0', ('Const(value=0.0)', 'Const(value=0.0)')),
+    ('t^1', ('Const(value=1.0)', 'Const(value=0.0)')),
+    ('t^2', ('Mul(lhs=Const(value=2.0), rhs=Var())', 'Const(value=2.0)')),
+    ('t^-3', ('Mul(lhs=Const(value=-3.0), rhs=Pow(base=Var(), exponent=-4))', 'Mul(lhs=Const(value=-3.0), rhs=Mul(lhs=Const(value=-4.0), rhs=Pow(base=Var(), exponent=-5)))')),
+    ('(t + 1)^2', ('Mul(lhs=Const(value=2.0), rhs=Add(lhs=Var(), rhs=Const(value=1.0)))', 'Const(value=2.0)')),
+    ('sin(t)^0', ('Const(value=0.0)', 'Const(value=0.0)')),
+    ('t^3 * log(t)', ("Add(lhs=Mul(lhs=Mul(lhs=Const(value=3.0), rhs=Pow(base=Var(), exponent=2)), rhs=Call(name='log', args=(Var(),))), rhs=Mul(lhs=Pow(base=Var(), exponent=3), rhs=Div(lhs=Const(value=1.0), rhs=Var())))", "Add(lhs=Add(lhs=Mul(lhs=Mul(lhs=Const(value=3.0), rhs=Mul(lhs=Const(value=2.0), rhs=Var())), rhs=Call(name='log', args=(Var(),))), rhs=Mul(lhs=Mul(lhs=Const(value=3.0), rhs=Pow(base=Var(), exponent=2)), rhs=Div(lhs=Const(value=1.0), rhs=Var()))), rhs=Add(lhs=Mul(lhs=Mul(lhs=Const(value=3.0), rhs=Pow(base=Var(), exponent=2)), rhs=Div(lhs=Const(value=1.0), rhs=Var())), rhs=Mul(lhs=Pow(base=Var(), exponent=3), rhs=Div(lhs=Const(value=-1.0), rhs=Pow(base=Var(), exponent=2)))))")),
+    ('t*1e308*10', ('Mul(lhs=Const(value=1e+308), rhs=Const(value=10.0))', 'Const(value=0.0)')),
+    ('t*2*3', ('Const(value=6.0)', 'Const(value=0.0)')),
+    ('2*3*t', ('Mul(lhs=Const(value=2.0), rhs=Const(value=3.0))', 'Const(value=0.0)')),
+    ('1e308*t + 1e308*t', ('Add(lhs=Const(value=1e+308), rhs=Const(value=1e+308))', 'Const(value=0.0)')),
+    ('t*1e308 - t*-1e308', ('Sub(lhs=Const(value=1e+308), rhs=Neg(arg=Const(value=1e+308)))', 'Const(value=0.0)')),
+    ('abs(t)', ('NonDifferentiableError', 'abs is not differentiable')),
+    ('min(t, 1)', ('NonDifferentiableError', 'min is not differentiable')),
+    ('max(t, 0)', ('NonDifferentiableError', 'max is not differentiable')),
+    ('abs(t) * min(t, 1)', ('NonDifferentiableError', 'abs is not differentiable')),
+    ('sin(max(t, 1))', ('NonDifferentiableError', 'max is not differentiable')),
+    ('min(t, 1) + abs(t)', ('NonDifferentiableError', 'min is not differentiable')),
+]
+
+
+@pytest.mark.parametrize("src, want", _DERIVATIVES)
+def test_derivative_is_pinned(src, want):
+    try:
+        first = ex.differentiate(ex.parse(src))
+    except Exception as err:  # noqa: BLE001 - the error is the outcome
+        got = (type(err).__name__, str(err))
+    else:
+        got = (repr(first), repr(ex.differentiate(first)))
+    assert got == want
+
+
 def test_differentiate_rejects_nonsmooth():
     for src in ("abs(t)", "min(t, 1)", "max(t, 0)"):
         with pytest.raises(ex.NonDifferentiableError):
