@@ -15,7 +15,9 @@ object for both bounds, and a comparison of it gives a numpy bool, which
 as a Python float.
 
 ``expr`` imports this module to run programs, so this module reaches the
-AST classes only inside ``compile_expr``.
+AST classes only inside ``compile_expr``, which reads each node's opcode
+from ``expr``'s two tables: ``_BINARY_OPS`` for a binary operator and
+``_CALLS`` for a call.
 """
 
 from __future__ import annotations
@@ -44,17 +46,6 @@ OP_MAX2 = 15
 
 # Opcodes that pop two values; OP_CONST and OP_VAR pop none, the rest one.
 _BINARY = frozenset({OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_MIN2, OP_MAX2})
-
-_CALL_OPS = {
-    "sin": OP_SIN,
-    "cos": OP_COS,
-    "exp": OP_EXP,
-    "log": OP_LOG,
-    "abs": OP_ABS,
-    "sqrt": OP_SQRT,
-    "min": OP_MIN2,
-    "max": OP_MAX2,
-}
 
 
 @dataclass(frozen=True)
@@ -87,7 +78,7 @@ def compile_expr(e) -> Program:
         elif isinstance(node, ex.Call):
             for arg in node.args:
                 emit(arg)
-            steps.append((_CALL_OPS[node.name], None))
+            steps.append((ex._CALLS[node.name].opcode, None))
         else:
             raise TypeError(f"not an expression node: {node!r}")
 

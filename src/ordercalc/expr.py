@@ -10,19 +10,33 @@ Expressions are univariate in ``t``.  Grammar (whitespace insignificant)::
     name   := (letter | '_') (letter | digit | '_')*
 
 Digits are 0-9 and letters A-Z and a-z; any other character that is not
-whitespace is refused at its offset.  ``_BINARY_OPS`` is the one table of
-the binary operators, read by the parser, the printer, ``substitute`` and
-``_tape.compile_expr``::
+whitespace is refused at its offset.  ``^`` takes a single integer
+exponent (possibly negative).
 
-    symbol  level  node  opcode
-    +       1      Add   OP_ADD
-    -       1      Sub   OP_SUB
-    *       2      Mul   OP_MUL
-    /       2      Div   OP_DIV
+Two tables decide every node that is not a constant, ``t``, a negation or
+a power; the parser, ``Call``, the printer, ``substitute``,
+``differentiate`` and ``_tape.compile_expr`` read them.  ``_BINARY_OPS``
+holds the binary operators, each derivative a rule of (a, b, a', b')::
 
-All four are left-associative, and a higher level binds tighter.  ``^``
-takes a single integer exponent (possibly negative).  Known functions:
-sin, cos, exp, log, abs, sqrt (one argument) and min, max (two arguments).
+    symbol  level  node  opcode  derivative of a op b
+    +       1      Add   OP_ADD  a' + b'
+    -       1      Sub   OP_SUB  a' - b'
+    *       2      Mul   OP_MUL  a' * b + a * b'
+    /       2      Div   OP_DIV  (a' * b - a * b') / b^2
+
+All four are left-associative, and a higher level binds tighter.
+``_CALLS`` holds the known functions, each derivative a rule of (u, u'),
+or none where the function is not differentiable::
+
+    name  arity  opcode   derivative of name(u)
+    sin   1      OP_SIN   cos(u) * u'
+    cos   1      OP_COS   -(sin(u) * u')
+    exp   1      OP_EXP   exp(u) * u'
+    log   1      OP_LOG   u' / u
+    abs   1      OP_ABS   none
+    sqrt  1      OP_SQRT  u' / (2 * sqrt(u))
+    min   2      OP_MIN2  none
+    max   2      OP_MAX2  none
 """
 
 from __future__ import annotations
@@ -55,12 +69,6 @@ __all__ = [
     "print_expr",
     "substitute",
 ]
-
-UNARY_CALLS = ("sin", "cos", "exp", "log", "abs", "sqrt")
-BINARY_CALLS = ("min", "max")
-KNOWN_CALLS = UNARY_CALLS + BINARY_CALLS
-_ARITY = {**dict.fromkeys(UNARY_CALLS, 1), **dict.fromkeys(BINARY_CALLS, 2)}
-
 
 class ExprSyntaxError(ValueError):
     """Raised on input outside the grammar; carries position and expectations."""
@@ -144,28 +152,41 @@ class Call(Expr):
     args: tuple[Expr, ...] = ()
 
     def __post_init__(self):
-        want = _ARITY.get(self.name)
-        if want is None:
+        row = _CALLS.get(self.name)
+        if row is None:
             raise ValueError(f"unknown function {self.name!r}")
-        if len(self.args) != want:
-            raise ValueError(f"{self.name} takes {want} argument(s)")
+        if len(self.args) != row.arity:
+            raise ValueError(f"{self.name} takes {row.arity} argument(s)")
 
 
 # Binding levels, loosest first: the binary operators', then a unary minus,
 # a power and an atom.
 _LVL_ADD, _LVL_MUL, _LVL_UNARY, _LVL_ATOM = 1, 2, 3, 5
 
-# The binary operators (see the module docstring), and the same rows by
-# symbol and by node.
-_BinaryOp = namedtuple("_BinaryOp", "symbol level node opcode")
+# The binary operators and the known functions (see the module docstring),
+# and the operators by symbol and by node.  A rule builds its derivative
+# from operands whose derivatives are already taken, left to right.
+_BinaryOp = namedtuple("_BinaryOp", "symbol level node opcode derivative")
 _BINARY_OPS = (
-    _BinaryOp("+", _LVL_ADD, Add, _tape.OP_ADD),
-    _BinaryOp("-", _LVL_ADD, Sub, _tape.OP_SUB),
-    _BinaryOp("*", _LVL_MUL, Mul, _tape.OP_MUL),
-    _BinaryOp("/", _LVL_MUL, Div, _tape.OP_DIV),
+    _BinaryOp("+", _LVL_ADD, Add, _tape.OP_ADD, lambda a, b, da, db: _add(da, db)),
+    _BinaryOp("-", _LVL_ADD, Sub, _tape.OP_SUB, lambda a, b, da, db: _sub(da, db)),
+    _BinaryOp("*", _LVL_MUL, Mul, _tape.OP_MUL, lambda a, b, da, db: _add(_mul(da, b), _mul(a, db))),
+    _BinaryOp("/", _LVL_MUL, Div, _tape.OP_DIV, lambda a, b, da, db: _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, 2))),
 )
 _BINARY_OF_SYMBOL = {op.symbol: op for op in _BINARY_OPS}
 _BINARY_OF_NODE = {op.node: op for op in _BINARY_OPS}
+
+_CallRow = namedtuple("_CallRow", "arity opcode derivative")
+_CALLS = {
+    "sin": _CallRow(1, _tape.OP_SIN, lambda u, du: _mul(Call("cos", (u,)), du)),
+    "cos": _CallRow(1, _tape.OP_COS, lambda u, du: _neg(_mul(Call("sin", (u,)), du))),
+    "exp": _CallRow(1, _tape.OP_EXP, lambda u, du: _mul(Call("exp", (u,)), du)),
+    "log": _CallRow(1, _tape.OP_LOG, lambda u, du: _div(du, u)),
+    "abs": _CallRow(1, _tape.OP_ABS, None),
+    "sqrt": _CallRow(1, _tape.OP_SQRT, lambda u, du: _div(du, _mul(Const(2.0), Call("sqrt", (u,))))),
+    "min": _CallRow(2, _tape.OP_MIN2, None),
+    "max": _CallRow(2, _tape.OP_MAX2, None),
+}
 
 
 # --------------------------------------------------------------------------
@@ -254,7 +275,7 @@ class _Parser:
             return Const(float(text))
         if text == "t":
             return Var()
-        if text in KNOWN_CALLS:
+        if text in _CALLS:
             self.expect("(")
             args = [self.binary()]
             if self.accept(","):
@@ -263,9 +284,9 @@ class _Parser:
             try:
                 return Call(text, tuple(args))
             except ValueError as err:  # the arity rule is Call's
-                raise ExprSyntaxError(str(err), pos, {f"{_ARITY[text]} argument(s)"}) from None
+                raise ExprSyntaxError(str(err), pos, {f"{_CALLS[text].arity} argument(s)"}) from None
         if kind == "ident":
-            raise ExprSyntaxError(f"unknown name {text!r}", pos, {"t", *KNOWN_CALLS})
+            raise ExprSyntaxError(f"unknown name {text!r}", pos, {"t", *_CALLS})
         if text == "(":
             e = self.binary()
             self.expect(")")
@@ -432,46 +453,30 @@ def _pow(a: Expr, e: int) -> Expr:
 
 
 def differentiate(e: Expr) -> Expr:
-    """Symbolic d/dt; rejects abs/min/max with :class:`NonDifferentiableError`."""
+    """Symbolic d/dt by the rules of ``_BINARY_OPS`` and ``_CALLS``, operands left to right.
+
+    A call without a rule (abs, min, max) raises
+    :class:`NonDifferentiableError` before its argument is differentiated.
+    """
     if isinstance(e, Const):
         return Const(0.0)
     if isinstance(e, Var):
         return Const(1.0)
     if isinstance(e, Neg):
         return _neg(differentiate(e.arg))
-    if isinstance(e, Add):
-        return _add(differentiate(e.lhs), differentiate(e.rhs))
-    if isinstance(e, Sub):
-        return _sub(differentiate(e.lhs), differentiate(e.rhs))
-    if isinstance(e, Mul):
-        return _add(
-            _mul(differentiate(e.lhs), e.rhs), _mul(e.lhs, differentiate(e.rhs))
-        )
-    if isinstance(e, Div):
-        num = _sub(
-            _mul(differentiate(e.lhs), e.rhs), _mul(e.lhs, differentiate(e.rhs))
-        )
-        return _div(num, _pow(e.rhs, 2))
+    op = _BINARY_OF_NODE.get(type(e))
+    if op is not None:
+        return op.derivative(e.lhs, e.rhs, differentiate(e.lhs), differentiate(e.rhs))
     if isinstance(e, Pow):
         if e.exponent == 0:
             return Const(0.0)
         inner = differentiate(e.base)
         return _mul(_mul(Const(float(e.exponent)), _pow(e.base, e.exponent - 1)), inner)
     if isinstance(e, Call):
-        if e.name in ("abs", "min", "max"):
+        rule = _CALLS[e.name].derivative
+        if rule is None:
             raise NonDifferentiableError(f"{e.name} is not differentiable")
-        u = e.args[0]
-        du = differentiate(u)
-        if e.name == "sin":
-            return _mul(Call("cos", (u,)), du)
-        if e.name == "cos":
-            return _neg(_mul(Call("sin", (u,)), du))
-        if e.name == "exp":
-            return _mul(Call("exp", (u,)), du)
-        if e.name == "log":
-            return _div(du, u)
-        if e.name == "sqrt":
-            return _div(du, _mul(Const(2.0), Call("sqrt", (u,))))
+        return rule(e.args[0], differentiate(e.args[0]))
     raise TypeError(f"not an expression node: {e!r}")
 
 
