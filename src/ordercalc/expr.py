@@ -203,6 +203,11 @@ _TOKEN = re.compile(
     r"|(?P<bad>\S)"
 )
 _OPERAND = frozenset({"number", "t", "ident", "("})
+# The most parentheses, calls and unary minuses an operand may sit inside,
+# all counted together: deep enough for any kernel written by hand, and
+# shallow enough that parsing, printing, compiling and differentiating twice
+# stay well inside Python's default recursion limit.
+_MAX_NESTING = 100
 
 
 class _Parser:
@@ -216,7 +221,9 @@ class _Parser:
     ``_BINARY_OPS``, by Pratt's top-down operator precedence (POPL 1973):
     it joins operands while the next operator binds at least as tightly as
     ``level``, each right operand read one level tighter, so ``1 - 2 - 3``
-    is ``(1 - 2) - 3``.
+    is ``(1 - 2) - 3``.  Only ``nested`` recurses into a bracket, a call's
+    arguments or a unary minus's operand, and it refuses the token that
+    opens level ``_MAX_NESTING + 1``.
     """
 
     def __init__(self, src: str):
@@ -226,6 +233,7 @@ class _Parser:
                 raise ExprSyntaxError(f"unexpected character {text!r}", pos, _OPERAND)
         self.tokens.append(("end", "", len(src)))
         self.i = 0
+        self.depth = 0
 
     def next(self) -> tuple[str, str, int]:
         self.i += 1
@@ -242,6 +250,15 @@ class _Parser:
             _, got, pos = self.tokens[self.i]
             raise ExprSyntaxError(f"got {got or 'end of input'!r}", pos, {text})
 
+    def nested(self, pos: int, read) -> Expr:
+        """``read()``, one level deeper, the level opened by the token at ``pos``."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {_MAX_NESTING} levels", pos, {f"at most {_MAX_NESTING} levels"})
+        e = read()
+        self.depth -= 1
+        return e
+
     def parse(self) -> Expr:
         e = self.binary()
         kind, text, pos = self.tokens[self.i]
@@ -257,7 +274,8 @@ class _Parser:
         return e
 
     def factor(self) -> Expr:
-        return Neg(self.factor()) if self.accept("-") else self.power()
+        pos = self.tokens[self.i][2]
+        return Neg(self.nested(pos, self.factor)) if self.accept("-") else self.power()
 
     def power(self) -> Expr:
         base = self.atom()
@@ -272,14 +290,16 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, pos = self.next()
         if kind == "number":
-            return Const(float(text))
+            if not math.isfinite(value := float(text)):
+                raise ExprSyntaxError(f"number {text!r} overflows a float", pos, {"finite number"})
+            return Const(value)
         if text == "t":
             return Var()
         if text in _CALLS:
             self.expect("(")
-            args = [self.binary()]
+            args = [self.nested(pos, self.binary)]
             if self.accept(","):
-                args.append(self.binary())
+                args.append(self.nested(pos, self.binary))
             self.expect(")")
             try:
                 return Call(text, tuple(args))
@@ -288,7 +308,7 @@ class _Parser:
         if kind == "ident":
             raise ExprSyntaxError(f"unknown name {text!r}", pos, {"t", *_CALLS})
         if text == "(":
-            e = self.binary()
+            e = self.nested(pos, self.binary)
             self.expect(")")
             return e
         raise ExprSyntaxError(f"got {text or 'end of input'!r}", pos, _OPERAND)
@@ -490,15 +510,28 @@ def _fmt_const(v: float) -> str:
     return repr(v)
 
 
-# Each node's binding level in print.  A negative constant (never parsed)
-# prints with a leading minus, at unary level.
-_LEVELS = {Const: _LVL_ATOM, Var: _LVL_ATOM, Call: _LVL_ATOM, Neg: _LVL_UNARY, Pow: _LVL_UNARY + 1}
-_LEVELS.update((op.node, op.level) for op in _BINARY_OPS)
+def _print(e: Expr, need: int = 0) -> str:
+    """The text of ``e``, in brackets where ``e`` binds looser than level ``need``.
 
-
-def _wrap(e: Expr, need: int) -> str:
-    s = print_expr(e)
-    level = _LVL_UNARY if isinstance(e, Const) and e.value < 0 else _LEVELS[type(e)]
+    One frame per node deep, so that a derivative of the deepest nesting
+    the parser takes still prints.  A negative constant (never parsed)
+    prints with a leading minus, at unary level.
+    """
+    op = _BINARY_OF_NODE.get(type(e))
+    if op is not None:  # the right operand binds one level tighter: left-associative
+        s, level = f"{_print(e.lhs, op.level)} {op.symbol} {_print(e.rhs, op.level + 1)}", op.level
+    elif isinstance(e, Const):
+        s, level = _fmt_const(e.value), _LVL_UNARY if e.value < 0 else _LVL_ATOM
+    elif isinstance(e, Var):
+        s, level = "t", _LVL_ATOM
+    elif isinstance(e, Neg):
+        s, level = "-" + _print(e.arg, _LVL_UNARY), _LVL_UNARY
+    elif isinstance(e, Pow):
+        s, level = f"{_print(e.base, _LVL_ATOM)}^{e.exponent}", _LVL_UNARY + 1
+    elif isinstance(e, Call):
+        s, level = f"{e.name}({', '.join(map(_print, e.args))})", _LVL_ATOM
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
     return f"({s})" if level < need else s
 
 
@@ -508,20 +541,7 @@ def print_expr(e: Expr) -> str:
     The one exception is negative constants (never produced by the parser):
     they print with a leading minus and re-parse as a negation node.
     """
-    op = _BINARY_OF_NODE.get(type(e))
-    if op is not None:  # the right operand binds one level tighter: left-associative
-        return f"{_wrap(e.lhs, op.level)} {op.symbol} {_wrap(e.rhs, op.level + 1)}"
-    if isinstance(e, Const):
-        return _fmt_const(e.value)
-    if isinstance(e, Var):
-        return "t"
-    if isinstance(e, Neg):
-        return "-" + _wrap(e.arg, _LVL_UNARY)
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, _LVL_ATOM)}^{e.exponent}"
-    if isinstance(e, Call):
-        return f"{e.name}({', '.join(print_expr(a) for a in e.args)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    return _print(e)
 
 
 # --------------------------------------------------------------------------

@@ -329,9 +329,14 @@ class LatticeFunction:
 
     @classmethod
     def from_descriptor(cls, desc: dict) -> "LatticeFunction":
+        """The function a JSON descriptor names; ValueError names the field it cannot read."""
+        if not isinstance(desc, dict):
+            raise ValueError(f"function descriptor must be a JSON object, got {type(desc).__name__}")
         kind = desc.get("kind")
         if kind == "coordinatewise":
-            return cls.coordinatewise([str(s) for s in desc["kernels"]])
+            if not isinstance(kernels := desc.get("kernels"), list):
+                raise ValueError(f"function descriptor field 'kernels' must be a list of expressions, got {kernels!r}")
+            return cls.coordinatewise([str(s) for s in kernels])
         if kind == "swap-demo":
             return cls.swap()
         raise ValueError(f"unknown function descriptor kind {kind!r}")

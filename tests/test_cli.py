@@ -396,3 +396,32 @@ def test_a_dim_below_one_is_refused_by_name(command, dim, capsys):
         main([*command, "--dim", dim])
     assert info.value.code == 1
     assert f"argument --dim: must be at least 1, got {dim}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels, code", [(100, 0), (400, 1)])
+def test_a_kernel_nested_past_the_limit_exits_one_without_a_traceback(levels, code):
+    # In a child interpreter, as a user runs it, where 400 nested
+    # parentheses used to overflow the parser's stack.
+    kernel = "(" * levels + "t" + ")" * levels
+    argv = ["integrate", "--dim", "1", "--lo", "0", "--hi", "1", "--kernel", kernel]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ordercalc", *argv],
+        capture_output=True, text=True, env=with_package_path(os.environ),
+    )
+    assert proc.returncode == code and "Traceback" not in proc.stderr
+    if code:
+        assert proc.stderr == "error: nesting deeper than 100 levels at offset 100 (expected: at most 100 levels)\n"
+
+
+@pytest.mark.parametrize(
+    "descriptor, field",
+    [('{"kind": "coordinatewise"}', "'kernels'"), ("[1, 2]", "JSON object"),
+     ('{"kind": "coordinatewise", "kernels": "t^2"}', "'kernels'")],
+    ids=["no-kernels", "not-an-object", "kernels-a-string"],
+)
+def test_a_malformed_function_descriptor_exits_one_naming_the_field(descriptor, field, capsys):
+    code, out, err = run_cli(
+        "integrate", "--lo", "0", "--hi", "1", "--function", descriptor, capsys=capsys,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: function descriptor") and field in err and err.count("\n") == 1

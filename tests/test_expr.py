@@ -167,6 +167,74 @@ def test_numbers_and_names_are_ascii(src, pos):
     assert str(info.value).startswith(f"unexpected character {src[pos]!r}")
 
 
+@pytest.mark.parametrize(
+    "src, pos, literal", [("1e999", 0, "1e999"), ("t + 1e400", 4, "1e400"), ("1.8e308", 0, "1.8e308"), ("sin(2e308)", 4, "2e308")]
+)
+def test_an_overflowing_literal_is_refused_at_its_offset(src, pos, literal):
+    with pytest.raises(ex.ExprSyntaxError) as info:
+        ex.parse(src)
+    assert info.value.pos == pos
+    assert str(info.value).startswith(f"number {literal!r} overflows a float")
+
+
+def test_the_largest_and_an_underflowing_literal_still_parse():
+    assert ex.parse("1.7e308") == ex.Const(1.7e308)
+    assert ex.parse("1e-400") == ex.Const(0.0)
+
+
+def _nested(prefix: str, copies: int) -> str:
+    """``prefix`` repeated ``copies`` times before ``t``, each opened bracket closed."""
+    src = prefix * copies + "t"
+    return src + ")" * (src.count("(") - src.count(")"))
+
+
+# Prefixes of one level of nesting each (a bracket, a call, a unary minus,
+# and the shapes whose derivatives nest deepest), each with the offset in
+# it of the token that opens its level.
+_OPENERS = [("(", 0), ("t+(", 2), ("sin(", 0), ("min(t, ", 0), ("-", 0), ("1/(", 2), ("t^2/(", 4), ("sqrt(t)/(", 0)]
+
+
+# "-(" and "exp(-" open two levels each.
+@pytest.mark.parametrize(
+    "prefix, copies",
+    [(p, ex._MAX_NESTING) for p, _ in _OPENERS] + [("-(", ex._MAX_NESTING // 2), ("exp(-", ex._MAX_NESTING // 2)],
+)
+def test_nesting_at_the_limit_parses_prints_compiles_and_differentiates(prefix, copies):
+    e = ex.parse(_nested(prefix, copies))
+    assert ex.parse(ex.print_expr(e)) == e
+    ex._tape.compile_expr(e)
+    ex.substitute(e, ex.parse("t^2 + 1"))
+    if prefix.startswith("min"):
+        with pytest.raises(ex.NonDifferentiableError):
+            ex.differentiate(e)
+        return
+    ex.differentiate(ex.differentiate(e))
+
+
+def test_printing_takes_one_frame_per_node_deep():
+    # The second derivative of a quotient nested to the limit is about six
+    # nodes deep per level, so a derivative kernel's label prints only if
+    # each node costs one frame.
+    e = ex.Var()
+    for _ in range(600):
+        e = ex.Neg(e)
+    assert ex.print_expr(e) == "-" * 600 + "t"
+
+
+@pytest.mark.parametrize("prefix, opens_at", _OPENERS)
+def test_one_level_past_the_limit_is_refused_at_the_token_that_opens_it(prefix, opens_at):
+    with pytest.raises(ex.ExprSyntaxError) as info:
+        ex.parse(_nested(prefix, ex._MAX_NESTING + 1))
+    assert info.value.pos == len(prefix) * ex._MAX_NESTING + opens_at
+    assert str(info.value).startswith(f"nesting deeper than {ex._MAX_NESTING} levels")
+
+
+@pytest.mark.parametrize("prefix, copies", [("(", 400), ("-", 1200), ("sin(", 300), ("t+(", 250)])
+def test_nesting_that_overflowed_the_stack_is_refused(prefix, copies):
+    with pytest.raises(ex.ExprSyntaxError):
+        ex.parse(_nested(prefix, copies))
+
+
 def test_unicode_whitespace_is_skipped():
     assert ex.parse("sin(t)\u00a0+\u20031\x1c") == ex.parse("sin(t) + 1")
 

@@ -231,6 +231,19 @@ def test_descriptor_round_trip():
         LatticeFunction.from_descriptor({"kind": "mystery"})
 
 
+@pytest.mark.parametrize(
+    "desc, message",
+    [({"kind": "coordinatewise"}, "field 'kernels' must be a list of expressions, got None"),
+     ([1, 2], "must be a JSON object, got list"),
+     ({"kind": "coordinatewise", "kernels": "t^2"}, "field 'kernels' must be a list of expressions, got 't^2'")],
+    ids=["no-kernels", "not-an-object", "kernels-a-string"],
+)
+def test_a_malformed_descriptor_is_refused_by_field(desc, message):
+    with pytest.raises(ValueError) as info:
+        LatticeFunction.from_descriptor(desc)
+    assert str(info.value) == f"function descriptor {message}"
+
+
 # -- locally band preserving checks -------------------------------------------
 
 def test_lbp_check_passes_structurally_for_coordinatewise():

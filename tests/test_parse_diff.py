@@ -4,6 +4,8 @@ import importlib.util
 import types
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[1]
 
 _spec = importlib.util.spec_from_file_location("parse_diff", REPO / "tools" / "parse_diff.py")
@@ -51,3 +53,60 @@ def test_a_difference_is_listed_and_fails_the_run(monkeypatch, capsys):
     assert 0 < equal < 500 and out[0].endswith(" of 500 strings have equal outcomes")
     assert len(out) == 1 + 3 * min(parse_diff.SHOWN, 500 - equal)
     assert out[2].startswith("    parent: ") and out[3].startswith("    change: ")
+
+
+def test_the_repository_matches_itself_on_expressions(capsys):
+    assert parse_diff.main([str(REPO), str(REPO), "--exprs", "500", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == "500 of 500 expressions have equal outcomes\n"
+
+
+def test_expressions_are_seeded_and_cover_the_grammar():
+    sources = parse_diff.random_sources(2000, 1)
+    assert sources == parse_diff.random_sources(2000, 1) != parse_diff.random_sources(2000, 2)
+    expr = parse_diff.load_expr(REPO)
+    kinds, calls, exponents, outcomes = set(), set(), set(), set()
+    for src in sources:
+        stack = [expr.parse(src)]
+        while stack:
+            e = stack.pop()
+            kinds.add(type(e).__name__)
+            if isinstance(e, expr.Call):
+                calls.add((e.name, len(e.args)))
+            if isinstance(e, expr.Pow):
+                exponents.add(e.exponent)
+            stack.extend(x for x in vars(e).values() if isinstance(x, expr.Expr))
+            stack.extend(getattr(e, "args", ()))
+        outcomes.add(parse_diff.expr_outcome(expr, src)[-1][0])
+    assert kinds == {"Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call"}
+    assert calls == set(parse_diff.CALLS.items())
+    assert exponents == set(range(-3, 5))
+    assert {"ok", "NonDifferentiableError"} <= outcomes
+
+
+def test_a_derivative_difference_is_listed_and_fails_the_run(monkeypatch, capsys):
+    expr = parse_diff.load_expr(REPO)
+
+    def differentiate(e):  # negates the derivative of an expression that is an exp call
+        d = expr.differentiate(e)
+        return expr.Neg(d) if isinstance(e, expr.Call) and e.name == "exp" else d
+
+    changed = types.SimpleNamespace(**vars(expr))
+    changed.differentiate = differentiate
+    found = parse_diff.differences(expr, changed, ["t^2", "exp(t)", "abs(t)"], parse_diff.expr_outcome)
+    assert [src for src, _, _ in found] == ["exp(t)"]
+    src, a, b = found[0]
+    assert a[:4] == b[:4] and a[4] != b[4]  # parse, substitution, print and program agree
+
+    sides = {"p": expr, "c": changed}
+    monkeypatch.setattr(parse_diff, "load_expr", lambda tree: sides[str(tree)])
+    assert parse_diff.main(["p", "c", "--exprs", "500", "--seed", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    equal = int(out[0].split()[0])
+    assert 0 < equal < 500 and out[0].endswith(" of 500 expressions have equal outcomes")
+    assert len(out) == 1 + 3 * min(parse_diff.SHOWN, 500 - equal)
+
+
+def test_a_run_asks_for_some_inputs():
+    with pytest.raises(SystemExit) as info:
+        parse_diff.main([str(REPO), str(REPO), "--seed", "1"])
+    assert info.value.code == 2
