@@ -11,7 +11,9 @@ Expressions are univariate in ``t``.  Grammar (whitespace insignificant)::
 
 Digits are 0-9 and letters A-Z and a-z; any other character that is not
 whitespace is refused at its offset.  ``^`` takes a single integer
-exponent (possibly negative).
+exponent (possibly negative).  A number too large for a float is refused
+at its offset, and so is the token that opens a level of nesting past
+``_MAX_NESTING``, brackets, calls and unary minuses counted together.
 
 Two tables decide every node that is not a constant, ``t``, a negation or
 a power; the parser, ``Call``, the printer, ``substitute``,
