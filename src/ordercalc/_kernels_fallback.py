@@ -56,6 +56,22 @@ owns, and the tape format has no part in it: a retune of
 closing depth is unchanged.  Chunks fix only the evaluation (how many
 points a program runs on at once, and how large the buffers are):
 ``CHUNK_CELLS`` moves no bit.
+
+A uniform level of several rows of at least ``STRETCH_CELLS`` cells each
+is summed with numpy's ufunc buffer at ``STRETCH_CELLS`` elements.  With
+its default of 8192, numpy copies a per-row column (a row's step, lo or hi)
+into the buffer for every row shorter than that before broadcasting it;
+with a buffer no longer than a row it broadcasts in place.  Since numpy
+2.0 the size is scoped to ``np.errstate``, which ``_sum_cells`` enters, so
+the caller's size returns when the call returns or raises.  A level's
+reductions are at most one stretch long, no longer than the buffer.
+Measured on 2 shared vCPUs with numpy 2.4.6, a (16, 2049) array times a
+(16, 1) column took 33 µs with the default buffer and 11.6 µs with one of
+256, against 9.4 µs for one (1, 32769) row.  A `t^2` level of 512 rows of
+2048 cells went from 3.9 to 2.0 ns a cell, and one row of 2^20 cells takes
+2.4 ns a cell.  Shorter rows get slower with a small buffer: a (512, 65)
+product went from 32 to 46 µs.  So the rule starts at ``STRETCH_CELLS``
+cells, and one-row levels keep the caller's buffer.
 """
 
 from __future__ import annotations
@@ -117,7 +133,10 @@ _OPS = {
 # 2^13 cells at a time at 2^15 cells and 0.77-0.82 at 2^14; a call's one
 # allocation, three arrays of its first chunk for a uniform endpoint pass
 # (points and two of values) and two for any other, is 0.75 MiB for a
-# uniform endpoint pass at 2^15.
+# uniform endpoint pass at 2^15.  A chunk of several rows of at least
+# STRETCH_CELLS cells broadcasts each row's step, lo and hi without numpy's
+# buffer (see the module docstring), so 16 rows of 2048 cells cost about
+# what one row of 2^15 does.
 CHUNK_CELLS = 1 << 15
 
 # Uniform levels sum each stretch of this many cells pairwise, its point
@@ -537,8 +556,9 @@ def _fold_stretches(v: np.ndarray, xs: np.ndarray, at, vals, seen: np.ndarray, h
     stretches) subtotals, are not finite: a sum of large values can
     overflow where the products m·Δx do not.  They are gathered into one
     ``_products`` call, c + 1 points each for the chunk's c =
-    min(STRETCH_CELLS, cells); a short last stretch repeats its row's last
-    point, and its reduction leaves out the cells past its end.  A chunk
+    min(STRETCH_CELLS, cells), by one flat ``take`` of the values and one of
+    the points; a short last stretch repeats its row's last point, and its
+    reduction leaves out the cells past its end.  A chunk
     all of whose stretches hold an entry never gets here: it sums its
     products in place, without point sums or a gather (see ``_sum_cells``).
     """
@@ -551,10 +571,13 @@ def _fold_stretches(v: np.ndarray, xs: np.ndarray, at, vals, seen: np.ndarray, h
         return
     rows, ks = np.nonzero(redo)  # ordered by row, then stretch
     c = min(g, m)
-    cols = np.minimum(ks[:, None] * g + np.arange(c + 1), m)
+    starts = rows * (m + 1) + ks * g  # each stretch's first point in the chunk's points laid flat
+    flat = starts[:, None] + np.arange(c + 1)
+    if m % c:  # a short last stretch
+        flat = np.minimum(flat, (rows * (m + 1) + m)[:, None])
     if at is not None:  # each entry's stretch among those gathered, and its cell there
-        at = np.searchsorted(rows * redo.shape[1] + ks, at[0] * redo.shape[1] + at[1] // g), at[1] % g
-    mb = _products(v[rows[:, None], cols], xs[rows[:, None], cols], at, vals)
+        at = np.searchsorted(starts, at[0] * (m + 1) + at[1], "right") - 1, at[1] % g
+    mb = _products(v.take(flat), xs.take(flat), at, vals)
     sub = np.add.reduce(mb, axis=2)
     if m > g and m % g:  # the short last stretch of a row of several
         sub[:, ks == m // g] = np.add.reduce(mb[:, ks == m // g, : m % g], axis=2)
@@ -633,6 +656,8 @@ def _sum_cells(prog: Program | None, grid, entries=None, s: int = 0, prefix=None
     """
     rows, n, g = grid.rows, grid.n, STRETCH_CELLS
     uniform = isinstance(grid, UniformRows)
+    if uniform and rows > 1 and n >= g:  # broadcast rows unbuffered (see the module docstring)
+        np.setbufsize(g)
     pairwise = uniform and prefix is None
     span = max(n, 1)  # with no cells, no chunks
     reach = CHUNK_CELLS // 4 if s else CHUNK_CELLS

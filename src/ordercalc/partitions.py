@@ -114,13 +114,15 @@ def grid_points(ks: np.ndarray, lo, hi, step, first: bool, last: bool, out=None)
     float64, so a point depends only on its index and its row's values.
     ``out``, when given, receives the points (``ks`` may be ``out`` itself,
     holding them).  Indices increase and step >= 0, so the points increase
-    along each row: unless ``last``, they are clipped only when a row's last
-    one reaches hi, and otherwise all lie below it, which gives the same
-    bits.
+    along each row: where a point lies below hi, so do all before it.  So
+    one column decides the clip: the last, or with ``last`` (whose last
+    point becomes hi anyway) the one before it.  Where that column lies
+    below hi, so does every point kept, and skipping the clip gives the
+    same bits.
     """
     xs = np.multiply(ks, step, out=out)
     xs += lo
-    if last or np.count_nonzero(xs[..., -1:] >= hi):
+    if np.count_nonzero((xs[..., -2:-1] if last else xs[..., -1:]) >= hi):
         np.minimum(xs, hi, out=xs)
     if first:
         xs[..., :1] = lo

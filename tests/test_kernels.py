@@ -798,3 +798,52 @@ def test_level_sums_match_the_reference_whatever_stretches_hold_entries(n):
             for grid, row in ((band, r), (alone, 0)):
                 assert grid.running[:, row].tobytes() == want.tobytes(), (src, cover, r)
             assert (got[0][r], got[1][r]) == tuple(want[:, -1]), (src, cover, r)
+
+
+def test_a_sum_leaves_the_callers_numpy_buffer_as_it_found_it(monkeypatch):
+    # A uniform level of several rows of at least STRETCH_CELLS cells sums
+    # with numpy's ufunc buffer at STRETCH_CELLS; any other grid with the
+    # caller's.  Afterwards, and after a RowError, the caller's size holds.
+    g = K.STRETCH_CELLS
+    seen = []
+    point_sums = K._point_sums
+    monkeypatch.setattr(K, "_point_sums", lambda *a: (seen.append(np.getbufsize()), point_sums(*a))[1])
+    prog = ScalarKernel.from_string("1e306 + t").program
+    lo, hi = np.array([0.0, 0.0, 0.5]), np.array([1.0, 1000.0, 1.0])  # row 1's sums overflow
+    with np.errstate():
+        np.setbufsize(4096)
+        for rows, n, inside in [(slice(0, 3, 2), g, g), (slice(0, 3, 2), 2 * g, g), (slice(0, 1), 2 * g, 4096), (slice(0, 3, 2), g - 1, 4096)]:
+            K.darboux_endpoint(prog, K.UniformRows(lo[rows], hi[rows], n))
+            assert (seen.pop(), np.getbufsize()) == (inside, 4096), (rows, n)
+        with pytest.raises(K.RowError) as info:
+            K.darboux_endpoint(prog, K.UniformRows(lo, hi, 2 * g))
+        assert info.value.row == 1 and seen == [g]
+        assert np.getbufsize() == 4096
+    assert np.getbufsize() == 8192
+
+
+@pytest.mark.parametrize("n", [256, 512, 2048, 8192, 2**15 + 256])
+@pytest.mark.parametrize("src", ["t^2", "t^3 - t"])
+def test_rows_of_a_level_sum_as_each_row_alone(src, n):
+    # Many rows a chunk (and two chunks a row at 2^15 + 256), with entries
+    # in some rows and in none: each row's sums and running sums are the
+    # bits of the row summed alone, at the caller's numpy buffer.
+    rng = np.random.default_rng(n)
+    rows = max(2, min(40, 4 * K.CHUNK_CELLS // n))
+    lo = rng.uniform(-2.0, 1.0, rows)
+    hi = lo + rng.uniform(0.1, 2.0, rows)
+    hi[::7] = lo[::7]  # rows of zero width too
+    k, (e_rows, e_ts, e_vals) = _band(src, lo, hi)
+    assert 0 < len(np.unique(e_rows)) < rows
+    for entries in (True, False):
+        band = K.UniformRows(lo, hi, n)
+        got = K.darboux_critical(k.program, band, e_ts, e_vals, e_rows) if entries else K.darboux_endpoint(k.program, band)
+        for r in range(rows):
+            sel = e_rows == r
+            alone = K.UniformRows(lo[r : r + 1], hi[r : r + 1], n)
+            if entries and sel.any():
+                K.darboux_critical(k.program, alone, e_ts[sel], e_vals[sel], np.zeros(sel.sum(), dtype=np.int64))
+            else:
+                K.darboux_endpoint(k.program, alone)
+            assert band.running[:, r].tobytes() == alone.running[:, 0].tobytes(), (entries, r)
+            assert (got[0][r], got[1][r]) == tuple(alone.running[:, 0, -1]), (entries, r)

@@ -8,6 +8,7 @@ from ordercalc.partitions import (
     Partition,
     TaggedPartition,
     common_refinement,
+    grid_points,
     refines,
     tag,
     uniform,
@@ -54,6 +55,37 @@ def test_uniform_grid_rows_and_stretches_equal_the_whole_grid():
     assert rows.shape == (2, n + 1)
     assert rows[0].tobytes() == whole.tobytes()
     assert rows[1].tobytes() == uniform_grid(0.0, 1.0, n).tobytes()
+
+
+def _clipping_every_point(ks, lo, hi, step, first, last):
+    xs = np.minimum(ks * step + lo, hi)
+    if first:
+        xs[..., :1] = lo
+    if last:
+        xs[..., -1:] = hi
+    return xs
+
+
+def test_grid_points_equal_a_clip_of_every_point():
+    # Rows whose penultimate point rounds up to hi (a step far below the
+    # spacing of the floats near 1e16), a row whose width overflows (its
+    # inner points are inf until clipped), rows of zero width and ordinary
+    # ones; whole rows, chunks that start or end inside a row, and chunks
+    # of two and three points at a row's end.
+    lo = np.array([1e16, 1e16, -1e308, -1.0, 0.1, 3.0, -2.5e-300])[:, None]
+    hi = np.array([1e16 + 64.0, 1e16 + 4.0, 1e308, 1.0, 0.7, 3.0, 7e-301])[:, None]
+    n = 2**20
+    ks = np.arange(n + 1, dtype=np.float64)
+    assert ks[-2] * (64.0 / n) + 1e16 == 1e16 + 64.0
+    with np.errstate(over="ignore", invalid="ignore"):  # inf steps, and 0 * inf at a first point, which is lo
+        step = (hi - lo) / n
+        for c0, c1 in [(0, n), (0, 2**15), (n - 2**15, n), (2**15, 2**16), (n - 1, n), (n - 2, n), (n - 3, n - 1), (0, 1)]:
+            chunk = ks[c0 : c1 + 1]
+            first, last = c0 == 0, c1 == n
+            want = _clipping_every_point(chunk, lo, hi, step, first, last)
+            assert grid_points(chunk, lo, hi, step, first, last).tobytes() == want.tobytes(), (c0, c1)
+            out = np.add(chunk, 0.0, out=np.empty_like(want))  # indices offset in place, as levels form them
+            assert grid_points(out, lo, hi, step, first, last, out).tobytes() == want.tobytes(), (c0, c1)
 
 
 def test_partition_validation():
