@@ -134,11 +134,10 @@ def _pow(xl, xh, n: int):
     rel = (m + 1) * _EPS  # the evaluator's repeated squaring, or libm pow
     pl, ph = np.power(xl, m), np.power(xh, m)
     if m % 2:
-        lo, hi = pl, ph
-    else:
+        lo, hi = _down(pl, rel), _up(ph, rel)
+    else:  # both bounds are >= 0 or NaN, where the sign selects of _down and _up pick these products
         lo = np.where(xl > 0.0, pl, np.where(xh < 0.0, ph, 0.0))
-        hi = np.maximum(pl, ph)
-    lo, hi = _down(lo, rel), _up(hi, rel)
+        lo, hi = _down(lo * (1.0 - rel)), _up(np.maximum(pl, ph) * (1.0 + rel))
     if n < 0:
         return _div(1.0, 1.0, lo, hi)
     return lo, hi

@@ -86,6 +86,42 @@ def test_negated_constant_stays_a_point_with_the_same_bounds(monkeypatch):
         assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
 
 
+def _pow_with_sign_selects(xl, xh, n: int):
+    """``_interval._pow`` as it was before even powers skipped the sign selects of ``_down`` and ``_up``."""
+    if n == 0:
+        return 1.0, 1.0
+    m = abs(n)
+    rel = (m + 1) * _interval._EPS
+    pl, ph = np.power(xl, m), np.power(xh, m)
+    if m % 2:
+        lo, hi = pl, ph
+    else:
+        lo = np.where(xl > 0.0, pl, np.where(xh < 0.0, ph, 0.0))
+        hi = np.maximum(pl, ph)
+    lo, hi = _interval._down(lo, rel), _interval._up(hi, rel)
+    if n < 0:
+        return _interval._div(1.0, 1.0, lo, hi)
+    return lo, hi
+
+
+def test_even_powers_enclose_as_with_the_sign_selects(monkeypatch):
+    # 2000 pieces: across 0, negative, positive, from 0, to 0, of zero
+    # width, at every scale, with infinite ends, and with NaN ends.
+    rng = np.random.default_rng(5)
+    a = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-200, 200, 2000)
+    b = a + 10.0 ** rng.uniform(-200, 200, 2000)
+    a[:100], b[100:200], a[200:300], b[300:400] = 0.0, 0.0, -np.inf, np.inf
+    a[400:450], b[450:500], b[500:550] = np.nan, np.nan, a[500:550]
+    a[:400], b[:400] = np.minimum(a[:400], b[:400]), np.maximum(a[:400], b[:400])
+    assert np.count_nonzero((a < 0) & (b > 0)) > 300 and np.count_nonzero(b < 0) > 300
+    progs = [ScalarKernel.from_string(src).program for src in ("t^2", "t^4", "t^-2", "(t - 1)^6")]
+    got = [enclose(prog, a, b) for prog in progs]
+    monkeypatch.setattr(_interval, "_pow", _pow_with_sign_selects)
+    for prog, (lo, hi) in zip(progs, got):
+        want_lo, want_hi = enclose(prog, a, b)
+        assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
+
+
 def test_sin_cos_enclosures_reach_their_peaks():
     sin = ScalarKernel.from_string("sin(t)").program
     cos = ScalarKernel.from_string("cos(t)").program
