@@ -13,7 +13,9 @@ Digits are 0-9 and letters A-Z and a-z; any other character that is not
 whitespace is refused at its offset.  ``^`` takes a single integer
 exponent (possibly negative).  A number too large for a float is refused
 at its offset, and so is the token that opens a level of nesting past
-``_MAX_NESTING``, brackets, calls and unary minuses counted together.
+``_MAX_NESTING``, brackets, calls and unary minuses counted together, and
+the token that makes a node deeper than ``_MAX_DEPTH`` in the AST, where
+each operator of a chain such as ``t+t+t`` is one level.
 
 Two tables decide every node that is not a constant, ``t``, a negation or
 a power; the parser, ``Call``, the printer, ``substitute``,
@@ -210,6 +212,14 @@ _OPERAND = frozenset({"number", "t", "ident", "("})
 # shallow enough that parsing, printing, compiling and differentiating twice
 # stay well inside Python's default recursion limit.
 _MAX_NESTING = 100
+# The most nodes above a leaf of the AST (t or a constant): operators, powers,
+# calls and negations, each operator of a flat chain one level deeper than
+# the next.  Printing, compiling and substituting take about one frame a
+# level, and a second derivative grows about six levels for each quotient:
+# the worst shape found, a chain of 120 divisions, needs about 730 frames to
+# compile its second derivative, as deep as the worst nesting (t^2/( at
+# depth 101) needs 611 to parse.
+_MAX_DEPTH = 120
 
 
 class _Parser:
@@ -225,7 +235,9 @@ class _Parser:
     ``level``, each right operand read one level tighter, so ``1 - 2 - 3``
     is ``(1 - 2) - 3``.  Only ``nested`` recurses into a bracket, a call's
     arguments or a unary minus's operand, and it refuses the token that
-    opens level ``_MAX_NESTING + 1``.
+    opens level ``_MAX_NESTING + 1``.  Each method returns its node with its
+    depth, and ``above`` refuses the token whose node would be deeper than
+    ``_MAX_DEPTH``.
     """
 
     def __init__(self, src: str):
@@ -252,7 +264,7 @@ class _Parser:
             _, got, pos = self.tokens[self.i]
             raise ExprSyntaxError(f"got {got or 'end of input'!r}", pos, {text})
 
-    def nested(self, pos: int, read) -> Expr:
+    def nested(self, pos: int, read) -> tuple[Expr, int]:
         """``read()``, one level deeper, the level opened by the token at ``pos``."""
         self.depth += 1
         if self.depth > _MAX_NESTING:
@@ -261,52 +273,65 @@ class _Parser:
         self.depth -= 1
         return e
 
+    def above(self, pos: int, depth: int) -> int:
+        """The depth of a node made by the token at ``pos`` over operands at most ``depth`` deep."""
+        if depth >= _MAX_DEPTH:
+            raise ExprSyntaxError(f"expression deeper than {_MAX_DEPTH} levels", pos, {f"at most {_MAX_DEPTH} levels"})
+        return depth + 1
+
     def parse(self) -> Expr:
-        e = self.binary()
+        e, _ = self.binary()
         kind, text, pos = self.tokens[self.i]
         if kind != "end":
             raise ExprSyntaxError(f"trailing input {text!r}", pos, {*_BINARY_OF_SYMBOL, "^", "end"})
         return e
 
-    def binary(self, level: int = _LVL_ADD) -> Expr:
-        e = self.factor()
+    def binary(self, level: int = _LVL_ADD) -> tuple[Expr, int]:
+        lhs = self.factor()
         while (op := _BINARY_OF_SYMBOL.get(self.tokens[self.i][1])) is not None and op.level >= level:
-            self.i += 1
-            e = op.node(e, self.binary(op.level + 1))
-        return e
+            pos = self.next()[2]
+            rhs = self.binary(op.level + 1)
+            lhs = op.node(lhs[0], rhs[0]), self.above(pos, max(lhs[1], rhs[1]))
+        return lhs
 
-    def factor(self) -> Expr:
+    def factor(self) -> tuple[Expr, int]:
         pos = self.tokens[self.i][2]
-        return Neg(self.nested(pos, self.factor)) if self.accept("-") else self.power()
+        if not self.accept("-"):
+            return self.power()
+        e, depth = self.nested(pos, self.factor)
+        return Neg(e), self.above(pos, depth)
 
-    def power(self) -> Expr:
+    def power(self) -> tuple[Expr, int]:
         base = self.atom()
+        pos = self.tokens[self.i][2]
         if not self.accept("^"):
             return base
         sign = -1 if self.accept("-") else 1
-        _, text, pos = self.next()
+        _, text, at = self.next()
         if not text.isdigit():  # only a number token without '.' or an exponent is all digits
-            raise ExprSyntaxError(f"got {text or 'end of input'!r}", pos, {"integer"})
-        return Pow(base, sign * int(text))
+            raise ExprSyntaxError(f"got {text or 'end of input'!r}", at, {"integer"})
+        return Pow(base[0], sign * int(text)), self.above(pos, base[1])
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         kind, text, pos = self.next()
         if kind == "number":
             if not math.isfinite(value := float(text)):
                 raise ExprSyntaxError(f"number {text!r} overflows a float", pos, {"finite number"})
-            return Const(value)
+            return Const(value), 0
         if text == "t":
-            return Var()
+            return Var(), 0
         if text in _CALLS:
             self.expect("(")
-            args = [self.nested(pos, self.binary)]
+            parts = [self.nested(pos, self.binary)]
             if self.accept(","):
-                args.append(self.nested(pos, self.binary))
+                parts.append(self.nested(pos, self.binary))
             self.expect(")")
+            args, depths = zip(*parts)
             try:
-                return Call(text, tuple(args))
+                call = Call(text, args)
             except ValueError as err:  # the arity rule is Call's
                 raise ExprSyntaxError(str(err), pos, {f"{_CALLS[text].arity} argument(s)"}) from None
+            return call, self.above(pos, max(depths))
         if kind == "ident":
             raise ExprSyntaxError(f"unknown name {text!r}", pos, {"t", *_CALLS})
         if text == "(":

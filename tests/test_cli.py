@@ -413,6 +413,17 @@ def test_a_kernel_nested_past_the_limit_exits_one_without_a_traceback(levels, co
         assert proc.stderr == "error: nesting deeper than 100 levels at offset 100 (expected: at most 100 levels)\n"
 
 
+def test_a_kernel_chained_past_the_depth_limit_exits_one_without_a_traceback():
+    # 1200 terms used to print a RecursionError traceback from differentiate.
+    argv = ["integrate", "--dim", "1", "--lo", "0", "--hi", "1", "--kernel", "+".join(["t"] * 1200)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ordercalc", *argv],
+        capture_output=True, text=True, env=with_package_path(os.environ),
+    )
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr == "error: expression deeper than 120 levels at offset 241 (expected: at most 120 levels)\n"
+
+
 @pytest.mark.parametrize(
     "descriptor, field",
     [('{"kind": "coordinatewise"}', "'kernels'"), ("[1, 2]", "JSON object"),

@@ -235,6 +235,48 @@ def test_nesting_that_overflowed_the_stack_is_refused(prefix, copies):
         ex.parse(_nested(prefix, copies))
 
 
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+def test_a_chain_at_the_depth_limit_parses_prints_compiles_and_differentiates(op):
+    e = ex.parse(op.join(["t"] * (ex._MAX_DEPTH + 1)))
+    assert ex.parse(ex.print_expr(e)) == e
+    ex._tape.compile_expr(e)
+    ex.substitute(e, ex.parse("t^2 + 1"))
+    d2 = ex.differentiate(ex.differentiate(e))
+    ex.print_expr(d2)
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+def test_one_operator_past_the_depth_limit_is_refused_at_that_operator(op):
+    src = op.join(["t"] * (ex._MAX_DEPTH + 2))
+    with pytest.raises(ex.ExprSyntaxError) as info:
+        ex.parse(src)
+    assert info.value.pos == 2 * ex._MAX_DEPTH + 1 == src.rindex(op)
+    assert str(info.value).startswith(f"expression deeper than {ex._MAX_DEPTH} levels")
+
+
+# A chain over 60 minuses and a power, and over 90 nested calls: the first
+# node past the limit is the 60th addition and the 31st product.
+@pytest.mark.parametrize(
+    "head, link, links",
+    [("-" * 60 + "t^2", "+t", 60), ("sin(" * 90 + "t" + ")" * 90, "*t", 31)],
+    ids=["minuses-and-a-power", "calls"],
+)
+def test_every_node_kind_counts_toward_the_depth_limit(head, link, links):
+    ex.parse(head + link * (links - 1))
+    with pytest.raises(ex.ExprSyntaxError) as info:
+        ex.parse(head + link * links)
+    assert info.value.pos == len(head) + 2 * (links - 1)
+    assert str(info.value).startswith(f"expression deeper than {ex._MAX_DEPTH} levels")
+
+
+def test_chains_that_overflowed_the_stack_are_refused():
+    # At 1200 terms printing, compiling, substituting and differentiating
+    # each raised RecursionError.
+    for op in "+-*/":
+        with pytest.raises(ex.ExprSyntaxError):
+            ex.parse(op.join(["t"] * 1200))
+
+
 def test_unicode_whitespace_is_skipped():
     assert ex.parse("sin(t)\u00a0+\u20031\x1c") == ex.parse("sin(t) + 1")
 
