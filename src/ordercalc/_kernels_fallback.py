@@ -558,9 +558,9 @@ def _fold_stretches(v: np.ndarray, xs: np.ndarray, at, vals, seen: np.ndarray, h
     ``_products`` call, c + 1 points each for the chunk's c =
     min(STRETCH_CELLS, cells), by one flat ``take`` of the values and one of
     the points; a short last stretch repeats its row's last point, and its
-    reduction leaves out the cells past its end.  A chunk
-    all of whose stretches hold an entry never gets here: it sums its
-    products in place, without point sums or a gather (see ``_sum_cells``).
+    reduction leaves out the cells past its end.  A chunk all of whose
+    stretches hold an entry never gets here: it sums its products in place,
+    without point sums or a gather (see ``_sum_cells``).
     """
     g, m = STRETCH_CELLS, xs.shape[1] - 1
     redo = held

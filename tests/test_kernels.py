@@ -807,7 +807,12 @@ def test_a_sum_leaves_the_callers_numpy_buffer_as_it_found_it(monkeypatch):
     g = K.STRETCH_CELLS
     seen = []
     point_sums = K._point_sums
-    monkeypatch.setattr(K, "_point_sums", lambda *a: (seen.append(np.getbufsize()), point_sums(*a))[1])
+
+    def recording(*args):
+        seen.append(np.getbufsize())
+        return point_sums(*args)
+
+    monkeypatch.setattr(K, "_point_sums", recording)
     prog = ScalarKernel.from_string("1e306 + t").program
     lo, hi = np.array([0.0, 0.0, 0.5]), np.array([1.0, 1000.0, 1.0])  # row 1's sums overflow
     with np.errstate():

@@ -9,7 +9,9 @@ the side that goes first alternates from one round to the next.  The tool
 reports each side's median, minimum and runs, and the ratio of the
 change's median to the parent's.  It writes nothing, and it exits 1 if any
 run fails.  ``--calls`` keeps the calls whose id starts with the prefix
-(``mvt[`` for the MVT solves of ``calculus``).  Run from anywhere:
+(``mvt[`` for the MVT solves of ``calculus``); each antiderivative query
+call reads the antiderivative its build call made, so ``antiderivative``
+keeps both.  Run from anywhere:
 
     python tools/pass_pairs.py PARENT CHANGE --workload wide --processes 8 \\
         --passes 30 --seed 1
