@@ -5,13 +5,14 @@ and returns ``(lo, hi)`` with ``lo[i] <= k(t) <= hi[i]`` for every t in
 ``[a[i], b[i]]`` at which the kernel is defined (Moore, Kearfott and Cloud,
 *Introduction to Interval Analysis*, SIAM 2009).  ``_tape.run`` alone steps
 through the program; this module supplies only its op table, ``_OPS``,
-which maps each opcode to an operation on (lo, hi) pairs.  Every operation
-that rounds is rounded outward with ``np.nextafter``; numpy's sin, cos, exp
-and log and the power routine are widened by a few ulps more, since they
-are not correctly rounded.  A zero result stays zero: the operations here
-produce one only exactly, up to underflow.  A divisor that contains 0, or a
-log or sqrt argument wholly outside the domain, gives the unbounded
-enclosure ``(-inf, inf)``; an argument partly outside it is clipped to it.
+which maps each step's name to an operation on (lo, hi) pairs.  Every
+operation that rounds is rounded outward with ``np.nextafter``; numpy's
+sin, cos, exp and log and the power routine are widened by a few ulps more,
+since they are not correctly rounded.  A zero result stays zero: the
+operations here produce one only exactly, up to underflow.  A divisor that
+contains 0, or a log or sqrt argument wholly outside the domain, gives the
+unbounded enclosure ``(-inf, inf)``; an argument partly outside it is
+clipped to it.
 
 ``isolate`` subdivides the intervals of many rows (the atoms of a band)
 breadth-first, every piece in one array beside the row that owns it,
@@ -26,24 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels_fallback import RowError, _finite, _run
-from ._tape import (
-    OP_ABS,
-    OP_ADD,
-    OP_COS,
-    OP_DIV,
-    OP_EXP,
-    OP_LOG,
-    OP_MAX2,
-    OP_MIN2,
-    OP_MUL,
-    OP_NEG,
-    OP_POW,
-    OP_SIN,
-    OP_SQRT,
-    OP_SUB,
-    Program,
-    run,
-)
+from ._tape import Program, run
 from .expr import EvalDomainError
 
 _EPS = np.finfo(float).eps
@@ -187,20 +171,20 @@ def _abs(xl, xh):
 
 # The interval evaluator's op table, over (lo, hi) pairs.
 _OPS = {
-    OP_NEG: lambda x: _neg(*x),
-    OP_ADD: lambda x, y: (_down(x[0] + y[0]), _up(x[1] + y[1])),
-    OP_SUB: lambda x, y: (_down(x[0] - y[1]), _up(x[1] - y[0])),
-    OP_MUL: lambda x, y: _mul(*x, *y),
-    OP_DIV: lambda x, y: _div(*x, *y),
-    OP_POW: lambda x, n: _pow(*x, n),
-    OP_SIN: lambda x: _periodic(*x, np.sin, 0.5 * np.pi),
-    OP_COS: lambda x: _periodic(*x, np.cos, 0.0),
-    OP_EXP: lambda x: _exp(*x),
-    OP_LOG: lambda x: _monotone(*x, np.log, _LIB_REL, 0.0, True),
-    OP_SQRT: lambda x: _monotone(*x, np.sqrt, 0.0, 0.0, False),
-    OP_ABS: lambda x: _abs(*x),
-    OP_MIN2: lambda x, y: (np.minimum(x[0], y[0]), np.minimum(x[1], y[1])),
-    OP_MAX2: lambda x, y: (np.maximum(x[0], y[0]), np.maximum(x[1], y[1])),
+    "neg": lambda x: _neg(*x),
+    "+": lambda x, y: (_down(x[0] + y[0]), _up(x[1] + y[1])),
+    "-": lambda x, y: (_down(x[0] - y[1]), _up(x[1] - y[0])),
+    "*": lambda x, y: _mul(*x, *y),
+    "/": lambda x, y: _div(*x, *y),
+    "^": lambda x, n: _pow(*x, n),
+    "sin": lambda x: _periodic(*x, np.sin, 0.5 * np.pi),
+    "cos": lambda x: _periodic(*x, np.cos, 0.0),
+    "exp": lambda x: _exp(*x),
+    "log": lambda x: _monotone(*x, np.log, _LIB_REL, 0.0, True),
+    "sqrt": lambda x: _monotone(*x, np.sqrt, 0.0, 0.0, False),
+    "abs": lambda x: _abs(*x),
+    "min": lambda x, y: (np.minimum(x[0], y[0]), np.minimum(x[1], y[1])),
+    "max": lambda x, y: (np.maximum(x[0], y[0]), np.maximum(x[1], y[1])),
 }
 
 

@@ -44,8 +44,9 @@ whole band, or one row given as a 1-D breakpoint array.  No library path
 calls the ``prefix_*`` entry points any more; they are kept for the
 benchmark, which times and traces them.  Programs are evaluated over
 arrays of points through ``_tape.run``, which alone steps through programs;
-this module supplies the numpy evaluator's op table, ``_OPS``, and
-``_IN_PLACE``, the same table writing each result into a buffer of
+this module supplies the numpy evaluator's op table, ``_OPS``, from each
+step's name to its numpy function, and ``_IN_PLACE``, the same table, by
+the same names, writing each result into a buffer of
 ``_Buffers``: a sum allocates those once a call, and every chunk reuses
 them.  The products m·Δx, of given rows and of the stretches a uniform
 level sums by products, are arrays of their own.  ``CHUNK_CELLS`` and
@@ -81,24 +82,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from ._tape import (
-    OP_ABS,
-    OP_ADD,
-    OP_COS,
-    OP_DIV,
-    OP_EXP,
-    OP_LOG,
-    OP_MAX2,
-    OP_MIN2,
-    OP_MUL,
-    OP_NEG,
-    OP_POW,
-    OP_SIN,
-    OP_SQRT,
-    OP_SUB,
-    Program,
-    run,
-)
+from ._tape import Program, run
 from .expr import EvalDomainError, _ipow
 from .partitions import grid_points
 
@@ -108,20 +92,20 @@ NAME = "numpy"
 # form that runs.  ``^`` is ``expr._ipow``, which the float op table behind
 # ``expr.eval_expr`` shares, so scalar and array values agree bit for bit.
 _OPS = {
-    OP_NEG: np.negative,
-    OP_ADD: np.add,
-    OP_SUB: np.subtract,
-    OP_MUL: np.multiply,
-    OP_DIV: np.divide,
-    OP_POW: _ipow,
-    OP_SIN: np.sin,
-    OP_COS: np.cos,
-    OP_EXP: np.exp,
-    OP_LOG: np.log,
-    OP_ABS: np.abs,
-    OP_SQRT: np.sqrt,
-    OP_MIN2: np.minimum,
-    OP_MAX2: np.maximum,
+    "neg": np.negative,
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "^": _ipow,
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": np.log,
+    "abs": np.abs,
+    "sqrt": np.sqrt,
+    "min": np.minimum,
+    "max": np.maximum,
 }
 
 # Cells evaluated at once: one part of a long row, or as many whole rows as
@@ -275,7 +259,7 @@ def _divide_into(x, y):
 
 
 # The numpy op table ``_OPS`` made to write in place, into the buffers of
-# the run: each op writes its result into an operand the table owns (an
+# the run, keyed by the same step names: each op writes its result into an operand the table owns (an
 # earlier result) or else into a free buffer, and frees the other operand
 # it owned.  Constants stay numpy scalars, an op of scalars alone gives a
 # scalar, and the run's points are never written.  ``^`` is ``expr._ipow``
@@ -284,7 +268,7 @@ def _divide_into(x, y):
 # out of place.
 _IN_PLACE = {
     op: _pow_into
-    if op == OP_POW
+    if op == "^"
     else partial(_binary_into if f.nin == 2 else _unary_into, f)
     for op, f in _OPS.items()
 }

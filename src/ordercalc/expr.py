@@ -22,25 +22,25 @@ a power; the parser, ``Call``, the printer, ``substitute``,
 ``differentiate`` and ``_tape.compile_expr`` read them.  ``_BINARY_OPS``
 holds the binary operators, each derivative a rule of (a, b, a', b')::
 
-    symbol  level  node  opcode  derivative of a op b
-    +       1      Add   OP_ADD  a' + b'
-    -       1      Sub   OP_SUB  a' - b'
-    *       2      Mul   OP_MUL  a' * b + a * b'
-    /       2      Div   OP_DIV  (a' * b - a * b') / b^2
+    symbol  level  node  derivative of a op b
+    +       1      Add   a' + b'
+    -       1      Sub   a' - b'
+    *       2      Mul   a' * b + a * b'
+    /       2      Div   (a' * b - a * b') / b^2
 
 All four are left-associative, and a higher level binds tighter.
 ``_CALLS`` holds the known functions, each derivative a rule of (u, u'),
 or none where the function is not differentiable::
 
-    name  arity  opcode   derivative of name(u)
-    sin   1      OP_SIN   cos(u) * u'
-    cos   1      OP_COS   -(sin(u) * u')
-    exp   1      OP_EXP   exp(u) * u'
-    log   1      OP_LOG   u' / u
-    abs   1      OP_ABS   none
-    sqrt  1      OP_SQRT  u' / (2 * sqrt(u))
-    min   2      OP_MIN2  none
-    max   2      OP_MAX2  none
+    name  arity  derivative of name(u)
+    sin   1      cos(u) * u'
+    cos   1      -(sin(u) * u')
+    exp   1      exp(u) * u'
+    log   1      u' / u
+    abs   1      none
+    sqrt  1      u' / (2 * sqrt(u))
+    min   2      none
+    max   2      none
 """
 
 from __future__ import annotations
@@ -170,26 +170,26 @@ _LVL_ADD, _LVL_MUL, _LVL_UNARY, _LVL_ATOM = 1, 2, 3, 5
 # The binary operators and the known functions (see the module docstring),
 # and the operators by symbol and by node.  A rule builds its derivative
 # from operands whose derivatives are already taken, left to right.
-_BinaryOp = namedtuple("_BinaryOp", "symbol level node opcode derivative")
+_BinaryOp = namedtuple("_BinaryOp", "symbol level node derivative")
 _BINARY_OPS = (
-    _BinaryOp("+", _LVL_ADD, Add, _tape.OP_ADD, lambda a, b, da, db: _add(da, db)),
-    _BinaryOp("-", _LVL_ADD, Sub, _tape.OP_SUB, lambda a, b, da, db: _sub(da, db)),
-    _BinaryOp("*", _LVL_MUL, Mul, _tape.OP_MUL, lambda a, b, da, db: _add(_mul(da, b), _mul(a, db))),
-    _BinaryOp("/", _LVL_MUL, Div, _tape.OP_DIV, lambda a, b, da, db: _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, 2))),
+    _BinaryOp("+", _LVL_ADD, Add, lambda a, b, da, db: _add(da, db)),
+    _BinaryOp("-", _LVL_ADD, Sub, lambda a, b, da, db: _sub(da, db)),
+    _BinaryOp("*", _LVL_MUL, Mul, lambda a, b, da, db: _add(_mul(da, b), _mul(a, db))),
+    _BinaryOp("/", _LVL_MUL, Div, lambda a, b, da, db: _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, 2))),
 )
 _BINARY_OF_SYMBOL = {op.symbol: op for op in _BINARY_OPS}
 _BINARY_OF_NODE = {op.node: op for op in _BINARY_OPS}
 
-_CallRow = namedtuple("_CallRow", "arity opcode derivative")
+_CallRow = namedtuple("_CallRow", "arity derivative")
 _CALLS = {
-    "sin": _CallRow(1, _tape.OP_SIN, lambda u, du: _mul(Call("cos", (u,)), du)),
-    "cos": _CallRow(1, _tape.OP_COS, lambda u, du: _neg(_mul(Call("sin", (u,)), du))),
-    "exp": _CallRow(1, _tape.OP_EXP, lambda u, du: _mul(Call("exp", (u,)), du)),
-    "log": _CallRow(1, _tape.OP_LOG, lambda u, du: _div(du, u)),
-    "abs": _CallRow(1, _tape.OP_ABS, None),
-    "sqrt": _CallRow(1, _tape.OP_SQRT, lambda u, du: _div(du, _mul(Const(2.0), Call("sqrt", (u,))))),
-    "min": _CallRow(2, _tape.OP_MIN2, None),
-    "max": _CallRow(2, _tape.OP_MAX2, None),
+    "sin": _CallRow(1, lambda u, du: _mul(Call("cos", (u,)), du)),
+    "cos": _CallRow(1, lambda u, du: _neg(_mul(Call("sin", (u,)), du))),
+    "exp": _CallRow(1, lambda u, du: _mul(Call("exp", (u,)), du)),
+    "log": _CallRow(1, lambda u, du: _div(du, u)),
+    "abs": _CallRow(1, None),
+    "sqrt": _CallRow(1, lambda u, du: _div(du, _mul(Const(2.0), Call("sqrt", (u,))))),
+    "min": _CallRow(2, None),
+    "max": _CallRow(2, None),
 }
 
 
@@ -416,20 +416,20 @@ def _fexp(x: float) -> float:
 # for e < 0 takes 1.0 / _ipow(x, -e) by _fdiv.  min and max propagate NaN,
 # and a tie gives the second operand (its zero's sign), as np.minimum does.
 _FLOAT_OPS = {
-    _tape.OP_NEG: operator.neg,
-    _tape.OP_ADD: operator.add,
-    _tape.OP_SUB: operator.sub,
-    _tape.OP_MUL: operator.mul,
-    _tape.OP_DIV: _fdiv,
-    _tape.OP_POW: lambda x, e: _ipow(x, e, div=_fdiv),
-    _tape.OP_SIN: lambda x: math.sin(x) if math.isfinite(x) else math.nan,
-    _tape.OP_COS: lambda x: math.cos(x) if math.isfinite(x) else math.nan,
-    _tape.OP_EXP: _fexp,
-    _tape.OP_LOG: lambda x: math.log(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan,
-    _tape.OP_ABS: abs,
-    _tape.OP_SQRT: lambda x: math.sqrt(x) if x >= 0.0 else math.nan,
-    _tape.OP_MIN2: lambda x, y: x if x < y or x != x else y,
-    _tape.OP_MAX2: lambda x, y: x if x > y or x != x else y,
+    "neg": operator.neg,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _fdiv,
+    "^": lambda x, e: _ipow(x, e, div=_fdiv),
+    "sin": lambda x: math.sin(x) if math.isfinite(x) else math.nan,
+    "cos": lambda x: math.cos(x) if math.isfinite(x) else math.nan,
+    "exp": _fexp,
+    "log": lambda x: math.log(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan,
+    "abs": abs,
+    "sqrt": lambda x: math.sqrt(x) if x >= 0.0 else math.nan,
+    "min": lambda x, y: x if x < y or x != x else y,
+    "max": lambda x, y: x if x > y or x != x else y,
 }
 
 

@@ -13,7 +13,6 @@ from ordercalc import expr as ex
 from ordercalc import _interval
 from ordercalc._interval import enclose
 from ordercalc._kernels_fallback import _run
-from ordercalc._tape import OP_NEG
 from ordercalc.functions import KernelEvalError, LatticeFunction, ScalarKernel, extrema
 from ordercalc.integrate import ToleranceSchedule, integrate
 from ordercalc.lattice import Element, OrderInterval
@@ -23,7 +22,7 @@ def interval(lo, hi):
     return OrderInterval(Element(lo), Element(hi))
 
 
-# One expression per opcode (the constant, the variable and the arithmetic
+# One expression per step name (the constant, the variable and the arithmetic
 # ones appear inside the others), with boxes chosen to hit each case of its
 # enclosure: signs of the operands, even and odd powers across 0, and sin
 # and cos pieces that hold a peak, a trough, both, or a whole period.
@@ -67,20 +66,20 @@ def test_opcode_enclosure_contains_point_values(name):
 
 
 def test_negated_constant_stays_a_point_with_the_same_bounds(monkeypatch):
-    # -2*t compiles to CONST 2, NEG, VAR, MUL: the negated constant must stay
+    # -2*t compiles to const 2, neg, t, *: the negated constant must stay
     # one object, so that the product takes its two-product path.
     c = np.float64(2.0)
-    lo, hi = _interval._OPS[OP_NEG]((c, c))
+    lo, hi = _interval._OPS["neg"]((c, c))
     assert lo is hi and lo == -2.0
     a, b = np.array([-3.0, 1.0]), np.array([-2.0, 4.0])
-    lo, hi = _interval._OPS[OP_NEG]((a, b))
+    lo, hi = _interval._OPS["neg"]((a, b))
     assert lo.tolist() == [2.0, -4.0] and hi.tolist() == [3.0, -1.0]
     # Bounds as with a negated constant of two objects, inf and NaN pieces included.
     a = np.array([-3.0, -1.0, 0.0, 0.5, -np.inf, 1.0, np.nan, -np.inf])
     b = np.array([-2.0, 2.0, 0.0, 4.0, 1.0, np.inf, 1.0, np.inf])
     progs = [ScalarKernel.from_string(src).program for src in ("-0.5*t^2 - t", "t*(-3)", "-2*sin(t)")]
     got = [enclose(prog, a, b) for prog in progs]
-    monkeypatch.setitem(_interval._OPS, OP_NEG, lambda x: (-x[1], -x[0]))
+    monkeypatch.setitem(_interval._OPS, "neg", lambda x: (-x[1], -x[0]))
     for prog, (lo, hi) in zip(progs, got):
         want_lo, want_hi = enclose(prog, a, b)
         assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
