@@ -100,7 +100,7 @@ class Element:
         return self.dim == other.dim and bool(np.all(self._data == other._data))
 
     def __hash__(self) -> int:
-        return hash(self._data.tobytes())
+        return hash((self._data + 0.0).tobytes())  # -0.0 + 0.0 is +0.0: equal elements hash alike
 
     # -- vector space and f-algebra structure ------------------------------
 

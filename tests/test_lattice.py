@@ -55,6 +55,12 @@ def test_lattice_op_examples():
     assert E(1, 0).inf(E(0, 1)) == E(0, 0)
 
 
+def test_elements_equal_up_to_a_zeros_sign_hash_alike():
+    a, b = Element([0.0, 1.0]), Element([-0.0, 1.0])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_leq_and_strictly_below_examples():
     assert E(0, 0).leq(E(1, 1))
     assert not E(0, 0).strictly_below(E(1, 0))

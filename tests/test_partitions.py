@@ -117,6 +117,15 @@ def test_common_refinement_of_staircases_is_trivial_chain():
     assert both.dedup().points == (E(0, 0), E(1, 1))
 
 
+def test_common_refinement_merges_points_that_differ_in_a_zeros_sign():
+    iv = interval((-1, 0), (1, 1))
+    p = Partition((E(-1, 0), E(0.0, 0.5), E(1, 1)), iv)
+    q = Partition((E(-1, 0), E(-0.0, 0.5), E(1, 1)), iv)
+    both = common_refinement(p, q)
+    assert both.points == p.points
+    assert all(a != b for a, b in zip(both.points, both.points[1:]))
+
+
 def test_common_refinement_self_and_uniform_merge():
     p = uniform(UNIT2, 2)
     assert common_refinement(p, p).dedup().points == p.points
