@@ -266,20 +266,15 @@ def _as_kernels(specs) -> tuple[ScalarKernel, ...]:
             return k
         key = k if isinstance(k, str) else id(k)
         if key not in shared:
-            shared[key] = _as_kernel(k)
+            if isinstance(k, str):
+                shared[key] = ScalarKernel.from_string(k)
+            elif isinstance(k, ex.Expr):
+                shared[key] = ScalarKernel.from_expr(k)
+            else:
+                raise TypeError(f"cannot interpret {k!r} as a scalar kernel")
         return shared[key]
 
     return tuple(kernel(k) for k in specs)
-
-
-def _as_kernel(k) -> ScalarKernel:
-    if isinstance(k, ScalarKernel):
-        return k
-    if isinstance(k, str):
-        return ScalarKernel.from_string(k)
-    if isinstance(k, ex.Expr):
-        return ScalarKernel.from_expr(k)
-    raise TypeError(f"cannot interpret {k!r} as a scalar kernel")
 
 
 class LatticeFunction:
