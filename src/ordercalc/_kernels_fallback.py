@@ -45,10 +45,9 @@ calls the ``prefix_*`` entry points any more; they are kept for the
 benchmark, which times and traces them.  Programs are evaluated over
 arrays of points through ``_tape.run``, which alone steps through programs;
 this module supplies the numpy evaluator's op table, ``_OPS``, from each
-step's name to its numpy function, and ``_IN_PLACE``, the same table, by
-the same names, writing each result into a buffer of
-``_Buffers``: a sum allocates those once a call, and every chunk reuses
-them.  The products m·Δx, of given rows and of the stretches a uniform
+step's name to its numpy function, and ``_IN_PLACE``, the same table by
+the same names, writing each result into a buffer of ``_Buffers``: a sum
+allocates those once a call, and every chunk reuses them.  The products m·Δx, of given rows and of the stretches a uniform
 level sums by products, are arrays of their own.  ``CHUNK_CELLS`` and
 ``STRETCH_CELLS`` are defined here, beside the one loop that reads them.
 Stretches fix the summation order of uniform levels, which this module
@@ -258,14 +257,14 @@ def _divide_into(x, y):
     return _binary_into(np.divide, x, y)
 
 
-# The numpy op table ``_OPS`` made to write in place, into the buffers of
-# the run, keyed by the same step names: each op writes its result into an operand the table owns (an
-# earlier result) or else into a free buffer, and frees the other operand
-# it owned.  Constants stay numpy scalars, an op of scalars alone gives a
-# scalar, and the run's points are never written.  ``^`` is ``expr._ipow``
-# with a multiply that writes into its first operand when the table owns
-# it and it is not also the second.  Results are the bits ``_OPS`` gives
-# out of place.
+# The numpy op table ``_OPS`` made to write in place, by the same step
+# names, into the buffers of the run: each op writes its result into an
+# operand the table owns (an earlier result) or else into a free buffer,
+# and frees the other operand it owned.  Constants stay numpy scalars, an
+# op of scalars alone gives a scalar, and the run's points are never
+# written.  ``^`` is ``expr._ipow`` with a multiply that writes into its
+# first operand when the table owns it and it is not also the second.
+# Results are the bits ``_OPS`` gives out of place.
 _IN_PLACE = {
     op: _pow_into
     if op == "^"
